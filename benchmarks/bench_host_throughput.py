@@ -7,8 +7,8 @@ fired per second.  It is the instrument behind ``run_bench.py`` and the
 committed ``BENCH_core.json`` trajectory file that future PRs regress
 against (see ``docs/PERFORMANCE.md``).
 
-Four scenarios cover the hot paths the zero-copy data plane and the
-translation fast path optimise:
+Five scenarios cover the hot paths the zero-copy data plane, the
+translation fast path and the sharded kernel optimise:
 
 * ``udma_send`` -- the single-node UDMA send path (initiate, DMA fill,
   completion polling) into a sink device;
@@ -18,7 +18,10 @@ translation fast path optimise:
   dominate and event-queue overhead is the bottleneck;
 * ``translate_storm`` -- a multi-page working set hammered with word
   loads and page-run buffer I/O, with periodic context switches to force
-  translation-cache refills (the CPU's software-TLB worst case).
+  translation-cache refills (the CPU's software-TLB worst case);
+* ``cluster_mesh_64`` -- a 64-node 8x8 mesh of self-driving ring
+  senders on the conservative-PDES sharded kernel (``repro.sharding``),
+  timing pure event execution.
 
 CPU-bound scenarios also report the translation fast path's hit rate
 (``xlat%``), so a change that silently degrades the cache shows up even
@@ -634,9 +637,11 @@ def _register(name, fn, full, quick, warm=True):
     SCENARIOS[name] = ScenarioSpec(name, fn, full, quick, warm)
 
 
-# Quick workloads stay CI-cheap (< ~100 ms total) but are sized so each
-# timed region is ~10 ms+ -- shorter regions make MB/s too noisy for the
-# --check regression gate.
+# Quick workloads keep a run CI-cheap, so their timed regions are short:
+# about 5-25 ms per repeat for the four single-clock scenarios and about
+# 60-100 ms for cluster_mesh_64 (2-vCPU Xeon, CPython 3.11.7).  Regions
+# that short make MB/s noisy, which is why CI gates quick runs with a
+# wide --tolerance (docs/PERFORMANCE.md).
 _register("udma_send", bench_udma_send,
           {"messages": 400}, {"messages": 200})
 _register("cluster_pingpong", bench_cluster_pingpong,

@@ -174,6 +174,15 @@ class Interconnect:
             ddy = min(ddy, height - ddy)
         return max(1, ddx + ddy)
 
+    def route_delay(self, src_node: int, dst_node: int) -> int:
+        """Wire latency of one packet: ``hops * hop_cycles``, memoised."""
+        pair = (src_node, dst_node)
+        delay = self._delay_cache.get(pair)
+        if delay is None:
+            delay = self.hops(src_node, dst_node) * self.costs.hop_cycles
+            self._delay_cache[pair] = delay
+        return delay
+
     def route_path(self, src_node: int, dst_node: int) -> "list[int]":
         """The node ids a packet visits after ``src_node``, in hop order.
 
@@ -255,11 +264,7 @@ class Interconnect:
                 )
             return
         nbytes = wire.wire_bytes if isinstance(wire, Packet) else len(wire)
-        pair = (src_node, dst_node)
-        delay = self._delay_cache.get(pair)
-        if delay is None:
-            delay = self.hops(src_node, dst_node) * self.costs.hop_cycles
-            self._delay_cache[pair] = delay
+        delay = self.route_delay(src_node, dst_node)
         self.packets_routed += 1
         self.bytes_routed += nbytes
         port = self._nics[dst_node]

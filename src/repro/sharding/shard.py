@@ -20,10 +20,12 @@ and under either engine.
 
 Workload steps are *atomic*: the node's CPU charges cycles without
 firing events (:class:`~repro.sim.clock.ShardClock` defers them), so a
-step is one indivisible operation.  That is why the workload uses only
-the paper's raw two-instruction initiation (``UdmaUser.initiate``,
-never ``wait=True`` polling): a bounded, non-blocking step that cannot
-need to coast the clock.
+step is one indivisible operation.  A step is the paper's
+two-instruction initiation plus its alignment check, applied through the
+runtime's validated send plan (``UdmaUser.send_once``, never
+``wait=True`` polling): a bounded, non-blocking step that cannot need to
+coast the clock.  The plan's batched cycle charge is exact here because
+charging never fires an event.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.params import CostModel, shrimp
 from repro.sharding.spec import RETRY_GAP_CYCLES, ClusterSpec, ShardSpec
 from repro.sim.clock import Clock, ShardClock
 from repro.sim.trace import NULL_TRACER, Tracer
-from repro.userlib.udma import UdmaUser
+from repro.userlib.udma import DeviceRef, MemoryRef, UdmaUser, _SendPlan
 
 #: canonical key class of a workload step: sorts after every hardware
 #: event (empty key) and every network arrival ((1, src, seq)) at the
@@ -91,7 +93,7 @@ class ShardInterconnect(Interconnect):
                 "wire-fault injection is not supported in sharded mode"
             )
         nbytes = wire.wire_bytes if isinstance(wire, Packet) else len(wire)
-        delay = self.hops(src_node, dst_node) * self.costs.hop_cycles
+        delay = self.route_delay(src_node, dst_node)
         self.packets_routed += 1
         self.bytes_routed += nbytes
         self._shard.handoff(src_node, dst_node, delay, wire)
@@ -108,8 +110,8 @@ class NodeRuntime:
     tx_proc: Process
     udma: UdmaUser
     buffer: int
-    src_proxy: int
-    dst_proxy: int
+    source: MemoryRef
+    destination: DeviceRef
     msg_bytes: int
     messages_total: int
     gap: int
@@ -117,6 +119,11 @@ class NodeRuntime:
     rx_proc: Process
     rx_buf: int
     in_links: List[Tuple[int, int]] = field(default_factory=list)
+    #: the node is one of its own in-link sources, so its own operations
+    #: can lower its bound (see :meth:`Shard.run_until_blocked`)
+    self_fed: bool = False
+    #: the send's fast-lane plan handle, resolved once it can be built
+    plan: Optional[_SendPlan] = None
     sent: int = 0
     steps: int = 0
     retries: int = 0
@@ -244,8 +251,8 @@ def setup_node(
         tx_proc=tx_proc,
         udma=UdmaUser(machine, tx_proc),
         buffer=buffer,
-        src_proxy=machine.layout.proxy(buffer),
-        dst_proxy=grant,
+        source=MemoryRef(buffer),
+        destination=DeviceRef(grant),
         msg_bytes=spec.msg_bytes,
         messages_total=spec.messages_per_node,
         gap=spec.gap_cycles,
@@ -302,6 +309,9 @@ class Shard:
         self.order: List[int] = list(shard_spec.nodes)
         self.ops_executed = 0
         self.audit_count = 0
+        #: packets this shard has handed off (local or cross-shard); a
+        #: change invalidates every cached safe bound
+        self.handoffs = 0
         self._checkers: Dict[int, InvariantChecker] = {}
         self._audit = audit
         #: per-(src, dst) channel sequence numbers, assigned in source
@@ -335,6 +345,7 @@ class Shard:
                 for (s, d) in spec.links()
                 if d == node_id
             ]
+            rt.self_fed = any(s == node_id for s, _ in rt.in_links)
             self.runtimes[node_id] = rt
             if audit:
                 self._checkers[node_id] = InvariantChecker(machine.kernel)
@@ -379,6 +390,7 @@ class Shard:
         among same-cycle operations at the destination, independent of
         which shard -- or which worker process -- performed the delivery.
         """
+        self.handoffs += 1
         arrival = self.runtimes[src].clock.now + delay
         chseq = self._chseq.get((src, dst), 0)
         self._chseq[(src, dst)] = chseq + 1
@@ -432,24 +444,36 @@ class Shard:
             )
 
     # ---------------------------------------------------------- operations
-    def next_op(self, rt: NodeRuntime) -> Optional[Tuple[int, Tuple, str]]:
-        """The node's earliest potential operation: (time, key, kind)."""
-        event = rt.clock.next_op()
-        step: Optional[Tuple[int, Tuple, str]] = None
-        if rt.next_step is not None:
-            # A step that fell behind the node's own clock (a long event
-            # burst) runs at `now`; both inputs are per-node deterministic.
-            step = (max(rt.next_step, rt.clock.now), STEP_KEY, "step")
-        if event is not None:
-            candidate = (event[0], event[1], "event")
-            if step is None or candidate[:2] <= step[:2]:
-                return candidate
+    def promise(self, rt: NodeRuntime) -> Optional[int]:
+        """Lower bound on the node's next operation time (None = done).
+
+        The earlier of the node's earliest event and its next workload
+        step.  A step that fell behind the node's own clock (a long
+        event burst) runs at ``now``; both inputs are per-node
+        deterministic.
+        """
+        head = rt.clock.head()
+        step = rt.next_step
+        if step is not None and step < rt.clock.now:
+            step = rt.clock.now
+        if head is not None and (step is None or head.time <= step):
+            return head.time
         return step
 
-    def promise(self, rt: NodeRuntime) -> Optional[int]:
-        """Lower bound on the node's next operation time (None = done)."""
-        op = self.next_op(rt)
-        return None if op is None else op[0]
+    def next_op(self, rt: NodeRuntime) -> Optional[Tuple[int, Tuple, str]]:
+        """The node's earliest potential operation: (time, key, kind).
+
+        Every event key (``()`` or ``(1, src, chseq)``) sorts before
+        :data:`STEP_KEY`, so an event due at the promised time goes
+        first.
+        """
+        due = self.promise(rt)
+        if due is None:
+            return None
+        head = rt.clock.head()
+        if head is not None and head.time == due:
+            return (due, head.key, "event")
+        return (due, STEP_KEY, "step")
 
     def bound_for(self, rt: NodeRuntime) -> float:
         """Conservative safe horizon: min over in-links of promise + L."""
@@ -467,53 +491,31 @@ class Shard:
                 bound = b
         return bound
 
-    @staticmethod
-    def executable(op: Tuple[int, Tuple, str], bound: float) -> bool:
-        """Safe to execute now?
-
-        Local hardware events (empty key) may run at the bound itself: a
-        same-cycle arrival sorts after them anyway.  Arrivals and steps
-        need the strict inequality -- an in-flight arrival at exactly
-        the bound could still sort before them.
-        """
-        time, key, _kind = op
-        if key == ():
-            return time <= bound
-        return time < bound
-
-    def execute(self, rt: NodeRuntime, op: Tuple[int, Tuple, str]) -> None:
-        _time, _key, kind = op
-        if kind == "event":
-            rt.clock.fire_next()
-        else:
-            self._execute_step(rt)
-        self.ops_executed += 1
-        checker = self._checkers.get(rt.node_id)
-        if checker is not None:
-            checker.check_all()
-            self.audit_count += 1
-
     def _execute_step(self, rt: NodeRuntime) -> None:
         """One atomic workload step: mark the message, initiate the send.
 
         Exactly the paper's user-level critical path -- alignment check,
         STORE to the destination proxy, fence, LOAD of the status word --
-        with a busy device folded into the schedule as a deterministic
-        retry.  No polling, no coasting: the step is bounded CPU work.
+        applied through the runtime's validated send plan, with a busy
+        device folded into the schedule as a deterministic retry.  No
+        polling, no coasting: the step is bounded CPU work.
         """
         assert rt.next_step is not None
         step_t = max(rt.next_step, rt.clock.now)
         if rt.clock.now < step_t:
             rt.clock.advance(step_t - rt.clock.now)  # idle until the step
-        cpu = rt.machine.cpu
-        cpu.store(rt.buffer, rt.sent + 1)  # the app stamps its message
-        cpu.execute(self.costs.udma_align_check_cycles)
-        status = rt.udma.initiate(rt.dst_proxy, rt.src_proxy, rt.msg_bytes)
-        if status.hard_error:
-            raise DmaError(
-                f"node {rt.node_id} initiation failed: {status.describe()}"
+        rt.machine.cpu.store(rt.buffer, rt.sent + 1)  # the app stamps its message
+        if rt.plan is None:
+            # None until a first slow-path send has warmed both proxy
+            # translations; every use re-validates the handle.
+            rt.plan = rt.udma.plan_for(rt.source, rt.destination, rt.msg_bytes)
+        try:
+            started = rt.udma.send_once(
+                rt.source, rt.destination, rt.msg_bytes, plan=rt.plan
             )
-        if status.started:
+        except DmaError as exc:
+            raise DmaError(f"node {rt.node_id}: {exc}") from exc
+        if started:
             rt.sent += 1
             outcome = "sent"
             rt.next_step = (
@@ -533,30 +535,66 @@ class Shard:
     def run_until_blocked(self) -> bool:
         """Execute every provably-safe operation; True if any ran.
 
-        Node-at-a-time batching: executing a node's operations can only
-        *raise* other nodes' bounds (promises are monotone), so a stale
-        bound is merely conservative, never unsafe.
+        Node-at-a-time batching: each node runs until it blocks, and the
+        sweep over the shard's nodes repeats until none advances.
+
+        A node's bound is computed once per visit and recomputed only
+        after something could have lowered an in-link source's promise:
+        a handoff by this shard (it may schedule an arrival on that
+        source, local or remote) or, for a node that is its own in-link
+        source, any of its own operations.  Nothing else touches another
+        node's queue or schedule, so the cached bound equals the live
+        one and the operation sequence -- hence ``rounds`` -- is exactly
+        that of re-deriving the bound before every operation.
+
+        Safety (docs/SHARDING.md): a local hardware event (empty key)
+        may run at the bound itself; arrivals and steps need the strict
+        inequality, since an in-flight arrival at exactly the bound could
+        still sort before them.
         """
         progress = False
         advanced = True
+        runtimes = self.runtimes
+        checkers = self._checkers
         while advanced:
             advanced = False
             for node_id in self.order:
-                rt = self.runtimes[node_id]
+                rt = runtimes[node_id]
+                clock = rt.clock
+                seen = -1
                 while True:
-                    op = self.next_op(rt)
-                    if op is None:
+                    if seen != self.handoffs or rt.self_fed:
+                        seen = self.handoffs
+                        bound = self.bound_for(rt)
+                    # promise(), inlined: the event goes first iff it is
+                    # due no later than the step.
+                    head = clock.head()
+                    step = rt.next_step
+                    if step is not None and step < clock.now:
+                        step = clock.now
+                    if head is not None and (step is None or head.time <= step):
+                        due = head.time
+                        if due > bound or (due == bound and head.key):
+                            break
+                        clock.fire_next(head)
+                    elif step is not None and step < bound:
+                        self._execute_step(rt)
+                    else:
                         break
-                    if not self.executable(op, self.bound_for(rt)):
-                        break
-                    self.execute(rt, op)
+                    self.ops_executed += 1
                     advanced = True
-                    progress = True
+                    if checkers:
+                        checkers[node_id].check_all()
+                        self.audit_count += 1
+            progress = progress or advanced
         return progress
 
     def idle(self) -> bool:
         """No operations remain on any node."""
-        return all(self.next_op(rt) is None for rt in self.runtimes.values())
+        return all(
+            rt.next_step is None and not rt.clock.pending()
+            for rt in self.runtimes.values()
+        )
 
     def out_promises(self) -> Dict[Tuple[int, int], "float | None"]:
         """Null-message payload: per cross-shard out-link safe bound."""

@@ -493,11 +493,22 @@ class ShardClock(Clock):
             return None
         return (head.time, head.key)
 
-    def fire_next(self) -> int:
-        """Pop and fire the earliest live event; returns its due time."""
-        head = self._peek()
+    #: the earliest live event itself, or None if idle: the engine's
+    #: per-operation peek (no tuple is built, and the event can go
+    #: straight back to :meth:`fire_next`)
+    head = Clock._peek
+
+    def fire_next(self, head: Optional[KeyedEvent] = None) -> int:
+        """Pop and fire the earliest live event; returns its due time.
+
+        ``head`` is that event when the caller has just peeked it with
+        :meth:`head` (nothing scheduled or cancelled since), which saves
+        a second peek.
+        """
         if head is None:
-            raise ConfigurationError("fire_next() on an idle ShardClock")
+            head = self._peek()  # type: ignore[assignment]
+            if head is None:
+                raise ConfigurationError("fire_next() on an idle ShardClock")
         self._pop(head)
         time = head.time
         self._fire(head)

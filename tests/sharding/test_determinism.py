@@ -8,7 +8,7 @@ that, plus the conservative machinery the contract rests on.
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DmaError
 from repro.params import shrimp
 from repro.sharding import (
     ClusterSpec,
@@ -19,6 +19,7 @@ from repro.sharding import (
 )
 from repro.sharding.shard import STEP_KEY, Shard
 from repro.sharding.spec import ShardSpec
+from repro.sim.clock import ShardClock
 
 
 def small_spec(**overrides):
@@ -80,10 +81,75 @@ class TestShardCountInvariance:
         assert sharded.logs == ref.logs
         assert sharded.digests == ref.digests
 
+    @pytest.mark.parametrize("engine", ["in-process", "worker"])
+    @pytest.mark.parametrize("num_nodes", [2, 3])
+    def test_small_linear_rings(self, num_nodes, engine):
+        """Rings small enough that a node's own handoffs move its bound.
+
+        In the 2-node ring each node's destination is its in-link
+        source, so a packet a node hands off mid-visit can lower that
+        node's cached safe bound; the 3-node ring is the smallest ring
+        where it cannot.
+        """
+        spec = small_spec(num_nodes=num_nodes, topology="linear")
+        ref = run_sharded(spec, num_shards=1)
+        for num_shards in range(2, num_nodes + 1):
+            sharded = run_sharded(spec, num_shards=num_shards, engine=engine)
+            assert sharded.logs == ref.logs
+            assert sharded.digests == ref.digests
+            assert sharded.curated_counters() == ref.curated_counters()
+
     def test_seed_changes_the_schedule(self):
         a = run_sharded(small_spec(seed=1), num_shards=1)
         b = run_sharded(small_spec(seed=2), num_shards=1)
         assert a.logs != b.logs
+
+
+def _observed(result):
+    return (
+        result.logs,
+        result.digests,
+        result.curated_counters(),
+        result.events_fired,
+        result.now,
+    )
+
+
+class TestPlannedStep:
+    """A workload step through the send plan equals the raw initiation."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"iommu": True}, {"gap_cycles": 50}],
+        ids=["plain", "iommu", "contention"],
+    )
+    def test_planned_equals_raw(self, overrides, num_shards):
+        spec = small_spec(**overrides)
+        planned = InProcessEngine(spec, num_shards=num_shards)
+        raw = InProcessEngine(spec, num_shards=num_shards)
+        for shard in raw.shards:
+            for rt in shard.runtimes.values():
+                rt.udma.pipelining = False
+        planned_result = planned.run()
+        raw_result = raw.run()
+        if overrides.get("gap_cycles"):
+            assert raw_result.retries > 0
+        assert _observed(planned_result) == _observed(raw_result)
+        # The planned run really took the fast lane; the raw one never did.
+        # (IOMMU fault service can leave a node's proxy translations
+        # stale for all of its few sends, so not every node gets a plan.)
+        planned_rts = [rt for s in planned.shards for rt in s.runtimes.values()]
+        raw_rts = [rt for s in raw.shards for rt in s.runtimes.values()]
+        assert any(rt.plan is not None for rt in planned_rts)
+        assert all(rt.plan is None for rt in raw_rts)
+
+    def test_hard_error_names_the_node(self):
+        engine = InProcessEngine(small_spec(num_nodes=4, topology="linear"), 1)
+        rt = engine.shards[0].runtimes[2]
+        rt.nic.nipt.clear_entry(0)  # the channel's only NIPT entry
+        with pytest.raises(DmaError, match="node 2"):
+            engine.run()
 
 
 class TestAuditedRuns:
@@ -139,6 +205,50 @@ class TestConservativeMachinery:
         shard.set_chan_bound(1, 2, 10**9)
         assert shard.run_until_blocked() is True
         assert shard.ops_executed > 0
+
+    @pytest.mark.parametrize(
+        "spec, num_shards",
+        [
+            (small_spec(num_nodes=2, topology="linear"), 1),
+            (small_spec(num_nodes=2, topology="linear"), 2),
+            (small_spec(num_nodes=3, topology="linear"), 2),
+            (small_spec(gap_cycles=50), 3),
+        ],
+        ids=["ring2-1shard", "ring2-2shards", "ring3-2shards", "mesh9-contention"],
+    )
+    def test_every_operation_is_safe_under_the_live_bound(
+        self, monkeypatch, spec, num_shards
+    ):
+        """The cached bound never lets an operation past the live one."""
+        engine = InProcessEngine(spec, num_shards=num_shards)
+        owner = {
+            id(rt.clock): (shard, rt)
+            for shard in engine.shards
+            for rt in shard.runtimes.values()
+        }
+        checked = []
+        fire_next = ShardClock.fire_next
+        execute_step = Shard._execute_step
+
+        def checked_fire(clock, head=None):
+            shard, rt = owner[id(clock)]
+            event = clock.head()
+            live = shard.bound_for(rt)
+            assert event.time < live or (event.time == live and event.key == ())
+            checked.append("event")
+            return fire_next(clock, head)
+
+        def checked_step(shard, rt):
+            step = max(rt.next_step, rt.clock.now)
+            assert step < shard.bound_for(rt)
+            checked.append("step")
+            return execute_step(shard, rt)
+
+        monkeypatch.setattr(ShardClock, "fire_next", checked_fire)
+        monkeypatch.setattr(Shard, "_execute_step", checked_step)
+        result = engine.run()
+        assert len(checked) == result.ops_executed
+        assert "step" in checked and "event" in checked
 
     def test_step_key_sorts_after_arrivals(self):
         # Same-cycle ordering: hardware events, then arrivals, then steps.

@@ -87,8 +87,9 @@ def test_sharded_engine_restore_equivalence(shards):
     """Snapshot the conservative-PDES engine mid-flight; finish restored.
 
     At 4 shards the snapshot lands with cross-shard packets and pending
-    events genuinely in flight (asserted); the single shard drains in
-    its first ``run_until_blocked``, so its snapshot covers the
+    events genuinely in flight, and with some nodes already holding a
+    fast-lane send plan (both asserted); the single shard drains in its
+    first ``run_until_blocked``, so its snapshot covers the
     constructed-but-unrun state instead.
     """
     spec = ClusterSpec(num_nodes=16, messages_per_node=4)
@@ -96,13 +97,15 @@ def test_sharded_engine_restore_equivalence(shards):
 
     engine = InProcessEngine(spec, num_shards=shards)
     if shards > 1:
-        engine.shards[0].run_until_blocked()
-        pending = sum(
-            rt.clock.pending()
-            for s in engine.shards
-            for rt in s.runtimes.values()
+        for shard in engine.shards:
+            shard.run_until_blocked()
+        runtimes = [rt for s in engine.shards for rt in s.runtimes.values()]
+        assert sum(rt.clock.pending() for rt in runtimes) > 0, (
+            "snapshot must land mid-flight"
         )
-        assert pending > 0, "snapshot must land mid-flight"
+        assert any(rt.plan is not None for rt in runtimes), (
+            "snapshot must carry a send-plan handle"
+        )
     restored = restore(snapshot(engine))
     assert _shard_observation(restored.run()) == _shard_observation(reference)
 
