@@ -21,9 +21,9 @@ The library simulates, end to end, the system the paper describes:
 
 Quick start::
 
-    from repro import ShrimpCluster, Sender, Receiver
+    from repro import ClusterConfig, ShrimpCluster, Sender, Receiver
 
-    cluster = ShrimpCluster(num_nodes=2)
+    cluster = ShrimpCluster(config=ClusterConfig(num_nodes=2))
     rx_proc = cluster.node(1).create_process("rx")
     buf = cluster.node(1).kernel.syscalls.alloc(rx_proc, 8192)
     channel = cluster.create_channel(0, 1, rx_proc, buf, 8192)

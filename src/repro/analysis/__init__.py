@@ -1,8 +1,6 @@
 """Post-hoc analysis over traces and counters."""
 
 from repro.analysis.metrics import (
-    cluster_metrics,
-    machine_metrics,
     nic_metrics,
     render,
 )
@@ -18,8 +16,6 @@ __all__ = [
     "Summary",
     "TrafficReport",
     "bandwidth_timeline",
-    "cluster_metrics",
-    "machine_metrics",
     "nic_metrics",
     "packet_latencies",
     "render",

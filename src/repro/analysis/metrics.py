@@ -4,30 +4,15 @@ Every component keeps its own counters (CPU instructions, TLB hits, VM
 faults, UDMA initiations, NIC packets...).  The stable API for reading
 them is :meth:`repro.machine.Machine.metrics` /
 :meth:`repro.cluster.ShrimpCluster.metrics`, backed by the typed registry
-in :mod:`repro.obs`.  The free functions here (:func:`machine_metrics`,
-:func:`cluster_metrics`) are the *deprecated* pre-registry spellings,
-kept as thin wrappers; :func:`render` pretty-prints either shape.
+in :mod:`repro.obs`; :func:`render` pretty-prints either shape.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict
 
-from repro.cluster import ShrimpCluster
 from repro.machine import Machine
 from repro.net.nic import ShrimpNic
-
-
-def machine_metrics(machine: Machine) -> Dict[str, Any]:
-    """Deprecated: use :meth:`repro.machine.Machine.metrics`."""
-    warnings.warn(
-        "machine_metrics(m) is deprecated; use m.metrics() "
-        "(backed by the repro.obs metrics registry)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return machine.metrics()
 
 
 def transfer_latency(machine: Machine) -> Dict[str, Any]:
@@ -51,17 +36,6 @@ def nic_metrics(nic: ShrimpNic) -> Dict[str, Any]:
         "out_fifo_high_water": nic.outgoing.high_water,
         "in_fifo_high_water": nic.incoming.high_water,
     }
-
-
-def cluster_metrics(cluster: ShrimpCluster) -> Dict[str, Any]:
-    """Deprecated: use :meth:`repro.cluster.ShrimpCluster.metrics`."""
-    warnings.warn(
-        "cluster_metrics(c) is deprecated; use c.metrics() "
-        "(backed by the repro.obs metrics registry)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return cluster.metrics()
 
 
 def render(metrics: Dict[str, Any], indent: int = 0) -> str:

@@ -7,7 +7,7 @@ schedule and the predicate can be re-evaluated on arbitrary subsets.
 
 The predicate is "does this subsequence still fail?", where "fail" is
 whatever the caller observed on the full schedule: an invariant/crash
-failure in the fast run, or a differential-oracle mismatch.  Each
+failure in the audited run, or a twin's mismatch.  Each
 evaluation replays the candidate on fresh worlds, so shrinking is
 deterministic and side-effect free; an evaluation budget keeps the worst
 case bounded for CI.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.chaos.actions import Action, actions_to_json
 
@@ -84,18 +84,18 @@ def shrink(
 def format_repro(
     actions: Sequence[Action],
     seed: int,
-    nodes: int,
+    flags: str,
     failure_message: str,
-    break_mode: Optional[str] = None,
     span_context: str = "",
 ) -> str:
     """Paste-ready minimal reproducer: CLI command + JSON schedule.
 
-    ``span_context`` is the causal-transfer context from the failing run
-    (``ChaosWorld.span_context()``); it rides along as a diagnostic line
-    but is not part of the failure identity.
+    ``flags`` are the chaos CLI flags of the campaign that failed --
+    including the ``--oracle`` selection -- so the printed command
+    replays it exactly.  ``span_context`` is the causal-transfer context
+    from the failing run (``ChaosWorld.span_context()``); it rides along
+    as a diagnostic line but is not part of the failure identity.
     """
-    brk = f" --break {break_mode}" if break_mode else ""
     lines = [
         "=== chaos minimal reproducer ===",
         f"failure : {failure_message}",
@@ -105,7 +105,7 @@ def format_repro(
     lines += [
         f"actions : {len(actions)} (from seed {seed})",
         "replay  : save the JSON below to repro.json, then run",
-        f"          python -m repro chaos --nodes {nodes}{brk} --replay repro.json",
+        f"          python -m repro chaos {flags} --replay repro.json",
         json.dumps(actions_to_json(actions), indent=None, separators=(",", ":")),
     ]
     return "\n".join(lines)

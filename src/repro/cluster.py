@@ -93,10 +93,7 @@ class ShrimpCluster:
 
         cluster = ShrimpCluster(config=ClusterConfig(num_nodes=2, iommu=True))
 
-    Legacy keyword construction (``ShrimpCluster(num_nodes=...)``) still
-    works through :meth:`~repro.config.ClusterConfig.from_kwargs`, which
-    emits a ``DeprecationWarning``.  The ``iommu`` option is config-only:
-    with it on, sender NIPT entries name (asid, virtual page) on the
+    With ``iommu`` on, sender NIPT entries name (asid, virtual page) on the
     receiver, exports take no pin, and receiver-side faults
     park-and-replay through each node's IOMMU (:mod:`repro.iommu`).
     """
@@ -104,20 +101,13 @@ class ShrimpCluster:
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
-        **legacy: object,
     ) -> None:
-        if config is not None:
-            if legacy:
-                raise TypeError(
-                    "ShrimpCluster() takes config= or legacy keyword "
-                    f"arguments, not both (got {', '.join(sorted(legacy))})"
-                )
-            if not isinstance(config, ClusterConfig):
-                raise ConfigurationError(
-                    f"config must be a ClusterConfig, got {type(config).__name__}"
-                )
-        else:
-            config = ClusterConfig.from_kwargs(**legacy)
+        if config is None:
+            config = ClusterConfig()
+        elif not isinstance(config, ClusterConfig):
+            raise ConfigurationError(
+                f"config must be a ClusterConfig, got {type(config).__name__}"
+            )
         if config.num_nodes <= 0:
             raise ConfigurationError(
                 f"num_nodes must be positive, got {config.num_nodes}"
@@ -128,7 +118,7 @@ class ShrimpCluster:
         #: fast-lane toggles: ``pooling`` recycles events/packets/buffers,
         #: ``pipelining`` lets senders reuse cached initiation plans.  Both
         #: are exact -- simulated cycles and every curated counter are
-        #: bit-identical on or off (chaos ``--no-pool`` gates this).
+        #: bit-identical on or off (the chaos ``pooling`` twin gates this).
         self.pooling = config.pooling
         self.pipelining = config.pipelining
         #: protection-backend spec applied to every node (each node gets
@@ -286,9 +276,7 @@ class ShrimpCluster:
     def metrics(self) -> dict:
         """Whole-multicomputer counters: per node plus the backplane.
 
-        The stable replacement for the deprecated
-        :func:`repro.analysis.metrics.cluster_metrics` free function; a
-        nested view over the shared registry, sampled at call time.
+        A nested view over the shared registry, sampled at call time.
         """
         self._bind_metrics()
         for node in self.nodes:

@@ -12,19 +12,15 @@ explicit keyword arguments on the constructors.
 
     m = Machine(config=MachineConfig(mem_size=1 << 21, protection="captable"))
 
-Legacy keyword construction (``Machine(mem_size=...)``) keeps working
-through :meth:`MachineConfig.from_kwargs`, which emits a
-``DeprecationWarning``; every in-repo caller uses the typed configs.
-
-The virtual-address RDMA tier is enabled *only* here: ``iommu=True`` (or
-an :class:`IommuConfig`) on either config.  There is deliberately no
-legacy ``iommu=`` kwarg -- new options land on the config objects.
+The constructors take no configuration keywords of their own: a stray
+``Machine(mem_size=...)`` raises Python's own ``TypeError``.  The
+virtual-address RDMA tier is enabled here too: ``iommu=True`` (or an
+:class:`IommuConfig`) on either config.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -77,16 +73,6 @@ class IommuConfig:
         )
 
 
-def _warn_legacy(entry: str, config_cls: str, keys) -> None:
-    names = ", ".join(sorted(keys))
-    warnings.warn(
-        f"{entry}({names}=...) keyword construction is deprecated; build a "
-        f"typed config instead: {entry}(config={config_cls}({names}=...))",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
 @dataclass(frozen=True)
 class MachineConfig:
     """Everything a :class:`~repro.machine.Machine` is configured by.
@@ -119,29 +105,6 @@ class MachineConfig:
     #: the virtual-address RDMA tier: False (default, bit-identical to a
     #: pre-IOMMU machine), True for defaults, or an :class:`IommuConfig`.
     iommu: "bool | IommuConfig" = False
-
-    @classmethod
-    def from_kwargs(cls, _warn: bool = True, **kwargs: object) -> "MachineConfig":
-        """Build a config from legacy ``Machine(...)`` keyword arguments.
-
-        Emits a ``DeprecationWarning`` naming the offending keywords.
-        Unknown keywords raise ``TypeError`` exactly as the old
-        constructor did.
-        """
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(kwargs) - allowed
-        if unknown:
-            raise TypeError(
-                f"Machine() got unexpected keyword argument(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        if "iommu" in kwargs:
-            raise TypeError(
-                "iommu is config-only: pass Machine(config=MachineConfig(iommu=...))"
-            )
-        if kwargs and _warn:
-            _warn_legacy("Machine", "MachineConfig", kwargs)
-        return cls(**kwargs)  # type: ignore[arg-type]
 
     def replace(self, **overrides: object) -> "MachineConfig":
         """A copy with the given fields replaced."""
@@ -185,25 +148,6 @@ class ClusterConfig:
     #: name (asid, virtual page) instead of physical frames, receive
     #: buffers are not pinned, and receiver-side faults park-and-replay.
     iommu: "bool | IommuConfig" = False
-
-    @classmethod
-    def from_kwargs(cls, _warn: bool = True, **kwargs: object) -> "ClusterConfig":
-        """Build a config from legacy ``ShrimpCluster(...)`` keywords."""
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(kwargs) - allowed
-        if unknown:
-            raise TypeError(
-                f"ShrimpCluster() got unexpected keyword argument(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        if "iommu" in kwargs:
-            raise TypeError(
-                "iommu is config-only: pass "
-                "ShrimpCluster(config=ClusterConfig(iommu=...))"
-            )
-        if kwargs and _warn:
-            _warn_legacy("ShrimpCluster", "ClusterConfig", kwargs)
-        return cls(**kwargs)  # type: ignore[arg-type]
 
     def replace(self, **overrides: object) -> "ClusterConfig":
         """A copy with the given fields replaced."""

@@ -22,8 +22,8 @@ Recycling rules (enforced by construction, checked in ``debug`` mode):
   past delivery: a reliability plane (it keeps packets for retransmit and
   builds ``dataclasses.replace`` copies sharing the payload), receive
   hooks, or span tracking.  Such packets simply skip the pool -- the
-  simulation is identical either way, which the chaos ``--no-pool``
-  differential oracle verifies.
+  simulation is identical either way, which the chaos ``pooling`` twin
+  verifies.
 * On release the payload is detached from the packet, so a stale
   reference to a recycled packet can never read a successor's data.
 """

@@ -10,11 +10,11 @@ per cluster -- carries the three instruments:
   when :attr:`ObsConfig.spans` is on,
 * the classic :class:`~repro.sim.trace.Tracer` event stream.
 
-Wiring is one keyword::
+Wiring is one config field::
 
-    from repro import Machine, ObsConfig
+    from repro import Machine, MachineConfig, ObsConfig
 
-    m = Machine(obs=ObsConfig(spans=True))
+    m = Machine(config=MachineConfig(obs=ObsConfig(spans=True)))
     ...
     m.metrics()                  # nested counter report
     m.obs.spans.roots()          # transfer span trees

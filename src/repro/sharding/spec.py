@@ -56,7 +56,7 @@ class ClusterSpec:
         nipt_entries: sender NIPT size (sized to the channel).
         pooling: enable the event/packet free-list fast lane (exact: the
             simulation is bit-identical on or off, which the chaos
-            ``--no-pool`` differential mode verifies).
+            ``pooling`` twin verifies).
         iommu: run every node with the virtual-address RDMA tier
             (:mod:`repro.iommu`): NIPT entries name (asid, virtual page)
             on the receiver, receive buffers start *cold* (allocated but

@@ -17,7 +17,7 @@ tombstone is popped), and the heap compacts itself when tombstones
 outnumber live events.
 
 Two further fast-lane mechanisms (on by default, disabled together with
-``pooling=False`` for the chaos differential oracle):
+``pooling=False`` for the chaos ``pooling`` twin):
 
 * **Event free list** -- fired events are recycled instead of freed, so a
   steady-state workload schedules without allocating.  Only *fired* events
@@ -128,8 +128,8 @@ class Clock(SnapshotMixin):
     ``pooling`` (default on) enables the event free list and the
     same-time FIFO bucket; both are exact optimisations -- fire order,
     fire times and every counter are bit-identical either way, which the
-    chaos differential oracle checks (``python -m repro chaos
-    --no-pool``).  ``pool_debug`` adds ownership checks that raise
+    chaos ``pooling`` twin checks (``python -m repro chaos --oracle
+    pooling``).  ``pool_debug`` adds ownership checks that raise
     :class:`~repro.errors.PoolIntegrityError` on double releases or
     foreign acquires.
     """

@@ -1,13 +1,6 @@
-"""Tests for the metrics snapshot API and its deprecated wrappers."""
+"""Tests for the metrics snapshot API."""
 
-import pytest
-
-from repro.analysis.metrics import (
-    cluster_metrics,
-    machine_metrics,
-    render,
-    transfer_latency,
-)
+from repro.analysis.metrics import render, transfer_latency
 
 
 class TestMachineMetrics:
@@ -47,20 +40,6 @@ class TestClusterMetrics:
         assert metrics["node0"]["nic"]["packets_sent"] == 1
         assert metrics["node1"]["nic"]["packets_received"] == 1
         assert metrics["node1"]["nic"]["bytes_received"] == 256
-
-
-class TestDeprecatedWrappers:
-    def test_machine_metrics_warns_and_matches(self, sink_machine):
-        machine = sink_machine.machine
-        with pytest.warns(DeprecationWarning, match=r"use m\.metrics\(\)"):
-            legacy = machine_metrics(machine)
-        assert legacy == machine.metrics()
-
-    def test_cluster_metrics_warns_and_matches(self, channel_rig):
-        cluster = channel_rig.cluster
-        with pytest.warns(DeprecationWarning, match=r"use c\.metrics\(\)"):
-            legacy = cluster_metrics(cluster)
-        assert legacy == cluster.metrics()
 
 
 class TestTransferLatency:

@@ -5,9 +5,10 @@ Four properties make the harness trustworthy:
 1. **Determinism** -- the same seed yields byte-identical audit logs,
    counters and memory digests across independent runs (including the
    acceptance workload: seed 7, 200 steps, 2 nodes).
-2. **Oracle equivalence** -- on a *healthy* kernel, replaying any
-   schedule with the fast paths disabled is bit-identical: same logs,
-   same cycles, same memory.  Several seeds, both world shapes.
+2. **Oracle equivalence** -- on a *healthy* kernel, the ``fast-paths``
+   twin (the schedule replayed with the fast paths disabled) is
+   bit-identical: same logs, same cycles, same memory.  Several seeds,
+   both world shapes.
 3. **Bug-finding** -- a kernel with the I1 Inval removed is caught by
    the always-on auditor; a kernel that skips the translation-cache
    generation bumps (invisible to the invariant checkers) is caught by
@@ -19,9 +20,8 @@ Four properties make the harness trustworthy:
 
 import pytest
 
-from repro.chaos import generate_schedule, run_chaos, shrink
+from repro.chaos import TWINS, generate_schedule, run_chaos, shrink
 from repro.chaos.explorer import ScheduleExplorer
-from repro.chaos.oracle import DifferentialOracle
 
 
 # ------------------------------------------------------------ determinism
@@ -54,8 +54,9 @@ def test_acceptance_run_is_deterministic_and_clean():
 def test_fast_and_reference_runs_are_bit_identical(seed, nodes):
     report = run_chaos(seed=seed, steps=80, nodes=nodes)
     assert report.fast.ok, report.failure_message
-    assert report.oracle is not None
-    assert report.oracle.ok, report.oracle.mismatches[:3]
+    twin = report.twin("fast-paths")
+    assert twin.labels == ["fast", "reference"]
+    assert twin.ok, twin.mismatches[:3]
 
 
 def test_oracle_flags_a_seeded_divergence():
@@ -64,14 +65,17 @@ def test_oracle_flags_a_seeded_divergence():
     actions = generate_schedule(seed=5, steps=40)
     explorer = ScheduleExplorer(nodes=1)
     fast = explorer.run(actions, fast_paths=True)
-    # Compare against a *different* schedule's reference run.
-    other = ScheduleExplorer(nodes=1)
-    report = DifferentialOracle(other).compare(generate_schedule(seed=6, steps=40))
-    assert report.ok  # healthy in itself...
-    tampered = DifferentialOracle(explorer).compare(actions, fast=fast)
-    assert tampered.ok
+    slow = explorer.run(actions, fast_paths=False)
+    twin = TWINS["fast-paths"]
+    labels = ["fast", "reference"]
+    # A different schedule is healthy in itself...
+    assert run_chaos(seed=6, steps=40, nodes=1).twin("fast-paths").ok
+    assert twin.compare(labels, [fast, slow]) == []
+    # ...and so is the other schedule's reference run, yet the two differ.
+    other = ScheduleExplorer(nodes=1).run(generate_schedule(seed=6, steps=40))
+    assert twin.compare(labels, [fast, other])
     fast.audit_log[0] = "tampered"
-    assert not DifferentialOracle(explorer).compare(actions, fast=fast).ok
+    assert any("audit log" in m for m in twin.compare(labels, [fast, slow]))
 
 
 # ------------------------------------------------------------- bug finding
@@ -80,7 +84,7 @@ def test_missing_inval_is_caught_and_shrunk(nodes):
     """Scheduler forgets the I1 Inval: the always-on auditor must catch
     it, and ddmin must hand back a tiny reproducer that still fails."""
     report = run_chaos(
-        seed=7, steps=200, nodes=nodes, break_mode="no-inval", diff=False
+        seed=7, steps=200, nodes=nodes, break_mode="no-inval", oracles=()
     )
     assert not report.ok
     assert report.fast.failure is not None
@@ -90,7 +94,7 @@ def test_missing_inval_is_caught_and_shrunk(nodes):
     assert 1 <= len(report.shrunk.actions) <= 20
     # the shrunk schedule is a genuine reproducer
     replay = run_chaos(
-        nodes=nodes, break_mode="no-inval", diff=False,
+        nodes=nodes, break_mode="no-inval", oracles=(),
         actions=report.shrunk.actions,
     )
     assert not replay.ok
@@ -113,6 +117,8 @@ def test_stale_translation_cache_is_caught_and_shrunk(nodes):
     assert not replay.ok
     assert report.repro  # paste-ready reproducer text was produced
     assert "--replay" in report.repro
+    # ...naming the twin selection and world that produced it
+    assert f"--oracle fast-paths --nodes {nodes} --break stale-xlat" in report.repro
 
 
 # --------------------------------------------------------------- shrinker

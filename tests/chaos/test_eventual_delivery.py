@@ -1,4 +1,4 @@
-"""The eventual-delivery oracle's contract: faults absorbed, not counted.
+"""The delivery twin's contract: faults absorbed, not counted.
 
 With the ack/retransmit transport enabled, a chaos campaign is held to a
 stronger standard than "no invariant broke": every wire fault the
@@ -10,16 +10,19 @@ campaign entry point, and pin that reliability-off campaigns are
 untouched by any of it.
 """
 
+import copy
+
 import pytest
 
 from repro.chaos import (
+    TWINS,
     WIRE_FAULT_KINDS,
     generate_schedule,
     run_chaos,
     strip_wire_faults,
 )
-from repro.chaos.explorer import ScheduleExplorer
-from repro.chaos.oracle import EventualDeliveryOracle
+
+RELIABLE = ("fast-paths", "delivery")
 
 
 # ----------------------------------------------------- twin construction
@@ -45,25 +48,27 @@ def test_reliable_campaign_converges(seed):
     """Drop/dup/corrupt/reorder schedules with reliability on: the run is
     clean AND the delivery oracle proves convergence to the fault-free
     memory image with zero lost messages."""
-    report = run_chaos(seed=seed, steps=100, nodes=2, reliability=True)
+    report = run_chaos(seed=seed, steps=100, nodes=2, oracles=RELIABLE)
     assert report.ok, report.failure_message
-    assert report.delivery is not None
-    assert report.delivery.ok, report.delivery.mismatches[:3]
-    assert report.delivery.faulted.counters.get("rel.delivery_failed", 0) == 0
-    sent = report.delivery.faulted.counters.get("rel.messages_sent", 0)
-    got = report.delivery.faulted.counters.get("rel.messages_delivered", 0)
+    delivery = report.twin("delivery")
+    assert delivery.ok, delivery.mismatches[:3]
+    faulted = delivery.runs[0]
+    assert faulted is report.fast  # the audited run is the faulted twin
+    assert faulted.counters.get("rel.delivery_failed", 0) == 0
+    sent = faulted.counters.get("rel.messages_sent", 0)
+    got = faulted.counters.get("rel.messages_delivered", 0)
     assert sent == got
 
 
 def test_reliable_campaign_three_nodes():
-    report = run_chaos(seed=7, steps=120, nodes=3, reliability=True)
+    report = run_chaos(seed=7, steps=120, nodes=3, oracles=RELIABLE)
     assert report.ok, report.failure_message
-    assert report.delivery is not None and report.delivery.ok
+    assert report.twin("delivery").ok
 
 
 def test_reliable_campaign_is_deterministic():
-    first = run_chaos(seed=11, steps=80, nodes=2, reliability=True)
-    second = run_chaos(seed=11, steps=80, nodes=2, reliability=True)
+    first = run_chaos(seed=11, steps=80, nodes=2, oracles=RELIABLE)
+    second = run_chaos(seed=11, steps=80, nodes=2, oracles=RELIABLE)
     assert first.ok and second.ok
     assert first.fast.counters == second.fast.counters
     assert first.fast.mem_digest == second.fast.mem_digest
@@ -78,39 +83,42 @@ def test_reliability_off_campaign_has_no_delivery_verdict():
     delivery oracle, no ``rel.*`` counters in the observable surface."""
     report = run_chaos(seed=7, steps=80, nodes=2)
     assert report.ok
-    assert report.delivery is None
+    assert [t.twin for t in report.twins] == ["fast-paths"]
     assert not any(k.startswith("rel.") for k in report.fast.counters)
 
 
-# ------------------------------------------------------------- the oracle
+# ------------------------------------------------------------- the twin
 def test_oracle_requires_a_reliable_explorer():
-    with pytest.raises(ValueError):
-        EventualDeliveryOracle(ScheduleExplorer(nodes=2))
+    """The twin needs a cluster and switches the transport on itself."""
+    assert TWINS["delivery"].requires == {"cluster", "reliability"}
+    with pytest.raises(ValueError, match="cluster"):
+        run_chaos(steps=10, nodes=1, oracles=("delivery",))
+    report = run_chaos(seed=3, steps=30, oracles=("delivery",))
+    assert report.nodes == 2
+    assert "rel.messages_sent" in report.fast.counters
 
 
 def test_oracle_flags_planted_loss():
     """Non-vacuousness: a faulted run whose transport counters admit a
     lost message, or whose memory diverges, must be rejected."""
     actions = generate_schedule(seed=13, steps=60)
-    explorer = ScheduleExplorer(nodes=2, reliability=True)
-    oracle = EventualDeliveryOracle(explorer)
-    healthy = oracle.compare(actions)
-    assert healthy.ok, healthy.mismatches[:3]
+    healthy = run_chaos(nodes=2, actions=actions, oracles=("delivery",))
+    verdict = healthy.twin("delivery")
+    assert verdict.ok, verdict.mismatches[:3]
+    twin = TWINS["delivery"]
 
-    faulted = explorer.run(actions)
-    faulted.counters["rel.messages_delivered"] -= 1
-    lost = oracle.compare(actions, faulted=faulted)
-    assert not lost.ok
-    assert any("lost messages" in m for m in lost.mismatches)
+    def forged(mutate):
+        faulted, clean = copy.deepcopy(verdict.runs)
+        mutate(faulted)
+        return twin.compare(verdict.labels, [faulted, clean])
 
-    faulted = explorer.run(actions)
-    faulted.counters["rel.delivery_failed"] = 1
-    exhausted = oracle.compare(actions, faulted=faulted)
-    assert not exhausted.ok
-    assert any("retry budget" in m for m in exhausted.mismatches)
+    lost = forged(lambda run: run.counters.__setitem__(
+        "rel.messages_delivered", run.counters["rel.messages_delivered"] - 1))
+    assert any("lost messages" in m for m in lost)
 
-    faulted = explorer.run(actions)
-    faulted.mem_digest = "not-the-real-digest"
-    diverged = oracle.compare(actions, faulted=faulted)
-    assert not diverged.ok
-    assert any("memory digest" in m for m in diverged.mismatches)
+    exhausted = forged(lambda run: run.counters.__setitem__(
+        "rel.delivery_failed", 1))
+    assert any("retry budget" in m for m in exhausted)
+
+    diverged = forged(lambda run: setattr(run, "mem_digest", "not-the-real-digest"))
+    assert any("memory digest" in m for m in diverged)

@@ -1,17 +1,14 @@
-"""The sharding differential oracle and its chaos CLI mode."""
+"""The sharded spec twins (``shards``, ``pooling``) and their CLI."""
 
+import copy
 import json
 
 import pytest
 
-from repro.chaos.sharding_oracle import (
-    ShardingOracle,
-    ShardingReport,
-    run_sharding_suite,
-    suite_specs,
-)
+from repro.chaos import SPEC_PROFILES, TWINS, run_chaos
+from repro.chaos import twins as twins_mod
 from repro.cli import main
-from repro.sharding import ClusterSpec, run_sharded
+from repro.sharding import ClusterSpec
 
 
 def small_spec(**overrides):
@@ -20,87 +17,96 @@ def small_spec(**overrides):
     return ClusterSpec(**params)
 
 
+def judge(oracle="shards", **kwargs):
+    kwargs.setdefault("spec", small_spec())
+    kwargs.setdefault("audit", False)
+    return run_chaos(oracles=(oracle,), **kwargs)
+
+
 class TestShardingOracle:
     def test_clean_comparison(self):
-        report = ShardingOracle(audit=False).compare(small_spec(), 2)
+        report = judge(shards=2)
         assert report.ok
-        assert "bit-identical" in report.summary()
+        assert "shards: reference / 2-shard in-process agree" in report.summary()
 
     def test_audited_comparison_counts_audits(self):
-        report = ShardingOracle(audit=True).compare(small_spec(), 2)
+        report = judge(shards=2, audit=True)
         assert report.ok
-        assert report.sharded.audits == report.sharded.ops_executed
+        sharded = report.twin("shards").runs[1]
+        assert sharded.audits == sharded.ops_executed
 
-    def test_reference_is_reusable(self):
-        oracle = ShardingOracle(audit=False)
-        first = oracle.compare(small_spec(), 2)
-        second = oracle.compare(
-            small_spec(), 2, engine="worker", reference=first.reference
-        )
-        assert second.ok
-        assert second.reference is first.reference
+    def test_reference_is_reusable(self, monkeypatch):
+        """Both engines diff against one reference run."""
+        calls = []
+        real = twins_mod.run_sharded
+
+        def counting(spec, **kwargs):
+            calls.append(kwargs["engine"])
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(twins_mod, "run_sharded", counting)
+        report = judge(shards=2, engine="both")
+        assert report.ok
+        assert report.twin("shards").labels == [
+            "reference", "2-shard in-process", "2-shard worker"
+        ]
+        assert calls == ["in-process", "in-process", "worker"]
 
     def test_divergence_is_reported_per_surface(self):
-        spec = small_spec()
-        reference = run_sharded(spec, num_shards=1)
-        report = ShardingOracle(audit=False).compare(spec, 2)
+        verdict = judge(shards=2).twin("shards")
+        reference, sharded = copy.deepcopy(verdict.runs)
         # Forge a divergence on every surface.
-        report.sharded.logs[0] = "forged"
-        report.sharded.digests["n0"] = "beef"
-        report.sharded.counters["n0.now"] += 1
-        report.mismatches.clear()
-        ShardingOracle()._diff(report)
-        assert not report.ok
-        kinds = " ".join(report.mismatches)
+        sharded.logs[0] = "forged"
+        sharded.digests["n0"] = "beef"
+        sharded.counters["n0.now"] += 1
+        mismatches = TWINS["shards"].compare(verdict.labels, [reference, sharded])
+        kinds = " ".join(mismatches)
         assert "audit log diverges" in kinds
-        assert "memory digest diverges" in kinds
+        assert "memory digest n0" in kinds
         assert "counter n0.now" in kinds
-        del reference
 
     def test_run_error_is_captured_not_raised(self):
-        report = ShardingOracle(audit=False).compare(small_spec(), 99)
+        report = judge(shards=2, engine="no-such-engine")
         assert not report.ok
-        assert report.error is not None
-        assert "FAILED to run" in report.summary()
+        assert "failed to run: ConfigurationError" in report.summary()
 
     def test_artifact_round_trips(self):
-        report = ShardingReport(spec=small_spec(seed=9), num_shards=2,
-                                engine="worker")
-        report.mismatches.append("counter n0.now: reference=1 vs sharded=2")
-        artifact = json.loads(report.artifact())
-        assert artifact["kind"] == "sharding-differential-failure"
+        report = judge(spec=small_spec(seed=9), shards=2, engine="worker")
+        artifact = json.loads(json.dumps(report.artifact()))
+        assert artifact["kind"] == "chaos-twins"
         assert ClusterSpec.from_dict(artifact["spec"]).seed == 9
-        assert artifact["num_shards"] == 2
+        assert artifact["settings"]["shards"] == 2
+        assert artifact["settings"]["engine"] == "worker"
 
 
 class TestSuite:
     def test_suite_covers_contention_and_torus(self):
-        specs = suite_specs(num_nodes=9, seeds=(0, 1))
-        assert len(specs) == 4
-        assert any(s.gap_cycles < 1000 for s in specs)
-        assert any(s.topology == "torus2d" for s in specs)
+        specs = {
+            profile: judge(spec=None, nodes=9, profile=profile).spec
+            for profile in SPEC_PROFILES
+        }
+        assert specs["contention"].gap_cycles < 1000
+        assert specs["torus"].topology == "torus2d"
+        assert specs["mesh"].topology == "mesh2d"
 
     def test_suite_runs_clean(self):
-        reports = run_sharding_suite(
-            2, num_nodes=4, seeds=(0,), audit=False
-        )
-        assert reports and all(r.ok for r in reports)
+        for profile in SPEC_PROFILES:
+            report = judge(spec=None, nodes=4, profile=profile, shards=2)
+            assert report.ok, report.summary()
 
 
 class TestChaosShardsCli:
     def test_clean_run_exits_zero(self, capsys):
         code = main([
-            "chaos", "--shards", "2", "--nodes", "4", "--no-audit",
+            "chaos", "--oracle", "shards", "--shards", "2", "--nodes", "4",
+            "--no-audit",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "bit-identical" in out
+        assert "agree" in capsys.readouterr().out
 
     def test_failure_writes_artifact(self, tmp_path, monkeypatch, capsys):
         # Sabotage the sharded engine so the differential trips.
-        from repro.chaos import sharding_oracle
-
-        real = sharding_oracle.run_sharded
+        real = twins_mod.run_sharded
 
         def sabotage(spec, num_shards=1, engine="in-process", audit=False):
             result = real(spec, num_shards=num_shards, engine=engine,
@@ -109,72 +115,85 @@ class TestChaosShardsCli:
                 result.logs[0] = "forged divergence"
             return result
 
-        monkeypatch.setattr(sharding_oracle, "run_sharded", sabotage)
+        monkeypatch.setattr(twins_mod, "run_sharded", sabotage)
         artifact = tmp_path / "failure.json"
         code = main([
-            "chaos", "--shards", "2", "--nodes", "4", "--no-audit",
-            "--repro-file", str(artifact),
+            "chaos", "--oracle", "shards", "--shards", "2", "--nodes", "4",
+            "--no-audit", "--repro-file", str(artifact),
         ])
         assert code == 1
         data = json.loads(artifact.read_text())
-        assert data["kind"] == "sharding-differential-failure"
-        assert "DIVERGED" in capsys.readouterr().out
+        assert data["kind"] == "chaos-twins"
+        assert data["settings"]["oracle"] == "shards"
+        assert "audit log diverges" in capsys.readouterr().out
 
     def test_replay_spec_artifact(self, tmp_path, capsys):
         artifact = tmp_path / "replay.json"
         artifact.write_text(json.dumps({
-            "kind": "sharding-differential-failure",
+            "kind": "chaos-twins",
+            "settings": {"oracle": "shards", "shards": 2},
             "spec": small_spec().as_dict(),
-            "num_shards": 2,
-            "engine": "in-process",
         }))
-        code = main([
-            "chaos", "--shards", "2", "--no-audit",
-            "--replay-spec", str(artifact),
-        ])
+        code = main(["chaos", "--no-audit", "--replay", str(artifact)])
         assert code == 0
-        assert "bit-identical" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "shards: reference / 2-shard in-process agree" in out
 
 
 class TestPoolingOracle:
     def test_clean_pooling_comparison(self):
-        report = ShardingOracle(audit=False).compare_pooling(small_spec())
+        report = judge("pooling")
         assert report.ok
-        assert report.mode == "pooling"
-        assert "pooling oracle" in report.summary()
-        assert "vs pooling off" in report.summary()
+        assert report.twin("pooling").labels == [
+            "1-shard pooling off", "1-shard pooled"
+        ]
+        assert "pooling: 1-shard pooling off / 1-shard pooled agree" in (
+            report.summary()
+        )
 
     def test_pooling_comparison_at_multiple_shards(self):
-        report = ShardingOracle(audit=False).compare_pooling(
-            small_spec(), num_shards=2
-        )
-        assert report.ok
+        assert judge("pooling", shards=2).ok
 
     def test_pooling_artifact_kind(self):
-        report = ShardingOracle(audit=False).compare_pooling(small_spec())
-        data = json.loads(report.artifact())
-        assert data["kind"] == "pooling-differential-failure"
-        assert data["mode"] == "pooling"
+        data = judge("pooling").artifact()
+        assert data["kind"] == "chaos-twins"
+        assert data["settings"]["oracle"] == "pooling"
 
     def test_cli_no_pool_mode(self, capsys):
-        code = main(["chaos", "--no-pool", "--nodes", "4", "--no-audit"])
+        code = main(["chaos", "--oracle", "pooling", "--nodes", "4",
+                     "--no-audit"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "pooling oracle" in out
-        assert "bit-identical" in out
+        assert "pooling: " in out
+        assert "agree" in out
 
     def test_cli_no_pool_with_shards(self, capsys):
         code = main([
-            "chaos", "--no-pool", "--shards", "2", "--nodes", "4",
+            "chaos", "--oracle", "pooling", "--shards", "2", "--nodes", "4",
             "--no-audit",
         ])
         assert code == 0
-        assert "pooled 2-shard" in capsys.readouterr().out
+        assert "2-shard pooled" in capsys.readouterr().out
 
     def test_cli_no_pool_suite(self, capsys):
         code = main([
-            "chaos", "--no-pool", "--suite", "--nodes", "4", "--no-audit",
+            "chaos", "--oracle", "pooling", "--schedules", "3", "--nodes",
+            "4", "--no-audit",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.count("bit-identical") >= 3
+        assert "seed 0: PASS" in out and "seed 1: PASS" in out
+        assert "3/3 subjects pass" in out
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--oracle", "shards", "--nodes", "4", "--shards", "5"], "--shards 5"),
+    (["--oracle", "fast-paths", "--shards", "2"],
+     "--shards does not apply to the fast-paths twin"),
+    (["--oracle", "shards,fast-paths"], "cannot share a run"),
+])
+def test_spec_flags_fail_loudly(argv, reason, capsys):
+    assert main(["chaos", *argv]) == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    assert err.count("\n") == 1  # one-line reason

@@ -1,9 +1,8 @@
 """The typed construction API: MachineConfig / ClusterConfig / IommuConfig.
 
-The redesign's contract: configs are frozen value objects, the legacy
-keyword constructors keep working through ``from_kwargs`` (with a
-``DeprecationWarning``), unknown keywords still raise ``TypeError``, and
-the ``iommu`` option exists *only* on the config objects.
+The redesign's contract: configs are frozen value objects, and the
+constructors take configuration *only* through them -- any stray
+keyword, known config field or not, raises Python's own ``TypeError``.
 """
 
 import dataclasses
@@ -54,15 +53,13 @@ class TestConfigObjects:
 
 
 class TestLegacyKeywords:
-    def test_machine_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="MachineConfig"):
-            machine = Machine(mem_size=1 << 20)
-        assert machine.config.mem_size == 1 << 20
+    def test_machine_legacy_kwargs_raise_type_error(self):
+        with pytest.raises(TypeError, match="mem_size"):
+            Machine(mem_size=1 << 20)
 
-    def test_cluster_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            cluster = ShrimpCluster(num_nodes=2, mem_size=1 << 21)
-        assert cluster.num_nodes == 2
+    def test_cluster_legacy_kwargs_raise_type_error(self):
+        with pytest.raises(TypeError, match="num_nodes"):
+            ShrimpCluster(num_nodes=2, mem_size=1 << 21)
 
     def test_unknown_machine_kwarg_raises_type_error(self):
         with pytest.raises(TypeError, match="mem_sise"):
@@ -73,33 +70,18 @@ class TestLegacyKeywords:
             ShrimpCluster(nodes=2)
 
     def test_iommu_is_config_only(self):
-        with pytest.raises(TypeError, match="config-only"):
+        with pytest.raises(TypeError, match="iommu"):
             Machine(iommu=True)
-        with pytest.raises(TypeError, match="config-only"):
+        with pytest.raises(TypeError, match="iommu"):
             ShrimpCluster(iommu=True)
+        assert Machine(config=MachineConfig(iommu=True)).iommu is not None
 
     def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="mem_size"):
             Machine(config=MachineConfig(), mem_size=1 << 20)
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="num_nodes"):
             ShrimpCluster(config=ClusterConfig(), num_nodes=2)
 
     def test_wiring_kwargs_stay_on_the_constructor(self):
         machine = Machine(config=MachineConfig(mem_size=1 << 20), name="n7")
         assert machine.name == "n7"
-
-    def test_legacy_and_config_builds_are_identical_simulations(self):
-        def run(machine):
-            proc = machine.create_process("p")
-            buf = machine.kernel.syscalls.alloc(proc, 4 * PAGE)
-            machine.kernel.scheduler.switch_to(proc)
-            machine.cpu.write_bytes(buf, bytes(range(256)))
-            machine.clock.run_until_idle()
-            return machine.clock.now, machine.cpu.charged_cycles
-
-        with pytest.warns(DeprecationWarning):
-            legacy = run(Machine(mem_size=1 << 20, bounce_frames=4))
-        typed = run(Machine(
-            config=MachineConfig(mem_size=1 << 20, bounce_frames=4)
-        ))
-        assert legacy == typed

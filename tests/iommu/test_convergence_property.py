@@ -2,9 +2,9 @@
 
 Three properties, Hypothesis-driven over seeds:
 
-* chaos paging schedules on a 2-node cluster pass the
-  :class:`~repro.chaos.oracle.IommuConvergenceOracle` -- the faulted run
-  converges to its paging-free twin with an exact delivery ledger;
+* chaos paging schedules on a 2-node cluster pass the ``iommu`` twin
+  (:data:`repro.chaos.TWINS`) -- the faulted run converges to its
+  paging-free twin with an exact delivery ledger;
 * a sharded iommu cluster is bit-identical at 1 vs 4 shards (the
   park/service/replay events are local clock events, so the PDES
   determinism surface is unchanged);
@@ -26,9 +26,11 @@ PAGE = 4096
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=10, deadline=None)
 def test_chaos_paging_schedules_converge(seed):
-    report = run_chaos(seed=seed, steps=60, nodes=2, iommu=True)
+    report = run_chaos(
+        seed=seed, steps=60, nodes=2, oracles=("fast-paths", "iommu")
+    )
     assert report.ok, report.summary()
-    assert report.convergence is not None  # the oracle actually ran
+    assert report.twin("iommu").labels == ["faulted", "paging-free"]
 
 
 def _spec(seed, iommu):

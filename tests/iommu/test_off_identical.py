@@ -3,8 +3,8 @@
 The tier is opt-in: with ``iommu`` unset there is no Iommu object, no
 iommu metric names, and a representative workload produces exactly the
 same cycle counts, memory digest, and counters as before the feature
-landed (proxied here by legacy-kwarg vs typed-config construction both
-with the tier off).
+landed (proxied here by the default config vs one that spells the tier
+off explicitly).
 """
 
 import hashlib
@@ -63,16 +63,14 @@ def _run_workload(cluster):
 
 
 class TestBitIdenticalOff:
-    def test_off_run_matches_legacy_construction_exactly(self):
-        import pytest
-
-        typed = _run_workload(
+    def test_off_run_matches_explicit_off_config_exactly(self):
+        default = _run_workload(
             ShrimpCluster(config=ClusterConfig(num_nodes=2, mem_size=1 << 21))
         )
-        with pytest.warns(DeprecationWarning):
-            legacy_cluster = ShrimpCluster(num_nodes=2, mem_size=1 << 21)
-        legacy = _run_workload(legacy_cluster)
-        assert typed == legacy
+        explicit = _run_workload(ShrimpCluster(config=ClusterConfig(
+            num_nodes=2, mem_size=1 << 21, iommu=False
+        )))
+        assert default == explicit
 
     def test_off_vs_on_same_wire_format(self):
         """The tagged-destination encoding leaves physical packets

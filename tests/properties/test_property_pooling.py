@@ -6,7 +6,7 @@ simulated artefact -- audit logs, per-node memory digests, curated
 counters, cycles -- is bit-identical with them on or off, for *any*
 seeded workload.  Two generators stress that claim:
 
-* sharded schedules through the chaos pooling oracle (audit logs +
+* sharded schedules through the chaos ``pooling`` twin (audit logs +
   digests + counters, the same three surfaces CI's differential checks);
 * single-clock traffic-engine scenarios across all four patterns,
   including multi-tenant placements and channel churn.
@@ -16,7 +16,7 @@ import hashlib
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.chaos.sharding_oracle import ShardingOracle
+from repro.chaos import run_chaos
 from repro.cluster import ShrimpCluster
 from repro.sharding import ClusterSpec
 from repro.traffic import TenantPlacement, TrafficEngine, make_pattern
@@ -39,9 +39,7 @@ def test_sharded_pooling_differential(num_nodes, seed, messages, gap, shards):
         num_nodes=num_nodes, topology="mesh2d", seed=seed,
         messages_per_node=messages, gap_cycles=gap,
     )
-    report = ShardingOracle(audit=True).compare_pooling(
-        spec, num_shards=shards
-    )
+    report = run_chaos(oracles=("pooling",), spec=spec, shards=shards)
     assert report.ok, report.summary()
 
 

@@ -1,8 +1,8 @@
 """The headline suite: backends are outcome-equivalent under chaos.
 
-Stock backends must conform on seeded churn schedules; a planted bug in
-any one backend must be caught, shrunk, and serialised to a replayable
-JSON artifact.
+Stock backends must conform on seeded churn schedules under the
+``backends`` twin; a planted bug in any one backend must be caught,
+shrunk, and serialised to a replayable JSON artifact.
 """
 
 import json
@@ -10,19 +10,33 @@ import json
 import pytest
 
 from repro.chaos import (
-    ConformanceOracle,
+    PROTECTION_BACKENDS,
     actions_from_json,
     generate_schedule,
     outcome_class,
-    run_conformance_suite,
-    write_conformance_artifact,
+    run_chaos,
 )
-from repro.chaos.conformance import PROTECTION_BACKENDS
 
 #: seeds x steps for the stock-conformance sweep; CI adds more via the
 #: CLI campaign (see .github/workflows/ci.yml)
 STOCK_SEEDS = range(6)
 STEPS = 35
+
+
+def conformance(backends=PROTECTION_BACKENDS, nodes=2, **kwargs):
+    return run_chaos(
+        oracles=("backends",), backends=backends, nodes=nodes, **kwargs
+    )
+
+
+def suite(seeds, **kwargs):
+    """Consecutive seeds, stopping at (and shrinking) the first failure."""
+    reports = []
+    for seed in seeds:
+        reports.append(conformance(seed=seed, steps=STEPS, **kwargs))
+        if not reports[-1].ok:
+            break
+    return reports
 
 
 class TestOutcomeClass:
@@ -34,42 +48,39 @@ class TestOutcomeClass:
 
 class TestOracleShape:
     def test_needs_two_backends(self):
-        with pytest.raises(ValueError):
-            ConformanceOracle(backends=("proxy",))
+        with pytest.raises(ValueError, match="two --backend"):
+            conformance(backends=("proxy",))
 
     def test_report_runs_keyed_by_spec(self):
-        oracle = ConformanceOracle(nodes=1, backends=("proxy", "handler"))
-        report = oracle.compare(generate_schedule(0, 10, profile="churn"))
-        assert list(report.runs) == ["proxy", "handler"]
+        report = conformance(
+            backends=("proxy", "handler"), nodes=1,
+            actions=generate_schedule(0, 10, profile="churn"),
+        )
+        assert report.twin("backends").labels == ["proxy", "handler"]
         assert report.ok
 
 
 class TestStockBackendsConform:
     def test_cluster_suite(self):
-        suite = run_conformance_suite(
-            seeds=STOCK_SEEDS, steps=STEPS, nodes=2,
-            backends=PROTECTION_BACKENDS,
-        )
-        assert suite.ok, suite.summary()
-        assert len(suite.reports) == len(STOCK_SEEDS)
+        reports = suite(STOCK_SEEDS, nodes=2)
+        assert all(r.ok for r in reports), reports[-1].summary()
+        assert len(reports) == len(STOCK_SEEDS)
 
     def test_single_node_suite(self):
-        suite = run_conformance_suite(
-            seeds=STOCK_SEEDS, steps=STEPS, nodes=1,
-            backends=PROTECTION_BACKENDS,
-        )
-        assert suite.ok, suite.summary()
+        reports = suite(STOCK_SEEDS, nodes=1)
+        assert all(r.ok for r in reports), reports[-1].summary()
 
     def test_within_backend_determinism(self):
-        oracle = ConformanceOracle(
-            nodes=2, backends=PROTECTION_BACKENDS, check_determinism=True
-        )
-        report = oracle.compare(generate_schedule(7, STEPS, profile="churn"))
-        assert report.ok, report.summary()
+        actions = generate_schedule(7, STEPS, profile="churn")
+        for backend in PROTECTION_BACKENDS:
+            report = run_chaos(
+                oracles=("determinism",), backends=(backend,), nodes=2,
+                actions=actions,
+            )
+            assert report.ok, report.summary()
 
     def test_default_profile_also_conforms(self):
-        oracle = ConformanceOracle(nodes=2, backends=PROTECTION_BACKENDS)
-        report = oracle.compare(generate_schedule(3, STEPS))
+        report = conformance(actions=generate_schedule(3, STEPS))
         assert report.ok, report.summary()
 
 
@@ -78,47 +89,51 @@ class TestPlantedBugsAreCaught:
 
     @staticmethod
     def _hunt(backends, nodes=2, seeds=range(30)):
-        return run_conformance_suite(
-            seeds=seeds, steps=STEPS, nodes=nodes, backends=backends,
-            max_shrink_evals=80,
-        )
+        reports = suite(seeds, backends=backends, nodes=nodes,
+                        max_shrink_evals=80)
+        return None if reports[-1].ok else reports[-1]
 
     def test_stale_cap_caught_and_shrunk(self):
-        suite = self._hunt(("proxy", "captable:stale-cap"))
-        failure = suite.first_failure
+        failure = self._hunt(("proxy", "captable:stale-cap"))
         assert failure is not None, "stale-cap bug escaped the suite"
         assert failure.mismatches
         assert failure.shrunk is not None
         assert len(failure.shrunk.actions) < len(failure.actions)
+        # detection power is pinned: first failing seed, ddmin result
+        assert failure.seed == 2
+        assert (len(failure.shrunk.actions), failure.shrunk.evaluations) == (3, 36)
 
     def test_skip_align_caught(self):
-        suite = self._hunt(("proxy", "handler:skip-align"))
-        failure = suite.first_failure
+        failure = self._hunt(("proxy", "handler:skip-align"))
         assert failure is not None, "skip-align bug escaped the suite"
         assert failure.shrunk is not None
+        assert failure.seed == 1
+        assert (len(failure.shrunk.actions), failure.shrunk.evaluations) == (1, 9)
 
     def test_artifact_round_trips(self, tmp_path):
-        suite = self._hunt(("proxy", "captable:stale-cap"))
-        failure = suite.first_failure
+        failure = self._hunt(("proxy", "captable:stale-cap"))
         assert failure is not None
         path = tmp_path / "protection-failure.json"
-        write_conformance_artifact(failure, str(path))
+        path.write_text(json.dumps(failure.artifact()))
         payload = json.loads(path.read_text())
-        assert payload["kind"] == "protection-conformance"
-        assert payload["backends"] == ["proxy", "captable:stale-cap"]
+        assert payload["kind"] == "chaos-twins"
+        settings = payload["settings"]
+        assert settings["oracle"] == "backends"
+        assert settings["backend"] == "proxy,captable:stale-cap"
         assert payload["mismatches"]
         # The stored (shrunk) schedule still splits the backends.
         actions = actions_from_json(payload["actions"])
-        oracle = ConformanceOracle(
-            nodes=payload["nodes"], backends=payload["backends"]
+        replay = conformance(
+            backends=settings["backend"].split(","), nodes=settings["nodes"],
+            actions=actions,
         )
-        assert not oracle.compare(actions).ok
+        assert not replay.ok
 
     def test_shrunk_schedule_still_diverges(self):
-        suite = self._hunt(("proxy", "captable:stale-cap"))
-        failure = suite.first_failure
+        failure = self._hunt(("proxy", "captable:stale-cap"))
         assert failure is not None and failure.shrunk is not None
-        oracle = ConformanceOracle(
-            nodes=2, backends=("proxy", "captable:stale-cap")
+        replay = conformance(
+            backends=("proxy", "captable:stale-cap"),
+            actions=failure.shrunk.actions,
         )
-        assert not oracle.compare(failure.shrunk.actions).ok
+        assert not replay.ok

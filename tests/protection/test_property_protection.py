@@ -9,18 +9,20 @@ always reproduce.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import ConformanceOracle, generate_schedule
-from repro.chaos.conformance import PROTECTION_BACKENDS
+from repro.chaos import PROTECTION_BACKENDS, generate_schedule, run_chaos
 
-_ORACLE_2N = ConformanceOracle(nodes=2, backends=PROTECTION_BACKENDS)
-_ORACLE_1N = ConformanceOracle(nodes=1, backends=PROTECTION_BACKENDS)
+
+def conform(actions, nodes=2, oracles=("backends",), backends=PROTECTION_BACKENDS):
+    return run_chaos(
+        oracles=oracles, backends=backends, nodes=nodes, actions=actions
+    )
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_cluster_schedules_conform(seed):
     actions = generate_schedule(seed, 18, profile="churn")
-    report = _ORACLE_2N.compare(actions)
+    report = conform(actions)
     assert report.ok, report.summary()
 
 
@@ -28,7 +30,7 @@ def test_cluster_schedules_conform(seed):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_single_node_schedules_conform(seed):
     actions = generate_schedule(seed, 18, profile="churn")
-    report = _ORACLE_1N.compare(actions)
+    report = conform(actions, nodes=1)
     assert report.ok, report.summary()
 
 
@@ -40,7 +42,7 @@ def test_single_node_schedules_conform(seed):
 def test_schedule_prefixes_conform(seed, steps):
     """Conformance holds at every schedule length, not just the full run."""
     actions = generate_schedule(seed, steps, profile="churn")
-    report = _ORACLE_2N.compare(actions)
+    report = conform(actions)
     assert report.ok, report.summary()
 
 
@@ -48,9 +50,7 @@ def test_schedule_prefixes_conform(seed, steps):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_within_backend_determinism(seed):
     """Each backend is bit-exact deterministic on its own schedule."""
-    oracle = ConformanceOracle(
-        nodes=2, backends=PROTECTION_BACKENDS, check_determinism=True
-    )
     actions = generate_schedule(seed, 12, profile="churn")
-    report = oracle.compare(actions)
-    assert report.ok, report.summary()
+    for backend in PROTECTION_BACKENDS:
+        report = conform(actions, oracles=("determinism",), backends=(backend,))
+        assert report.ok, report.summary()
