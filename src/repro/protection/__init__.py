@@ -4,13 +4,14 @@ See :mod:`repro.protection.base` for the interface and the
 outcome-equivalence contract, and ``docs/PROTECTION.md`` for the guide.
 
 Backends are named by a spec string accepted everywhere a backend can be
-configured (``Machine(protection=...)``, ``ShrimpCluster``, chaos, CLI):
+configured (``MachineConfig(protection=...)``, ``ClusterConfig``, chaos,
+CLI):
 
 * ``"proxy"``            — the paper's MMU-aliasing scheme (default);
 * ``"captable"``         — CAPIO-style capability table;
 * ``"handler"``          — SBPF-style pre-validated kernel accessor;
 * ``"captable:stale-cap"`` etc. — a backend with a *planted bug*, used
-  to prove the conformance suite catches real divergences.
+  to prove the ``backends`` chaos twin catches real divergences.
 """
 
 from __future__ import annotations

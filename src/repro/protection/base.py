@@ -8,7 +8,8 @@ decode, per-page send-right lookup, and grant/fault classification — out
 of :class:`~repro.core.controller.UdmaController` so those alternatives
 can be swapped in behind one interface.
 
-Outcome-equivalence contract (enforced by ``repro.chaos.conformance``):
+Outcome-equivalence contract (enforced by the ``backends`` row of
+:data:`repro.chaos.TWINS`):
 
 * every backend must produce the **same grants, the same fault kinds,
   the same NIPT effects and the same memory digests** for any schedule;
