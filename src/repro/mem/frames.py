@@ -14,10 +14,13 @@ from repro.errors import ConfigurationError, DmaError
 
 
 class FrameAllocator:
-    """Free-list allocator over ``num_frames`` physical frames.
+    """Bump-pointer allocator over ``num_frames`` physical frames.
 
-    Frames below ``reserved`` are never handed out; the kernel keeps them
-    for its own structures (and the traditional-DMA bounce buffers).
+    The most recently freed frame is handed out first, then the lowest
+    frame never used; host memory grows with the frames a run touches,
+    not with the size of RAM.  Frames below ``reserved`` are never handed
+    out; the kernel keeps them for its own structures (and the
+    traditional-DMA bounce buffers).
     """
 
     def __init__(self, num_frames: int, reserved: int = 0) -> None:
@@ -29,7 +32,8 @@ class FrameAllocator:
             )
         self.num_frames = num_frames
         self.reserved = reserved
-        self._free: List[int] = list(range(num_frames - 1, reserved - 1, -1))
+        self._next = reserved  # lowest frame never handed out
+        self._freed: List[int] = []  # returned frames, most recent last
         self._allocated: Set[int] = set()
         self._pinned: Set[int] = set()
 
@@ -37,7 +41,7 @@ class FrameAllocator:
     @property
     def available(self) -> int:
         """Number of frames currently free."""
-        return len(self._free)
+        return len(self._freed) + self.num_frames - self._next
 
     def alloc(self) -> Optional[int]:
         """Allocate one frame, or None if memory is exhausted.
@@ -45,9 +49,13 @@ class FrameAllocator:
         The caller (the kernel VM manager) reacts to None by running page
         replacement and retrying.
         """
-        if not self._free:
+        if self._freed:
+            frame = self._freed.pop()
+        elif self._next < self.num_frames:
+            frame = self._next
+            self._next += 1
+        else:
             return None
-        frame = self._free.pop()
         self._allocated.add(frame)
         return frame
 
@@ -58,7 +66,7 @@ class FrameAllocator:
         if frame in self._pinned:
             raise DmaError(f"cannot free pinned frame {frame}")
         self._allocated.discard(frame)
-        self._free.append(frame)
+        self._freed.append(frame)
 
     def is_allocated(self, frame: int) -> bool:
         """True if the frame is currently handed out."""

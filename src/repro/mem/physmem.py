@@ -1,9 +1,16 @@
 """Byte-addressable physical memory.
 
-A :class:`PhysicalMemory` is a flat ``bytearray`` of frames.  All data that
+A :class:`PhysicalMemory` is a flat array of frames.  All data that
 "really exists" in a simulated node lives here; DMA engines, the CPU (via
 the MMU) and the receive side of the NIC all read and write through this
 object, so tests can verify end-to-end data movement byte for byte.
+
+RAM is a private anonymous ``mmap``: the host's demand-zero paging backs
+it, so a frame costs host memory only once something writes it, and
+building a node does no memset.  ``MAP_PRIVATE`` matters -- Python's
+default for an anonymous map is ``MAP_SHARED``, under which a forked
+worker's writes would land in the parent's RAM.  Persisted state is
+sparse to match: only frames that are not all zero are stored.
 
 The zero-copy data plane hands out :class:`memoryview` windows via
 :meth:`PhysicalMemory.view`; all internal byte/word/frame I/O routes
@@ -15,9 +22,30 @@ another node's view) costs exactly one copy into RAM.  See
 
 from __future__ import annotations
 
-from repro.errors import AddressError
+import mmap
+from typing import Dict
+
+from repro.errors import AddressError, ConfigurationError
 from repro.params import DEFAULT_PAGE_SIZE, WORD_SIZE
 from repro.snapshot.protocol import SnapshotMixin
+
+#: copy-on-write across ``os.fork()``; plain anonymous map where the
+#: platform has no such flags (it is private to the process there)
+_MAP_FLAGS = (
+    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+    if hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MAP_ANONYMOUS")
+    else {}
+)
+
+
+def _map_ram(size: int) -> mmap.mmap:
+    """Zero-filled, demand-paged host memory of ``size`` bytes."""
+    try:
+        return mmap.mmap(-1, size, **_MAP_FLAGS)
+    except (OSError, OverflowError, MemoryError) as exc:
+        raise ConfigurationError(
+            f"cannot map {size} bytes ({size:#x}) of simulated RAM: {exc}"
+        ) from exc
 
 
 class PhysicalMemory(SnapshotMixin):
@@ -38,10 +66,10 @@ class PhysicalMemory(SnapshotMixin):
             )
         self.size = size
         self.page_size = page_size
-        self._data = bytearray(size)
+        self._map = _map_ram(size)
         # One long-lived writable view; slicing it is allocation-light and
         # never copies the underlying RAM.
-        self._mv = memoryview(self._data)
+        self._mv = memoryview(self._map)
 
     @property
     def num_frames(self) -> int:
@@ -50,15 +78,26 @@ class PhysicalMemory(SnapshotMixin):
 
     # -------------------------------------------------------- snapshotting
     def __getstate__(self) -> dict:
-        # memoryviews do not pickle; the long-lived view is rebuilt over
-        # the restored bytearray.
-        state = self.__dict__.copy()
-        del state["_mv"]
-        return state
+        # Maps and memoryviews do not pickle.  RAM persists as its
+        # non-zero frames only, so a mostly idle node snapshots (and
+        # restores, and forks) in proportion to what it has written.
+        page = self.page_size
+        zero = bytes(page)
+        ram = self._map
+        frames: Dict[int, bytes] = {}
+        for frame, base in enumerate(range(0, self.size, page)):
+            data = ram[base : base + page]  # bytes: compared by memcmp
+            if data != zero:
+                frames[frame] = data
+        return {"size": self.size, "page_size": page, "frames": frames}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._mv = memoryview(self._data)
+        self.size = state["size"]
+        self.page_size = state["page_size"]
+        self._map = _map_ram(self.size)
+        self._mv = memoryview(self._map)
+        for frame, data in state["frames"].items():
+            self.write_frame(frame, data)
 
     # -------------------------------------------------------- zero-copy I/O
     def view(self, paddr: int, nbytes: int) -> memoryview:

@@ -31,10 +31,10 @@ from repro.errors import SnapshotError, SnapshotVersionError
 MAGIC = b"SHRIMPSN"
 
 #: bump on any change to a pickled component's persisted shape
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
-#: payloads at or above this size are zlib-compressed (mostly zero-filled
-#: physical memory compresses ~100x; tiny payloads skip the overhead)
+#: payloads at or above this size are zlib-compressed (tiny payloads skip
+#: the overhead)
 _COMPRESS_THRESHOLD = 4096
 
 _FLAG_COMPRESSED = 1

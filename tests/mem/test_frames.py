@@ -43,6 +43,15 @@ class TestAllocation:
         with pytest.raises(ConfigurationError):
             alloc.free(frame)
 
+    def test_order_is_most_recently_freed_then_lowest_unused(self):
+        alloc = FrameAllocator(8, reserved=1)
+        a, b, c = alloc.alloc(), alloc.alloc(), alloc.alloc()
+        assert (a, b, c) == (1, 2, 3)
+        alloc.free(a)
+        alloc.free(c)
+        assert alloc.available == 6
+        assert [alloc.alloc() for _ in range(4)] == [c, a, 4, 5]
+
     def test_is_allocated(self):
         alloc = FrameAllocator(2)
         frame = alloc.alloc()

@@ -26,7 +26,7 @@ MSG = 2048
 
 
 def _mem_digest(machine: Machine) -> str:
-    return hashlib.sha256(bytes(machine.physmem._data)).hexdigest()
+    return hashlib.sha256(machine.physmem.read(0, machine.physmem.size)).hexdigest()
 
 
 def _udma_rig() -> tuple:
