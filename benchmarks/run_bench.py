@@ -48,12 +48,14 @@ SCALE_SCHEMA = "shrimp-bench-scale/1"
 
 
 def results_to_json(results, quick: bool) -> dict:
+    """BENCH_core.json payload; records the host like the scale payload."""
     return {
         "schema": SCHEMA,
         "quick": quick,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
         "scenarios": {name: r.as_dict() for name, r in results.items()},
     }
 

@@ -89,6 +89,10 @@ class UdmaController:
         # Device-window decode cache, invalidated when a device attaches
         # (attach_device is the only way the window list grows).
         self._window_cache: Dict[int, "tuple[UDMADevice, int]"] = {}
+        # DMA endpoints per proxy address: endpoints are immutable and a
+        # pure function of the decoded operand, so each is built once.
+        # Flushed with the window cache.
+        self._endpoints: Dict[int, Endpoint] = {}
         # Observability plane hookups (see repro.obs).  Both stay None
         # unless a Machine wires them, so the unobserved cost is one
         # attribute load per call site.
@@ -110,6 +114,7 @@ class UdmaController:
         window = self.layout.register_device(device.name, device.proxy_size)
         self._devices[device.name] = device
         self._window_cache.clear()
+        self._endpoints.clear()
         device.attach(self.clock, self.tracer)
         self.backend.device_attached(device)
         return window
@@ -140,6 +145,7 @@ class UdmaController:
         self.backend = backend
         self._operand_cache.clear()
         self._window_cache.clear()
+        self._endpoints.clear()
         self._inval_operand = None
         return backend
 
@@ -425,13 +431,23 @@ class UdmaController:
             directive.count,
             self._transfer_done,
             span_id=self._span,
+            duration=duration,
         )
 
     def _endpoint(self, operand: ProxyOperand) -> Endpoint:
+        endpoint = self._endpoints.get(operand.proxy_addr)
+        if endpoint is not None:
+            return endpoint
         if operand.space is SpaceKind.MEMORY:
-            return MemoryEndpoint(self.physmem, self.layout.unproxy(operand.proxy_addr))
-        device, offset = self._device_at(operand.proxy_addr)
-        return DeviceEndpoint(device, offset)
+            endpoint = MemoryEndpoint(
+                self.physmem, self.layout.unproxy(operand.proxy_addr)
+            )
+        else:
+            endpoint = DeviceEndpoint(*self._device_at(operand.proxy_addr))
+        if len(self._endpoints) >= self._OPERAND_CACHE_CAPACITY:
+            self._endpoints.clear()
+        self._endpoints[operand.proxy_addr] = endpoint
+        return endpoint
 
     def _device_at(self, proxy_addr: int) -> "tuple[UDMADevice, int]":
         hit = self._window_cache.get(proxy_addr)

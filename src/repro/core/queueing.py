@@ -412,6 +412,7 @@ class QueuedUdmaController(UdmaController):
             request.count,
             self._head_done,
             span_id=request.span,
+            duration=duration,
         )
 
     def _head_done(self) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, List, Optional, Protocol, Union
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.errors import DmaError
 from repro.mem.physmem import PhysicalMemory
@@ -65,7 +65,9 @@ class Endpoint(Protocol):
 
 
 class MemoryEndpoint:
-    """A physical-memory endpoint starting at ``paddr``."""
+    """A physical-memory endpoint starting at ``paddr`` (immutable)."""
+
+    __slots__ = ("physmem", "paddr")
 
     def __init__(self, physmem: PhysicalMemory, paddr: int) -> None:
         self.physmem = physmem
@@ -111,8 +113,12 @@ class DeviceEndpoint:
 
     The ``device`` must provide ``dma_read(offset, nbytes)``,
     ``dma_write(offset, data)`` and ``dma_extra_cycles(direction, offset,
-    nbytes)`` (see :class:`repro.devices.base.UDMADevice`).
+    nbytes)`` (see :class:`repro.devices.base.UDMADevice`).  Immutable,
+    like :class:`MemoryEndpoint`, so a controller can reuse one per
+    proxy address.
     """
+
+    __slots__ = ("device", "offset")
 
     def __init__(self, device: object, offset: int) -> None:
         self.device = device
@@ -203,13 +209,15 @@ class DmaEngine:
         #: only; None in analytic mode)
         self.progress_bytes: Optional[int] = None
         self._completion_event: Optional[Event] = None
-        self._burst_events: List[Event] = []
+        self._burst_events: Sequence[Event] = ()
         self._staged: Optional[bytearray] = None
         #: private copy of a device source's bytes (kept as bytes, not
         #: a memoryview, so an in-flight transfer can be pickled)
         self._source_snapshot: "Optional[bytes | bytearray]" = None
-        self._oneshot: List[Callable[[], None]] = []
-        self._listeners: List[Callable[[], None]] = []
+        self._on_complete: Optional[Callable[[], None]] = None
+        #: persistent completion callbacks; a tuple, so firing them needs
+        #: no defensive copy
+        self._listeners: Tuple[Callable[[], None], ...] = ()
         # Observability (see repro.obs): the span tracker when tracing is
         # on, the open "dma" child span, and the root transfer span whose
         # data this engine is moving (published as current_data_span while
@@ -226,8 +234,15 @@ class DmaEngine:
         count: int,
         on_complete: Optional[Callable[[], None]] = None,
         span_id: Optional[int] = None,
+        duration: Optional[int] = None,
     ) -> None:
-        """Begin moving ``count`` bytes; raises :class:`DmaError` if busy."""
+        """Begin moving ``count`` bytes; raises :class:`DmaError` if busy.
+
+        ``duration`` is :meth:`transfer_duration` for these arguments when
+        the caller has already worked it out (it consults both endpoints,
+        and a disk's answer depends on its head position, so it is asked
+        once per transfer).
+        """
         if self.busy:
             raise DmaError(f"{self.name}: engine started while busy")
         if count <= 0:
@@ -236,9 +251,9 @@ class DmaEngine:
         self.source = source
         self.destination = destination
         self.count = count
-        if on_complete is not None:
-            self._oneshot.append(on_complete)
-        duration = self.transfer_duration(source, destination, count)
+        self._on_complete = on_complete
+        if duration is None:
+            duration = self.transfer_duration(source, destination, count)
         if self._spans is not None and span_id is not None:
             self._parent_span = span_id
             self._dma_span = self._spans.begin(
@@ -298,7 +313,7 @@ class DmaEngine:
 
     def add_completion_listener(self, callback: Callable[[], None]) -> None:
         """Register a persistent completion callback (the interrupt line)."""
-        self._listeners.append(callback)
+        self._listeners += (callback,)
 
     # ------------------------------------------------------------ register
     # The kernel's I4 remap guard reads these ("the kernel reads the two
@@ -337,7 +352,7 @@ class DmaEngine:
         bursts = max(1, math.ceil(self.count / self.burst_bytes))
         lead = duration - transfer_cycles(self.count, self.costs.dma_bytes_per_cycle)
         data_cycles = duration - lead
-        self._burst_events = []
+        events: List[Event] = []
         step = self.bursts_per_event
         for first in range(1, bursts + 1, step):
             i = min(first + step - 1, bursts)  # last burst of this chunk
@@ -346,10 +361,10 @@ class DmaEngine:
             size = min(self.count, i * self.burst_bytes) - offset
             # partial (not a closure): pending burst events are snapshot
             # state and must pickle with the event queue.
-            event = self.clock.schedule(
+            events.append(self.clock.schedule(
                 at, partial(self._chunk_event, offset, size, i == bursts)
-            )
-            self._burst_events.append(event)
+            ))
+        self._burst_events = events
 
     def _chunk_event(self, offset: int, size: int, last: bool) -> None:
         assert self.source is not None and self.destination is not None
@@ -395,9 +410,12 @@ class DmaEngine:
             )
         if self._spans is not None and self._dma_span is not None:
             self._spans.finish(self._dma_span, status="complete")
-        callbacks = self._oneshot + list(self._listeners)
+        on_complete = self._on_complete
+        listeners = self._listeners
         self._reset()
-        for callback in callbacks:
+        if on_complete is not None:
+            on_complete()
+        for callback in listeners:
             callback()
 
     # ------------------------------------------------------------ internal
@@ -411,18 +429,7 @@ class DmaEngine:
             viewer(self.count) if viewer is not None else self.source.read(self.count)
         )
         self._deliver(data)
-        self.transfers_completed += 1
-        self.bytes_transferred += self.count
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now, self.name, "dma-complete", count=self.count
-            )
-        if self._spans is not None and self._dma_span is not None:
-            self._spans.finish(self._dma_span, status="complete")
-        callbacks = self._oneshot + list(self._listeners)
-        self._reset()
-        for callback in callbacks:
-            callback()
+        self._finish()
 
     def _reset(self) -> None:
         self.busy = False
@@ -431,9 +438,9 @@ class DmaEngine:
         self.count = 0
         self.progress_bytes = None
         self._completion_event = None
-        self._burst_events = []
+        self._burst_events = ()
         self._staged = None
         self._source_snapshot = None
-        self._oneshot = []
+        self._on_complete = None
         self._dma_span = None
         self._parent_span = None

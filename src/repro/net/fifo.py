@@ -15,7 +15,8 @@ class BoundedFifo(SnapshotMixin, Generic[T]):
     """A FIFO of items with a byte budget.
 
     Items must expose a ``wire_bytes`` attribute (packets do); plain
-    byte-strings are also accepted and use their length.
+    byte-strings are also accepted and use their length.  A caller that
+    already knows an item's size passes it to :meth:`push`.
     """
 
     def __init__(self, capacity_bytes: int, name: str = "fifo") -> None:
@@ -45,9 +46,14 @@ class BoundedFifo(SnapshotMixin, Generic[T]):
         """True if pushing ``item`` would not overflow."""
         return self.used_bytes + self._size(item) <= self.capacity_bytes
 
-    def push(self, item: T) -> None:
-        """Append an item; raises :class:`NetworkError` on overflow."""
-        size = self._size(item)
+    def push(self, item: T, size: Optional[int] = None) -> None:
+        """Append an item; raises :class:`NetworkError` on overflow.
+
+        ``size`` is the item's byte size when the caller has it already;
+        otherwise the FIFO measures the item.
+        """
+        if size is None:
+            size = self._size(item)
         if self.used_bytes + size > self.capacity_bytes:
             self.overruns += 1
             raise NetworkError(

@@ -203,15 +203,16 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                 seq=self._next_seq(entry.dst_node),
                 span=pkt_span,
             )
-        self.outgoing.push(packet)
         nbytes = len(data)
+        wire_bytes = Packet.HEADER_BYTES + nbytes
+        self.outgoing.push(packet, wire_bytes)
         fill_duration = self._fill_cycles.get(nbytes)
         if fill_duration is None:
             fill_duration = self.costs.dma_start_cycles + transfer_cycles(
                 nbytes, self.costs.dma_bytes_per_cycle
             )
             self._fill_cycles[nbytes] = fill_duration
-        self._launch(packet, fill_start=self.clock.now - fill_duration)
+        self._launch(packet, wire_bytes, fill_start=self.clock.now - fill_duration)
 
     def _entry_dst(self, entry: NiptEntry, in_page: int) -> int:
         """Destination word for one NIPT entry + in-page byte offset.
@@ -229,34 +230,36 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         return entry.dst_page * self.page_size + in_page
 
     # ------------------------------------------------------------ send path
-    def _launch(self, packet: Packet, fill_start: Optional[int] = None) -> None:
+    def _launch(
+        self, packet: Packet, wire_bytes: int, fill_start: Optional[int] = None
+    ) -> None:
         """Serialise the packet onto the wire (cut-through when filling).
 
-        ``fill_start`` is when the DMA fill of this packet began; the wire
-        starts one header time after that (or when it frees up), and in
-        any case finishes no earlier than ``wire_flush_cycles`` from now
-        (the fill has just completed "now").
+        ``wire_bytes`` is the packet's :attr:`~Packet.wire_bytes`, which the
+        caller worked out for the outgoing FIFO.  ``fill_start`` is when
+        the DMA fill of this packet began; the wire starts one header time
+        after that (or when it frees up), and in any case finishes no
+        earlier than ``wire_flush_cycles`` from now (the fill has just
+        completed "now").
         """
-        assert self.clock is not None
+        clock = self.clock
+        assert clock is not None
+        now = clock.now
         if self.cut_through and fill_start is not None:
             begin = fill_start
         else:
-            begin = self.clock.now  # store-and-forward: wait for full fill
+            begin = now  # store-and-forward: wait for full fill
         wire_start = max(begin + self.costs.packet_header_cycles, self._wire_free_at)
-        wire_bytes = packet.wire_bytes
         wire_duration = self._wire_cycles.get(wire_bytes)
         if wire_duration is None:
             wire_duration = transfer_cycles(
                 wire_bytes, self.costs.wire_bytes_per_cycle
             )
             self._wire_cycles[wire_bytes] = wire_duration
-        done = max(
-            wire_start + wire_duration,
-            self.clock.now + self.costs.wire_flush_cycles,
-        )
+        done = max(wire_start + wire_duration, now + self.costs.wire_flush_cycles)
         self._wire_free_at = done
         self.last_wire_done = done
-        self.clock.schedule_at(done, self._wire_complete)
+        clock.schedule(done - now, self._wire_complete)
 
     def _wire_complete(self) -> None:
         assert self.clock is not None and self.interconnect is not None
@@ -292,8 +295,9 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         again until the wire frees up), so retransmissions contend with
         fresh traffic exactly like the real firmware's would.
         """
-        self.outgoing.push(packet)
-        self._launch(packet)
+        wire_bytes = packet.wire_bytes
+        self.outgoing.push(packet, wire_bytes)
+        self._launch(packet, wire_bytes)
 
     # --------------------------------------------------------- receive path
     def deliver(self, wire: "bytes | Packet") -> None:
@@ -361,26 +365,22 @@ class ShrimpNic(UDMADevice, ReceiverPort):
 
     def _accept(self, packet: Packet) -> None:
         """Queue one checked packet for the receive-side DMA."""
-        assert self.clock is not None
-        self.incoming.push(packet)
-        if self.cut_through:
-            # The receive DMA streams cut-through behind the wire (it is
-            # faster than the wire, so it is never the bottleneck); a packet
-            # adds only the fixed unpack/check/flush tail after its last
-            # byte arrives.
-            done = max(self.clock.now, self._rx_free_at) + self.costs.rx_check_cycles
-        else:
+        clock = self.clock
+        assert clock is not None
+        self.incoming.push(packet, packet.wire_bytes)
+        now = clock.now
+        # The receive DMA streams cut-through behind the wire (it is faster
+        # than the wire, so it is never the bottleneck); a packet adds only
+        # the fixed unpack/check/flush tail after its last byte arrives.
+        done = max(now, self._rx_free_at) + self.costs.rx_check_cycles
+        if not self.cut_through:
             # Store-and-forward: the whole payload is re-clocked through
             # the receive DMA after arrival.
-            done = (
-                max(self.clock.now, self._rx_free_at)
-                + self.costs.rx_check_cycles
-                + transfer_cycles(
-                    len(packet.payload), self.costs.rx_dma_bytes_per_cycle
-                )
+            done += transfer_cycles(
+                len(packet.payload), self.costs.rx_dma_bytes_per_cycle
             )
         self._rx_free_at = done
-        self.clock.schedule_at(done, self._rx_dma_complete)
+        clock.schedule(done - now, self._rx_dma_complete)
 
     def _rx_dma_complete(self) -> None:
         assert self.clock is not None
@@ -548,8 +548,9 @@ class ShrimpNic(UDMADevice, ReceiverPort):
             payload=bytes(data),
             seq=self._next_seq(entry.dst_node),
         )
-        self.outgoing.push(packet)
-        self._launch(packet)
+        wire_bytes = packet.wire_bytes
+        self.outgoing.push(packet, wire_bytes)
+        self._launch(packet, wire_bytes)
 
     # ------------------------------------------------------------ internal
     def _next_seq(self, dst_node: int) -> int:

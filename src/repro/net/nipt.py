@@ -106,8 +106,9 @@ class NetworkInterfacePageTable(SnapshotMixin):
 
     def require(self, index: int) -> NiptEntry:
         """Hardware-side lookup that treats an invalid entry as an error."""
-        entry = self.lookup(index)
+        entry = self._entries.get(index)
         if entry is None:
+            self._check_index(index)  # only in-range indices are ever installed
             raise NetworkError(f"NIPT entry {index} is invalid")
         return entry
 

@@ -456,8 +456,8 @@ class Shard:
         step = rt.next_step
         if step is not None and step < rt.clock.now:
             step = rt.clock.now
-        if head is not None and (step is None or head.time <= step):
-            return head.time
+        if head is not None and (step is None or head[0] <= step):
+            return head[0]
         return step
 
     def next_op(self, rt: NodeRuntime) -> Optional[Tuple[int, Tuple, str]]:
@@ -471,8 +471,8 @@ class Shard:
         if due is None:
             return None
         head = rt.clock.head()
-        if head is not None and head.time == due:
-            return (due, head.key, "event")
+        if head is not None and head[0] == due:
+            return (due, head[1], "event")
         return (due, STEP_KEY, "step")
 
     def bound_for(self, rt: NodeRuntime) -> float:
@@ -572,9 +572,9 @@ class Shard:
                     step = rt.next_step
                     if step is not None and step < clock.now:
                         step = clock.now
-                    if head is not None and (step is None or head.time <= step):
-                        due = head.time
-                        if due > bound or (due == bound and head.key):
+                    if head is not None and (step is None or head[0] <= step):
+                        due = head[0]
+                        if due > bound or (due == bound and head[1]):
                             break
                         clock.fire_next(head)
                     elif step is not None and step < bound:

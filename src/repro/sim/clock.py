@@ -10,40 +10,37 @@ Time is kept in integer cycles.  Fractional byte/cycle rates are rounded up
 when converted to durations, which models the bus clocking the last partial
 burst.
 
-The queue is allocation- and scan-free on the hot path: a live-event
-counter makes :meth:`Clock.pending` O(1), cancellation drops the callback
-reference immediately (so closed-over buffers are reclaimable before the
-tombstone is popped), and the heap compacts itself when tombstones
-outnumber live events.
+The queue is a binary heap of plain tuples -- ``(time, seq, event)`` on
+:class:`Clock`, ``(time, key, seq, event)`` on :class:`ShardClock` -- so
+``heapq`` orders it with C tuple comparisons.  ``seq`` is unique per
+clock, so two entries never tie and the :class:`Event` itself is never
+compared: it is only the callback slot the caller can cancel through.
+A live-event counter makes :meth:`Clock.pending` O(1), cancellation drops
+the callback reference immediately (so closed-over buffers are reclaimable
+before the tombstone is popped), and the heap compacts itself when
+tombstones outnumber live events.  :meth:`Clock.run`,
+:meth:`Clock.run_until_idle` and :meth:`Clock.advance` share one inlined
+fire loop.
 
-Two further fast-lane mechanisms (on by default, disabled together with
-``pooling=False`` for the chaos ``pooling`` twin):
-
-* **Event free list** -- fired events are recycled instead of freed, so a
-  steady-state workload schedules without allocating.  Only *fired* events
-  are recycled; cancelled tombstones are dropped (a stale ``cancel()``
-  through a retained reference must never kill a pool successor).  The
-  contract for holders of an :class:`Event` reference is unchanged: once
-  the event has fired the reference is dead and ``cancel()`` must not be
-  called through it (the existing callers -- DMA completion, retransmit
-  timers -- already null or replace their references before that point).
-* **Same-time FIFO bucket** -- a burst of events scheduled for one due
-  time (the common shape on the per-message path) lands in a deque instead
-  of the heap.  Firing compares the bucket head against the heap head with
-  the ordinary event ordering, so the global ``(time[, key], seq)`` fire
-  order is bit-identical to the heap-only queue: bucket entries all share
-  one due time and the empty key, and are appended in sequence order, so
-  the deque is sorted by construction.
+**Event free list** (on by default, off with ``pooling=False`` for the
+chaos ``pooling`` twin): fired events are recycled instead of freed, so a
+steady-state workload schedules without allocating, which is cheaper
+per event than building new ones (docs/PERFORMANCE.md, "Per-message hot
+path").  Only *fired* events
+are recycled; cancelled tombstones are dropped (a stale ``cancel()``
+through a retained reference must never kill a pool successor).  The
+contract for holders of an :class:`Event` reference: once the event has
+fired the reference is dead and ``cancel()`` must not be called through
+it (the existing callers -- DMA completion, retransmit timers -- already
+null or replace their references before that point).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -62,23 +59,21 @@ COMPACT_SLACK = 64
 EVENT_FREE_LIST_CAP = 4096
 
 
-@dataclass(slots=True)
 class Event:
-    """A scheduled callback.  Ordered by (time, sequence number)."""
+    """A scheduled callback: the handle :meth:`Clock.schedule` returns.
 
-    time: int
-    seq: int
-    callback: Optional[Callable[[], None]] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _clock: Optional["Clock"] = field(default=None, compare=False, repr=False)
+    Ordering lives in the clock's heap entry, not here.  ``callback`` is
+    ``None`` once the event has fired or been cancelled, which is also how
+    the clock recognises a tombstone in its heap.
+    """
 
-    def __lt__(self, other: "Event") -> bool:
-        # Hand-written instead of dataclass(order=True): the heap sift
-        # calls this on every push/pop, and the generated version builds
-        # two tuples per comparison.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+    __slots__ = ("callback", "_clock")
+
+    def __init__(
+        self, callback: Optional[Callable[[], None]], clock: Optional["Clock"] = None
+    ) -> None:
+        self.callback = callback
+        self._clock = clock
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -89,34 +84,11 @@ class Event:
         does not pin its buffers until the due time passes.  Cancelling
         an already-fired or already-cancelled event is a no-op.
         """
-        if self.cancelled or self.callback is None:
+        if self.callback is None:
             return
-        self.cancelled = True
         self.callback = None
         if self._clock is not None:
             self._clock._on_cancel()
-
-
-@dataclass(slots=True)
-class KeyedEvent(Event):
-    """An event with a canonical ordering key: (time, key, seq).
-
-    The sharded kernel uses the ``key`` to make per-node execution order a
-    pure function of the workload rather than of scheduling interleaving:
-    local hardware events carry the empty key ``()`` (sorting first at a
-    given cycle), network arrivals carry ``(1, src_node, channel_seq)`` so
-    same-cycle arrivals land in a source/sequence order that is identical
-    no matter which shard — or which worker process — delivered them.
-    """
-
-    key: Tuple = ()
-
-    def __lt__(self, other: "KeyedEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.key != other.key:
-            return self.key < other.key
-        return self.seq < other.seq
 
 
 class Clock(SnapshotMixin):
@@ -125,25 +97,21 @@ class Clock(SnapshotMixin):
     The clock never runs backwards.  Events scheduled for a time that has
     already passed fire on the next :meth:`advance` / :meth:`run` call.
 
-    ``pooling`` (default on) enables the event free list and the
-    same-time FIFO bucket; both are exact optimisations -- fire order,
-    fire times and every counter are bit-identical either way, which the
-    chaos ``pooling`` twin checks (``python -m repro chaos --oracle
-    pooling``).  ``pool_debug`` adds ownership checks that raise
-    :class:`~repro.errors.PoolIntegrityError` on double releases or
-    foreign acquires.
+    ``pooling`` (default on) enables the event free list, an exact
+    optimisation -- fire order, fire times and every counter are
+    bit-identical either way, which the chaos ``pooling`` twin checks
+    (``python -m repro chaos --oracle pooling``).  ``pool_debug`` adds
+    ownership checks that raise :class:`~repro.errors.PoolIntegrityError`
+    on double releases or foreign acquires.
     """
 
-    #: event class used by :meth:`schedule`; a class hook (rather than a
-    #: per-event branch) so the single-clock hot path pays nothing for the
-    #: sharded kernel's keyed ordering
-    _event_cls = Event
-    #: set on ShardClock: recycled events need their ``key`` reset
+    #: set on ShardClock: heap entries carry an ordering key,
+    #: ``(time, key, seq, event)``, and :meth:`schedule` uses the empty key
     _keyed = False
 
     def __init__(self, pooling: bool = True, pool_debug: bool = False) -> None:
         self._now = 0
-        self._queue: List[Event] = []
+        self._queue: List[tuple] = []
         self._seq = itertools.count()
         self._live = 0  # exact count of scheduled-but-unfired, uncancelled
         #: total events fired over the clock's lifetime (host-perf metric;
@@ -159,10 +127,6 @@ class Clock(SnapshotMixin):
         self.pool_reuses = 0
         self._free: List[Event] = []
         self._free_ids: Set[int] = set()  # pool_debug ownership ledger
-        #: same-time FIFO bucket: every entry shares ``_bucket_time`` and
-        #: the empty key, appended in seq order (sorted by construction)
-        self._bucket: Deque[Event] = deque()
-        self._bucket_time = 0
 
     # ---------------------------------------------------------- snapshotting
     def __getstate__(self) -> dict:
@@ -193,8 +157,8 @@ class Clock(SnapshotMixin):
 
     def next_event_time(self) -> Optional[int]:
         """Due time of the earliest live event, or None if the queue is idle."""
-        head = self._peek()
-        return None if head is None else head.time
+        head = self._head()
+        return None if head is None else head[0]
 
     # ---------------------------------------------------------- scheduling
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
@@ -205,33 +169,20 @@ class Clock(SnapshotMixin):
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event {delay} cycles in the past")
-        due = self._now + delay
         free = self._free
         if free:
             event = free.pop()
             if self.pool_debug:
                 self._debug_acquire(event)
-            event.time = due
-            event.seq = next(self._seq)
             event.callback = callback
-            event.cancelled = False
-            event._clock = self
-            if self._keyed:
-                event.key = ()
             self.pool_reuses += 1
         else:
-            event = self._event_cls(due, next(self._seq), callback, False, self)
-        bucket = self._bucket
-        if bucket:
-            if due == self._bucket_time:
-                bucket.append(event)
-            else:
-                heapq.heappush(self._queue, event)
-        elif self.pooling:
-            self._bucket_time = due
-            bucket.append(event)
+            event = Event(callback, self)
+        if self._keyed:
+            entry: tuple = (self._now + delay, (), next(self._seq), event)
         else:
-            heapq.heappush(self._queue, event)
+            entry = (self._now + delay, next(self._seq), event)
+        heappush(self._queue, entry)
         self._live += 1
         return event
 
@@ -250,7 +201,7 @@ class Clock(SnapshotMixin):
             raise ValueError(f"cannot advance time by {cycles} cycles")
         target = self._now + cycles
         if self._live:
-            self._fire_until(target)
+            self._fire_until(target, -1)
         self._now = target
 
     def run(self, until: Optional[int] = None) -> None:
@@ -259,13 +210,7 @@ class Clock(SnapshotMixin):
         Used when the CPU is idle (e.g. a process blocked on I/O) and the
         simulation should coast forward on device activity alone.
         """
-        limit = math.inf if until is None else until
-        while True:
-            head = self._peek()
-            if head is None or head.time > limit:
-                break
-            self._pop(head)
-            self._fire(head)
+        self._fire_until(math.inf if until is None else until, -1)
         if until is not None and until > self._now:
             self._now = until
 
@@ -279,97 +224,66 @@ class Clock(SnapshotMixin):
         :meth:`pending` / :meth:`next_event_time` remain consistent and
         the caller can inspect (or keep draining) the survivors.
         """
-        fired = 0
-        while True:
-            head = self._peek()
-            if head is None:
-                return
-            if fired >= max_events:
+        fired = self._fire_until(math.inf, max_events)
+        if fired == max_events:
+            head = self._head()
+            if head is not None:
                 raise SimulationLimitError(
                     limit=max_events,
                     fired=fired,
                     pending=self._live,
                     now=self._now,
-                    next_event_time=head.time,
+                    next_event_time=head[0],
                 )
-            self._pop(head)
-            self._fire(head)
-            fired += 1
 
     # ------------------------------------------------------------ internal
-    def _peek(self) -> Optional[Event]:
-        """Earliest live event across heap and bucket, without popping.
+    def _head(self) -> Optional[tuple]:
+        """The earliest live heap entry, without popping it (or None).
 
-        Skims cancelled tombstones off both heads.  The winner is chosen
-        with the event ordering itself, so heap/bucket placement can never
-        perturb fire order.
+        Skims cancelled tombstones off the top of the heap.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
-        bucket = self._bucket
-        while bucket and bucket[0].cancelled:
-            bucket.popleft()
-        if bucket:
-            head = bucket[0]
-            if queue and queue[0] < head:
-                return queue[0]
-            return head
+        while queue and queue[0][-1].callback is None:
+            heappop(queue)
         return queue[0] if queue else None
 
-    def _pop(self, head: Event) -> None:
-        """Remove ``head`` (the current :meth:`_peek` result) from its home."""
-        bucket = self._bucket
-        if bucket and head is bucket[0]:
-            bucket.popleft()
-        else:
-            heapq.heappop(self._queue)
+    def _fire_until(self, limit: float, budget: int) -> int:
+        """The fire loop: pop and fire live events due at or before ``limit``.
 
-    def _fire(self, event: Event) -> None:
-        """Fire one popped, live event (advancing time to its due cycle)."""
-        callback = event.callback
-        event.callback = None  # mark fired; a later cancel() is a no-op
-        self._live -= 1
-        self.events_fired += 1
-        if event.time > self._now:
-            self._now = event.time
-        assert callback is not None
-        callback()
-        hook = self.audit_hook
-        if hook is not None:
-            hook()
-        if self.pooling:
-            free = self._free
-            if len(free) < EVENT_FREE_LIST_CAP:
+        Stops early once ``budget`` events have fired (``-1``: no budget),
+        leaving the next live event queued.  Returns the number fired.
+        A callback may schedule or cancel freely: the loop re-reads the
+        heap head every turn, and compaction rebuilds the list in place.
+        """
+        queue = self._queue
+        free = self._free if self.pooling else None
+        fired = 0
+        while queue:
+            entry = queue[0]
+            event = entry[-1]
+            callback = event.callback
+            if callback is None:  # a cancelled tombstone
+                heappop(queue)
+                continue
+            time = entry[0]
+            if time > limit or fired == budget:
+                break
+            heappop(queue)
+            event.callback = None  # mark fired; a later cancel() is a no-op
+            self._live -= 1
+            self.events_fired += 1
+            if time > self._now:
+                self._now = time
+            callback()
+            fired += 1
+            hook = self.audit_hook
+            if hook is not None:
+                hook()
+            if free is not None and len(free) < EVENT_FREE_LIST_CAP:
                 if self.pool_debug:
                     self._debug_release(event)
-                event._clock = None
                 free.append(event)
-
-    def _fire_until(self, target: int) -> None:
-        queue = self._queue
-        bucket = self._bucket
-        pop = heapq.heappop
-        while True:
-            while queue and queue[0].cancelled:
-                pop(queue)
-            while bucket and bucket[0].cancelled:
-                bucket.popleft()
-            if bucket:
-                head = bucket[0]
-                if queue and queue[0] < head:
-                    head = queue[0]
-            elif queue:
-                head = queue[0]
-            else:
-                return
-            if head.time > target:
-                return
-            if bucket and head is bucket[0]:
-                bucket.popleft()
-            else:
-                pop(queue)
-            self._fire(head)
+        return fired
 
     def _debug_acquire(self, event: Event) -> None:
         eid = id(event)
@@ -378,10 +292,8 @@ class Clock(SnapshotMixin):
                 "acquired an event the pool does not own"
             )
         self._free_ids.discard(eid)
-        if event.callback is not None or event.cancelled:
-            raise PoolIntegrityError(
-                "pooled event was not reset (callback or cancelled flag set)"
-            )
+        if event.callback is not None:
+            raise PoolIntegrityError("pooled event was not reset (callback set)")
 
     def _debug_release(self, event: Event) -> None:
         eid = id(event)
@@ -399,12 +311,11 @@ class Clock(SnapshotMixin):
     def _compact(self) -> None:
         """Rebuild the heap without tombstones.
 
-        In place (``[:]``) so iterators holding the list object -- the
-        localised hot loops above -- stay valid if a callback's cancel
-        triggers compaction mid-drain.
+        In place (``[:]``) so the fire loop's local reference to the list
+        stays valid if a callback's cancel triggers compaction mid-drain.
         """
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
+        self._queue[:] = [e for e in self._queue if e[-1].callback is not None]
+        heapify(self._queue)
 
 
 class ShardClock(Clock):
@@ -422,20 +333,15 @@ class ShardClock(Clock):
        node's other work.
     2. **Arrivals are keyed.**  Cross-node deliveries are scheduled with
        :meth:`schedule_keyed` carrying ``(1, src_node, channel_seq)``, so
-       same-cycle arrivals sort after local hardware events (empty key)
-       and in a source order independent of delivery interleaving.
+       same-cycle arrivals sort after local hardware events (the empty
+       key ``()`` that :meth:`schedule` uses) and in a source order
+       independent of delivery interleaving.
 
     ``run`` / ``run_until_idle`` raise: any component that coasts the
     clock itself would fire events outside engine control and silently
     break the determinism contract, so misuse fails loudly.
-
-    The same-time bucket only ever holds plain :meth:`schedule` events
-    (empty key); keyed arrivals always take the heap, so the bucket's
-    sorted-by-construction invariant (one time, one key, ascending seq)
-    holds here too.
     """
 
-    _event_cls = KeyedEvent
     _keyed = True
 
     def advance(self, cycles: int) -> None:
@@ -460,7 +366,7 @@ class ShardClock(Clock):
     # -------------------------------------------------------- engine API
     def schedule_keyed(
         self, time: int, key: Tuple, callback: Callable[[], None]
-    ) -> KeyedEvent:
+    ) -> Event:
         """Schedule at absolute ``time`` with an explicit ordering key.
 
         Unlike :meth:`schedule_at` this permits ``time <= now``: a
@@ -473,45 +379,39 @@ class ShardClock(Clock):
             event = free.pop()
             if self.pool_debug:
                 self._debug_acquire(event)
-            event.time = time
-            event.seq = next(self._seq)
             event.callback = callback
-            event.cancelled = False
-            event._clock = self
-            event.key = key
             self.pool_reuses += 1
         else:
-            event = KeyedEvent(time, next(self._seq), callback, False, self, key)
-        heapq.heappush(self._queue, event)
+            event = Event(callback, self)
+        heappush(self._queue, (time, key, next(self._seq), event))
         self._live += 1
         return event
 
     def next_op(self) -> Optional[Tuple[int, Tuple]]:
         """(time, key) of the earliest live event, or None if idle."""
-        head = self._peek()
+        head = self._head()
         if head is None:
             return None
-        return (head.time, head.key)
+        return (head[0], head[1])
 
-    #: the earliest live event itself, or None if idle: the engine's
-    #: per-operation peek (no tuple is built, and the event can go
+    #: the earliest live heap entry ``(time, key, seq, event)``, or None
+    #: if idle: the engine's per-operation peek (the entry can go
     #: straight back to :meth:`fire_next`)
-    head = Clock._peek
+    head = Clock._head
 
-    def fire_next(self, head: Optional[KeyedEvent] = None) -> int:
+    def fire_next(self, head: Optional[tuple] = None) -> int:
         """Pop and fire the earliest live event; returns its due time.
 
-        ``head`` is that event when the caller has just peeked it with
-        :meth:`head` (nothing scheduled or cancelled since), which saves
-        a second peek.
+        ``head`` is that event's entry when the caller has just peeked it
+        with :meth:`head` (nothing scheduled or cancelled since), which
+        saves a second peek.
         """
         if head is None:
-            head = self._peek()  # type: ignore[assignment]
+            head = self._head()
             if head is None:
                 raise ConfigurationError("fire_next() on an idle ShardClock")
-        self._pop(head)
-        time = head.time
-        self._fire(head)
+        time = head[0]
+        self._fire_until(time, 1)
         return time
 
 

@@ -22,7 +22,7 @@ Three operations:
   serialise/compress round trip.
 
 What is captured: every byte of simulated state -- the clock and its
-event queue (including pooled free lists and the same-time bucket),
+event queue (including the pooled event free list),
 physical memory, MMU/TLB and translation-cache generations, paging
 state, the NIPT and the active protection backend, NIC FIFOs and
 in-flight packets, reliable-transport channels and armed retransmit

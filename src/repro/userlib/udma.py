@@ -248,18 +248,13 @@ class UdmaUser:
         Raises :class:`DmaError` on a hard error.  The message must fit a
         single piece (no page crossing in either space).
 
-        ``plan`` is an optional pre-resolved handle from :meth:`plan_for`;
-        passing it skips the per-call plan-cache lookup (hashing two
-        endpoint refs), which matters at millions of messages.
+        ``plan`` is this shape's fast-lane handle from :meth:`plan_for`
+        (resolved once per attempt by the caller, which also skips a
+        per-call plan-cache lookup); None takes the slow path.
         """
         stats = stats if stats is not None else TransferStats()
-        if self.pipelining:
-            if plan is None:
-                plan = self._plans.get((source, destination, nbytes))
-                if plan is None:
-                    plan = self._remember_plan(source, destination, nbytes)
-            if plan is not None and self._fast_send(plan, stats):
-                return True
+        if plan is not None and self.pipelining and self._fast_send(plan, stats):
+            return True
         src_proxy = self.proxy_of(source)
         dst_proxy = self.proxy_of(destination)
         if min(nbytes, self._span(src_proxy), self._span(dst_proxy)) != nbytes:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationLimitError
-from repro.sim.clock import Clock, KeyedEvent, ShardClock, transfer_cycles
+from repro.sim.clock import Clock, ShardClock, transfer_cycles
 
 
 class TestAdvance:
@@ -264,11 +264,18 @@ class TestEventHousekeeping:
 
 class TestKeyedOrdering:
     def test_keyed_events_sort_time_key_seq(self):
-        a = KeyedEvent(10, 5, None, key=())
-        b = KeyedEvent(10, 1, None, key=(1, 0, 0))
-        c = KeyedEvent(10, 0, None, key=(1, 2, 0))
-        d = KeyedEvent(9, 9, None, key=(1, 9, 9))
-        assert d < a < b < c  # time first, then key, then seq
+        clock = ShardClock()
+        order = []
+        # Scheduled in reverse of the expected fire order: time first,
+        # then key, then seq (the local event is scheduled last, so only
+        # its empty key can put it ahead of the arrivals).
+        clock.schedule_keyed(10, (1, 2, 0), lambda: order.append("c"))
+        clock.schedule_keyed(10, (1, 0, 0), lambda: order.append("b"))
+        clock.schedule_keyed(9, (1, 9, 9), lambda: order.append("d"))
+        clock.schedule(10, lambda: order.append("a"))
+        while clock.next_op():
+            clock.fire_next()
+        assert order == ["d", "a", "b", "c"]
 
     def test_local_events_precede_same_cycle_arrivals(self):
         clock = ShardClock()

@@ -2,7 +2,7 @@
 
 Each test targets one stateful component in a configuration that has
 historically been hard to serialise correctly: a clock mid-burst with a
-populated free list and same-time bucket, a TLB carrying stale
+populated free list and a same-cycle burst queued, a TLB carrying stale
 generation stamps, a packet pool with recycled buffers, detached sampled
 metrics, the NULL_TRACER singleton.
 """
@@ -13,23 +13,24 @@ from functools import partial
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SnapshotVersionError
 from repro.mem.physmem import PhysicalMemory
 from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.obs.registry import MetricsRegistry
 from repro.sim.clock import Clock
 from repro.sim.trace import NULL_TRACER, Tracer
-from repro.snapshot import Snapshottable, fork, restore, snapshot
+from repro.snapshot import SNAPSHOT_VERSION, Snapshottable, fork, restore, snapshot
+from repro.snapshot.format import encode
 from repro.vm.tlb import TLB, TlbEntry
 
 
 def _burst_clock() -> "tuple[Clock, list]":
     """A pooled clock stopped mid-burst.
 
-    Pending events include a same-time bucket (three events at one
-    cycle); the free list is non-empty (fired + cancelled events have
-    been recycled).  Callbacks append to ``fired`` (a plain list, so the
+    Pending events include a same-cycle burst (three events at one
+    cycle); the free list is non-empty (a fired event has been
+    recycled).  Callbacks append to ``fired`` (a plain list, so the
     whole graph stays inside the snapshot module allow-list).
     """
     clock = Clock(pooling=True)
@@ -37,12 +38,16 @@ def _burst_clock() -> "tuple[Clock, list]":
     clock.schedule(5, partial(fired.append, "early"))
     doomed = clock.schedule(7, partial(fired.append, "cancelled"))
     doomed.cancel()
-    for tag in ("b0", "b1", "b2"):  # same-time FIFO bucket at t=20
+    for tag in ("b0", "b1", "b2"):  # same-cycle burst at t=20
         clock.schedule(20, partial(fired.append, tag))
     clock.schedule(30, partial(fired.append, "late"))
     clock.run(until=10)  # fire "early", recycle its event
     assert clock._free, "setup must leave a populated free list"
-    assert clock._bucket or clock.pending() >= 3
+    assert clock.pending() == 4
+    # heap entries are (time, seq, event); the burst keeps schedule order
+    assert sorted(entry[:2] for entry in clock._queue) == [
+        (20, 2), (20, 3), (20, 4), (30, 5)
+    ]
     return clock, fired
 
 
@@ -83,7 +88,20 @@ def test_clock_state_dict_round_trip():
     assert twin.now == clock.now
     assert twin.pending() == clock.pending()
     assert twin.events_fired == clock.events_fired
-    assert twin._bucket_time == clock._bucket_time
+    assert [entry[:2] for entry in twin._queue] == [
+        entry[:2] for entry in clock._queue
+    ]
+
+
+def test_clock_blob_from_version_2_refused():
+    """Version 2 pickled a heap of Event objects plus a same-time bucket;
+    such a blob must be refused, never restored into a tuple heap."""
+    clock, fired = _burst_clock()
+    blob = encode((clock, fired), version=2)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 2
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 3
 
 
 def _stale_tlb() -> TLB:

@@ -124,3 +124,34 @@ def test_nipt_sized_to_demand_forces_reuse():
     )
     assert result.churns >= 10
     assert result.messages == result.delivered == 90
+
+
+def test_churn_send_builds_its_plan_at_most_once_per_attempt(monkeypatch):
+    """Two tenants per sender node: every send context-switches, so its
+    translations are stale and no fast-lane plan can be built.  Each
+    attempt may try to build one once, not once in ``plan_for`` and again
+    inside ``send_once``."""
+    from repro.userlib.messaging import Sender
+    from repro.userlib.udma import UdmaUser
+
+    counts = {"attempts": 0, "builds": 0}
+    try_send, build_plan = Sender.try_send, UdmaUser._build_plan
+
+    def counted_try_send(self, *args, **kwargs):
+        counts["attempts"] += 1
+        return try_send(self, *args, **kwargs)
+
+    def counted_build_plan(self, *args, **kwargs):
+        counts["builds"] += 1
+        return build_plan(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sender, "try_send", counted_try_send)
+    monkeypatch.setattr(UdmaUser, "_build_plan", counted_build_plan)
+    result = run_scenario(
+        "t", "incast", num_nodes=3, tenants_per_node=2, messages=80,
+        msg_bytes=256, seed=3, gap_cycles=2500, churn_every=10,
+    )
+    assert result.churns > 0
+    assert result.messages == result.delivered == 80
+    assert counts["attempts"] >= 80
+    assert 0 < counts["builds"] <= counts["attempts"]
