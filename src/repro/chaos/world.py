@@ -300,16 +300,16 @@ class ChaosWorld:
                     buf_pages=self.CHANNEL_PAGES,
                 ),
             ]
-            if self.iommu:
-                # IOMMU worlds get a third, DMA-free scratch process per
-                # node and route CPU "write" actions to it (_write_rig):
-                # a store racing an in-flight transfer -- a pending source
-                # read of the tx buffer, or a parked delivery into the rx
-                # buffer -- has a timing-dependent outcome, which is an
-                # application bug, not a convergence failure.  Scratch
-                # writes keep the dirty-page / eviction pressure the
-                # paging campaign needs without touching DMA-visible
-                # memory.
+            if self.iommu or self.reliability:
+                # IOMMU and reliable worlds get a third, DMA-free scratch
+                # process per node and route CPU "write" actions to it
+                # (_write_rig): a store racing an in-flight transfer -- a
+                # pending source read of the tx buffer, a parked or a
+                # retransmitted delivery into the rx buffer -- has a
+                # timing-dependent outcome, which is an application bug,
+                # not a convergence failure.  Scratch writes keep the
+                # dirty-page / eviction pressure the paging campaign needs
+                # without touching DMA-visible memory.
                 scratch = cluster.node(i).create_process(f"sc{i}")
                 sc_buf = cluster.node(i).kernel.syscalls.alloc(
                     scratch, self.PROC_BUF_PAGES * ps
@@ -372,12 +372,13 @@ class ChaosWorld:
         return node[action.proc % len(node)]
 
     def _write_rig(self, action: Action) -> _ProcRig:
-        """The rig CPU stores may scribble: scratch-only under the IOMMU.
+        """The rig CPU stores may scribble: scratch-only under the IOMMU
+        or reliable transport.
 
         See _build_cluster -- convergence requires stores to stay off
         DMA-visible buffers, whose content must be schedule-determined.
         """
-        if self.iommu and self.cluster is not None:
+        if (self.iommu or self.reliability) and self.cluster is not None:
             return self._rigs[action.node % len(self._rigs)][2]
         return self._rig(action)
 

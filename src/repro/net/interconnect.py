@@ -10,11 +10,11 @@ backplane adds latency, not bandwidth limits.
 Packets are normally carried as :class:`~repro.net.packet.Packet` objects
 -- the zero-copy fast path, where the only per-byte work of a whole wire
 transit is the receive DMA's single copy into destination physical memory.
-When a fault injector is installed the packet is serialised to wire bytes
-first, corrupted, and decoded -- checksum and all -- at the receiver, so
-corruption injected by tests is detected where real hardware would detect
-it.  Raw wire bytes handed directly to :meth:`Interconnect.route` follow
-the same decode path.
+When a fault injector is installed it sees the packet's wire bytes; bytes
+it changed, duplicated or held back are decoded -- checksum and all -- at
+the receiver, where real hardware would detect corruption, while bytes it
+hands back untouched let the original packet ride on.  Raw wire bytes
+handed directly to :meth:`Interconnect.route` always take the decode path.
 """
 
 from __future__ import annotations
@@ -225,15 +225,20 @@ class Interconnect:
         """Inject a packet (object or wire bytes); delivery after routing delay.
 
         Packet objects ride the backplane as-is -- no serialisation, no
-        copy.  A configured fault injector forces the bytes path so it can
-        flip real wire bits.
+        copy.  A fault injector sees real wire bytes; when it returns that
+        very (immutable) object the wire is unchanged and the packet rides
+        on, so only changed, copied, duplicated or held bytes are decoded.
         """
         if dst_node not in self._nics:
             raise NetworkError(f"no node {dst_node} on the backplane")
         if self.fault_injector is not None:
+            packet = wire
             if isinstance(wire, Packet):
                 wire = wire.encode()
             produced = self.fault_injector(wire)
+            if produced is wire:
+                self._route_one(src_node, dst_node, packet)
+                return
             # Normalise the injector's output to a list of copies; every
             # copy -- including a dropped one (``None``) -- goes through
             # ``_route_one``, the single place where drop and routing

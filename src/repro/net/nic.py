@@ -305,8 +305,8 @@ class ShrimpNic(UDMADevice, ReceiverPort):
 
         ``wire`` is either a :class:`Packet` object (the zero-copy fast
         path -- structurally intact by construction, so the Checking block
-        has nothing to reject) or raw wire bytes (the fault-injection /
-        interop path, decoded and checksummed here).
+        has nothing to reject) or raw wire bytes (changed by a fault
+        injector, or a cross-shard arrival: decoded and checksummed here).
         """
         assert self.clock is not None
         if isinstance(wire, Packet):

@@ -10,12 +10,14 @@ the receive side's "Unpacking/Checking" block of Figure 6 has real work to
 do and tests can corrupt packets in flight.
 
 Host-side, serialisation is off the hot path: the backplane carries
-:class:`Packet` objects end-to-end and only materialises wire bytes when a
-fault injector needs to corrupt them (see
-:meth:`repro.net.interconnect.Interconnect.route`).  When bytes *are*
-needed, :meth:`Packet.encode_into` serialises into a caller-provided
-buffer and the checksum runs over whole little-endian words via a
-``memoryview`` cast instead of a per-word Python loop.
+:class:`Packet` objects end-to-end and only materialises wire bytes for a
+fault injector (see :meth:`repro.net.interconnect.Interconnect.route`)
+or a cross-shard handoff.  Only bytes that actually changed on the wire
+are decoded and checked again; an injector that hands back the very bytes
+it was given lets the original packet ride on.  :meth:`Packet.encode`
+builds the wire in one pass: the checksum is additive over little-endian
+words and the header is six whole words, so it is the header's words
+summed arithmetically plus one C-level pass over the payload's words.
 
 Two wire kinds share the header layout (and therefore every timing
 property): ``data`` packets carry a deliberate-update payload, and
@@ -37,7 +39,6 @@ number or destination address can never be silently honoured.
 from __future__ import annotations
 
 import struct
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,8 +50,6 @@ _MAGIC = 0x53485250  # "SHRP": a deliberate-update data packet
 _MAGIC_ACK = 0x53485241  # "SHRA": a cumulative acknowledgement
 _MAGIC_BY_KIND = {"data": _MAGIC, "ack": _MAGIC_ACK}
 _KIND_BY_MAGIC = {_MAGIC: "data", _MAGIC_ACK: "ack"}
-
-_LITTLE_ENDIAN_HOST = sys.byteorder == "little"
 
 # ----------------------------------------------------- tagged destinations
 # The virtual-address RDMA tier (repro.iommu) rides in the header's
@@ -90,30 +89,26 @@ def _checksum(payload: "bytes | bytearray | memoryview") -> int:
     """A cheap 32-bit additive checksum over little-endian words.
 
     The trailing partial word (if any) is zero-padded, matching hardware
-    that clocks the last burst with the lanes deasserted.
+    that clocks the last burst with the lanes deasserted.  The whole words
+    are unpacked and summed in C, on a host of either byte order.
     """
-    mv = memoryview(payload)
-    nbytes = len(mv)
+    nbytes = len(payload)
     full = nbytes & ~3
-    if full and _LITTLE_ENDIAN_HOST:
-        # One C-level pass over the word lanes.
-        total = sum(mv[:full].cast("I")) & 0xFFFFFFFF
-    else:
-        total = 0
-        for i in range(0, full, 4):
-            total = (total + int.from_bytes(mv[i : i + 4], "little")) & 0xFFFFFFFF
+    total = sum(struct.unpack_from(f"<{full >> 2}I", payload))
     if nbytes > full:
-        total = (total + int.from_bytes(mv[full:], "little")) & 0xFFFFFFFF
-    return total
+        total += int.from_bytes(payload[full:], "little")
+    return total & 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Packet:
     """One deliberate-update packet.
 
     The payload is a private snapshot taken when the packet is built (the
     packetizer's copy out of the outgoing FIFO); a packet in flight is
-    therefore immune to the sender reusing its buffer.
+    therefore immune to the sender reusing its buffer.  Slotted and
+    mutable only so that building one is cheap and the packet pool can
+    refill a shell in place; nothing else writes a packet's fields.
     """
 
     src_node: int
@@ -129,9 +124,11 @@ class Packet:
     kind: str = "data"
     #: trace-only sidecar: the span id this packet belongs to (see
     #: repro.obs).  Deliberately NOT part of the simulated wire format --
-    #: encode/decode ignore it, so wire bytes are unchanged and a packet
-    #: that round-trips through bytes (fault injection) loses its span,
-    #: leaving the span open: exactly the signal a drop should produce.
+    #: encode/decode ignore it, so wire bytes are unchanged.  A packet
+    #: whose wire bytes a fault injector left alone rides on as the same
+    #: object and keeps its span; one rebuilt from changed bytes (corrupt,
+    #: duplicated, held back) loses it, leaving the span open: exactly
+    #: the signal a drop should produce.
     span: Optional[int] = field(default=None, compare=False, repr=False)
     #: host-side provenance sidecar: True iff this packet shell belongs to
     #: a :class:`~repro.net.pool.PacketPool` and may be recycled after the
@@ -148,7 +145,7 @@ class Packet:
     @classmethod
     def ack(cls, src_node: int, dst_node: int, cum_seq: int) -> "Packet":
         """Build a cumulative ACK: "everything through ``cum_seq`` landed"."""
-        return cls(src_node, dst_node, 0, b"", seq=cum_seq, kind="ack")
+        return cls(src_node, dst_node, 0, b"", cum_seq, "ack")
 
     @property
     def wire_bytes(self) -> int:
@@ -156,40 +153,32 @@ class Packet:
         return self.HEADER_BYTES + len(self.payload)
 
     # ------------------------------------------------------------ encoding
-    def encode_into(self, buf: "bytearray | memoryview", offset: int = 0) -> int:
-        """Serialise into ``buf`` at ``offset``; returns bytes written.
-
-        ``buf`` must have at least :attr:`wire_bytes` writable bytes at
-        ``offset``.  The payload is copied exactly once.
-        """
-        try:
-            magic = _MAGIC_BY_KIND[self.kind]
-        except KeyError:
-            raise NetworkError(f"unknown packet kind {self.kind!r}") from None
-        _HEADER.pack_into(
-            buf,
-            offset,
-            magic,
-            self.src_node,
-            self.dst_node,
-            self.dst_paddr,
-            len(self.payload),
-            self.seq,
-        )
-        start = offset + _HEADER.size
-        end = start + len(self.payload)
-        buf[start:end] = self.payload
-        # Whole-packet coverage: header words and payload alike.
-        buf[end : end + 4] = _checksum(
-            memoryview(buf)[offset:end]
-        ).to_bytes(4, "little")
-        return end + 4 - offset
-
     def encode(self) -> bytes:
-        """Serialise to the wire format."""
-        out = bytearray(self.wire_bytes)
-        self.encode_into(out)
-        return bytes(out)
+        """Serialise to the wire format: header, payload, checksum word.
+
+        The checksum is additive over little-endian words and the header
+        is six whole words, so it is the header's words summed here plus
+        one :func:`_checksum` pass over the payload (none for an ACK).
+        """
+        magic = _MAGIC_BY_KIND.get(self.kind)
+        if magic is None:
+            raise NetworkError(f"unknown packet kind {self.kind!r}")
+        src, dst, paddr, payload, seq = (
+            self.src_node, self.dst_node, self.dst_paddr, self.payload, self.seq
+        )
+        length = len(payload)
+        header = _HEADER.pack(magic, src, dst, paddr, length, seq)
+        # _HEADER's six words: magic, src | dst << 16, paddr low and high
+        # halves, length, seq (struct.pack has range-checked each field).
+        total = (
+            magic + src + (dst << 16) + (paddr & 0xFFFFFFFF) + (paddr >> 32)
+            + length + seq
+        )
+        if length:
+            total += _checksum(payload)
+        return b"".join(
+            (header, payload, (total & 0xFFFFFFFF).to_bytes(4, "little"))
+        )
 
     @classmethod
     def decode(cls, wire: "bytes | bytearray | memoryview") -> "Packet":

@@ -16,8 +16,8 @@ after the receive DMA has copied the payload into physical memory.
 
 Recycling rules (enforced by construction, checked in ``debug`` mode):
 
-* Only ``data`` packets travel through the pool; ACKs and fault-injected
-  decodes are ordinary garbage-collected packets.
+* Only ``data`` packets travel through the pool; ACKs and packets decoded
+  from changed wire bytes are ordinary garbage-collected packets.
 * Pooling is bypassed whenever anything downstream may retain the packet
   past delivery: a reliability plane (it keeps packets for retransmit and
   builds ``dataclasses.replace`` copies sharing the payload), receive
@@ -102,12 +102,11 @@ class PacketPool(SnapshotMixin):
             packet = packets.pop()
             if self.debug:
                 self._debug_acquire(packet)
-            set_ = object.__setattr__
-            set_(packet, "src_node", src_node)
-            set_(packet, "dst_node", dst_node)
-            set_(packet, "dst_paddr", dst_paddr)
-            set_(packet, "payload", payload)
-            set_(packet, "seq", seq)
+            packet.src_node = src_node
+            packet.dst_node = dst_node
+            packet.dst_paddr = dst_paddr
+            packet.payload = payload
+            packet.seq = seq
             self.packet_reuses += 1
         else:
             packet = Packet(
@@ -129,7 +128,7 @@ class PacketPool(SnapshotMixin):
             self._debug_release(packet, payload)
         # Detach the payload first: a stale reference to the recycled
         # packet sees an empty payload, never a successor's bytes.
-        object.__setattr__(packet, "payload", b"")
+        packet.payload = b""
         self.releases += 1
         if len(self._packets) < PACKET_FREE_LIST_CAP:
             self._packets.append(packet)

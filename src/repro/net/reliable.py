@@ -47,12 +47,12 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.net.packet import Packet
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.snapshot.protocol import SnapshotMixin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (nic -> reliable)
     from repro.net.nic import ShrimpNic
-    from repro.net.packet import Packet
 
 #: sequence numbers live on the wire as an unsigned 32-bit field
 SEQ_MOD = 1 << 32
@@ -128,6 +128,8 @@ class _TxChannel:
     def __init__(self) -> None:
         self.next_seq = 0  # last sequence number handed out
         self.acked = 0  # cumulative high-water mark acknowledged so far
+        #: unacked packets by seq in first-transmit order, which is seq
+        #: order: one FIFO, numbered in order, retransmits never re-insert
         self.pending: Dict[int, _Pending] = {}
 
 
@@ -306,10 +308,12 @@ class ReliabilityPlane(SnapshotMixin):
         channel = self._tx_channel(nic.node_id, ack.src_node)
         if seq_lt(channel.acked, ack.seq):
             channel.acked = ack.seq
-        acked = [
-            seq for seq in sorted(channel.pending)
-            if not seq_lt(ack.seq, seq)
-        ]
+        # ``pending`` is in seq order (see _TxChannel): retire its prefix.
+        acked = []
+        for seq in channel.pending:
+            if seq_lt(ack.seq, seq):
+                break
+            acked.append(seq)
         for seq in acked:
             pending = channel.pending.pop(seq)
             if pending.timer is not None:
@@ -387,8 +391,6 @@ class ReliabilityPlane(SnapshotMixin):
         ACKs are themselves unreliable -- loss is healed by sender
         retransmission plus receiver re-ACK.
         """
-        from repro.net.packet import Packet
-
         self.acks_sent += 1
         ack = Packet.ack(nic.node_id, dst_node, cum_seq)
         if self.tracer.enabled:

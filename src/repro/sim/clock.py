@@ -110,7 +110,9 @@ class Clock(SnapshotMixin):
     _keyed = False
 
     def __init__(self, pooling: bool = True, pool_debug: bool = False) -> None:
-        self._now = 0
+        #: the current time in cycles; a plain attribute (read on every
+        #: packet and charge), written only by this module
+        self.now = 0
         self._queue: List[tuple] = []
         self._seq = itertools.count()
         self._live = 0  # exact count of scheduled-but-unfired, uncancelled
@@ -146,11 +148,6 @@ class Clock(SnapshotMixin):
         self._free_ids = {id(e) for e in self._free}
 
     # ------------------------------------------------------------- reading
-    @property
-    def now(self) -> int:
-        """The current time in cycles."""
-        return self._now
-
     def pending(self) -> int:
         """Number of live (uncancelled) events still queued.  O(1)."""
         return self._live
@@ -179,16 +176,16 @@ class Clock(SnapshotMixin):
         else:
             event = Event(callback, self)
         if self._keyed:
-            entry: tuple = (self._now + delay, (), next(self._seq), event)
+            entry: tuple = (self.now + delay, (), next(self._seq), event)
         else:
-            entry = (self._now + delay, next(self._seq), event)
+            entry = (self.now + delay, next(self._seq), event)
         heappush(self._queue, entry)
         self._live += 1
         return event
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
-        return self.schedule(time - self._now, callback)
+        return self.schedule(time - self.now, callback)
 
     # ------------------------------------------------------------- running
     def advance(self, cycles: int) -> None:
@@ -199,10 +196,10 @@ class Clock(SnapshotMixin):
         """
         if cycles < 0:
             raise ValueError(f"cannot advance time by {cycles} cycles")
-        target = self._now + cycles
+        target = self.now + cycles
         if self._live:
             self._fire_until(target, -1)
-        self._now = target
+        self.now = target
 
     def run(self, until: Optional[int] = None) -> None:
         """Fire queued events until the queue drains (or ``until`` is hit).
@@ -211,8 +208,8 @@ class Clock(SnapshotMixin):
         simulation should coast forward on device activity alone.
         """
         self._fire_until(math.inf if until is None else until, -1)
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
 
     def run_until_idle(self, max_events: int = 1_000_000) -> None:
         """Drain every queued event (events may schedule further events).
@@ -232,7 +229,7 @@ class Clock(SnapshotMixin):
                     limit=max_events,
                     fired=fired,
                     pending=self._live,
-                    now=self._now,
+                    now=self.now,
                     next_event_time=head[0],
                 )
 
@@ -272,8 +269,8 @@ class Clock(SnapshotMixin):
             event.callback = None  # mark fired; a later cancel() is a no-op
             self._live -= 1
             self.events_fired += 1
-            if time > self._now:
-                self._now = time
+            if time > self.now:
+                self.now = time
             callback()
             fired += 1
             hook = self.audit_hook
@@ -348,7 +345,7 @@ class ShardClock(Clock):
         """Charge CPU cycles without firing events (engine fires them)."""
         if cycles < 0:
             raise ValueError(f"cannot advance time by {cycles} cycles")
-        self._now += cycles
+        self.now += cycles
 
     def run(self, until: Optional[int] = None) -> None:
         raise ConfigurationError(

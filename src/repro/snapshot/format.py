@@ -30,9 +30,10 @@ from repro.errors import SnapshotError, SnapshotVersionError
 #: identifies a blob as a simulator snapshot before anything is trusted
 MAGIC = b"SHRIMPSN"
 
-#: bump on any change to a pickled component's persisted shape (3: the
-#: clock's heap holds ``(time, [key,] seq, event)`` tuples, no bucket)
-SNAPSHOT_VERSION = 3
+#: bump on any change to a pickled component's persisted shape (4: a
+#: ``Packet`` pickles as a slotted object and the clock's time is stored
+#: under ``now``, not ``_now``)
+SNAPSHOT_VERSION = 4
 
 #: payloads at or above this size are zlib-compressed (tiny payloads skip
 #: the overhead)

@@ -59,10 +59,10 @@ class Sender:
         # validated endpoint pair, which also keeps the UDMA runtime's
         # plan cache hitting on identical keys.
         self._ref_memo: "dict[tuple, tuple]" = {}
-        # Per-shape fast-lane plan handles ([plan-or-None] boxes) and one
-        # reusable cumulative stats object for try_send -- both host-side
-        # only, so reuse cannot perturb the simulation.
-        self._plan_memo: "dict[tuple, list]" = {}
+        # Per-shape fast-lane plan handles (None: not plannable yet) and
+        # one reusable cumulative stats object for try_send -- both
+        # host-side only, so reuse cannot perturb the simulation.
+        self._plan_memo: "dict[tuple, object]" = {}
         self._try_stats = TransferStats()
 
     def device_ref(self, channel_offset: int = 0) -> DeviceRef:
@@ -117,19 +117,24 @@ class Sender:
         retry instead of spinning.  Never coasts the clock, so it is safe
         to call from inside an event callback.
         """
-        key = (nbytes, buffer_offset, channel_offset)
         source, destination, padded = self._refs(
             nbytes, buffer_offset, channel_offset
         )
-        box = self._plan_memo.get(key)
-        if box is None:
-            box = [None]
-            self._plan_memo[key] = box
-        if box[0] is None:
-            box[0] = self.udma.plan_for(source, destination, padded)
-        self._ensure_current()
+        plan = None
+        kernel = self.machine.kernel
+        if kernel.current is self.process:
+            key = (nbytes, buffer_offset, channel_offset)
+            plan = self._plan_memo.get(key)
+            if plan is None:
+                plan = self._plan_memo[key] = self.udma.plan_for(
+                    source, destination, padded
+                )
+        else:
+            # The switch bumps the TLB generation, so no plan could
+            # validate after it: the attempt takes the slow path.
+            kernel.scheduler.switch_to(self.process)
         return self.udma.send_once(
-            source, destination, padded, stats=self._try_stats, plan=box[0]
+            source, destination, padded, stats=self._try_stats, plan=plan
         )
 
     def _refs(

@@ -42,6 +42,47 @@ def test_strip_is_idempotent():
     assert strip_wire_faults(once) == once
 
 
+# --------------------------------------------- stores racing a retransmit
+#: Shrunk reproducers of seeds 12, 36 and 42 (``chaos --oracle delivery
+#: --nodes 2``).  Each faults a send, then a CPU ``write`` lands on the rx
+#: rig of the node that send targets.  The retransmitted delivery lands
+#: after that store where the fault-free twin's delivery landed before
+#: it, so the bytes under the store differ: an application race, not a
+#: convergence failure.  Reliable worlds route writes to a DMA-free
+#: scratch rig, as IOMMU worlds do.
+STORE_RACES = {
+    12: [
+        ("drop", 18, 4, 43, 1362, 6),
+        ("send", 29, 3, 25, 1123, 1),
+        ("touch", 23, 7, 39, 1878, 2),
+        ("write", 26, 1, 30, 1068, 0),
+    ],
+    36: [
+        ("send", 55, 5, 34, 319, 6),
+        ("corrupt", 49, 5, 50, 997, 6),
+        ("send", 25, 2, 36, 1848, 6),
+        ("write", 22, 1, 16, 1903, 4),
+    ],
+    42: [
+        ("corrupt", 49, 0, 48, 1954, 0),
+        ("send", 55, 7, 3, 1593, 5),
+        ("write", 46, 7, 19, 1784, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STORE_RACES))
+def test_store_racing_a_retransmission_is_not_a_divergence(seed):
+    from repro.chaos.actions import Action
+
+    fields = ("kind", "node", "proc", "page", "size", "arg")
+    actions = [Action(**dict(zip(fields, row))) for row in STORE_RACES[seed]]
+    report = run_chaos(nodes=2, oracles=("delivery",), actions=actions)
+    delivery = report.twin("delivery")
+    assert delivery.ok, delivery.mismatches[:3]
+    assert report.ok, report.failure_message
+
+
 # ------------------------------------------------------- reliable campaigns
 @pytest.mark.parametrize("seed", [7, 11, 23])
 def test_reliable_campaign_converges(seed):

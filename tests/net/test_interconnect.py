@@ -129,6 +129,117 @@ class TestInjectorDropAccounting:
         assert interconnect.packets_routed == 0
 
 
+class TestUntouchedWire:
+    """An injector that hands back the very bytes it was given leaves the
+    wire unchanged, so the original packet rides on with no second parse;
+    changed, duplicated or held bytes still go through decode + Checking."""
+
+    @pytest.fixture
+    def rig(self, monkeypatch):
+        from repro.mem.physmem import PhysicalMemory
+        from repro.net.nic import ShrimpNic
+
+        clock = Clock()
+        costs = shrimp()
+        interconnect = Interconnect(clock, costs)
+        nic = ShrimpNic(1, costs, PhysicalMemory(64 * 4096), nipt_entries=64)
+        nic.attach(clock)
+        nic.connect(interconnect)
+        landed = []
+        nic.on_receive.append(landed.append)
+        decodes = []
+        decode = Packet.decode.__func__
+
+        def counted_decode(cls, wire):
+            decodes.append(bytes(wire))
+            return decode(cls, wire)
+
+        monkeypatch.setattr(Packet, "decode", classmethod(counted_decode))
+        return clock, interconnect, nic, landed, decodes
+
+    def test_identity_injector_delivers_the_same_packet(self, rig):
+        clock, interconnect, nic, landed, decodes = rig
+        seen = []
+
+        def look(wire):
+            seen.append(wire)
+            return wire
+
+        interconnect.fault_injector = look
+        packet = Packet(0, 1, 0x100, b"payload", seq=4, span=17)
+        interconnect.route(0, 1, packet)
+        clock.run_until_idle()
+        assert seen == [packet.encode()]  # the injector saw real bytes
+        assert landed == [packet] and landed[0] is packet
+        assert landed[0].span == 17
+        assert decodes == []
+        assert interconnect.packets_routed == 1
+        assert interconnect.bytes_routed == packet.wire_bytes
+        assert nic.physmem.read(0x100, 7) == b"payload"
+
+    def test_copied_bytes_still_decode(self, rig):
+        """Equal but not identical bytes are not the injector's own
+        object; they take the decode path, as any changed wire does."""
+        clock, interconnect, nic, landed, decodes = rig
+        interconnect.fault_injector = lambda wire: bytes(bytearray(wire))
+        packet = Packet(0, 1, 0x100, b"payload", span=17)
+        interconnect.route(0, 1, packet)
+        clock.run_until_idle()
+        assert decodes == [packet.encode()]
+        assert landed == [packet] and landed[0] is not packet
+        assert landed[0].span is None
+
+    def test_corrupted_bytes_decode_and_fail_checking(self, rig):
+        clock, interconnect, nic, landed, decodes = rig
+        interconnect.fault_injector = (
+            lambda wire: wire[:-1] + bytes([wire[-1] ^ 0xFF])
+        )
+        interconnect.route(0, 1, Packet(0, 1, 0x100, b"payload"))
+        clock.run_until_idle()
+        assert len(decodes) == 1
+        assert landed == []
+        assert nic.rx_errors == 1
+
+    def test_duplicated_bytes_decode_each_copy(self, rig):
+        clock, interconnect, nic, landed, decodes = rig
+        interconnect.fault_injector = lambda wire: [wire, wire]
+        packet = Packet(0, 1, 0x100, b"payload")
+        interconnect.route(0, 1, packet)
+        clock.run_until_idle()
+        assert decodes == [packet.encode()] * 2
+        assert landed == [packet, packet]
+        assert all(copy is not packet for copy in landed)
+
+    def test_held_and_reordered_bytes_decode(self, rig):
+        clock, interconnect, nic, landed, decodes = rig
+        held = []
+
+        def hold_first(wire):
+            if not held:
+                held.append(wire)
+                return []
+            return [wire, held.pop()]
+
+        interconnect.fault_injector = hold_first
+        first = Packet(0, 1, 0x100, b"first!!!", seq=1)
+        second = Packet(0, 1, 0x200, b"second!!", seq=2)
+        interconnect.route(0, 1, first)
+        interconnect.route(0, 1, second)
+        clock.run_until_idle()
+        assert decodes == [second.encode(), first.encode()]
+        assert landed == [second, first]
+        assert all(p is not first and p is not second for p in landed)
+
+    def test_raw_bytes_passed_through_still_decode(self, rig):
+        clock, interconnect, nic, landed, decodes = rig
+        interconnect.fault_injector = lambda wire: wire
+        wire = Packet(0, 1, 0x100, b"payload").encode()
+        interconnect.route(0, 1, wire)
+        clock.run_until_idle()
+        assert decodes == [wire]
+        assert landed == [Packet(0, 1, 0x100, b"payload")]
+
+
 class TestMesh2dTopology:
     def make(self, width, nodes):
         clock = Clock()

@@ -1,10 +1,12 @@
 """Tests for packet encode/decode and integrity checking."""
 
+import struct
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.errors import NetworkError
-from repro.net.packet import Packet
+from repro.net.packet import Packet, pack_virtual
 
 
 class TestRoundtrip:
@@ -95,29 +97,46 @@ class TestChecking:
             Packet.decode(wire + b"extra")
 
 
-class TestEncodeInto:
-    def test_encode_into_matches_encode(self):
+def reference_encode(packet: Packet) -> bytes:
+    """The wire format spelled out whole: header, payload, then the
+    32-bit sum of every little-endian word of both (the trailing partial
+    word zero-padded)."""
+    magic = {"data": 0x53485250, "ack": 0x53485241}[packet.kind]
+    body = struct.pack(
+        "<IHHQII", magic, packet.src_node, packet.dst_node,
+        packet.dst_paddr, len(packet.payload), packet.seq,
+    ) + bytes(packet.payload)
+    padded = body + bytes(-len(body) % 4)
+    words = struct.unpack(f"<{len(padded) // 4}I", padded)
+    return body + (sum(words) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+class TestEncode:
+    def test_encode_matches_reference_layout(self):
         packet = Packet(0, 1, 0x8000, b"hello world", seq=9)
-        buf = bytearray(packet.wire_bytes)
-        written = packet.encode_into(buf)
-        assert written == packet.wire_bytes
-        assert bytes(buf) == packet.encode()
+        wire = packet.encode()
+        assert len(wire) == packet.wire_bytes
+        assert wire == reference_encode(packet)
 
-    def test_encode_into_at_offset(self):
-        packet = Packet(1, 0, 0x40, b"payload")
-        buf = bytearray(b"\xaa" * 8 + b"\x00" * packet.wire_bytes + b"\xbb" * 4)
-        written = packet.encode_into(buf, offset=8)
-        assert written == packet.wire_bytes
-        assert buf[:8] == b"\xaa" * 8  # prefix untouched
-        assert buf[-4:] == b"\xbb" * 4  # suffix untouched
-        assert Packet.decode(bytes(buf[8:8 + written])) == packet
+    def test_encode_of_recycled_bytearray_payload(self):
+        """A pooled packet carries a ``bytearray``: same wire bytes."""
+        packet = Packet(1, 0, 0x40, bytearray(b"payload"))
+        wire = packet.encode()
+        assert isinstance(wire, bytes)
+        assert wire == Packet(1, 0, 0x40, b"payload").encode()
+        assert Packet.decode(wire) == packet
 
-    def test_encode_into_memoryview_target(self):
-        packet = Packet(0, 2, 0, b"via view")
-        buf = bytearray(packet.wire_bytes)
-        packet.encode_into(memoryview(buf))
-        assert Packet.decode(bytes(buf)) == packet
+    def test_encode_does_not_alias_the_payload(self):
+        """The wire is a snapshot: later writes to the payload buffer
+        leave already-encoded bytes alone."""
+        payload = bytearray(b"via view")
+        packet = Packet(0, 2, 0, payload)
+        wire = packet.encode()
+        payload[0] ^= 0xFF
+        assert Packet.decode(wire).payload == b"via view"
 
+
+class TestDecodeBuffers:
     def test_decode_accepts_any_buffer(self):
         packet = Packet(3, 4, 0x1000, b"buffer protocol")
         wire = packet.encode()
@@ -154,6 +173,52 @@ def test_property_roundtrip(src, dst, paddr, payload, seq, kind):
     assert decoded == packet
     assert decoded.kind == kind
     assert decoded.seq == seq
+
+
+_SEQS = st.one_of(
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+    st.integers(min_value=0xFFFFFFF0, max_value=0xFFFFFFFF),
+)
+_DST_WORDS = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.builds(
+        pack_virtual,
+        st.integers(min_value=0, max_value=(1 << 15) - 1),
+        st.integers(min_value=0, max_value=(1 << 48) - 1),
+    ),
+)
+_DATA_PACKETS = st.builds(
+    Packet,
+    src_node=st.integers(min_value=0, max_value=0xFFFF),
+    dst_node=st.integers(min_value=0, max_value=0xFFFF),
+    dst_paddr=_DST_WORDS,
+    payload=st.one_of(
+        st.binary(max_size=4096),
+        st.binary(max_size=4096).map(bytearray),
+    ),
+    seq=_SEQS,
+)
+_ACK_PACKETS = st.builds(
+    Packet.ack,
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.integers(min_value=0, max_value=0xFFFF),
+    _SEQS,
+)
+
+
+@given(packet=st.one_of(_DATA_PACKETS, _ACK_PACKETS))
+@example(packet=Packet(0xFFFF, 0xFFFF, (1 << 64) - 1, b"\xff" * 4095,
+                       seq=0xFFFFFFFF))
+@example(packet=Packet(3, 4, pack_virtual(0x7FFF, 0x1234), b"abc", seq=1))
+@example(packet=Packet(0, 1, 0, bytes(4096), seq=0xFFFFFFFE))
+@example(packet=Packet.ack(0xFFFF, 0, 0xFFFFFFFF))
+def test_property_encode_matches_reference_encoder(packet):
+    """The one-pass encoder (header words summed arithmetically, one
+    checksum pass over the payload) is byte-identical to summing every
+    word of the whole packet, and decodes back to the same packet."""
+    wire = packet.encode()
+    assert wire == reference_encode(packet)
+    assert Packet.decode(wire) == packet
 
 
 @given(data=st.data())

@@ -6,6 +6,7 @@ from repro import ClusterConfig, Receiver, Sender, ShrimpCluster
 from repro.bench import make_payload
 from repro.net.reliable import (
     ReliabilityConfig,
+    SEQ_MOD,
     ReliabilityPlane,
     seq_lt,
     seq_next,
@@ -237,3 +238,72 @@ class TestSequencing:
         assert "net.acks" in on_names
         assert "net.dup_suppressed" in on_names
         assert off_names == []
+
+
+class TestCumulativeAck:
+    """``on_ack`` retires the covered prefix of a channel's pending
+    packets, which are kept in transmit (= sequence) order."""
+
+    class _Nic:
+        def __init__(self, node_id):
+            self.node_id = node_id
+            self.name = f"nic{node_id}"
+
+    def _plane_with_pending(self, count, start_seq=0):
+        from repro.net.packet import Packet
+        from repro.sim.clock import Clock
+
+        clock = Clock()
+        plane = ReliabilityPlane(clock=clock)
+        channel = plane._tx_channel(0, 1)
+        channel.next_seq = channel.acked = start_seq
+        nic = self._Nic(0)
+        seqs = []
+        for _ in range(count):
+            seq = plane.next_seq(0, 1)
+            plane.on_transmit(nic, Packet(0, 1, 0, b"data", seq=seq))
+            seqs.append(seq)
+        return clock, plane, nic, seqs
+
+    def _ack(self, plane, nic, cum_seq):
+        from repro.net.packet import Packet
+
+        plane.on_ack(nic, Packet.ack(1, 0, cum_seq))
+
+    def test_ack_covering_several_pendings_retires_the_prefix(self):
+        clock, plane, nic, seqs = self._plane_with_pending(5)
+        assert seqs == [1, 2, 3, 4, 5]
+        assert clock.pending() == 5  # one retransmit timer each
+        self._ack(plane, nic, 3)
+        channel = plane._tx_channel(0, 1)
+        assert list(channel.pending) == [4, 5]
+        assert channel.acked == 3
+        assert clock.pending() == 2  # the covered timers were cancelled
+        assert plane.acks_received == 1
+
+    def test_ack_covering_none_changes_nothing(self):
+        clock, plane, nic, seqs = self._plane_with_pending(3)
+        self._ack(plane, nic, 0)
+        channel = plane._tx_channel(0, 1)
+        assert list(channel.pending) == seqs
+        assert channel.acked == 0
+        assert clock.pending() == 3
+        # A stale duplicate ACK below the high-water mark is a no-op too.
+        self._ack(plane, nic, 2)
+        self._ack(plane, nic, 1)
+        assert list(channel.pending) == [3]
+        assert channel.acked == 2
+
+    def test_ack_across_the_32_bit_wrap(self):
+        clock, plane, nic, seqs = self._plane_with_pending(
+            4, start_seq=SEQ_MOD - 3
+        )
+        assert seqs == [SEQ_MOD - 2, SEQ_MOD - 1, 0, 1]
+        channel = plane._tx_channel(0, 1)
+        self._ack(plane, nic, 0)  # covers ...FE, ...FF and 0, not 1
+        assert list(channel.pending) == [1]
+        assert channel.acked == 0
+        assert clock.pending() == 1
+        self._ack(plane, nic, 1)
+        assert channel.pending == {}
+        assert clock.pending() == 0

@@ -101,7 +101,24 @@ def test_clock_blob_from_version_2_refused():
     with pytest.raises(SnapshotVersionError) as excinfo:
         restore(blob)
     assert excinfo.value.found == 2
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 3
+    assert excinfo.value.expected == SNAPSHOT_VERSION
+
+
+def test_packet_and_clock_blob_from_version_3_refused():
+    """Version 3 pickled a frozen ``Packet`` as an instance dict and the
+    clock's time as ``_now``; such a blob must be refused, never restored
+    into a slotted packet or a clock whose ``now`` is missing."""
+    clock, fired = _burst_clock()
+    packet = Packet(0, 1, 0x40, b"in flight", seq=3)
+    blob = encode((clock, fired, packet), version=3)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 3
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 4
+    # The current version still round-trips the same graph.
+    clock2, _fired2, packet2 = restore(encode((clock, fired, packet)))
+    assert clock2.now == clock.now
+    assert packet2 == packet
 
 
 def _stale_tlb() -> TLB:

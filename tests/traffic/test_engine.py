@@ -127,22 +127,26 @@ def test_nipt_sized_to_demand_forces_reuse():
 
 
 def test_churn_send_builds_its_plan_at_most_once_per_attempt(monkeypatch):
-    """Two tenants per sender node: every send context-switches, so its
-    translations are stale and no fast-lane plan can be built.  Each
-    attempt may try to build one once, not once in ``plan_for`` and again
-    inside ``send_once``."""
+    """Two tenants per sender node: most sends context-switch first, so
+    their translations are stale and no fast-lane plan could validate.
+    A send that must switch resolves no plan at all -- zero builds -- and
+    a send that needs no switch builds at most once."""
     from repro.userlib.messaging import Sender
     from repro.userlib.udma import UdmaUser
 
-    counts = {"attempts": 0, "builds": 0}
+    counts = {"attempts": 0, "switched": 0, "builds": 0, "switched_builds": 0}
+    state = {"switching": False}
     try_send, build_plan = Sender.try_send, UdmaUser._build_plan
 
     def counted_try_send(self, *args, **kwargs):
         counts["attempts"] += 1
+        state["switching"] = self.machine.kernel.current is not self.process
+        counts["switched"] += state["switching"]
         return try_send(self, *args, **kwargs)
 
     def counted_build_plan(self, *args, **kwargs):
         counts["builds"] += 1
+        counts["switched_builds"] += state["switching"]
         return build_plan(self, *args, **kwargs)
 
     monkeypatch.setattr(Sender, "try_send", counted_try_send)
@@ -154,4 +158,6 @@ def test_churn_send_builds_its_plan_at_most_once_per_attempt(monkeypatch):
     assert result.churns > 0
     assert result.messages == result.delivered == 80
     assert counts["attempts"] >= 80
-    assert 0 < counts["builds"] <= counts["attempts"]
+    assert counts["switched"] > counts["attempts"] // 2
+    assert counts["switched_builds"] == 0
+    assert counts["builds"] <= counts["attempts"] - counts["switched"]
