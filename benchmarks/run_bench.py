@@ -287,8 +287,8 @@ def main(argv=None) -> int:
                         help="with --scale: run only the named scenario "
                              "(repeatable)")
     parser.add_argument("--no-baseline", action="store_true",
-                        help="with --scale: skip the pooling/pipelining-"
-                             "disabled baseline passes (faster, but no "
+                        help="with --scale: skip the reference-mode "
+                             "baseline passes (faster, but no "
                              "speedup or identity cross-check)")
     parser.add_argument("--profile", metavar="PATH",
                         help="run each scenario under cProfile and append "

@@ -63,7 +63,7 @@ class Failure:
 class RunResult:
     """Everything observable about one schedule run."""
 
-    fast_paths: bool
+    reference: bool
     audit_log: List[str] = field(default_factory=list)
     failure: Optional[Failure] = None
     counters: Dict[str, int] = field(default_factory=dict)
@@ -112,27 +112,27 @@ class ScheduleExplorer:
         self.protection = protection
         self.iommu = iommu
         self.checkpoint_every = checkpoint_every
-        #: (fast_paths, action prefix) -> pickled capsule; insertion order
+        #: (reference, action prefix) -> pickled capsule; insertion order
         #: doubles as the eviction order (oldest first)
         self._checkpoints: Dict[Tuple[bool, Tuple[Action, ...]], bytes] = {}
         #: observability: runs resumed from a capsule / capsules written
         self.checkpoint_hits = 0
         self.checkpoints_stored = 0
 
-    def run(self, actions: Sequence[Action], fast_paths: bool = True) -> RunResult:
+    def run(self, actions: Sequence[Action], reference: bool = False) -> RunResult:
         """Replay ``actions`` on a fresh world; never raises for findings."""
         actions = list(actions)
         world = auditor = None
-        result = RunResult(fast_paths=fast_paths)
+        result = RunResult(reference=reference)
         start = 0
         if self.checkpoint_every:
-            resumed = self._resume(actions, fast_paths, result)
+            resumed = self._resume(actions, reference, result)
             if resumed is not None:
                 world, auditor, start = resumed
         if world is None:
             world = ChaosWorld(
                 nodes=self.nodes,
-                fast_paths=fast_paths,
+                reference=reference,
                 break_mode=self.break_mode,
                 reliability=self.reliability,
                 protection=self.protection,
@@ -160,7 +160,7 @@ class ScheduleExplorer:
                 result.outcomes.append(outcome)
                 result.audit_log.append(self._log_line(i, action, outcome, world))
                 if every and (i + 1) % every == 0 and i + 1 < len(actions):
-                    self._store(actions[: i + 1], fast_paths, world, auditor, result)
+                    self._store(actions[: i + 1], reference, world, auditor, result)
             if result.failure is None:
                 try:
                     world.settle()
@@ -189,7 +189,7 @@ class ScheduleExplorer:
     def _store(
         self,
         prefix: List[Action],
-        fast_paths: bool,
+        reference: bool,
         world: ChaosWorld,
         auditor: InvariantAuditor,
         result: RunResult,
@@ -202,7 +202,7 @@ class ScheduleExplorer:
         restore-equivalence tier, which diffs checkpointed runs against
         uninterrupted ones line by line.
         """
-        key = (fast_paths, tuple(prefix))
+        key = (reference, tuple(prefix))
         if key in self._checkpoints:
             return
         capsule = (world, auditor, result.audit_log, result.outcomes)
@@ -214,7 +214,7 @@ class ScheduleExplorer:
             self._checkpoints.pop(next(iter(self._checkpoints)))
 
     def _resume(
-        self, actions: List[Action], fast_paths: bool, result: RunResult
+        self, actions: List[Action], reference: bool, result: RunResult
     ) -> Optional[Tuple[ChaosWorld, InvariantAuditor, int]]:
         """Restore the longest checkpointed prefix of ``actions``, if any.
 
@@ -226,7 +226,7 @@ class ScheduleExplorer:
         every = self.checkpoint_every
         k = (len(actions) // every) * every
         while k > 0:
-            blob = self._checkpoints.get((fast_paths, tuple(actions[:k])))
+            blob = self._checkpoints.get((reference, tuple(actions[:k])))
             if blob is not None:
                 world, auditor, log, outcomes = pickle.loads(blob)
                 reattach(world)

@@ -6,7 +6,7 @@ more *variants*, project every run onto the surfaces its contract
 covers, and diff each projection against the first variant's.  A
 :class:`Twin` is one row of that table:
 
-* ``variants`` -- what differs between the runs (fast paths on/off,
+* ``variants`` -- what differs between the runs (reference mode on/off,
   wire faults stripped, one protection backend per run, shard count...);
 * ``project`` -- the contract: the named surfaces that must be equal;
 * ``check`` -- the rare rule that is not equality (the IOMMU twin's
@@ -95,7 +95,7 @@ class Variant:
     """One run of a subject: config overrides plus a subject transform.
 
     Schedule variants override :class:`ScheduleExplorer` arguments (and
-    ``fast_paths``); spec variants set ``num_shards``/``engine`` and
+    ``reference``); spec variants set ``num_shards``/``engine`` and
     override :class:`ClusterSpec` fields.  ``replica`` > 0 forces a fresh
     run of a config that would otherwise be shared, on an explorer of its
     own (so it never resumes from another run's checkpoints).
@@ -222,12 +222,12 @@ class TwinRunner:
                     num_shards=shards, engine=engine, audit=self.setup.audit,
                 )
             return self._runs[key]
-        fast_paths = config.pop("fast_paths", True)
+        reference = config.pop("reference", False)
         explorer = self._explorer(config, variant.replica)
         actions = list(variant.transform(subject))
-        key = (id(explorer), fast_paths, tuple(actions))
+        key = (id(explorer), reference, tuple(actions))
         if key not in self._runs:
-            self._runs[key] = explorer.run(actions, fast_paths=fast_paths)
+            self._runs[key] = explorer.run(actions, reference=reference)
         return self._runs[key]
 
     def _explorer(
@@ -357,8 +357,10 @@ TWINS: Dict[str, Twin] = {
     for twin in (
         Twin(
             "fast-paths", "schedule",
-            "fast paths on / off: failure, audit log, counters, memory",
-            lambda s: [Variant("fast"), Variant("reference", {"fast_paths": False})],
+            "default / reference=True (no translation cache, bulk I/O, "
+            "event free list or send plans): failure, audit log, "
+            "counters, memory",
+            lambda s: [Variant("fast"), Variant("reference", {"reference": True})],
             _exact,
         ),
         Twin(
@@ -406,24 +408,15 @@ TWINS: Dict[str, Twin] = {
         ),
         Twin(
             "shards", "spec",
-            "1 shard in-process / K shards (default 2) on each --engine: "
-            "logs, per-node digests, counters",
-            lambda s: [Variant("reference", {"num_shards": 1})] + [
+            "1 shard in reference mode (no host fast path, packet pool "
+            "included) / K shards (default 2) on each --engine: logs, "
+            "per-node digests, counters",
+            lambda s: [
+                Variant("reference", {"num_shards": 1, "reference": True})
+            ] + [
                 Variant(f"{s.shards or 2}-shard {engine}",
                         {"num_shards": s.shards or 2, "engine": engine})
                 for engine in _spec_engines(s)
-            ],
-            _sharded,
-        ),
-        Twin(
-            "pooling", "spec",
-            "fast lane off / on at K shards (default 1): logs, per-node "
-            "digests, counters",
-            lambda s: [
-                Variant(f"{s.shards or 1}-shard pooling off",
-                        {"num_shards": s.shards or 1, "pooling": False}),
-                Variant(f"{s.shards or 1}-shard pooled",
-                        {"num_shards": s.shards or 1, "pooling": True}),
             ],
             _sharded,
         ),

@@ -139,7 +139,7 @@ class ChaosWorld:
     def __init__(
         self,
         nodes: int = 1,
-        fast_paths: bool = True,
+        reference: bool = False,
         break_mode: Optional[str] = None,
         reliability: bool = False,
         protection: str = "proxy",
@@ -152,7 +152,8 @@ class ChaosWorld:
                 "iommu chaos worlds need a cluster (nodes >= 2): the "
                 "virtual-address tier lives on the receive path"
             )
-        self.fast_paths = fast_paths
+        #: run without host fast paths (the fast-paths twin's reference)
+        self.reference = reference
         self.break_mode = break_mode
         #: ack/retransmit transport under test (cluster worlds only); off
         #: keeps every audit log and counter bit-identical to history
@@ -204,7 +205,7 @@ class ChaosWorld:
             config=MachineConfig(
                 costs=self.costs,
                 mem_size=96 * ps,
-                fast_paths=self.fast_paths,
+                reference=self.reference,
                 # Spans are host-side and deterministic, so they are safe
                 # under the differential oracle; failures get causal context.
                 obs=ObsConfig(spans=True),
@@ -246,7 +247,7 @@ class ChaosWorld:
                 num_nodes=self.num_nodes,
                 costs=self.costs,
                 mem_size=96 * ps,
-                fast_paths=self.fast_paths,
+                reference=self.reference,
                 obs=ObsConfig(spans=True),
                 reliability=self.reliability,
                 protection=self.protection,

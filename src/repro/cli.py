@@ -163,8 +163,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: chaos flags that apply to some twins only: flag -> (dest, scope), where
-#: the scope is a subject kind or, for ``--engine``, the one twin it drives
+#: chaos flags that apply to some twins only: flag -> (dest, subject kind)
 _SCOPED_FLAGS = {
     "--steps": ("steps", "schedule"),
     "--break": ("break_mode", "schedule"),
@@ -174,12 +173,8 @@ _SCOPED_FLAGS = {
     "--dump-log": ("dump_log", "schedule"),
     "--shards": ("shards", "spec"),
     "--no-audit": ("no_audit", "spec"),
-    "--engine": ("engine", "shards"),
+    "--engine": ("engine", "spec"),
 }
-
-
-def _accepts(twin, scope: str) -> bool:
-    return scope in (twin.subject, twin.name)
 
 
 def _chaos_epilog() -> str:
@@ -199,7 +194,7 @@ def _chaos_epilog() -> str:
     for flag, (_, scope) in _SCOPED_FLAGS.items():
         scopes.setdefault(scope, []).append(flag)
     for scope, flags in scopes.items():
-        users = [t.name for t in TWINS.values() if _accepts(t, scope)]
+        users = [t.name for t in TWINS.values() if t.subject == scope]
         lines.append(f"  {' '.join(flags)}")
         lines.append(f"{' ' * 15}{', '.join(users)}")
     return "\n".join(lines)
@@ -252,7 +247,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for flag, (dest, scope) in _SCOPED_FLAGS.items():
         if _given(getattr(args, dest)):
             for twin in twins:
-                if not _accepts(twin, scope):
+                if twin.subject != scope:
                     return refuse(f"{flag} does not apply to the {twin.name} twin")
     if args.replay and args.schedules != 1:
         return refuse("--replay reruns one subject; drop --schedules")
@@ -347,6 +342,7 @@ examples
   chaos --oracle fast-paths,iommu --steps 300
   chaos --oracle backends --backend all --nodes 2 --schedules 8
   chaos --oracle shards --shards 4 --engine both --iommu
+  chaos --oracle shards --shards 1 --profile contention
   chaos --replay chaos-failure.json
 """,
     )

@@ -115,20 +115,12 @@ class ShrimpCluster:
         self.config = config
         num_nodes = config.num_nodes
         self.costs = config.costs if config.costs is not None else shrimp()
-        #: fast-lane toggles: ``pooling`` recycles events/packets/buffers,
-        #: ``pipelining`` lets senders reuse cached initiation plans.  Both
-        #: are exact -- simulated cycles and every curated counter are
-        #: bit-identical on or off (the chaos ``pooling`` twin gates this).
-        self.pooling = config.pooling
-        self.pipelining = config.pipelining
         #: protection-backend spec applied to every node (each node gets
         #: its own backend instance; see repro.protection)
         self.protection = (
             config.protection if config.protection is not None else "proxy"
         )
-        self.clock = Clock(
-            pooling=config.pooling, pool_debug=config.pool_debug
-        )
+        self.clock = Clock(reference=config.reference)
         # One shared observability plane: every node registers its metrics
         # under a node{i}. namespace and all spans land on one tracker, so
         # a transfer's causality survives crossing the backplane.
@@ -153,8 +145,8 @@ class ShrimpCluster:
         # Fail fast on a node count that does not fill the configured
         # grid (ragged meshes would silently skew hop distances).
         self.interconnect.validate_topology(num_nodes)
-        if config.pooling:
-            self.interconnect.packet_pool = PacketPool(debug=config.pool_debug)
+        if not config.reference:
+            self.interconnect.packet_pool = PacketPool()
         if self.obs.spans is not None:
             self.interconnect._spans = self.obs.spans
         # Optional ack/retransmit transport: one shared plane for the whole

@@ -3,7 +3,7 @@
 The public construction surface had sprawled to ~20 ad-hoc keyword
 arguments on both entry points.  This module is the redesigned front
 door: one frozen dataclass per entry point, carrying every *configuration*
-decision (cost model, proxy scheme, fast paths, observability, transport,
+decision (cost model, proxy scheme, reference mode, observability, transport,
 protection, IOMMU tier...), while *wiring* parameters that name live
 objects owned by someone else -- ``clock``, ``tracer``, ``name`` -- stay
 explicit keyword arguments on the constructors.
@@ -96,11 +96,10 @@ class MachineConfig:
     dma_burst_bytes: int = 0
     dma_bursts_per_event: int = 1
     swap: str = "dict"
-    fast_paths: bool = True
+    #: run without any host fast path (see :class:`ClusterConfig`)
+    reference: bool = False
     obs: object = None
     reliability: object = None
-    pooling: bool = True
-    pool_debug: bool = False
     protection: object = None
     #: the virtual-address RDMA tier: False (default, bit-identical to a
     #: pre-IOMMU machine), True for defaults, or an :class:`IommuConfig`.
@@ -120,7 +119,7 @@ class ClusterConfig:
     """Everything a :class:`~repro.cluster.ShrimpCluster` is configured by.
 
     Per-node options mirror :class:`MachineConfig`; cluster-level options
-    (topology, NIPT size, transport, pipelining) live only here.  Use
+    (topology, NIPT size, transport) live only here.  Use
     :meth:`node_config` to see the per-node projection the cluster
     constructs its machines from.
     """
@@ -137,12 +136,13 @@ class ClusterConfig:
     mesh_width: int = 0
     dma_burst_bytes: int = 0
     dma_bursts_per_event: int = 1
-    fast_paths: bool = True
+    #: reference mode: no host fast path at all -- no translation cache,
+    #: no page-run bulk I/O, no event free list, no packet pool, no
+    #: send-plan pipelining.  Simulated results are bit-identical either
+    #: way; the chaos ``fast-paths`` and ``shards`` twins diff the two.
+    reference: bool = False
     obs: object = None
     reliability: object = None
-    pooling: bool = True
-    pool_debug: bool = False
-    pipelining: bool = True
     protection: object = None
     #: the virtual-address RDMA tier, applied to every node: NIPT entries
     #: name (asid, virtual page) instead of physical frames, receive
@@ -171,7 +171,7 @@ class ClusterConfig:
             queue_depth=self.queue_depth,
             dma_burst_bytes=self.dma_burst_bytes,
             dma_bursts_per_event=self.dma_bursts_per_event,
-            fast_paths=self.fast_paths,
+            reference=self.reference,
             protection=self.protection,
             iommu=self.iommu,
         )

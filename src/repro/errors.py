@@ -157,20 +157,6 @@ class InvariantViolation(ReproError):
         super().__init__(f"invariant {invariant} violated: {detail}")
 
 
-class PoolIntegrityError(ReproError):
-    """An object pool's recycling discipline was violated.
-
-    Raised only in pool-debug mode (``pool_debug=True`` /
-    ``REPRO_POOL_DEBUG=1``): a double release, a release of a still-live
-    object, or an acquire of an object the pool does not own.  A correct
-    fast lane never triggers it; the chaos differential suite runs with
-    the checks on to prove recycling never aliases two tenants.
-    """
-
-    def __init__(self, detail: str) -> None:
-        super().__init__(f"pool integrity violated: {detail}")
-
-
 class SnapshotError(ReproError):
     """A machine snapshot could not be captured or restored.
 

@@ -64,7 +64,7 @@ class Machine:
         config: a :class:`~repro.config.MachineConfig`; ``None`` builds
             the defaults.
         clock: share an existing clock (a cluster's); ``None`` builds a
-            private one configured from ``config.pooling``/``pool_debug``.
+            private one configured from ``config.reference``.
         tracer: share an existing tracer; ``None`` derives one from the
             observability plane / ``config.record_trace``.
         name: node name (namespaces metrics and trace sources).
@@ -87,12 +87,9 @@ class Machine:
         self.config = config
         self.costs = config.costs if config.costs is not None else shrimp()
         self.name = name
-        # ``pooling``/``pool_debug`` apply only when the machine owns its
-        # clock; a shared (cluster) clock arrives pre-configured.
+        # A shared (cluster) clock arrives configured by its owner.
         self.clock = (
-            clock
-            if clock is not None
-            else Clock(pooling=config.pooling, pool_debug=config.pool_debug)
+            clock if clock is not None else Clock(reference=config.reference)
         )
         obs = config.obs
         if isinstance(obs, Observability):
@@ -171,7 +168,7 @@ class Machine:
             udma=self.udma,
             tracer=self.tracer,
         )
-        if not config.fast_paths:
+        if config.reference:
             self.cpu.xlat_enabled = False
             self.cpu.bulk_io_enabled = False
         self.kernel = Kernel(

@@ -64,7 +64,7 @@ class Interconnect:
         # Span tracker when the owning cluster traces spans (repro.obs).
         self._spans = None
         #: per-backplane packet/payload free lists (one per shard in the
-        #: sharded kernel); ``None`` = pooling off, NICs allocate fresh
+        #: sharded kernel); ``None`` in reference mode: NICs allocate fresh
         self.packet_pool = None
         #: (src, dst) -> routing delay; topology and hop cost are fixed
         #: once nodes register, so the product is memoised per pair

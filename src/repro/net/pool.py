@@ -14,7 +14,7 @@ process boundary.  The sending NIC acquires a packet (with a recycled
 ``bytearray`` payload of the right size); the receiving NIC releases it
 after the receive DMA has copied the payload into physical memory.
 
-Recycling rules (enforced by construction, checked in ``debug`` mode):
+Recycling rules (enforced by construction):
 
 * Only ``data`` packets travel through the pool; ACKs and packets decoded
   from changed wire bytes are ordinary garbage-collected packets.
@@ -22,17 +22,16 @@ Recycling rules (enforced by construction, checked in ``debug`` mode):
   past delivery: a reliability plane (it keeps packets for retransmit and
   builds ``dataclasses.replace`` copies sharing the payload), receive
   hooks, or span tracking.  Such packets simply skip the pool -- the
-  simulation is identical either way, which the chaos ``pooling`` twin
-  verifies.
+  simulation is identical either way, which the chaos ``shards`` twin
+  verifies (its reference variant runs without a pool).
 * On release the payload is detached from the packet, so a stale
   reference to a recycled packet can never read a successor's data.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List
 
-from repro.errors import PoolIntegrityError
 from repro.net.packet import Packet
 from repro.snapshot.protocol import SnapshotMixin
 
@@ -43,35 +42,24 @@ BUFFER_FREE_LIST_CAP = 1024
 
 
 class PacketPool(SnapshotMixin):
-    """Free lists for :class:`Packet` shells and payload ``bytearray``\\ s.
-
-    ``debug=True`` keeps an ownership ledger and raises
-    :class:`~repro.errors.PoolIntegrityError` on a double release or an
-    acquire of an object the pool does not own.
-    """
+    """Free lists for :class:`Packet` shells and payload ``bytearray``\\ s."""
 
     __slots__ = (
-        "debug",
         "packet_reuses",
         "packet_allocs",
         "buffer_reuses",
         "releases",
         "_packets",
         "_buffers",
-        "_owned_packet_ids",
-        "_owned_buffer_ids",
     )
 
-    def __init__(self, debug: bool = False) -> None:
-        self.debug = debug
+    def __init__(self) -> None:
         self.packet_reuses = 0
         self.packet_allocs = 0
         self.buffer_reuses = 0
         self.releases = 0
         self._packets: List[Packet] = []
         self._buffers: Dict[int, List[bytearray]] = {}
-        self._owned_packet_ids: Set[int] = set()
-        self._owned_buffer_ids: Set[int] = set()
 
     def acquire(
         self,
@@ -91,8 +79,6 @@ class PacketPool(SnapshotMixin):
         bufs = self._buffers.get(nbytes)
         if bufs:
             payload = bufs.pop()
-            if self.debug:
-                self._owned_buffer_ids.discard(id(payload))
             self.buffer_reuses += 1
         else:
             payload = bytearray(nbytes)
@@ -100,8 +86,6 @@ class PacketPool(SnapshotMixin):
         packets = self._packets
         if packets:
             packet = packets.pop()
-            if self.debug:
-                self._debug_acquire(packet)
             packet.src_node = src_node
             packet.dst_node = dst_node
             packet.dst_paddr = dst_paddr
@@ -124,8 +108,6 @@ class PacketPool(SnapshotMixin):
         if not packet._pooled:
             return
         payload = packet.payload
-        if self.debug:
-            self._debug_release(packet, payload)
         # Detach the payload first: a stale reference to the recycled
         # packet sees an empty payload, never a successor's bytes.
         packet.payload = b""
@@ -140,25 +122,6 @@ class PacketPool(SnapshotMixin):
             if len(bufs) < BUFFER_FREE_LIST_CAP:
                 bufs.append(payload)
 
-    # -------------------------------------------------------- snapshotting
-    def __getstate__(self) -> dict:
-        # The debug ownership ledgers key on id(); object identities do
-        # not survive a pickle round trip, so they are rebuilt from the
-        # free lists on restore.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in ("_owned_packet_ids", "_owned_buffer_ids")
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._owned_packet_ids = {id(p) for p in self._packets}
-        self._owned_buffer_ids = {
-            id(buf) for bufs in self._buffers.values() for buf in bufs
-        }
-
     def stats(self) -> Dict[str, int]:
         """Pool-effectiveness counters (reported by the bench harness)."""
         return {
@@ -170,27 +133,3 @@ class PacketPool(SnapshotMixin):
             "free_buffers": sum(len(b) for b in self._buffers.values()),
         }
 
-    # ------------------------------------------------------------ debug
-    def _debug_acquire(self, packet: Packet) -> None:
-        pid = id(packet)
-        if pid not in self._owned_packet_ids:
-            raise PoolIntegrityError(
-                "acquired a packet the pool does not own"
-            )
-        self._owned_packet_ids.discard(pid)
-        if packet.payload != b"":
-            raise PoolIntegrityError("pooled packet still carries a payload")
-
-    def _debug_release(self, packet: Packet, payload) -> None:
-        pid = id(packet)
-        if pid in self._owned_packet_ids:
-            raise PoolIntegrityError("packet double-released to pool")
-        if packet.kind != "data":
-            raise PoolIntegrityError(
-                f"non-data packet ({packet.kind!r}) released to pool"
-            )
-        if isinstance(payload, bytearray) and id(payload) in self._owned_buffer_ids:
-            raise PoolIntegrityError("payload buffer double-released to pool")
-        self._owned_packet_ids.add(pid)
-        if isinstance(payload, bytearray):
-            self._owned_buffer_ids.add(id(payload))

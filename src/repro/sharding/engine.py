@@ -69,10 +69,15 @@ class ShardRunResult:
     xlat_misses: int = 0
 
     def curated_counters(self) -> Dict[str, int]:
-        """The shard-count-invariant counter subset (plus net totals)."""
+        """The shard-count-invariant counter subset (plus net totals).
+
+        Translation-cache hits and misses are host statistics (reference
+        mode has no cache), so they stay in ``counters`` only.
+        """
         curated = {
             k: v for k, v in self.counters.items()
             if not k.startswith("shard")
+            and not k.endswith((".xlat_hits", ".xlat_misses"))
         }
         curated["net.routed"] = self.net_routed
         curated["net.bytes"] = self.net_bytes

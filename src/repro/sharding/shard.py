@@ -82,7 +82,7 @@ class ShardInterconnect(Interconnect):
         )
         self.validate_topology(spec.num_nodes)
         self._shard = shard
-        if spec.pooling:
+        if not spec.reference:
             # One pool per shard: free lists never cross a process
             # boundary (the worker engine pickles only wire bytes).
             self.packet_pool = PacketPool()
@@ -143,10 +143,10 @@ def build_node(
             costs=costs,
             mem_size=spec.mem_size,
             obs=obs,
-            fast_paths=True,
+            reference=spec.reference,
             iommu=spec.iommu,
         ),
-        clock=ShardClock(pooling=spec.pooling),
+        clock=ShardClock(reference=spec.reference),
         name=f"node{node_id}",
     )
     nic = ShrimpNic(

@@ -54,9 +54,10 @@ class ClusterSpec:
         mem_size: per-node RAM.
         channel_pages: channel/buffer length in pages.
         nipt_entries: sender NIPT size (sized to the channel).
-        pooling: enable the event/packet free-list fast lane (exact: the
-            simulation is bit-identical on or off, which the chaos
-            ``pooling`` twin verifies).
+        reference: run every node without host fast paths (no
+            translation cache, bulk I/O, event free list, packet pool or
+            send plans).  Exact: the simulation is bit-identical either
+            way, which the chaos ``shards`` twin verifies.
         iommu: run every node with the virtual-address RDMA tier
             (:mod:`repro.iommu`): NIPT entries name (asid, virtual page)
             on the receiver, receive buffers start *cold* (allocated but
@@ -78,7 +79,7 @@ class ClusterSpec:
     mem_size: int = 96 * 4096
     channel_pages: int = 1
     nipt_entries: int = 16
-    pooling: bool = True
+    reference: bool = False
     iommu: bool = False
 
     def __post_init__(self) -> None:

@@ -22,8 +22,8 @@ tombstones outnumber live events.  :meth:`Clock.run`,
 :meth:`Clock.run_until_idle` and :meth:`Clock.advance` share one inlined
 fire loop.
 
-**Event free list** (on by default, off with ``pooling=False`` for the
-chaos ``pooling`` twin): fired events are recycled instead of freed, so a
+**Event free list** (on by default, off in reference mode,
+``Clock(reference=True)``): fired events are recycled instead of freed, so a
 steady-state workload schedules without allocating, which is cheaper
 per event than building new ones (docs/PERFORMANCE.md, "Per-message hot
 path").  Only *fired* events
@@ -40,13 +40,9 @@ from __future__ import annotations
 import itertools
 import math
 from heapq import heapify, heappop, heappush
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.errors import (
-    ConfigurationError,
-    PoolIntegrityError,
-    SimulationLimitError,
-)
+from repro.errors import ConfigurationError, SimulationLimitError
 from repro.snapshot.protocol import SnapshotMixin
 
 #: Compaction fires when ``len(queue) > 2 * live + COMPACT_SLACK``: the
@@ -97,19 +93,17 @@ class Clock(SnapshotMixin):
     The clock never runs backwards.  Events scheduled for a time that has
     already passed fire on the next :meth:`advance` / :meth:`run` call.
 
-    ``pooling`` (default on) enables the event free list, an exact
-    optimisation -- fire order, fire times and every counter are
-    bit-identical either way, which the chaos ``pooling`` twin checks
-    (``python -m repro chaos --oracle pooling``).  ``pool_debug`` adds
-    ownership checks that raise :class:`~repro.errors.PoolIntegrityError`
-    on double releases or foreign acquires.
+    ``reference=True`` turns the event free list off.  The free list is
+    an exact optimisation -- fire order, fire times and every counter are
+    bit-identical either way, which the chaos ``shards`` twin checks
+    (its reference variant runs with the free list off).
     """
 
     #: set on ShardClock: heap entries carry an ordering key,
     #: ``(time, key, seq, event)``, and :meth:`schedule` uses the empty key
     _keyed = False
 
-    def __init__(self, pooling: bool = True, pool_debug: bool = False) -> None:
+    def __init__(self, reference: bool = False) -> None:
         #: the current time in cycles; a plain attribute (read on every
         #: packet and charge), written only by this module
         self.now = 0
@@ -123,12 +117,10 @@ class Clock(SnapshotMixin):
         #: chaos harness's continuous invariant auditor); None keeps the
         #: hot path a single attribute check
         self.audit_hook: Optional[Callable[[], None]] = None
-        self.pooling = pooling
-        self.pool_debug = pool_debug
+        self.reference = reference
         #: events served from the free list (pool effectiveness metric)
         self.pool_reuses = 0
         self._free: List[Event] = []
-        self._free_ids: Set[int] = set()  # pool_debug ownership ledger
 
     # ---------------------------------------------------------- snapshotting
     def __getstate__(self) -> dict:
@@ -138,14 +130,7 @@ class Clock(SnapshotMixin):
         # auditor -- and its captured log -- into every snapshot.  It is
         # dropped here and re-installed by the owner after restore.
         state["audit_hook"] = None
-        # The pool-debug ownership ledger keys on id(); identities do not
-        # survive restore, so it is rebuilt from the free list instead.
-        state["_free_ids"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._free_ids = {id(e) for e in self._free}
 
     # ------------------------------------------------------------- reading
     def pending(self) -> int:
@@ -169,8 +154,6 @@ class Clock(SnapshotMixin):
         free = self._free
         if free:
             event = free.pop()
-            if self.pool_debug:
-                self._debug_acquire(event)
             event.callback = callback
             self.pool_reuses += 1
         else:
@@ -253,7 +236,7 @@ class Clock(SnapshotMixin):
         heap head every turn, and compaction rebuilds the list in place.
         """
         queue = self._queue
-        free = self._free if self.pooling else None
+        free = None if self.reference else self._free
         fired = 0
         while queue:
             entry = queue[0]
@@ -277,28 +260,8 @@ class Clock(SnapshotMixin):
             if hook is not None:
                 hook()
             if free is not None and len(free) < EVENT_FREE_LIST_CAP:
-                if self.pool_debug:
-                    self._debug_release(event)
                 free.append(event)
         return fired
-
-    def _debug_acquire(self, event: Event) -> None:
-        eid = id(event)
-        if eid not in self._free_ids:
-            raise PoolIntegrityError(
-                "acquired an event the pool does not own"
-            )
-        self._free_ids.discard(eid)
-        if event.callback is not None:
-            raise PoolIntegrityError("pooled event was not reset (callback set)")
-
-    def _debug_release(self, event: Event) -> None:
-        eid = id(event)
-        if eid in self._free_ids:
-            raise PoolIntegrityError("event double-released to pool")
-        if event.callback is not None:
-            raise PoolIntegrityError("live event released to pool")
-        self._free_ids.add(eid)
 
     def _on_cancel(self) -> None:
         self._live -= 1
@@ -374,8 +337,6 @@ class ShardClock(Clock):
         free = self._free
         if free:
             event = free.pop()
-            if self.pool_debug:
-                self._debug_acquire(event)
             event.callback = callback
             self.pool_reuses += 1
         else:

@@ -10,7 +10,7 @@ without ever coasting the clock from inside a callback.
 
 Everything is deterministic: patterns draw from an explicit xorshift64*
 stream (never the ``random`` module), so a scenario replays bit-identically
-across runs, across pooling/pipelining modes, and across hosts -- which is
+across runs, in or out of reference mode, and across hosts -- which is
 what lets ``BENCH_scale.json`` gate host throughput on a fixed workload.
 """
 

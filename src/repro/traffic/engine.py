@@ -15,7 +15,7 @@ cycles (context switch, initiation stores), and a charge fires any due
 events -- if those events performed their *own* CPU work, they would
 context-switch a node away mid-instruction-sequence.  The pump loop keeps
 every send at the top level, so the run is one deterministic interleaving
--- identical, by construction, with pooling/pipelining on or off.
+-- identical, by construction, in reference mode or not.
 
 Host throughput (messages/s, MB/s moved through simulated host memory)
 is measured around the pump; simulated results (cycles, counters,
@@ -56,8 +56,7 @@ class TrafficResult:
     events: int
     delivered: int
     xlat_hit_rate: float
-    pooling: bool
-    pipelining: bool
+    reference: bool
     host_seconds: float
     messages_per_sec: float
     host_mb_per_sec: float
@@ -200,8 +199,7 @@ class TrafficEngine:
             events=clock.events_fired - base_events,
             delivered=self._packets_received() - base_delivered,
             xlat_hit_rate=(hits / lookups) if lookups else 0.0,
-            pooling=cluster.pooling,
-            pipelining=cluster.pipelining,
+            reference=cluster.config.reference,
             host_seconds=host_seconds,
             messages_per_sec=sent / host_seconds if host_seconds > 0 else 0.0,
             host_mb_per_sec=(
@@ -262,8 +260,7 @@ def run_scenario(
     retry_gap_cycles: int = RETRY_GAP_CYCLES,
     churn_every: int = 0,
     channel_pages: int = 1,
-    pooling: bool = True,
-    pipelining: bool = True,
+    reference: bool = False,
     topology: str = "linear",
     mesh_width: int = 0,
     nipt_entries: Optional[int] = None,
@@ -306,8 +303,7 @@ def run_scenario(
                       nipt_entries=nipt_entries if nipt_entries is not None else nipt_need,
                       topology=topology,
                       mesh_width=mesh_width,
-                      pooling=pooling,
-                      pipelining=pipelining,
+                      reference=reference,
                   ),
               )
     engine = TrafficEngine(

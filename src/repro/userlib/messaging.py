@@ -51,9 +51,7 @@ class Sender:
         nbytes = buffer_bytes if buffer_bytes is not None else channel.nbytes
         self.buffer = kernel.syscalls.alloc(process, nbytes)
         self.buffer_bytes = nbytes
-        self.udma = UdmaUser(
-            self.machine, process, pipelining=getattr(cluster, "pipelining", True)
-        )
+        self.udma = UdmaUser(self.machine, process)
         # (nbytes, buffer_offset, channel_offset) -> (src ref, dst ref,
         # padded length): back-to-back sends of the same shape reuse one
         # validated endpoint pair, which also keeps the UDMA runtime's

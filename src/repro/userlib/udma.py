@@ -112,13 +112,14 @@ class UdmaUser:
             hardware never learns which process is issuing references).
         retry_limit: initiation attempts per piece before giving up.
         poll_limit: completion polls per piece before giving up.
-        pipelining: enable the send fast lane -- cached one-piece
-            initiation plans whose four charges (alignment check, STORE,
-            fence, LOAD) are applied as one batched clock advance, plus
-            the cheap completion poll.  Exact: simulated cycles, counters
-            and machine state are bit-identical on or off (the fast path
-            only engages when no event is due inside the batched window,
-            so no interleaving is ever reordered).
+
+    The send fast lane -- cached one-piece initiation plans whose four
+    charges (alignment check, STORE, fence, LOAD) are applied as one
+    batched clock advance, plus the cheap completion poll -- is on unless
+    the machine runs in reference mode (``MachineConfig.reference``).
+    Exact: simulated cycles, counters and machine state are bit-identical
+    on or off (the fast path only engages when no event is due inside the
+    batched window, so no interleaving is ever reordered).
     """
 
     def __init__(
@@ -127,7 +128,6 @@ class UdmaUser:
         process: Process,
         retry_limit: int = 64,
         poll_limit: int = 1_000_000,
-        pipelining: bool = True,
     ) -> None:
         self.machine = machine
         self.process = process
@@ -141,8 +141,8 @@ class UdmaUser:
         from repro.core.queueing import QueuedUdmaController
 
         self._device_queued = isinstance(machine.udma, QueuedUdmaController)
-        self.pipelining = (
-            pipelining
+        self._pipelined = (
+            not machine.config.reference
             and machine.udma is not None
             and machine.udma.fast_path_capable
         )
@@ -195,7 +195,7 @@ class UdmaUser:
         if nbytes <= 0:
             raise DmaError(f"transfer length must be positive, got {nbytes}")
         stats = stats if stats is not None else TransferStats()
-        if self.pipelining:
+        if self._pipelined:
             plan = self._plans.get((source, destination, nbytes))
             if plan is not None and self._fast_send(plan, stats):
                 if wait:
@@ -227,7 +227,7 @@ class UdmaUser:
                 self._wait_piece(src_proxy, stats)
         if wait and self._device_is_queued():
             self._wait_piece(last_src_proxy, stats)
-        if self.pipelining and stats.pieces - pieces_before == 1:
+        if self._pipelined and stats.pieces - pieces_before == 1:
             self._remember_plan(source, destination, nbytes)
         return stats
 
@@ -253,7 +253,7 @@ class UdmaUser:
         per-call plan-cache lookup); None takes the slow path.
         """
         stats = stats if stats is not None else TransferStats()
-        if plan is not None and self.pipelining and self._fast_send(plan, stats):
+        if plan is not None and self._pipelined and self._fast_send(plan, stats):
             return True
         src_proxy = self.proxy_of(source)
         dst_proxy = self.proxy_of(destination)
@@ -310,7 +310,7 @@ class UdmaUser:
         "If this LOAD instruction returns with the match flag set, then
         the transfer has not completed; otherwise it has."
         """
-        poll_fast = self.cpu.poll_proxy if self.pipelining else None
+        poll_fast = self.cpu.poll_proxy if self._pipelined else None
         for _ in range(self.poll_limit):
             match: "bool | None" = None
             if poll_fast is not None:
@@ -329,13 +329,13 @@ class UdmaUser:
     ) -> "Optional[_SendPlan]":
         """Resolve (building if needed) the fast-lane plan for a send shape.
 
-        Returns None when pipelining is off or the shape is ineligible;
+        Returns None in reference mode or when the shape is ineligible;
         callers hold the handle and pass it back to :meth:`send_once` to
         skip the per-call cache lookup.  The handle stays safe across
         remaps and channel churn -- every use re-validates translations
         and the device check against their current generations.
         """
-        if not self.pipelining:
+        if not self._pipelined:
             return None
         plan = self._plans.get((source, destination, nbytes))
         if plan is None:

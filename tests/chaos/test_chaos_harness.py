@@ -64,8 +64,8 @@ def test_oracle_flags_a_seeded_divergence():
     not compare equal (guards against a vacuous comparator)."""
     actions = generate_schedule(seed=5, steps=40)
     explorer = ScheduleExplorer(nodes=1)
-    fast = explorer.run(actions, fast_paths=True)
-    slow = explorer.run(actions, fast_paths=False)
+    fast = explorer.run(actions)
+    slow = explorer.run(actions, reference=True)
     twin = TWINS["fast-paths"]
     labels = ["fast", "reference"]
     # A different schedule is healthy in itself...

@@ -1,4 +1,4 @@
-"""The sharded spec twins (``shards``, ``pooling``) and their CLI."""
+"""The sharded spec twin (``shards``) and its CLI."""
 
 import copy
 import json
@@ -141,44 +141,51 @@ class TestChaosShardsCli:
 
 
 class TestPoolingOracle:
+    """The pool differential: the shards twin's reference variant runs
+    without a packet pool (or any other host fast path), so at
+    ``--shards 1`` it is exactly the old pooling-off / pooled check."""
+
     def test_clean_pooling_comparison(self):
-        report = judge("pooling")
+        report = judge(shards=1)
         assert report.ok
-        assert report.twin("pooling").labels == [
-            "1-shard pooling off", "1-shard pooled"
+        assert report.twin("shards").labels == [
+            "reference", "1-shard in-process"
         ]
-        assert "pooling: 1-shard pooling off / 1-shard pooled agree" in (
+        # The reference run really ran without the translation cache.
+        reference, pooled = report.twin("shards").runs
+        assert reference.xlat_hits == 0 < pooled.xlat_hits
+        assert "shards: reference / 1-shard in-process agree" in (
             report.summary()
         )
 
     def test_pooling_comparison_at_multiple_shards(self):
-        assert judge("pooling", shards=2).ok
+        assert judge(shards=2).ok
 
     def test_pooling_artifact_kind(self):
-        data = judge("pooling").artifact()
+        data = judge(shards=1).artifact()
         assert data["kind"] == "chaos-twins"
-        assert data["settings"]["oracle"] == "pooling"
+        assert data["settings"]["oracle"] == "shards"
+        assert data["settings"]["shards"] == 1
 
     def test_cli_no_pool_mode(self, capsys):
-        code = main(["chaos", "--oracle", "pooling", "--nodes", "4",
-                     "--no-audit"])
+        code = main(["chaos", "--oracle", "shards", "--shards", "1",
+                     "--nodes", "4", "--no-audit"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "pooling: " in out
-        assert "agree" in out
+        assert "shards: reference / 1-shard in-process agree" in out
 
     def test_cli_no_pool_with_shards(self, capsys):
         code = main([
-            "chaos", "--oracle", "pooling", "--shards", "2", "--nodes", "4",
+            "chaos", "--oracle", "shards", "--shards", "2", "--nodes", "4",
             "--no-audit",
         ])
         assert code == 0
-        assert "2-shard pooled" in capsys.readouterr().out
+        assert "2-shard in-process" in capsys.readouterr().out
 
     def test_cli_no_pool_suite(self, capsys):
         code = main([
-            "chaos", "--oracle", "pooling", "--schedules", "3", "--nodes",
-            "4", "--no-audit",
+            "chaos", "--oracle", "shards", "--shards", "1", "--schedules",
+            "3", "--nodes", "4", "--no-audit",
         ])
         assert code == 0
         out = capsys.readouterr().out

@@ -67,6 +67,15 @@ def test_help_epilog_lists_every_twin(capsys):
     assert "--engine\n" in text  # scoped to the shards twin alone
 
 
+def test_reference_variants_run_in_reference_mode():
+    """The fast-paths twin diffs a default run against a reference-mode
+    run, and the shards twin's first variant runs in reference mode."""
+    fast, reference = run_chaos(**SMALL["schedule"]).twin("fast-paths").runs
+    assert (fast.reference, reference.reference) == (False, True)
+    shards = run_chaos(oracles=("shards",), **SMALL["spec"]).twin("shards")
+    assert shards.runs[0].xlat_hits == 0 < shards.runs[1].xlat_hits
+
+
 def test_twin_requirements_switch_the_world_on():
     report = run_chaos(seed=1, steps=10, oracles=("iommu",))
     assert report.nodes == 2  # the twin needs a cluster
@@ -79,9 +88,9 @@ def explorer_runs(monkeypatch):
     calls = []
     real = ScheduleExplorer.run
 
-    def counted(self, actions, fast_paths=True):
+    def counted(self, actions, reference=False):
         calls.append((self, len(actions)))
-        return real(self, actions, fast_paths=fast_paths)
+        return real(self, actions, reference=reference)
 
     monkeypatch.setattr(ScheduleExplorer, "run", counted)
     return calls
@@ -135,11 +144,17 @@ def test_single_backend_is_refused_by_the_backends_twin(capsys):
     assert "at least two --backend entries" in err
 
 
-def test_pooling_refuses_an_engine_choice(capsys):
-    """``--engine both`` is never silently narrowed to one engine."""
-    code, err = _refused(["--oracle", "pooling", "--engine", "both"], capsys)
+def test_pooling_oracle_is_refused_naming_the_choices(capsys):
+    """The pooling twin folded into ``shards``: asking for it exits 2 with
+    the remaining choices, and ``--engine both`` is still never silently
+    narrowed by a twin that runs no engine."""
+    code, err = _refused(["--oracle", "pooling"], capsys)
     assert code == 2
-    assert "--engine does not apply to the pooling twin" in err
+    assert "unknown --oracle pooling; choose from " + ", ".join(TWINS) in err
+    assert len(TWINS) == 6
+    code, err = _refused(["--oracle", "fast-paths", "--engine", "both"], capsys)
+    assert code == 2
+    assert "--engine does not apply to the fast-paths twin" in err
 
 
 def test_single_backend_runs_exactly_that_backend(capsys):

@@ -80,14 +80,14 @@ def test_sharded_engine_snapshot_restore_equivalence(
 
 
 @given(
-    pooling=st.booleans(),
+    reference=st.booleans(),
     rounds_before=st.integers(0, 3),
     rounds_after=st.integers(1, 3),
 )
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_pingpong_snapshot_equivalence_pooling_on_off(
-    pooling, rounds_before, rounds_after
+    reference, rounds_before, rounds_after
 ):
     """Recycled (pooled) and fresh event/packet objects restore alike."""
     msg = 1024
@@ -95,7 +95,7 @@ def test_pingpong_snapshot_equivalence_pooling_on_off(
     def build():
         cluster = ShrimpCluster(
             config=ClusterConfig(
-                num_nodes=2, mem_size=1 << 19, pooling=pooling
+                num_nodes=2, mem_size=1 << 19, reference=reference
             )
         )
         procs = [cluster.node(i).create_process(f"p{i}") for i in range(2)]

@@ -130,7 +130,7 @@ class TestPlannedStep:
         raw = InProcessEngine(spec, num_shards=num_shards)
         for shard in raw.shards:
             for rt in shard.runtimes.values():
-                rt.udma.pipelining = False
+                rt.udma._pipelined = False
         planned_result = planned.run()
         raw_result = raw.run()
         if overrides.get("gap_cycles"):

@@ -229,8 +229,8 @@ def _observe(runner: _Runner, keyed: bool):
 def _check(program, keyed: bool) -> None:
     cls = ShardClock if keyed else Clock
     model = _Model()
-    pooled = _Real(cls(pooling=True))
-    unpooled = _Real(cls(pooling=False))
+    pooled = _Real(cls())
+    unpooled = _Real(cls(reference=True))
     for step, op in enumerate(program):
         for runner in (model, pooled, unpooled):
             _apply(runner, op, keyed)

@@ -66,11 +66,11 @@ def test_prefix_schedules_resume_from_shared_checkpoints():
 def test_fast_and_slow_paths_keep_separate_checkpoints():
     actions = generate_schedule(6, 24)
     explorer = ScheduleExplorer(nodes=2, checkpoint_every=8)
-    fast = explorer.run(actions, fast_paths=True)
-    slow = explorer.run(actions, fast_paths=False)
-    assert explorer.checkpoint_hits == 0  # keys differ by fast_paths
+    fast = explorer.run(actions)
+    slow = explorer.run(actions, reference=True)
+    assert explorer.checkpoint_hits == 0  # keys differ by reference
     assert _result_key(fast) != _result_key(slow) or fast.counters == slow.counters
-    refast = explorer.run(actions, fast_paths=True)
+    refast = explorer.run(actions)
     assert explorer.checkpoint_hits == 1
     assert _result_key(refast) == _result_key(fast)
 

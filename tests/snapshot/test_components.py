@@ -33,7 +33,7 @@ def _burst_clock() -> "tuple[Clock, list]":
     recycled).  Callbacks append to ``fired`` (a plain list, so the
     whole graph stays inside the snapshot module allow-list).
     """
-    clock = Clock(pooling=True)
+    clock = Clock()
     fired: list = []
     clock.schedule(5, partial(fired.append, "early"))
     doomed = clock.schedule(7, partial(fired.append, "cancelled"))
@@ -67,10 +67,15 @@ def test_clock_mid_burst_restore_equivalence():
 def test_clock_free_list_ids_rebuilt():
     clock, fired = _burst_clock()
     clock2 = restore(snapshot((clock, fired)))[0]
-    # The id()-keyed double-release ledger cannot survive serialisation;
-    # it must be rebuilt from the restored free list.
-    assert clock2._free_ids == {id(e) for e in clock2._free}
+    # The restored free list holds fresh, fired events of its own: none
+    # is shared with the original clock, and each reuse is counted.
     assert len(clock2._free) == len(clock._free)
+    assert not {id(e) for e in clock2._free} & {id(e) for e in clock._free}
+    assert all(e.callback is None for e in clock2._free)
+    reuses = clock2.pool_reuses
+    reused = clock2._free[-1]
+    assert clock2.schedule(1, lambda: None) is reused
+    assert clock2.pool_reuses == reuses + 1
 
 
 def test_clock_audit_hook_not_captured():
@@ -83,7 +88,7 @@ def test_clock_audit_hook_not_captured():
 def test_clock_state_dict_round_trip():
     clock, _fired = _burst_clock()
     assert isinstance(clock, Snapshottable)
-    twin = Clock(pooling=True)
+    twin = Clock()
     twin.load_state(clock.state_dict())
     assert twin.now == clock.now
     assert twin.pending() == clock.pending()
@@ -114,11 +119,29 @@ def test_packet_and_clock_blob_from_version_3_refused():
     with pytest.raises(SnapshotVersionError) as excinfo:
         restore(blob)
     assert excinfo.value.found == 3
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 4
+    assert excinfo.value.expected == SNAPSHOT_VERSION
     # The current version still round-trips the same graph.
     clock2, _fired2, packet2 = restore(encode((clock, fired, packet)))
     assert clock2.now == clock.now
     assert packet2 == packet
+
+def test_clock_and_pool_blob_from_version_4_refused():
+    """Version 4 pickled the clock's ``pooling``/``pool_debug`` switches
+    and id()-keyed ownership ledgers in the clock and the packet pool;
+    such a blob must be refused, never restored into a clock that reads
+    ``reference``."""
+    clock, fired = _burst_clock()
+    pool = _used_pool()
+    blob = encode((clock, fired, pool), version=4)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 4
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 5
+    clock2, _fired2, pool2 = restore(encode((clock, fired, pool)))
+    assert clock2.reference is False
+    assert not hasattr(clock2, "_free_ids")
+    assert pool2.stats() == pool.stats()
+
 
 
 def _stale_tlb() -> TLB:
@@ -180,7 +203,7 @@ def test_physical_memory_fork_is_independent():
 
 
 def _used_pool() -> PacketPool:
-    pool = PacketPool(debug=True)
+    pool = PacketPool()
     packets = [pool.acquire(0, 1, i * 64, b"x" * 64, seq=i) for i in range(4)]
     for packet in packets[:3]:
         pool.release(packet)
@@ -192,12 +215,15 @@ def test_packet_pool_round_trip_rebuilds_ownership():
     pool = _used_pool()
     pool2 = restore(snapshot(pool))
     assert pool2.stats() == pool.stats()
-    # id()-keyed ownership ledgers must be rebuilt against the restored
-    # free lists, or debug-mode double-release detection misfires.
-    assert pool2._owned_packet_ids == {id(p) for p in pool2._packets}
-    assert pool2._owned_buffer_ids == {
-        id(b) for bufs in pool2._buffers.values() for b in bufs
-    }
+    # The restored pool owns its free lists outright: no shell or buffer
+    # is shared with the original, and recycling from one leaves the
+    # other untouched.
+    assert not {id(p) for p in pool2._packets} & {id(p) for p in pool._packets}
+    packet = pool2.acquire(2, 3, 0x80, b"z" * 64, seq=11)
+    assert pool2.stats()["packet_reuses"] == pool.stats()["packet_reuses"] + 1
+    assert pool2.stats()["buffer_reuses"] == pool.stats()["buffer_reuses"] + 1
+    assert bytes(packet.payload) == b"z" * 64
+    assert all(p.payload == b"" for p in pool._packets)
     # The restored pool must keep recycling correctly.
     packet = pool2.acquire(2, 3, 128, b"z" * 64, seq=11)
     assert isinstance(packet, Packet)

@@ -98,9 +98,9 @@ def test_fork_scenario_branching_diverges_then_matches():
     assert _mem_digest(branch_a[0]) == _mem_digest(branch_b[0])
 
 
-def _pingpong(pooling: bool) -> tuple:
+def _pingpong(reference: bool) -> tuple:
     cluster = ShrimpCluster(
-        config=ClusterConfig(num_nodes=2, mem_size=1 << 19, pooling=pooling)
+        config=ClusterConfig(num_nodes=2, mem_size=1 << 19, reference=reference)
     )
     procs = [cluster.node(i).create_process(f"p{i}") for i in range(2)]
     bufs = [
@@ -125,12 +125,12 @@ def _rally(state: tuple, rounds: int) -> None:
         cluster.run_until_idle()
 
 
-@pytest.mark.parametrize("pooling", [True, False], ids=["pooled", "unpooled"])
-def test_cluster_snapshot_mid_pingpong(pooling):
-    plain = _pingpong(pooling)
+@pytest.mark.parametrize("reference", [False, True], ids=["pooled", "unpooled"])
+def test_cluster_snapshot_mid_pingpong(reference):
+    plain = _pingpong(reference)
     _rally(plain, 6)
 
-    snapped = _pingpong(pooling)
+    snapped = _pingpong(reference)
     _rally(snapped, 2)
     twin = restore(snapshot(snapped))
     _rally(twin, 4)

@@ -26,13 +26,13 @@ def _result(msg_s=1000.0, **overrides):
         "scenario": "t", "pattern": "incast", "num_nodes": 4,
         "tenants_per_node": 1, "messages": 100, "msg_bytes": 512,
         "retries": 0, "churns": 0, "sim_cycles": 5000, "events": 400,
-        "delivered": 100, "xlat_hit_rate": 0.9, "pooling": True,
-        "pipelining": True, "host_seconds": 0.1,
+        "delivered": 100, "xlat_hit_rate": 0.9, "reference": False,
+        "host_seconds": 0.1,
         "messages_per_sec": msg_s, "host_mb_per_sec": msg_s * 512 / 1e6,
     }
     enabled.update(overrides)
     disabled = dict(enabled)
-    disabled.update(pooling=False, pipelining=False,
+    disabled.update(reference=True, xlat_hit_rate=0.0,
                     messages_per_sec=msg_s / 2)
     return ScaleResult(enabled=enabled, disabled=disabled)
 

@@ -16,9 +16,9 @@ from repro.errors import AddressError, ProtectionFault
 PAGE = 4096
 
 
-def _one_proc_machine(fast_paths=True):
+def _one_proc_machine(reference=False):
     machine = Machine(
-                  config=MachineConfig(mem_size=1 << 20, fast_paths=fast_paths),
+                  config=MachineConfig(mem_size=1 << 20, reference=reference),
               )
     process = machine.create_process("app")
     buffer = machine.kernel.syscalls.alloc(process, 6 * PAGE)
@@ -68,8 +68,8 @@ def test_bulk_io_spanning_nonresident_pages_matches_reference():
     demand-zero faults mid-run) must be bit- and cycle-identical with the
     fast paths on and off."""
 
-    def run(fast_paths):
-        machine, _, buf = _one_proc_machine(fast_paths)
+    def run(reference):
+        machine, _, buf = _one_proc_machine(reference)
         data = make_payload(2 * PAGE + 123, seed=7)
         offset = PAGE // 2 + 4
         machine.cpu.write_bytes(buf + offset, data)
@@ -77,8 +77,8 @@ def test_bulk_io_spanning_nonresident_pages_matches_reference():
         machine.cpu.read_into(buf + offset, out)
         return bytes(out), machine.clock.now, machine.cpu.charged_cycles
 
-    fast = run(True)
-    reference = run(False)
+    fast = run(False)
+    reference = run(True)
     assert fast == reference
     assert fast[0] == make_payload(2 * PAGE + 123, seed=7)
 
@@ -88,8 +88,8 @@ def test_bulk_write_stops_at_downgraded_page_boundary():
     exactly the page boundary, with the prior pages' data committed --
     identically in fast and reference modes."""
 
-    def run(fast_paths):
-        machine, process, buf = _one_proc_machine(fast_paths)
+    def run(reference):
+        machine, process, buf = _one_proc_machine(reference)
         machine.cpu.write_bytes(buf, bytes(3 * PAGE))  # make pages resident
         machine.kernel.vm.set_page_protection(process, buf // PAGE + 1, False)
         data = make_payload(2 * PAGE, seed=9)
@@ -99,8 +99,8 @@ def test_bulk_write_stops_at_downgraded_page_boundary():
         machine.cpu.read_into(buf + PAGE // 2, landed)
         return bytes(landed), machine.clock.now
 
-    fast = run(True)
-    reference = run(False)
+    fast = run(False)
+    reference = run(True)
     assert fast == reference
     assert fast[0] == make_payload(2 * PAGE, seed=9)[: PAGE // 2]
 
