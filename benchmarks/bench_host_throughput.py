@@ -2,41 +2,45 @@
 
 Every other bench in this directory measures **simulated** time (cycles on
 the modelled 60 MHz node).  This module measures **host** time: simulated
-bytes moved per wall-clock second of the Python process, and clock events
-fired per second.  It is the instrument behind ``run_bench.py`` and the
-committed ``BENCH_core.json`` trajectory file that future PRs regress
-against (see ``docs/PERFORMANCE.md``).
+messages, bytes and clock events per wall-clock second of the Python
+process.  It is the instrument behind ``run_bench.py`` and the committed
+``BENCH_core.json`` / ``BENCH_scale.json`` files that later changes
+regress against (see ``docs/PERFORMANCE.md``).
 
-Five scenarios cover the hot paths the zero-copy data plane, the
-translation fast path and the sharded kernel optimise:
+One table, :data:`SCENARIOS`, holds every scenario.  Each belongs to a
+section:
 
-* ``udma_send`` -- the single-node UDMA send path (initiate, DMA fill,
-  completion polling) into a sink device;
-* ``cluster_pingpong`` -- the 2-node deliberate-update round trip: UDMA
-  fill, packetise, wire, route, receive-DMA into remote physical memory;
-* ``stepping_dma`` -- the word-stepping engine, where per-burst events
-  dominate and event-queue overhead is the bottleneck;
-* ``translate_storm`` -- a multi-page working set hammered with word
-  loads and page-run buffer I/O, with periodic context switches to force
-  translation-cache refills (the CPU's software-TLB worst case);
-* ``cluster_mesh_64`` -- a 64-node 8x8 mesh of self-driving ring
-  senders on the conservative-PDES sharded kernel (``repro.sharding``),
-  timing pure event execution.
+* ``core`` -- the hot paths the zero-copy data plane, the translation
+  fast path and the sharded kernel optimise: single-node UDMA sends into
+  a sink (``udma_send``), the 2-node deliberate-update round trip
+  (``cluster_pingpong``), the word-stepping DMA engine
+  (``stepping_dma``), a translation-cache stress loop
+  (``translate_storm``) and a 64-node mesh on the conservative-PDES
+  sharded kernel (``cluster_mesh_64``);
+* ``obs`` -- ``udma_send`` with the observability plane off, at its
+  default (metrics) and fully on (spans);
+* ``reliability`` -- ``cluster_pingpong`` with the ack/retransmit
+  transport off, on, and on at 1% packet loss;
+* ``scale`` -- the ``repro.traffic`` engine at up to 10^6 messages per
+  run, the gated collectives also in reference mode (no host fast path);
+* ``shards`` -- ``cluster_mesh_64`` on the multi-process worker engine at
+  1, 2, 4, ... shards up to this host's CPU count.
 
-CPU-bound scenarios also report the translation fast path's hit rate
-(``xlat%``), so a change that silently degrades the cache shows up even
-when raw MB/s noise hides it.
+A scenario runs one or more named *variants*; when ``identical`` is set
+the variants must simulate identically (only host time may differ).
 
-The scenarios hold *simulated* behaviour fixed (same cycle counts before
-and after any host-side optimisation) so MB/s numbers are comparable
-across commits.
+Every :class:`Result` separates the simulated outcome (``sim``: a pure
+function of the workload, compared exactly) from host seconds and the
+translation-cache counts, which are host statistics and never compared.
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import (
     ClusterConfig,
@@ -48,529 +52,167 @@ from repro import (
 from repro.bench.workloads import make_payload
 from repro.devices import SinkDevice
 from repro.dma.engine import DmaEngine, MemoryEndpoint
-from repro.snapshot import fork as snapshot_fork
 from repro.userlib import DeviceRef, MemoryRef, Sender, UdmaUser
+
+#: The one schema of every bench JSON file (``BENCH_core.json``,
+#: ``BENCH_scale.json``, ``--json`` reports).
+SCHEMA = "shrimp-bench/2"
+
+SECTIONS = ("core", "obs", "reliability", "scale", "shards")
 
 
 @dataclass
-class HostResult:
-    """One scenario's host-side throughput measurement."""
+class Result:
+    """One timed run of one scenario variant."""
 
-    scenario: str
-    sim_bytes: int
-    sim_cycles: int
-    messages: int
+    #: simulated cycles, events, messages and bytes, plus delivered /
+    #: retries / churns where a scenario has them; compared exactly
+    sim: Dict[str, int]
     host_seconds: float
-    events_fired: int
     xlat_hits: int = 0
     xlat_misses: int = 0
+    #: hit rate for runs that report only a rate (``repro.traffic``)
+    xlat_rate: Optional[float] = None
+
+    def _per_s(self, amount: int) -> float:
+        return amount / self.host_seconds if self.host_seconds else 0.0
+
+    @property
+    def messages_per_s(self) -> float:
+        return self._per_s(self.sim["messages"])
 
     @property
     def mb_per_s(self) -> float:
         """Simulated payload bytes moved per host second, in MB/s."""
-        return self.sim_bytes / self.host_seconds / 1e6 if self.host_seconds else 0.0
+        return self._per_s(self.sim["sim_bytes"]) / 1e6
 
     @property
     def events_per_s(self) -> float:
-        """Clock events fired per host second."""
-        return self.events_fired / self.host_seconds if self.host_seconds else 0.0
-
-    @property
-    def messages_per_s(self) -> float:
-        return self.messages / self.host_seconds if self.host_seconds else 0.0
+        return self._per_s(self.sim["events_fired"])
 
     @property
     def xlat_hit_rate(self) -> float:
         """Translation fast-path hit rate over the timed window (0..1)."""
+        if self.xlat_rate is not None:
+            return self.xlat_rate
         total = self.xlat_hits + self.xlat_misses
         return self.xlat_hits / total if total else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
+    def as_dict(self) -> dict:
         return {
-            "sim_bytes": self.sim_bytes,
-            "sim_cycles": self.sim_cycles,
-            "messages": self.messages,
+            "sim": dict(self.sim),
             "host_seconds": round(self.host_seconds, 6),
-            "events_fired": self.events_fired,
+            "messages_per_s": round(self.messages_per_s, 1),
             "mb_per_s": round(self.mb_per_s, 3),
             "events_per_s": round(self.events_per_s, 1),
-            "messages_per_s": round(self.messages_per_s, 1),
             "xlat_hits": self.xlat_hits,
             "xlat_misses": self.xlat_misses,
             "xlat_hit_rate": round(self.xlat_hit_rate, 4),
         }
 
 
-def _events_fired(clock) -> int:
-    """Events fired so far (0 on clocks without the counter)."""
-    return getattr(clock, "events_fired", 0)
+def _xlat_counters(cpus) -> Tuple[int, int]:
+    """Summed (hits, misses) of the CPUs' translation fast path."""
+    return (sum(cpu.xlat_hits for cpu in cpus),
+            sum(cpu.xlat_misses for cpu in cpus))
 
 
-def _xlat_counters(*cpus) -> "tuple[int, int]":
-    """Summed (hits, misses) of the CPUs' translation fast path.
-
-    Zero on trees whose CPU predates the cache, so the harness stays
-    runnable for before/after comparison.
-    """
-    hits = sum(getattr(cpu, "xlat_hits", 0) for cpu in cpus)
-    misses = sum(getattr(cpu, "xlat_misses", 0) for cpu in cpus)
-    return hits, misses
-
-
-# ------------------------------------------------- warm-start templates
-@dataclass
-class _WarmContext:
-    """A fully-constructed scenario world, ready for its timed loop.
-
-    ``root`` is the object whose ``_reattach_after_restore`` hook rebinds
-    sampled metrics after a fork; ``handles`` carries the scenario's
-    working references (processes, buffers, senders, engines) so a fork
-    of the context keeps them pointing into the forked world, never back
-    at the template.
-    """
-
-    root: object
-    handles: Dict[str, object] = field(default_factory=dict)
-
-    def _reattach_after_restore(self) -> None:
-        hook = getattr(self.root, "_reattach_after_restore", None)
-        if hook is not None:
-            hook()
-
-
-#: (scenario, setup-kwargs) -> template context; populated on first use
-#: under --warm-start, then only ever forked -- never mutated.
-_TEMPLATE_CACHE: Dict[tuple, _WarmContext] = {}
-
-
-def _warm(
-    scenario: str,
-    key: tuple,
-    build: Callable[[], _WarmContext],
-    warm_start: bool,
-) -> _WarmContext:
-    """Build a scenario world, via the fork template cache when asked.
-
-    With ``warm_start`` the first call per (scenario, key) pays full
-    construction; every later call gets ``repro.snapshot.fork`` of the
-    cached template instead of rebuilding machines from scratch.
-    Restore-equivalence (``tests/snapshot/``) guarantees the fork's timed
-    loop is simulated bit-identically to a freshly built world's, so
-    warm-started MB/s numbers gate against the same baselines.
-    """
-    if not warm_start:
-        return build()
-    cache_key = (scenario,) + key
-    template = _TEMPLATE_CACHE.get(cache_key)
-    if template is None:
-        template = build()
-        _TEMPLATE_CACHE[cache_key] = template
-    return snapshot_fork(template)
+def _timed(clock, cpus, loop: Callable[[], None], messages: int,
+           sim_bytes: int) -> Result:
+    """Run ``loop`` as the timed window; measure it on ``clock``/``cpus``."""
+    start_cycles, start_events = clock.now, clock.events_fired
+    hits0, misses0 = _xlat_counters(cpus)
+    t0 = time.perf_counter()
+    loop()
+    elapsed = time.perf_counter() - t0
+    hits1, misses1 = _xlat_counters(cpus)
+    return Result(
+        sim={
+            "sim_cycles": clock.now - start_cycles,
+            "events_fired": clock.events_fired - start_events,
+            "messages": messages,
+            "sim_bytes": sim_bytes,
+        },
+        host_seconds=elapsed,
+        xlat_hits=hits1 - hits0,
+        xlat_misses=misses1 - misses0,
+    )
 
 
 # ------------------------------------------------------------- scenarios
-def _udma_send_setup(msg_bytes: int, obs: Optional[ObsConfig]) -> _WarmContext:
+def _udma_sink(msg_bytes: int, obs: Optional[ObsConfig] = None):
+    """A node with a sink device, a filled send buffer and its grant."""
     machine = Machine(config=MachineConfig(mem_size=1 << 21, obs=obs))
-    sink = SinkDevice("sink", size=1 << 16)
-    machine.attach_device(sink)
+    machine.attach_device(SinkDevice("sink", size=1 << 16))
     process = machine.create_process("bench")
     buf = machine.kernel.syscalls.alloc(process, msg_bytes)
     grant = machine.kernel.syscalls.grant_device_proxy(process, "sink")
     udma = UdmaUser(machine, process)
     machine.cpu.write_bytes(buf, make_payload(msg_bytes))
     machine.run_until_idle()
-    return _WarmContext(
-        root=machine, handles={"udma": udma, "buf": buf, "grant": grant}
-    )
+
+    def send(messages: int) -> None:
+        for _ in range(messages):
+            udma.transfer(MemoryRef(buf), DeviceRef(grant), msg_bytes)
+            machine.run_until_idle()
+
+    return machine, send
 
 
 def bench_udma_send(
     messages: int = 400,
     msg_bytes: int = 4096,
     obs: Optional[ObsConfig] = None,
-    warm_start: bool = False,
-) -> HostResult:
+) -> Result:
     """Single-node UDMA sends of ``msg_bytes`` into a sink device.
 
     The send buffer is filled once outside the timed window; the loop is
     pure UDMA initiation + DMA + completion polling -- the critical path
     of the paper's section 8.  ``obs`` selects the observability plane
-    configuration, so the same scenario doubles as the obs-overhead A/B
-    instrument (see :func:`run_obs_overhead`).  ``warm_start`` forks the
-    constructed machine from a template instead of rebuilding it.
+    configuration (the ``obs`` section's variants).
     """
-    ctx = _warm(
-        "udma_send",
-        (msg_bytes, repr(obs)),
-        lambda: _udma_send_setup(msg_bytes, obs),
-        warm_start,
-    )
-    machine = ctx.root
-    udma = ctx.handles["udma"]
-    buf = ctx.handles["buf"]
-    grant = ctx.handles["grant"]
-
-    start_cycles = machine.now
-    start_events = _events_fired(machine.clock)
-    hits0, misses0 = _xlat_counters(machine.cpu)
-    t0 = time.perf_counter()
-    for _ in range(messages):
-        udma.transfer(MemoryRef(buf), DeviceRef(grant), msg_bytes)
-        machine.run_until_idle()
-    elapsed = time.perf_counter() - t0
-    hits1, misses1 = _xlat_counters(machine.cpu)
-    return HostResult(
-        scenario="udma_send",
-        sim_bytes=messages * msg_bytes,
-        sim_cycles=machine.now - start_cycles,
-        messages=messages,
-        host_seconds=elapsed,
-        events_fired=_events_fired(machine.clock) - start_events,
-        xlat_hits=hits1 - hits0,
-        xlat_misses=misses1 - misses0,
-    )
+    machine, send = _udma_sink(msg_bytes, obs)
+    return _timed(machine.clock, [machine.cpu], lambda: send(messages),
+                  messages, messages * msg_bytes)
 
 
-def _cluster_pingpong_setup(
-    msg_bytes: int, obs: Optional[ObsConfig]
-) -> _WarmContext:
-    cluster = ShrimpCluster(
-                  config=ClusterConfig(num_nodes=2, mem_size=1 << 21, obs=obs),
-              )
-    procs = [cluster.node(i).create_process(f"p{i}") for i in range(2)]
-    bufs = [
-        cluster.node(i).kernel.syscalls.alloc(procs[i], msg_bytes)
-        for i in range(2)
-    ]
-    ch01 = cluster.create_channel(0, 1, procs[1], bufs[1], msg_bytes)
-    ch10 = cluster.create_channel(1, 0, procs[0], bufs[0], msg_bytes)
-    senders = [
-        Sender(cluster, procs[0], ch01),
-        Sender(cluster, procs[1], ch10),
-    ]
-    for sender in senders:
-        sender._ensure_current()
-        sender.machine.cpu.write_bytes(sender.buffer, make_payload(msg_bytes))
-    cluster.run_until_idle()
-    return _WarmContext(root=cluster, handles={"senders": senders})
+def transfer_latency_profile(
+    messages: int = 50, msg_bytes: int = 4096
+) -> Dict[str, float]:
+    """Per-transfer latency histogram from a small metered workload.
+
+    Returns the ``udma.transfer_cycles`` histogram value dict
+    (count/sum/min/max/p50/p99, in simulated cycles) after ``messages``
+    sends on the ``udma_send`` rig -- the number ``docs/PERFORMANCE.md``
+    quotes.
+    """
+    machine, send = _udma_sink(msg_bytes)
+    send(messages)
+    return machine.metrics()["udma"]["transfer_cycles"]
 
 
 def bench_cluster_pingpong(
     rounds: int = 200,
     msg_bytes: int = 4096,
-    obs: Optional[ObsConfig] = None,
-    warm_start: bool = False,
-) -> HostResult:
+    reliability: bool = False,
+    drop_every: int = 0,
+) -> Result:
     """2-node deliberate-update ping-pong over the routing backplane.
 
     Each round is one message node0 -> node1 and one message back, each
     drained to remote-memory delivery (the full Figure 6 pipeline).  The
     payload buffers are filled once outside the timed window.
-    """
-    ctx = _warm(
-        "cluster_pingpong",
-        (msg_bytes, repr(obs)),
-        lambda: _cluster_pingpong_setup(msg_bytes, obs),
-        warm_start,
-    )
-    cluster = ctx.root
-    senders = ctx.handles["senders"]
 
-    cpus = [cluster.node(i).cpu for i in range(2)]
-    start_cycles = cluster.now
-    start_events = _events_fired(cluster.clock)
-    hits0, misses0 = _xlat_counters(*cpus)
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        senders[0].send_buffer(msg_bytes)
-        cluster.run_until_idle()
-        senders[1].send_buffer(msg_bytes)
-        cluster.run_until_idle()
-    elapsed = time.perf_counter() - t0
-    hits1, misses1 = _xlat_counters(*cpus)
-    return HostResult(
-        scenario="cluster_pingpong",
-        sim_bytes=2 * rounds * msg_bytes,
-        sim_cycles=cluster.now - start_cycles,
-        messages=2 * rounds,
-        host_seconds=elapsed,
-        events_fired=_events_fired(cluster.clock) - start_events,
-        xlat_hits=hits1 - hits0,
-        xlat_misses=misses1 - misses0,
-    )
-
-
-def _stepping_dma_setup(
-    nbytes: int, burst_bytes: int, bursts_per_event: int
-) -> _WarmContext:
-    machine = Machine(config=MachineConfig(mem_size=1 << 21))
-    clock = machine.clock
-    try:
-        engine = DmaEngine(
-            clock,
-            machine.costs,
-            name="bench-step",
-            burst_bytes=burst_bytes,
-            bursts_per_event=bursts_per_event,
-        )
-    except TypeError:  # pre-chunking engine: one event per burst
-        engine = DmaEngine(
-            clock, machine.costs, name="bench-step", burst_bytes=burst_bytes
-        )
-    machine.physmem.write(0, make_payload(nbytes))
-    return _WarmContext(root=machine, handles={"engine": engine})
-
-
-def bench_stepping_dma(
-    transfers: int = 40,
-    nbytes: int = 1 << 16,
-    burst_bytes: int = 64,
-    bursts_per_event: int = 8,
-    warm_start: bool = False,
-) -> HostResult:
-    """Word-stepping memory-to-memory DMA, where events are the cost.
-
-    ``bursts_per_event`` batches burst events on engines that support
-    chunked stepping; older engines fall back to one event per burst, so
-    the scenario stays runnable for before/after comparison.
-    """
-    ctx = _warm(
-        "stepping_dma",
-        (nbytes, burst_bytes, bursts_per_event),
-        lambda: _stepping_dma_setup(nbytes, burst_bytes, bursts_per_event),
-        warm_start,
-    )
-    machine = ctx.root
-    engine = ctx.handles["engine"]
-    clock = machine.clock
-    physmem = machine.physmem
-    src_paddr, dst_paddr = 0, nbytes
-
-    start_cycles = clock.now
-    start_events = _events_fired(clock)
-    t0 = time.perf_counter()
-    for _ in range(transfers):
-        engine.start(
-            MemoryEndpoint(physmem, src_paddr),
-            MemoryEndpoint(physmem, dst_paddr),
-            nbytes,
-        )
-        clock.run_until_idle()
-    elapsed = time.perf_counter() - t0
-    assert physmem.read(dst_paddr, nbytes) == physmem.read(src_paddr, nbytes)
-    return HostResult(
-        scenario="stepping_dma",
-        sim_bytes=transfers * nbytes,
-        sim_cycles=clock.now - start_cycles,
-        messages=transfers,
-        host_seconds=elapsed,
-        events_fired=_events_fired(clock) - start_events,
-    )
-
-
-def _translate_storm_setup(pages: int) -> _WarmContext:
-    machine = Machine(config=MachineConfig(mem_size=1 << 22))
-    nbytes = pages * machine.costs.page_size
-    storm = machine.create_process("storm")
-    other = machine.create_process("other")
-    machine.kernel.scheduler.switch_to(storm)
-    buf = machine.kernel.syscalls.alloc(storm, nbytes)
-    machine.cpu.write_bytes(buf, make_payload(nbytes))
-    machine.run_until_idle()
-    return _WarmContext(
-        root=machine, handles={"storm": storm, "other": other, "buf": buf}
-    )
-
-
-def bench_translate_storm(
-    iterations: int = 120, pages: int = 64, warm_start: bool = False
-) -> HostResult:
-    """Translation-heavy CPU work: the software-TLB's stress case.
-
-    Each iteration walks a ``pages``-page working set with one word LOAD
-    per page (pure translation traffic), then streams the whole buffer
-    through ``read_into`` and ``write_bytes`` (one translation per page
-    run).  Every eighth iteration context-switches away and back, which
-    bumps the TLB generation and forces the CPU's translation cache to
-    re-validate via full MMU walks -- so the measured hit rate reflects
-    shootdown-correct caching, not an unrealistic 100%.
-    """
-    ctx = _warm(
-        "translate_storm",
-        (pages,),
-        lambda: _translate_storm_setup(pages),
-        warm_start,
-    )
-    machine = ctx.root
-    storm, other, buf = (
-        ctx.handles["storm"], ctx.handles["other"], ctx.handles["buf"]
-    )
-    page_size = machine.costs.page_size
-    nbytes = pages * page_size
-    scheduler = machine.kernel.scheduler
-    cpu = machine.cpu
-
-    scratch = bytearray(nbytes)
-    start_cycles = machine.now
-    start_events = _events_fired(machine.clock)
-    start_instructions = cpu.instructions
-    hits0, misses0 = _xlat_counters(cpu)
-    t0 = time.perf_counter()
-    for i in range(iterations):
-        for offset in range(0, nbytes, page_size):
-            cpu.load(buf + offset)
-        cpu.read_into(buf, scratch)
-        cpu.write_bytes(buf, scratch)
-        if i % 8 == 7:
-            scheduler.switch_to(other)
-            scheduler.switch_to(storm)
-    elapsed = time.perf_counter() - t0
-    hits1, misses1 = _xlat_counters(cpu)
-    return HostResult(
-        scenario="translate_storm",
-        sim_bytes=iterations * 2 * nbytes,
-        sim_cycles=machine.now - start_cycles,
-        messages=iterations,
-        host_seconds=elapsed,
-        # Pure CPU work never schedules a clock event, so the event
-        # column would read 0; the simulator's unit of work here is the
-        # retired instruction, and that is what events/s must reflect.
-        events_fired=(
-            _events_fired(machine.clock) - start_events
-            + cpu.instructions - start_instructions
-        ),
-        xlat_hits=hits1 - hits0,
-        xlat_misses=misses1 - misses0,
-    )
-
-
-def bench_cluster_mesh_64(messages: int = 16, shards: int = 1) -> HostResult:
-    """A 64-node 8x8 mesh of self-driving senders on the sharded kernel.
-
-    Every node streams ``messages`` deliberate-update sends around the
-    node ring under the conservative-PDES engine (``repro.sharding``).
-    Construction of the 64 machines happens *outside* the timed window;
-    what is measured is pure event execution -- the metric that the
-    shard-scaling sweep (``run_bench.py --shards N``) must scale.
-    """
-    from repro.sharding import ClusterSpec, InProcessEngine
-
-    spec = ClusterSpec(num_nodes=64, messages_per_node=messages)
-    engine = InProcessEngine(spec, num_shards=shards)
-    t0 = time.perf_counter()
-    result = engine.run()
-    elapsed = time.perf_counter() - t0
-    return HostResult(
-        scenario="cluster_mesh_64",
-        sim_bytes=result.sent * spec.msg_bytes,
-        sim_cycles=result.now,
-        messages=result.sent,
-        host_seconds=elapsed,
-        events_fired=result.events_fired,
-        xlat_hits=result.xlat_hits,
-        xlat_misses=result.xlat_misses,
-    )
-
-
-def bench_cluster_mesh_worker(messages: int = 16, shards: int = 1) -> HostResult:
-    """The same 64-node mesh on the multi-process worker engine.
-
-    The timed window starts when every worker has built its shard and
-    ends when the relay drains (``WorkerEngine.timed_seconds``), so the
-    scaling sweep compares execution, not process spawning.  Not in
-    :data:`SCENARIOS` -- worker timings depend on the host's core count,
-    so they must not gate the regression check.
-    """
-    from repro.sharding import ClusterSpec, WorkerEngine
-
-    spec = ClusterSpec(num_nodes=64, messages_per_node=messages)
-    engine = WorkerEngine(spec, num_shards=shards)
-    result = engine.run()
-    assert engine.timed_seconds is not None
-    return HostResult(
-        scenario=f"cluster_mesh_64@{shards}shard",
-        sim_bytes=result.sent * spec.msg_bytes,
-        sim_cycles=result.now,
-        messages=result.sent,
-        host_seconds=engine.timed_seconds,
-        events_fired=result.events_fired,
-        xlat_hits=result.xlat_hits,
-        xlat_misses=result.xlat_misses,
-    )
-
-
-def run_scaling_sweep(
-    max_shards: int = 8, quick: bool = False, repeats: int = 3
-) -> "Dict[int, HostResult]":
-    """Worker-engine events/s at 1/2/4/.../``max_shards`` shards.
-
-    Single-schedule, best-of-N per point; every point simulates the
-    identical workload (the determinism contract), so events/s is
-    directly comparable across shard counts.
-    """
-    messages = 4 if quick else 16
-    counts = [c for c in (1, 2, 4, 8, 16) if c <= max_shards]
-    if max_shards not in counts:
-        counts.append(max_shards)
-    results: "Dict[int, HostResult]" = {}
-    for shards in counts:
-        best: Optional[HostResult] = None
-        for _ in range(max(1, repeats)):
-            result = bench_cluster_mesh_worker(
-                messages=messages, shards=shards
-            )
-            if best is None or result.host_seconds < best.host_seconds:
-                best = result
-        assert best is not None
-        results[shards] = best
-    return results
-
-
-def format_scaling(results: "Dict[int, HostResult]") -> str:
-    """The scaling table appended to the bench report."""
-    lines = [
-        "shard scaling (cluster_mesh_64, worker engine):",
-        f"{'shards':>7} {'events/s':>12} {'host s':>9} {'speedup':>8}",
-    ]
-    base = results.get(1)
-    for shards in sorted(results):
-        r = results[shards]
-        speedup = (
-            r.events_per_s / base.events_per_s
-            if base is not None and base.events_per_s
-            else 0.0
-        )
-        lines.append(
-            f"{shards:>7} {r.events_per_s:>12.0f} "
-            f"{r.host_seconds:>9.3f} {speedup:>7.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def bench_reliable_pingpong(
-    rounds: int = 100,
-    msg_bytes: int = 4096,
-    reliability: bool = False,
-    drop_every: int = 0,
-) -> HostResult:
-    """Ping-pong with the ack/retransmit transport in the loop.
-
-    Deliberately NOT registered in :data:`SCENARIOS`: the transport is an
-    opt-in feature, so it must not perturb the ``BENCH_core.json``
-    regression gate.  Run via ``run_bench.py --reliability-overhead``.
-
+    ``reliability`` puts the ack/retransmit transport in the loop, and
     ``drop_every`` > 0 installs a deterministic counting injector that
     drops every Nth routed packet (data and ACKs alike -- both must
-    heal), forcing the full encode/decode wire path plus retransmission
-    timeouts.  ``drop_every=100`` is the "1% loss" point.
+    heal), so timeouts and retransmissions are timed too;
+    ``drop_every=100`` is the "1% loss" point.
     """
     cluster = ShrimpCluster(
-                  config=ClusterConfig(
-                      num_nodes=2,
-                      mem_size=1 << 21,
-                      reliability=reliability,
-                  ),
-              )
+        config=ClusterConfig(num_nodes=2, mem_size=1 << 21,
+                             reliability=reliability),
+    )
     if drop_every > 0:
         routed = {"n": 0}
 
@@ -584,242 +226,357 @@ def bench_reliable_pingpong(
         cluster.node(i).kernel.syscalls.alloc(procs[i], msg_bytes)
         for i in range(2)
     ]
-    ch01 = cluster.create_channel(0, 1, procs[1], bufs[1], msg_bytes)
-    ch10 = cluster.create_channel(1, 0, procs[0], bufs[0], msg_bytes)
     senders = [
-        Sender(cluster, procs[0], ch01),
-        Sender(cluster, procs[1], ch10),
+        Sender(cluster, procs[0],
+               cluster.create_channel(0, 1, procs[1], bufs[1], msg_bytes)),
+        Sender(cluster, procs[1],
+               cluster.create_channel(1, 0, procs[0], bufs[0], msg_bytes)),
     ]
     for sender in senders:
         sender._ensure_current()
         sender.machine.cpu.write_bytes(sender.buffer, make_payload(msg_bytes))
     cluster.run_until_idle()
 
-    start_cycles = cluster.now
-    start_events = _events_fired(cluster.clock)
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        senders[0].send_buffer(msg_bytes)
-        cluster.run_until_idle()
-        senders[1].send_buffer(msg_bytes)
-        cluster.run_until_idle()
-    elapsed = time.perf_counter() - t0
-    label = "reliable_pingpong" if reliability else "pingpong_unreliable"
-    if drop_every:
-        label += f"_loss{100 // drop_every}pct"
-    return HostResult(
-        scenario=label,
-        sim_bytes=2 * rounds * msg_bytes,
-        sim_cycles=cluster.now - start_cycles,
-        messages=2 * rounds,
-        host_seconds=elapsed,
-        events_fired=_events_fired(cluster.clock) - start_events,
+    def loop() -> None:
+        for _ in range(rounds):
+            senders[0].send_buffer(msg_bytes)
+            cluster.run_until_idle()
+            senders[1].send_buffer(msg_bytes)
+            cluster.run_until_idle()
+
+    cpus = [cluster.node(i).cpu for i in range(2)]
+    return _timed(cluster.clock, cpus, loop, 2 * rounds,
+                  2 * rounds * msg_bytes)
+
+
+def bench_stepping_dma(
+    transfers: int = 40,
+    nbytes: int = 1 << 16,
+    burst_bytes: int = 64,
+    bursts_per_event: int = 8,
+) -> Result:
+    """Word-stepping memory-to-memory DMA, where events are the cost."""
+    machine = Machine(config=MachineConfig(mem_size=1 << 21))
+    engine = DmaEngine(
+        machine.clock,
+        machine.costs,
+        name="bench-step",
+        burst_bytes=burst_bytes,
+        bursts_per_event=bursts_per_event,
+    )
+    physmem = machine.physmem
+    physmem.write(0, make_payload(nbytes))
+
+    def loop() -> None:
+        for _ in range(transfers):
+            engine.start(MemoryEndpoint(physmem, 0),
+                         MemoryEndpoint(physmem, nbytes), nbytes)
+            machine.clock.run_until_idle()
+
+    result = _timed(machine.clock, [], loop, transfers, transfers * nbytes)
+    assert physmem.read(nbytes, nbytes) == physmem.read(0, nbytes)
+    return result
+
+
+def bench_translate_storm(iterations: int = 120, pages: int = 64) -> Result:
+    """Translation-heavy CPU work: the software-TLB's stress case.
+
+    Each iteration walks a ``pages``-page working set with one word LOAD
+    per page (pure translation traffic), then streams the whole buffer
+    through ``read_into`` and ``write_bytes`` (one translation per page
+    run).  Every eighth iteration context-switches away and back, which
+    bumps the TLB generation and forces the CPU's translation cache to
+    re-validate via full MMU walks -- so the measured hit rate reflects
+    shootdown-correct caching, not an unrealistic 100%.
+    """
+    machine = Machine(config=MachineConfig(mem_size=1 << 22))
+    page_size = machine.costs.page_size
+    nbytes = pages * page_size
+    storm = machine.create_process("storm")
+    other = machine.create_process("other")
+    scheduler = machine.kernel.scheduler
+    scheduler.switch_to(storm)
+    buf = machine.kernel.syscalls.alloc(storm, nbytes)
+    cpu = machine.cpu
+    cpu.write_bytes(buf, make_payload(nbytes))
+    machine.run_until_idle()
+    scratch = bytearray(nbytes)
+
+    def loop() -> None:
+        for i in range(iterations):
+            for offset in range(0, nbytes, page_size):
+                cpu.load(buf + offset)
+            cpu.read_into(buf, scratch)
+            cpu.write_bytes(buf, scratch)
+            if i % 8 == 7:
+                scheduler.switch_to(other)
+                scheduler.switch_to(storm)
+
+    start_instructions = cpu.instructions
+    result = _timed(machine.clock, [cpu], loop, iterations,
+                    iterations * 2 * nbytes)
+    # Pure CPU work never schedules a clock event, so the simulator's
+    # unit of work here is the retired instruction.
+    result.sim["events_fired"] += cpu.instructions - start_instructions
+    return result
+
+
+def bench_cluster_mesh_64(
+    messages: int = 16, shards: int = 1, engine: str = "in-process"
+) -> Result:
+    """A 64-node 8x8 mesh of self-driving senders on the sharded kernel.
+
+    Every node streams ``messages`` deliberate-update sends around the
+    node ring under the conservative-PDES engine (``repro.sharding``),
+    in this process (``engine="in-process"``) or on ``shards`` worker
+    processes (``engine="worker"``).  The timed window is the engine's
+    own ``timed_seconds``: it starts once every shard is built and ends
+    when the run drains, so it measures execution, not construction or
+    process spawning.
+    """
+    from repro.sharding import ClusterSpec, InProcessEngine, WorkerEngine
+
+    spec = ClusterSpec(num_nodes=64, messages_per_node=messages)
+    engines = {"in-process": InProcessEngine, "worker": WorkerEngine}
+    runner = engines[engine](spec, num_shards=shards)
+    result = runner.run()
+    return Result(
+        sim={
+            "sim_cycles": result.now,
+            "events_fired": result.events_fired,
+            "messages": result.sent,
+            "sim_bytes": result.sent * spec.msg_bytes,
+        },
+        host_seconds=runner.timed_seconds,
+        xlat_hits=result.xlat_hits,
+        xlat_misses=result.xlat_misses,
     )
 
 
-# --------------------------------------------------------------- running
-#: scenario name -> (full kwargs, quick kwargs)
-SCENARIOS: Dict[str, "ScenarioSpec"] = {}
+def bench_traffic(reference: bool = False, **kwargs) -> Result:
+    """One ``repro.traffic.run_scenario`` pass (its own timed window)."""
+    from repro.traffic import run_scenario
+
+    r = run_scenario(kwargs["pattern"], reference=reference, **kwargs)
+    return Result(
+        sim={
+            "sim_cycles": r.sim_cycles,
+            "events_fired": r.events,
+            "messages": r.messages,
+            "sim_bytes": r.messages * r.msg_bytes,
+            "delivered": r.delivered,
+            "retries": r.retries,
+            "churns": r.churns,
+        },
+        host_seconds=r.host_seconds,
+        xlat_rate=r.xlat_hit_rate,
+    )
 
 
-@dataclass
-class ScenarioSpec:
+# ----------------------------------------------------------------- table
+@dataclass(frozen=True)
+class Scenario:
+    """One row of :data:`SCENARIOS`."""
+
+    section: str
     name: str
-    fn: Callable[..., HostResult]
-    full: Dict[str, int] = field(default_factory=dict)
-    quick: Dict[str, int] = field(default_factory=dict)
-    #: supports warm_start= (fork-based template cache); the sharded mesh
-    #: builds its worlds inside the engine, so it stays cold
-    warm: bool = True
+    fn: Callable[..., Result]
+    #: workload kwargs of a full and a ``--quick`` run (recorded in JSON)
+    full: Dict[str, object]
+    quick: Dict[str, object]
+    #: variant name -> extra kwargs; variants interleave within a repeat
+    variants: Dict[str, Dict[str, object]] = field(
+        default_factory=lambda: {"default": {}}
+    )
+    #: the variants must simulate identically
+    identical: bool = True
+    #: host msgs/s is compared against a baseline
+    gate_rate: bool = True
+
+    def kwargs(self, quick: bool) -> Dict[str, object]:
+        return dict(self.quick if quick else self.full)
 
 
-def _register(name, fn, full, quick, warm=True):
-    SCENARIOS[name] = ScenarioSpec(name, fn, full, quick, warm)
+def shard_counts(limit: int) -> List[int]:
+    """1, 2, 4, ... below ``limit``, then ``limit`` itself."""
+    counts = [1]
+    while counts[-1] * 2 <= limit:
+        counts.append(counts[-1] * 2)
+    if counts[-1] != limit:
+        counts.append(limit)
+    return counts
 
 
-# Quick workloads keep a run CI-cheap, so their timed regions are short:
-# about 5-25 ms per repeat for the four single-clock scenarios and about
-# 60-100 ms for cluster_mesh_64 (2-vCPU Xeon, CPython 3.11.7).  Regions
-# that short make MB/s noisy, which is why CI gates quick runs with a
-# wide --tolerance (docs/PERFORMANCE.md).
-_register("udma_send", bench_udma_send,
-          {"messages": 400}, {"messages": 200})
-_register("cluster_pingpong", bench_cluster_pingpong,
-          {"rounds": 200}, {"rounds": 100})
-_register("stepping_dma", bench_stepping_dma,
-          {"transfers": 40}, {"transfers": 15})
-_register("translate_storm", bench_translate_storm,
-          {"iterations": 120}, {"iterations": 40})
-_register("cluster_mesh_64", bench_cluster_mesh_64,
-          {"messages": 16}, {"messages": 4}, warm=False)
+#: obs variants: ``baseline`` disables the whole plane, ``metrics`` is the
+#: library default (registry bound, spans off), ``spans`` turns all on
+OBS_VARIANTS = {
+    "baseline": {"obs": ObsConfig(metrics=False, spans=False)},
+    "metrics": {},
+    "spans": {"obs": ObsConfig(metrics=True, spans=True)},
+}
 
 
-def run_all(
-    quick: bool = False, repeats: int = 3, warm_start: bool = False
-) -> Dict[str, HostResult]:
-    """Run every scenario ``repeats`` times; keep the fastest host time.
+def _traffic(full: int, quick: int, **kwargs) -> Dict[str, dict]:
+    """Full/quick kwargs of a traffic scenario sending ``full``/``quick``."""
+    kwargs = {"msg_bytes": 512, "tenants_per_node": 1, **kwargs}
+    return {"full": {**kwargs, "messages": full},
+            "quick": {**kwargs, "messages": quick}}
 
-    Best-of-N damps scheduler noise; simulated results are identical
-    across repeats (the simulator is deterministic).  ``warm_start``
-    builds each scenario's world once and forks it per repeat
-    (``repro.snapshot.fork``), cutting sweep wall-clock without changing
-    any simulated number -- restore-equivalence makes the forked repeats
-    bit-identical to cold ones.
+
+_REFERENCE = {"reference": {"reference": True}, "default": {}}
+
+
+# Quick workloads keep every timed window at or above 100 ms per repeat:
+# 110-200 ms for each core scenario and obs variant (250 ms with spans),
+# 140-400 ms per reliability variant and 0.4-1.4 s per scale pass, best
+# of 5 on a 2-vCPU Xeon, CPython 3.11.7.  Even so that host's speed
+# drifts by about +-25% within minutes, which is why CI gates quick runs
+# with a wide --tolerance (docs/PERFORMANCE.md).  Simulated fields are
+# exact on every host.
+_MESH = {"full": {"messages": 128}, "quick": {"messages": 48}}
+_UDMA = {"full": {"messages": 10_000}, "quick": {"messages": 4_000}}
+_TABLE = [
+    Scenario("core", "udma_send", bench_udma_send, **_UDMA),
+    Scenario("core", "cluster_pingpong", bench_cluster_pingpong,
+             {"rounds": 5_000}, {"rounds": 2_000}),
+    Scenario("core", "stepping_dma", bench_stepping_dma,
+             {"transfers": 800}, {"transfers": 320}),
+    Scenario("core", "translate_storm", bench_translate_storm,
+             {"iterations": 1_000}, {"iterations": 400}),
+    Scenario("core", "cluster_mesh_64", bench_cluster_mesh_64, **_MESH),
+    # The metrics registry samples live counters only at snapshot time
+    # and the span tracker is never built when disabled, so ``metrics``
+    # must land within 2% of ``baseline`` (run_bench.py's check).
+    Scenario("obs", "udma_send", bench_udma_send, **_UDMA,
+             variants=OBS_VARIANTS),
+    # Reliability is opt-in and changes the simulation (ACK traffic,
+    # retransmissions), so its variants differ by design.
+    Scenario("reliability", "cluster_pingpong", bench_cluster_pingpong,
+             {"rounds": 4_000}, {"rounds": 2_000},
+             variants={
+                 "off": {},
+                 "on-0%": {"reliability": True},
+                 "on-1%": {"reliability": True, "drop_every": 100},
+             },
+             identical=False),
+    # The two million-message collectives, single-tenant: a second
+    # tenant forces a context switch per send, which invalidates the TLB
+    # and turns every message down the slow path -- realistic, but a
+    # different experiment (the multi-tenant rows below cover it).  Each
+    # also runs in reference mode, so the speedup column is measured.
+    Scenario("scale", "incast_64x1", bench_traffic,
+             **_traffic(1_000_000, 20_000, pattern="incast", num_nodes=64,
+                        seed=7, gap_cycles=96_000),
+             variants=_REFERENCE),
+    Scenario("scale", "all_to_all_32x1", bench_traffic,
+             **_traffic(1_000_000, 20_000, pattern="all_to_all",
+                        num_nodes=32, seed=7, gap_cycles=4_000),
+             variants=_REFERENCE),
+    # NIPT pressure: multi-tenant placements with channel churn, so the
+    # NIC page table cycles through its free list under eviction.
+    Scenario("scale", "uniform_16x4_churn", bench_traffic,
+             **_traffic(120_000, 6_000, pattern="uniform", num_nodes=16,
+                        tenants_per_node=4, seed=11, degree=4,
+                        gap_cycles=8_000, churn_every=200)),
+    Scenario("scale", "hotspot_32x2", bench_traffic,
+             **_traffic(120_000, 6_000, pattern="hotspot", num_nodes=32,
+                        tenants_per_node=2, seed=13, degree=6,
+                        hot_permille=400, gap_cycles=24_000)),
+    # Worker rates depend on OS scheduling, so they are reported, never
+    # gated; the simulated fields must still match at every shard count.
+    Scenario("shards", "cluster_mesh_64", bench_cluster_mesh_64, **_MESH,
+             variants={
+                 str(n): {"engine": "worker", "shards": n}
+                 for n in shard_counts(os.cpu_count() or 1)
+             },
+             gate_rate=False),
+]
+
+#: (section, name) -> scenario, in table order
+SCENARIOS: Dict[Tuple[str, str], Scenario] = {
+    (s.section, s.name): s for s in _TABLE
+}
+
+
+# --------------------------------------------------------------- running
+def run(
+    scenarios: List[Scenario],
+    quick: bool = False,
+    repeats: int = 3,
+    call: Optional[Callable[..., Result]] = None,
+) -> List[Tuple[Scenario, Dict[str, Result]]]:
+    """Best-of-``repeats`` host time for every variant of every scenario.
+
+    Variants interleave within each repeat, so host-scheduler drift hits
+    them all equally.  ``call(fn, kwargs, label)`` runs one variant
+    (default ``fn(**kwargs)``; ``run_bench.py --profile`` wraps it).
     """
-    results: Dict[str, HostResult] = {}
-    for spec in SCENARIOS.values():
-        kwargs = dict(spec.quick if quick else spec.full)
-        if warm_start and spec.warm:
-            kwargs["warm_start"] = True
-        best: Optional[HostResult] = None
+    call = call or (lambda fn, kwargs, label: fn(**kwargs))
+    out = []
+    for spec in scenarios:
+        best: Dict[str, Result] = {}
         for _ in range(max(1, repeats)):
-            result = spec.fn(**kwargs)
-            if best is None or result.host_seconds < best.host_seconds:
-                best = result
-        assert best is not None
-        results[spec.name] = best
-    return results
+            for variant, extra in spec.variants.items():
+                result = call(spec.fn, {**spec.kwargs(quick), **extra},
+                              f"{spec.section}/{spec.name} [{variant}]")
+                if (variant not in best
+                        or result.host_seconds < best[variant].host_seconds):
+                    best[variant] = result
+        out.append((spec, best))
+    return out
 
 
-# ------------------------------------------------- observability overhead
-#: obs-overhead A/B modes: label -> ObsConfig handed to the scenario.
-#: ``baseline`` disables the whole plane, ``metrics`` is the library
-#: default (registry bound, spans off), ``spans`` turns everything on.
-OBS_MODES: Dict[str, Optional[ObsConfig]] = {
-    "baseline": ObsConfig(metrics=False, spans=False),
-    "metrics": None,
-    "spans": ObsConfig(metrics=True, spans=True),
-}
+def to_payload(
+    results: List[Tuple[Scenario, Dict[str, Result]]], quick: bool
+) -> dict:
+    """The JSON document of a run: host facts plus one entry per scenario.
 
-
-def run_obs_overhead(
-    quick: bool = False, repeats: int = 5
-) -> Dict[str, HostResult]:
-    """A/B the observability plane's host cost on the ``udma_send`` path.
-
-    Runs the same workload under every :data:`OBS_MODES` configuration,
-    interleaving the modes within each repeat so host-scheduler drift
-    hits all modes equally, and keeps the fastest run per mode.  The
-    metrics registry samples live counters only at snapshot time and the
-    span tracker is never constructed when disabled, so ``metrics`` is
-    expected to land within noise of ``baseline`` (CI gates it at 2%).
+    A scenario with several variants also reports each variant's
+    ``speedup``: its msgs/s over the first variant's.
     """
-    kwargs = dict(SCENARIOS["udma_send"].quick if quick else SCENARIOS["udma_send"].full)
-    best: Dict[str, HostResult] = {}
-    for _ in range(max(1, repeats)):
-        for mode, config in OBS_MODES.items():
-            result = bench_udma_send(obs=config, **kwargs)
-            if mode not in best or result.host_seconds < best[mode].host_seconds:
-                best[mode] = result
-    return best
+    sections: Dict[str, dict] = {}
+    for spec, variants in results:
+        first = next(iter(variants.values())).messages_per_s
+        rows = {}
+        for variant, result in variants.items():
+            row = result.as_dict()
+            if len(variants) > 1 and first:
+                row["speedup"] = round(result.messages_per_s / first, 4)
+            rows[variant] = row
+        sections.setdefault(spec.section, {})[spec.name] = {
+            "kwargs": spec.kwargs(quick),
+            "identical": spec.identical,
+            "gate_rate": spec.gate_rate,
+            "variants": rows,
+        }
+    return {
+        "schema": SCHEMA,
+        "quick": quick,
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "sections": sections,
+    }
 
 
-# ------------------------------------------------- reliability overhead
-#: reliability A/B modes: label -> bench_reliable_pingpong kwargs.
-#: ``off`` is today's default (paper-faithful, lossless backplane);
-#: ``on-0%`` prices sequencing + cumulative ACK traffic alone;
-#: ``on-1%`` adds one dropped packet per hundred routed, so timeouts,
-#: backoff, and retransmissions are in the measured loop.
-RELIABILITY_MODES: Dict[str, Dict[str, int]] = {
-    "off": {"reliability": False, "drop_every": 0},
-    "on-0%": {"reliability": True, "drop_every": 0},
-    "on-1%": {"reliability": True, "drop_every": 100},
-}
-
-
-def run_reliability_overhead(
-    quick: bool = False, repeats: int = 3
-) -> Dict[str, HostResult]:
-    """A/B the reliable transport's host cost on the ping-pong path.
-
-    Interleaves the modes within each repeat (like
-    :func:`run_obs_overhead`) and keeps the fastest run per mode.  The
-    ``off`` mode is the reference: it must match plain
-    ``cluster_pingpong`` behaviour, since a disabled transport is a
-    single ``is None`` branch per packet.
-    """
-    rounds = 50 if quick else 100
-    best: Dict[str, HostResult] = {}
-    for _ in range(max(1, repeats)):
-        for mode, kwargs in RELIABILITY_MODES.items():
-            result = bench_reliable_pingpong(rounds=rounds, **kwargs)
-            if mode not in best or result.host_seconds < best[mode].host_seconds:
-                best[mode] = result
-    return best
-
-
-def format_reliability_overhead(results: Dict[str, HostResult]) -> str:
-    base = results.get("off")
+def format_payload(payload: dict) -> str:
+    """One table row per scenario variant of a :func:`to_payload` doc."""
     lines = [
-        f"{'reliability':<12} {'MB/s (host)':>12} {'sim cycles':>12} "
-        f"{'host s':>8} {'vs off':>10}"
+        f"{'scenario':<30} {'variant':<9} {'msgs/s':>10} {'MB/s':>9} "
+        f"{'events/s':>11} {'host s':>8} {'xlat%':>6} {'speedup':>8}"
     ]
-    for mode, r in results.items():
-        if base is not None and base.mb_per_s and mode != "off":
-            delta = f"{100.0 * (r.mb_per_s / base.mb_per_s - 1.0):>+9.1f}%"
-        else:
-            delta = f"{'-':>10}"
-        lines.append(
-            f"{mode:<12} {r.mb_per_s:>12.2f} {r.sim_cycles:>12} "
-            f"{r.host_seconds:>8.3f} {delta}"
-        )
+    for section, scenarios in payload["sections"].items():
+        for name, entry in scenarios.items():
+            for variant, row in entry["variants"].items():
+                xlat = (f"{100.0 * row['xlat_hit_rate']:>5.1f}%"
+                        if row["xlat_hit_rate"] else f"{'-':>6}")
+                speedup = (f"{row['speedup']:>7.2f}x" if "speedup" in row
+                           else f"{'-':>8}")
+                lines.append(
+                    f"{section + '/' + name:<30} {variant:<9} "
+                    f"{row['messages_per_s']:>10.1f} {row['mb_per_s']:>9.2f} "
+                    f"{row['events_per_s']:>11.0f} "
+                    f"{row['host_seconds']:>8.3f} {xlat} {speedup}"
+                )
     return "\n".join(lines)
-
-
-def transfer_latency_profile(
-    messages: int = 50, msg_bytes: int = 4096
-) -> Dict[str, float]:
-    """Per-transfer latency histogram from a small metered workload.
-
-    Returns the ``udma.transfer_cycles`` histogram value dict
-    (count/sum/min/max/p50/p99, in simulated cycles) after ``messages``
-    sends -- the number ``docs/PERFORMANCE.md`` quotes.
-    """
-    machine = Machine(config=MachineConfig(mem_size=1 << 21))
-    sink = SinkDevice("sink", size=1 << 16)
-    machine.attach_device(sink)
-    process = machine.create_process("latency")
-    buf = machine.kernel.syscalls.alloc(process, msg_bytes)
-    grant = machine.kernel.syscalls.grant_device_proxy(process, "sink")
-    udma = UdmaUser(machine, process)
-    machine.cpu.write_bytes(buf, make_payload(msg_bytes))
-    machine.run_until_idle()
-    for _ in range(messages):
-        udma.transfer(MemoryRef(buf), DeviceRef(grant), msg_bytes)
-        machine.run_until_idle()
-    return machine.metrics()["udma"]["transfer_cycles"]
-
-
-def format_obs_overhead(results: Dict[str, HostResult]) -> str:
-    base = results.get("baseline")
-    lines = [f"{'obs mode':<10} {'MB/s (host)':>12} {'host s':>8} {'vs baseline':>12}"]
-    for mode, r in results.items():
-        if base is not None and base.mb_per_s and mode != "baseline":
-            delta = f"{100.0 * (r.mb_per_s / base.mb_per_s - 1.0):>+11.1f}%"
-        else:
-            delta = f"{'-':>12}"
-        lines.append(
-            f"{mode:<10} {r.mb_per_s:>12.2f} {r.host_seconds:>8.3f} {delta}"
-        )
-    return "\n".join(lines)
-
-
-def format_results(results: Dict[str, HostResult]) -> str:
-    lines = [
-        f"{'scenario':<18} {'MB/s (host)':>12} {'events/s':>12} "
-        f"{'msgs/s':>10} {'host s':>8} {'xlat%':>7}"
-    ]
-    for name, r in results.items():
-        if r.xlat_hits or r.xlat_misses:
-            xlat = f"{100.0 * r.xlat_hit_rate:>6.1f}%"
-        else:
-            xlat = f"{'-':>7}"  # scenario exercises no CPU translation
-        lines.append(
-            f"{name:<18} {r.mb_per_s:>12.2f} {r.events_per_s:>12.0f} "
-            f"{r.messages_per_s:>10.1f} {r.host_seconds:>8.3f} {xlat}"
-        )
-    return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual use; run_bench.py is the CLI
-    print(format_results(run_all(quick=True, repeats=1)))

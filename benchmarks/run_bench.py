@@ -1,18 +1,22 @@
 """Host-throughput bench runner and regression gate.
 
-Record a trajectory point::
+Record the baseline (sections core, obs and scale)::
 
-    python benchmarks/run_bench.py --json BENCH_core.json
+    python benchmarks/run_bench.py --quick --repeats 5 \\
+        --section core --section obs --section scale --json BENCH_core.json
 
-CI regression gate (tier-2)::
+CI regression gate (tier-2; runs the sections the baseline holds)::
 
     python benchmarks/run_bench.py --quick --check BENCH_core.json
 
-``--check`` exits non-zero if any scenario's host MB/s falls more than
-``--tolerance`` (default 30%) below the committed baseline.  The wide
-tolerance absorbs CI machine noise; a real regression (a copy added back
-to the data plane, an O(n) scan in the event queue) is far larger.  See
-``docs/PERFORMANCE.md`` for the JSON schema and how to refresh baselines.
+``--check`` exits 1 if a simulated field differs from the baseline (a
+determinism break, on any host), if variants that must simulate
+identically do not, if the obs section's default ``metrics`` variant
+costs more than 2% of the plane-off ``baseline``, or if any scenario's
+host msgs/s falls more than ``--tolerance`` (default 30%) below the
+baseline.  See ``docs/PERFORMANCE.md`` for the JSON schema and how to
+refresh baselines.  Exit codes: 0 ok, 1 a failed check, 2 bad flags or an
+unusable baseline.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 
@@ -31,151 +34,112 @@ for path in (os.path.join(_ROOT, "src"), _HERE):
         sys.path.insert(0, path)
 
 from bench_host_throughput import (  # noqa: E402
-    HostResult,
-    format_obs_overhead,
-    format_reliability_overhead,
-    format_results,
-    format_scaling,
-    run_all,
-    run_obs_overhead,
-    run_reliability_overhead,
-    run_scaling_sweep,
+    SCENARIOS,
+    SCHEMA,
+    SECTIONS,
+    format_payload,
+    run,
+    to_payload,
     transfer_latency_profile,
 )
 
-SCHEMA = "shrimp-bench-host-throughput/1"
-SCALE_SCHEMA = "shrimp-bench-scale/1"
+#: the most host msgs/s the default observability plane may cost
+OBS_TOLERANCE = 0.02
 
 
-def results_to_json(results, quick: bool) -> dict:
-    """BENCH_core.json payload; records the host like the scale payload."""
-    return {
-        "schema": SCHEMA,
-        "quick": quick,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "scenarios": {name: r.as_dict() for name, r in results.items()},
-    }
+def _sim_diffs(sim: dict, ref: dict):
+    """``(key, value, reference value)`` for every simulated field that differs."""
+    return [(key, sim.get(key), ref.get(key))
+            for key in sorted(set(sim) | set(ref))
+            if sim.get(key) != ref.get(key)]
 
 
-def scale_results_to_json(results, quick: bool) -> dict:
-    """BENCH_scale.json payload.  ``cpu_count`` is recorded so the gate
-    can warn (rather than fail) when the baseline came from a machine
-    with a different core count -- host msg/s is not comparable then."""
-    return {
-        "schema": SCALE_SCHEMA,
-        "quick": quick,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "scenarios": {name: r.as_dict() for name, r in results.items()},
-    }
+def check(payload: dict, baseline, tolerance: float):
+    """Judge a run's payload, alone and against an optional baseline.
 
-
-def check_scale_against(results, baseline: dict, tolerance: float) -> "tuple[list, list]":
-    """Gate scale results against a committed BENCH_scale.json.
-
-    Returns ``(failures, warnings)``.  Simulated fields (cycles, events,
-    deliveries) must match the baseline *exactly* when the workload
-    matches -- they are deterministic -- while host messages/s gets the
-    tier-2-style tolerance.  A differing ``cpu_count`` downgrades rate
-    failures to warnings: the committed numbers came from different
-    hardware, so a slowdown proves nothing.
+    Returns ``(failures, warnings)``.  Simulated fields are pure
+    functions of the workload, so they must equal the baseline's exactly
+    wherever the recorded workload kwargs match (else: a "re-record"
+    warning) and must agree across a scenario's variants where the table
+    says so.  Host msgs/s must stay within ``tolerance`` of the baseline;
+    a different ``cpu_count`` is reported, but rate failures still fail.
     """
     failures, warnings = [], []
-    same_cpu = baseline.get("cpu_count") == os.cpu_count()
-    if not same_cpu:
+    sections = payload["sections"]
+    for section, scenarios in sections.items():
+        for name, entry in scenarios.items():
+            if not entry["identical"]:
+                continue
+            (first, ref), *rest = entry["variants"].items()
+            for variant, row in rest:
+                for key, value, expected in _sim_diffs(row["sim"], ref["sim"]):
+                    failures.append(
+                        f"{section}/{name}: variant {variant!r} simulated "
+                        f"{key} {value!r} != {expected!r} in {first!r}"
+                    )
+    obs = sections.get("obs", {}).get("udma_send", {}).get("variants", {})
+    if "baseline" in obs and "metrics" in obs:
+        base = obs["baseline"]["messages_per_s"]
+        rate = obs["metrics"]["messages_per_s"]
+        if rate < base * (1.0 - OBS_TOLERANCE):
+            failures.append(
+                f"obs/udma_send: metrics variant {rate:.0f} msgs/s < floor "
+                f"{base * (1.0 - OBS_TOLERANCE):.0f} (baseline variant "
+                f"{base:.0f} msgs/s, tolerance {OBS_TOLERANCE:.0%})"
+            )
+    if baseline is None:
+        return failures, warnings
+
+    if baseline.get("cpu_count") != payload["cpu_count"]:
         warnings.append(
             f"baseline cpu_count={baseline.get('cpu_count')} != host "
-            f"cpu_count={os.cpu_count()}; host-rate regressions are "
-            f"reported as warnings only"
+            f"cpu_count={payload['cpu_count']}; host rates come from "
+            f"different hardware"
         )
-    base_scenarios = baseline.get("scenarios", {})
-    for name, result in results.items():
-        base = base_scenarios.get(name)
-        if base is None:
-            continue  # new scenario; nothing to regress against
-        base_enabled = base.get("enabled", {})
-        if base_enabled.get("messages") == result.enabled.get("messages"):
-            # Same workload: the simulation is deterministic, so these
-            # must be bit-identical across machines and Python builds.
-            for key in ("sim_cycles", "events", "delivered", "retries",
-                        "churns"):
-                if base_enabled.get(key) != result.enabled.get(key):
+    for section, scenarios in sections.items():
+        for name, entry in scenarios.items():
+            base = baseline["sections"].get(section, {}).get(name)
+            if base is None:
+                continue  # new scenario; nothing to regress against
+            where = f"{section}/{name}"
+            same_workload = base["kwargs"] == entry["kwargs"]
+            if not same_workload:
+                warnings.append(
+                    f"{where}: workload {entry['kwargs']} differs from the "
+                    f"baseline's {base['kwargs']}; simulated fields not "
+                    f"compared -- re-record the baseline"
+                )
+            for variant, row in entry["variants"].items():
+                brow = base["variants"].get(variant)
+                if brow is None:
+                    continue
+                diffs = _sim_diffs(row["sim"], brow["sim"]) if same_workload else []
+                for key, value, expected in diffs:
                     failures.append(
-                        f"{name}: simulated {key} diverged from baseline "
-                        f"({result.enabled.get(key)!r} != "
-                        f"{base_enabled.get(key)!r}) -- determinism break"
+                        f"{where} [{variant}]: simulated {key} diverged from "
+                        f"baseline ({value!r} != {expected!r}) -- determinism "
+                        f"break"
                     )
-        base_rate = base_enabled.get("messages_per_sec", 0.0)
-        rate = result.enabled.get("messages_per_sec", 0.0)
-        floor = base_rate * (1.0 - tolerance)
-        if base_rate and rate < floor:
-            msg = (
-                f"{name}: {rate:.0f} msg/s < floor {floor:.0f} "
-                f"(baseline {base_rate:.0f} msg/s, "
-                f"tolerance {tolerance:.0%})"
-            )
-            if same_cpu:
-                failures.append(msg)
-            else:
-                warnings.append(msg)
+                floor = brow["messages_per_s"] * (1.0 - tolerance)
+                if entry["gate_rate"] and row["messages_per_s"] < floor:
+                    failures.append(
+                        f"{where} [{variant}]: {row['messages_per_s']:.0f} "
+                        f"msgs/s < floor {floor:.0f} (baseline "
+                        f"{brow['messages_per_s']:.0f} msgs/s, tolerance "
+                        f"{tolerance:.0%})"
+                    )
     return failures, warnings
 
 
-def check_obs_overhead(obs_results, tolerance: float) -> list:
-    """Gate: default observability must cost <= ``tolerance`` vs baseline.
-
-    Compares the ``metrics`` mode (the library default every user gets)
-    against ``baseline`` (plane fully disabled).  ``spans`` mode is
-    reported but not gated -- recording spans is an opt-in debugging
-    feature and is allowed to cost more.
-    """
-    failures = []
-    base = obs_results.get("baseline")
-    metrics = obs_results.get("metrics")
-    if base is None or metrics is None or not base.mb_per_s:
-        return ["obs-overhead: missing baseline or metrics measurement"]
-    floor = base.mb_per_s * (1.0 - tolerance)
-    if metrics.mb_per_s < floor:
-        failures.append(
-            f"obs-overhead: metrics mode {metrics.mb_per_s:.2f} MB/s < "
-            f"floor {floor:.2f} (baseline {base.mb_per_s:.2f} MB/s, "
-            f"tolerance {tolerance:.0%})"
-        )
-    return failures
-
-
-def check_against(results, baseline: dict, tolerance: float) -> list:
-    """Return a list of failure strings (empty = pass)."""
-    failures = []
-    base_scenarios = baseline.get("scenarios", {})
-    for name, result in results.items():
-        base = base_scenarios.get(name)
-        if base is None:
-            continue  # new scenario; nothing to regress against
-        floor = base["mb_per_s"] * (1.0 - tolerance)
-        if result.mb_per_s < floor:
-            failures.append(
-                f"{name}: {result.mb_per_s:.2f} MB/s < floor {floor:.2f} "
-                f"(baseline {base['mb_per_s']:.2f} MB/s, "
-                f"tolerance {tolerance:.0%})"
-            )
-    return failures
-
-
-def profile_call(fn, path: str, label: str, top: int = 25) -> object:
-    """Run ``fn()`` under cProfile, append its top-``top`` cumulative
-    entries to ``path``, and return ``fn``'s result."""
+def profile_call(fn, kwargs: dict, label: str, path: str, top: int = 25):
+    """Run ``fn(**kwargs)`` under cProfile, append its top-``top``
+    cumulative entries to ``path``, and return ``fn``'s result."""
     import cProfile
     import io
     import pstats
 
     profiler = cProfile.Profile()
-    result = profiler.runcall(fn)
+    result = profiler.runcall(fn, **kwargs)
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
     stats.strip_dirs().sort_stats("cumulative").print_stats(top)
@@ -186,270 +150,120 @@ def profile_call(fn, path: str, label: str, top: int = 25) -> object:
     return result
 
 
-def run_scale_mode(args) -> int:
-    """The --scale suite: traffic-engine scenarios + BENCH_scale gate."""
-    from bench_scale import (
-        SCALE_SCENARIOS,
-        check_identity,
-        format_scale,
-        run_scale,
-        run_scale_scenario,
-    )
-
-    names = None
-    if args.scenario:
-        unknown = [n for n in args.scenario if n not in SCALE_SCENARIOS]
-        if unknown:
-            print(f"error: unknown scale scenario(s) {unknown}; choose "
-                  f"from {sorted(SCALE_SCENARIOS)}", file=sys.stderr)
-            return 2
-        names = args.scenario
-    baseline_flag = False if args.no_baseline else None
-
-    if args.profile:
-        results = {}
-        for name, spec in SCALE_SCENARIOS.items():
-            if names is not None and name not in names:
-                continue
-            results[name] = profile_call(
-                lambda spec=spec: run_scale_scenario(
-                    spec, quick=args.quick, baseline=baseline_flag
-                ),
-                args.profile, name,
-            )
-        print(f"profile written to {args.profile}")
-    else:
-        results = run_scale(
-            quick=args.quick, names=names, baseline=baseline_flag,
-            progress=lambda msg: print(msg, flush=True),
+def _load_baseline(path: str, quick: bool) -> dict:
+    """The baseline at ``path``; ValueError unless it matches this run."""
+    try:
+        with open(path) as fh:
+            baseline = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read baseline {path}: {exc}") from None
+    schema = baseline.get("schema") if isinstance(baseline, dict) else None
+    if schema != SCHEMA:
+        raise ValueError(f"{path} has schema {schema!r}, expected {SCHEMA!r}")
+    if baseline.get("quick") != quick:
+        raise ValueError(
+            f"{path} was recorded with quick={baseline.get('quick')}, this "
+            f"run has quick={quick}; compare like with like"
         )
-    print(format_scale(results))
-
-    # The fast lane must not change the simulation: refuse to report or
-    # record a speedup over diverging cycles/counters.
-    identity_failures = check_identity(results)
-    if identity_failures:
-        print("FAST-LANE IDENTITY VIOLATION:", file=sys.stderr)
-        for failure in identity_failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-
-    if args.json:
-        payload = scale_results_to_json(results, args.quick)
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-
-    if args.check:
-        try:
-            with open(args.check) as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {args.check}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if baseline.get("schema") != SCALE_SCHEMA:
-            print(f"error: {args.check} has schema "
-                  f"{baseline.get('schema')!r}, expected {SCALE_SCHEMA!r}",
-                  file=sys.stderr)
-            return 2
-        failures, warnings = check_scale_against(
-            results, baseline, args.tolerance
-        )
-        for warning in warnings:
-            print(f"warning: {warning}")
-        if failures:
-            print("SCALE REGRESSION:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"scale check ok vs {args.check} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
+    return baseline
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
     parser.add_argument("--json", metavar="PATH",
-                        help="write results to PATH as JSON")
+                        help="write the run's results to PATH as JSON")
     parser.add_argument("--check", metavar="BASELINE",
-                        help="compare against a baseline JSON; exit 1 on "
-                             "host-throughput regression")
+                        help="compare against a baseline JSON; exit 1 on a "
+                             "failed check")
     parser.add_argument("--quick", action="store_true",
                         help="smaller workloads (CI-friendly)")
-    parser.add_argument("--scale", action="store_true",
-                        help="run the traffic-engine scale suite "
-                             "(bench_scale.py) instead of the core sweep; "
-                             "--json/--check then use the "
-                             "shrimp-bench-scale schema (BENCH_scale.json)")
-    parser.add_argument("--scenario", action="append", metavar="NAME",
-                        help="with --scale: run only the named scenario "
-                             "(repeatable)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="with --scale: skip the reference-mode "
-                             "baseline passes (faster, but no "
-                             "speedup or identity cross-check)")
-    parser.add_argument("--profile", metavar="PATH",
-                        help="run each scenario under cProfile and append "
-                             "the top-25 cumulative entries per scenario "
-                             "to PATH")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N host timing (default 3)")
-    parser.add_argument("--warm-start", action="store_true",
-                        help="build each scenario's world once and fork "
-                             "it per repeat (repro.snapshot) instead of "
-                             "reconstructing machines; simulated numbers "
-                             "are bit-identical either way")
     parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional MB/s drop for --check "
+                        help="allowed fractional msgs/s drop for --check "
                              "(default 0.30)")
-    parser.add_argument("--obs-overhead", action="store_true",
-                        help="A/B the observability plane on the udma_send "
-                             "path and gate the default (metrics) mode "
-                             "against the disabled baseline")
-    parser.add_argument("--obs-tolerance", type=float, default=0.02,
-                        help="allowed fractional MB/s cost of default "
-                             "observability for --obs-overhead "
-                             "(default 0.02)")
-    parser.add_argument("--reliability-overhead", action="store_true",
-                        help="A/B the ack/retransmit transport on the "
-                             "ping-pong path at 0%% and 1%% packet loss "
-                             "(reported, not gated -- reliability is "
-                             "opt-in)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="also run the cluster_mesh_64 shard-scaling "
-                             "sweep (worker engine) at 1/2/4/... up to N "
-                             "shards and append the scaling table")
-    parser.add_argument("--no-sweep", action="store_true",
-                        help="skip the scenario sweep (useful with "
-                             "--obs-overhead / --reliability-overhead to "
-                             "run only the A/B)")
+    parser.add_argument("--profile", metavar="PATH",
+                        help="run each variant once under cProfile and write "
+                             "the top-25 cumulative entries per variant to "
+                             "PATH (not with --check or --json)")
+    parser.add_argument("--section", action="append", choices=SECTIONS,
+                        metavar="NAME",
+                        help="run this section (repeatable): "
+                             + ", ".join(SECTIONS) + "; default: the "
+                             "sections of the --check baseline, else core")
+    parser.add_argument("--scenario", action="append", metavar="NAME",
+                        help="run only this scenario of the chosen "
+                             "sections (repeatable)")
     args = parser.parse_args(argv)
 
-    if args.no_sweep and not (args.obs_overhead or args.reliability_overhead):
-        parser.error("--no-sweep without --obs-overhead or "
-                     "--reliability-overhead leaves nothing to run")
-    if args.no_sweep and (args.check or args.json):
-        parser.error("--no-sweep cannot be combined with --check/--json "
-                     "(both need the scenario sweep)")
-    if args.scale and (args.no_sweep or args.obs_overhead
-                       or args.reliability_overhead or args.shards
-                       or args.warm_start):
-        parser.error("--scale is its own suite; combine it only with "
-                     "--quick/--json/--check/--scenario/--no-baseline/"
-                     "--profile")
-    if (args.scenario or args.no_baseline) and not args.scale:
-        parser.error("--scenario/--no-baseline require --scale")
+    if args.profile and (args.check or args.json):
+        parser.error("--profile slows every timed window; it cannot be "
+                     "combined with --check or --json")
+    try:
+        baseline = _load_baseline(args.check, args.quick) if args.check else None
+    except ValueError as exc:
+        parser.error(str(exc))
+    sections = args.section or (
+        list(baseline["sections"]) if baseline else ["core"]
+    )
+    chosen = [s for s in SCENARIOS.values() if s.section in sections]
+    if args.scenario:
+        names = sorted({s.name for s in chosen})
+        unknown = sorted(set(args.scenario) - set(names))
+        if unknown:
+            parser.error(f"unknown scenario(s) {', '.join(unknown)} in "
+                         f"section(s) {', '.join(sections)}; choose from "
+                         f"{', '.join(names)}")
+        chosen = [s for s in chosen if s.name in args.scenario]
 
+    call, repeats = None, args.repeats
     if args.profile:
-        # Fresh file per invocation; profile_call appends per scenario.
+        # Profiling skews host timing, so each variant runs once.
         with open(args.profile, "w") as fh:
-            fh.write(f"# cProfile top-25 cumulative, "
-                     f"{'scale' if args.scale else 'core'} suite, "
-                     f"quick={args.quick}\n\n")
+            fh.write(f"# cProfile top-25 cumulative, quick={args.quick}\n\n")
+        repeats = 1
 
-    if args.scale:
-        return run_scale_mode(args)
+        def call(fn, kwargs, label):
+            return profile_call(fn, kwargs, label, args.profile)
 
-    results = {}
-    if not args.no_sweep:
-        if args.profile:
-            # Profiling skews host timing, so run each scenario exactly
-            # once under the profiler and report those (not best-of-N).
-            from bench_host_throughput import SCENARIOS
-
-            for spec in SCENARIOS.values():
-                kwargs = dict(spec.quick if args.quick else spec.full)
-                if args.warm_start and spec.warm:
-                    kwargs["warm_start"] = True
-                results[spec.name] = profile_call(
-                    lambda spec=spec, kwargs=kwargs: spec.fn(**kwargs),
-                    args.profile, spec.name,
-                )
-            print(f"profile written to {args.profile}")
-        else:
-            results = run_all(quick=args.quick, repeats=args.repeats,
-                              warm_start=args.warm_start)
-        print(format_results(results))
-
-    obs_failures = []
-    obs_results = None
-    if args.obs_overhead:
-        obs_results = run_obs_overhead(quick=args.quick, repeats=args.repeats)
-        print()
-        print(format_obs_overhead(obs_results))
+    results = []
+    for spec in chosen:
+        t0 = time.perf_counter()
+        results += run([spec], quick=args.quick, repeats=repeats, call=call)
+        print(f"{spec.section}/{spec.name}: {time.perf_counter() - t0:.1f}s",
+              file=sys.stderr, flush=True)
+    payload = to_payload(results, args.quick)
+    print(format_payload(payload))
+    if "obs" in payload["sections"]:
         latency = transfer_latency_profile()
         print(f"udma transfer latency: p50={latency['p50']} "
               f"p99={latency['p99']} cycles over {latency['count']} transfers")
-        obs_failures = check_obs_overhead(obs_results, args.obs_tolerance)
-
-    scaling_results = None
-    if args.shards:
-        scaling_results = run_scaling_sweep(
-            max_shards=args.shards, quick=args.quick, repeats=args.repeats
-        )
-        print()
-        print(format_scaling(scaling_results))
-
-    rel_results = None
-    if args.reliability_overhead:
-        rel_results = run_reliability_overhead(
-            quick=args.quick, repeats=args.repeats
-        )
-        print()
-        print(format_reliability_overhead(rel_results))
+    if args.profile:
+        # Profiled rates are not rates: there is nothing to judge.
+        print(f"profile written to {args.profile}")
+        return 0
 
     if args.json:
-        payload = results_to_json(results, args.quick)
-        if obs_results is not None:
-            payload["obs_overhead"] = {
-                mode: r.as_dict() for mode, r in obs_results.items()
-            }
-        if rel_results is not None:
-            payload["reliability_overhead"] = {
-                mode: r.as_dict() for mode, r in rel_results.items()
-            }
-        if scaling_results is not None:
-            payload["scaling"] = {
-                str(shards): r.as_dict()
-                for shards, r in scaling_results.items()
-            }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.json}")
 
-    if args.check:
-        try:
-            with open(args.check) as fh:
-                baseline = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline {args.check}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if baseline.get("schema") != SCHEMA:
-            print(f"error: {args.check} has schema "
-                  f"{baseline.get('schema')!r}, expected {SCHEMA!r}",
-                  file=sys.stderr)
-            return 2
-        failures = check_against(results, baseline, args.tolerance)
-        if failures:
-            print("HOST-THROUGHPUT REGRESSION:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"check ok: no scenario regressed more than "
-              f"{args.tolerance:.0%} vs {args.check}")
-
-    if obs_failures:
-        print("OBSERVABILITY OVERHEAD REGRESSION:", file=sys.stderr)
-        for failure in obs_failures:
+    failures, warnings = check(payload, baseline, args.tolerance)
+    for warning in warnings:
+        print(f"warning: {warning}")
+    if failures:
+        print("BENCH CHECK FAILED:", file=sys.stderr)
+        for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    if args.obs_overhead:
-        print(f"obs-overhead ok: default observability costs <= "
-              f"{args.obs_tolerance:.0%} host MB/s")
+    if baseline is not None:
+        print(f"check ok vs {args.check}: simulated fields identical, no "
+              f"msgs/s more than {args.tolerance:.0%} under the baseline")
     return 0
 
 

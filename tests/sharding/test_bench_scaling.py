@@ -1,5 +1,7 @@
-"""Bench integration: the cluster_mesh_64 scenario and scaling sweep."""
+"""Bench integration: the cluster_mesh_64 scenario and the shards section."""
 
+import copy
+import dataclasses
 import os
 import sys
 
@@ -13,40 +15,68 @@ if _BENCH not in sys.path:  # the bench package is not installed
 from bench_host_throughput import (  # noqa: E402
     SCENARIOS,
     bench_cluster_mesh_64,
-    bench_cluster_mesh_worker,
-    format_scaling,
-    run_scaling_sweep,
+    format_payload,
+    run,
+    shard_counts,
+    to_payload,
 )
+from run_bench import check  # noqa: E402
+
+
+def _tiny_sweep(max_shards):
+    spec = SCENARIOS[("shards", "cluster_mesh_64")]
+    tiny = dataclasses.replace(
+        spec,
+        quick={"messages": 2},
+        variants={str(n): {"engine": "worker", "shards": n}
+                  for n in shard_counts(max_shards)},
+    )
+    return to_payload(run([tiny], quick=True, repeats=1), quick=True)
 
 
 class TestClusterMeshScenario:
     def test_registered_with_quick_workload(self):
-        spec = SCENARIOS["cluster_mesh_64"]
+        spec = SCENARIOS[("core", "cluster_mesh_64")]
         assert spec.quick["messages"] < spec.full["messages"]
 
     def test_counts_events_and_bytes(self):
         result = bench_cluster_mesh_64(messages=2)
-        assert result.events_fired > 0
+        assert result.sim["events_fired"] > 0
         assert result.events_per_s > 0
-        assert result.messages == 64 * 2
-        assert result.sim_bytes == 64 * 2 * 2048
-        assert result.sim_cycles > 0
+        assert result.sim["messages"] == 64 * 2
+        assert result.sim["sim_bytes"] == 64 * 2 * 2048
+        assert result.sim["sim_cycles"] > 0
 
     def test_worker_variant_times_execution_only(self):
-        result = bench_cluster_mesh_worker(messages=2, shards=2)
-        assert result.events_fired > 0
+        result = bench_cluster_mesh_64(messages=2, shards=2, engine="worker")
+        assert result.sim["events_fired"] > 0
         assert result.host_seconds > 0
 
 
 class TestScalingSweep:
     def test_sweep_covers_powers_of_two(self):
-        results = run_scaling_sweep(max_shards=2, quick=True, repeats=1)
-        assert sorted(results) == [1, 2]
-        # Identical workload at every point: events must match exactly.
-        assert results[1].events_fired == results[2].events_fired
+        assert shard_counts(1) == [1]
+        assert shard_counts(2) == [1, 2]
+        assert shard_counts(6) == [1, 2, 4, 6]
+        variants = SCENARIOS[("shards", "cluster_mesh_64")].variants
+        assert [int(v) for v in variants] == shard_counts(os.cpu_count() or 1)
+        payload = _tiny_sweep(2)
+        rows = payload["sections"]["shards"]["cluster_mesh_64"]["variants"]
+        assert sorted(rows) == ["1", "2"]
+        # Identical workload at every point: every simulated field
+        # matches, and the check holds the sweep to it.
+        assert rows["1"]["sim"] == rows["2"]["sim"]
+        assert check(payload, None, 0.3) == ([], [])
 
     def test_table_reports_speedup_column(self):
-        results = run_scaling_sweep(max_shards=2, quick=True, repeats=1)
-        table = format_scaling(results)
+        table = format_payload(_tiny_sweep(2))
         assert "speedup" in table
         assert "1.00x" in table
+
+    def test_shard_rates_are_never_gated(self):
+        payload = _tiny_sweep(2)
+        baseline = copy.deepcopy(payload)
+        rows = baseline["sections"]["shards"]["cluster_mesh_64"]["variants"]
+        for row in rows.values():
+            row["messages_per_s"] *= 1000
+        assert check(payload, baseline, 0.3)[0] == []

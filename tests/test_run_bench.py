@@ -1,0 +1,168 @@
+"""run_bench.py: the one check and the eight-option CLI."""
+
+import copy
+import json
+import os
+import re
+import sys
+
+import pytest
+
+_BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
+)
+if _BENCH not in sys.path:  # the bench package is not installed
+    sys.path.insert(0, _BENCH)
+
+from bench_host_throughput import (  # noqa: E402
+    SCENARIOS,
+    SECTIONS,
+    Result,
+    to_payload,
+)
+from run_bench import check, main  # noqa: E402
+
+OPTIONS = ["--json", "--check", "--quick", "--repeats", "--tolerance",
+           "--profile", "--section", "--scenario"]
+
+
+def _core_payload(msg_s=1000.0):
+    spec = SCENARIOS[("core", "udma_send")]
+    result = Result(
+        sim={"sim_cycles": 1598500, "events_fired": 200, "messages": 200,
+             "sim_bytes": 200 * 4096},
+        host_seconds=200 / msg_s, xlat_hits=797, xlat_misses=3,
+    )
+    return to_payload([(spec, {"default": result})], quick=True)
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code
+
+
+class TestCheck:
+    def test_core_sim_cycles_change_fails_the_check(self):
+        payload = _core_payload()
+        baseline = copy.deepcopy(payload)
+        baseline["sections"]["core"]["udma_send"]["variants"]["default"][
+            "sim"]["sim_cycles"] += 1
+        failures, _ = check(payload, baseline, tolerance=0.3)
+        assert len(failures) == 1
+        assert "sim_cycles" in failures[0]
+        assert "determinism break" in failures[0]
+
+    def test_identical_core_run_passes(self):
+        payload = _core_payload()
+        assert check(payload, copy.deepcopy(payload), 0.3) == ([], [])
+
+    def test_host_statistics_are_not_compared(self):
+        payload = _core_payload()
+        baseline = copy.deepcopy(payload)
+        row = baseline["sections"]["core"]["udma_send"]["variants"]["default"]
+        row["xlat_hits"], row["xlat_hit_rate"] = 0, 0.0
+        assert check(payload, baseline, 0.3) == ([], [])
+
+    def test_obs_metrics_variant_gated_at_two_percent(self):
+        spec = SCENARIOS[("obs", "udma_send")]
+
+        def at(msg_s):
+            return Result(sim={"sim_cycles": 1, "events_fired": 1,
+                               "messages": 100, "sim_bytes": 100},
+                          host_seconds=100 / msg_s)
+
+        slow = to_payload([(spec, {"baseline": at(1000.0),
+                                   "metrics": at(970.0),
+                                   "spans": at(500.0)})], quick=True)
+        failures, _ = check(slow, None, 0.3)
+        assert len(failures) == 1 and "metrics variant" in failures[0]
+        fine = to_payload([(spec, {"baseline": at(1000.0),
+                                   "metrics": at(990.0),
+                                   "spans": at(500.0)})], quick=True)
+        assert check(fine, None, 0.3) == ([], [])
+
+    def test_reliability_variants_may_differ(self):
+        spec = SCENARIOS[("reliability", "cluster_pingpong")]
+        assert not spec.identical
+        variants = {
+            name: Result(sim={"sim_cycles": i, "events_fired": i,
+                              "messages": 1, "sim_bytes": 1},
+                         host_seconds=1.0)
+            for i, name in enumerate(spec.variants)
+        }
+        assert check(to_payload([(spec, variants)], True), None, 0.3)[0] == []
+
+
+class TestCli:
+    def test_help_lists_exactly_the_eight_options(self, capsys):
+        assert _exit_code(["--help"]) == 0
+        out = capsys.readouterr().out
+        options = out.split("options:", 1)[1]
+        found = re.findall(r"^\s+(--[a-z-]+)", options, flags=re.M)
+        assert found == OPTIONS
+
+    @pytest.mark.parametrize("flag", [
+        "--scale", "--obs-overhead", "--obs-tolerance=0.02",
+        "--reliability-overhead", "--warm-start", "--shards=2", "--no-sweep",
+        "--no-baseline",
+    ])
+    def test_removed_flags_exit_2(self, flag):
+        assert _exit_code([flag]) == 2
+
+    def test_profile_with_json_exits_2(self, tmp_path):
+        argv = ["--quick", "--profile", str(tmp_path / "p.txt"),
+                "--json", str(tmp_path / "x.json")]
+        assert _exit_code(argv) == 2
+        assert not (tmp_path / "x.json").exists()
+
+    def test_profile_with_check_exits_2(self, tmp_path):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(_core_payload()))
+        argv = ["--quick", "--profile", str(tmp_path / "p.txt"),
+                "--check", str(path)]
+        assert _exit_code(argv) == 2
+
+    def test_baseline_with_different_quick_exits_2(self, tmp_path, capsys):
+        payload = _core_payload()
+        payload["quick"] = False
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(payload))
+        assert _exit_code(["--quick", "--check", str(path)]) == 2
+        assert "quick=False" in capsys.readouterr().err
+
+    def test_baseline_with_different_schema_exits_2(self, tmp_path):
+        payload = _core_payload()
+        payload["schema"] = "shrimp-bench-host-throughput/1"
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(payload))
+        assert _exit_code(["--quick", "--check", str(path)]) == 2
+
+    def test_unknown_section_exits_2_naming_the_choices(self, capsys):
+        assert _exit_code(["--section", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert all(section in err for section in SECTIONS)
+
+    def test_unknown_scenario_exits_2_naming_the_choices(self, capsys):
+        assert _exit_code(["--section", "scale", "--scenario", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "nope" in err
+        assert "incast_64x1" in err and "hotspot_32x2" in err
+
+    def test_recorded_run_checks_clean_then_catches_a_sim_change(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "base.json"
+        argv = ["--quick", "--repeats", "1", "--scenario", "udma_send"]
+        assert main(argv + ["--json", str(path)]) == 0
+        baseline = json.loads(path.read_text())
+        assert list(baseline["sections"]) == ["core"]
+        # Host speed varies between the two runs; the rate gate is not
+        # what this test is about.
+        assert main(argv + ["--check", str(path), "--tolerance", "1"]) == 0
+        row = baseline["sections"]["core"]["udma_send"]["variants"]["default"]
+        row["sim"]["sim_cycles"] += 1
+        path.write_text(json.dumps(baseline))
+        capsys.readouterr()
+        assert main(argv + ["--check", str(path), "--tolerance", "1"]) == 1
+        assert "determinism break" in capsys.readouterr().err
