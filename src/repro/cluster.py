@@ -192,8 +192,6 @@ class ShrimpCluster:
             nic.connect(self.interconnect)
             if self.reliability is not None:
                 nic.enable_reliability(self.reliability)
-            # Wire the bus snooper for the automatic-update extension.
-            node.cpu.store_snoop = nic.snoop_store
             self.nodes.append(node)
             self.nics.append(nic)
             self._nipt_free.append([(0, config.nipt_entries)])

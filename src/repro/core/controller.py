@@ -23,7 +23,6 @@ from repro.core.events import UdmaEvent
 from repro.core.state_machine import (
     ProxyOperand,
     SpaceKind,
-    StartDirective,
     UdmaState,
     UdmaStateMachine,
 )
@@ -196,8 +195,13 @@ class UdmaController:
             self.backend.record_fault("bad-load")
         if self._spans is not None:
             self._span_load(operand, result)
-        if result.start is not None:
-            self._launch(result.start)
+        start = result.start
+        if start is not None:
+            self.start_transfer(
+                self._endpoint(start.source),
+                self._endpoint(start.destination),
+                start.count,
+            )
         if self.tracer.enabled:
             self.tracer.emit(
                 self.clock.now,
@@ -418,17 +422,29 @@ class UdmaController:
             self._span = None
             self._span_phase = ""
 
-    def _launch(self, directive: StartDirective) -> None:
-        source = self._endpoint(directive.source)
-        destination = self._endpoint(directive.destination)
-        duration = self.engine.transfer_duration(source, destination, directive.count)
+    def start_transfer(
+        self,
+        source: Endpoint,
+        destination: Endpoint,
+        count: int,
+        duration: Optional[int] = None,
+    ) -> None:
+        """Start the DMA engine on resolved endpoints.
+
+        The state machine has already moved to Transferring.  ``duration``
+        is :meth:`DmaEngine.transfer_duration` for these arguments when
+        the caller worked it out ahead of time (a send plan does, once,
+        for a device whose answer cannot change); None asks the engine.
+        """
+        if duration is None:
+            duration = self.engine.transfer_duration(source, destination, count)
         self._transfer_start_time = self.clock.now
         self._transfer_duration = duration
-        self._transfer_count = directive.count
+        self._transfer_count = count
         self.engine.start(
             source,
             destination,
-            directive.count,
+            count,
             self._transfer_done,
             span_id=self._span,
             duration=duration,

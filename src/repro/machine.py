@@ -266,6 +266,10 @@ class Machine:
         window = self.udma.attach_device(device)
         if self.obs.spans is not None:
             device._spans = self.obs.spans
+        if hasattr(device, "attach_cpu"):
+            # A bus snooper (the NIC's automatic update) taps this CPU's
+            # stores while it has pages bound.
+            device.attach_cpu(self.cpu)
         if self.iommu is not None and hasattr(device, "attach_iommu"):
             # The virtual-address RDMA tier: the NIC's receive DMA
             # translates through this node's IOMMU.

@@ -228,9 +228,27 @@ class Interconnect:
         copy.  A fault injector sees real wire bytes; when it returns that
         very (immutable) object the wire is unchanged and the packet rides
         on, so only changed, copied, duplicated or held bytes are decoded.
+
+        The common case -- a packet, no injector, no spans, tracer off --
+        is handled in this frame; everything else goes through
+        :meth:`_route_one`, which charges the same counters.
         """
-        if dst_node not in self._nics:
+        port = self._nics.get(dst_node)
+        if port is None:
             raise NetworkError(f"no node {dst_node} on the backplane")
+        if (
+            type(wire) is Packet
+            and self.fault_injector is None
+            and self._spans is None
+            and not self.tracer.enabled
+        ):
+            delay = self._delay_cache.get((src_node, dst_node))
+            if delay is None:
+                delay = self.route_delay(src_node, dst_node)
+            self.packets_routed += 1
+            self.bytes_routed += Packet.HEADER_BYTES + len(wire.payload)
+            self.clock.schedule(delay, partial(port.deliver, wire))
+            return
         if self.fault_injector is not None:
             packet = wire
             if isinstance(wire, Packet):

@@ -24,12 +24,13 @@ The NIC is send-only as a UDMA device, exactly like the real SHRIMP board:
 The **automatic update** strategy of the earlier SHRIMP design (kept in
 the final hardware, section 9) is implemented as an optional snooper:
 stores to bound local pages are forwarded word-by-word to a fixed remote
-page.
+page.  The snooper sits on the node CPU's store path only while at least
+one page is bound, so stores on a node without bindings pay nothing.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.devices.base import ERR_DEVICE_BASE, UDMADevice
 from repro.errors import ConfigurationError, NetworkError
@@ -42,6 +43,7 @@ from repro.params import CostModel
 from repro.sim.clock import transfer_cycles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cpu.cpu import CPU
     from repro.iommu import Iommu, ParkedTransfer
     from repro.net.reliable import ReliabilityPlane
 
@@ -100,6 +102,8 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         self.iommu: Optional["Iommu"] = None
         # Automatic-update bindings: local physical page -> NIPT index.
         self._automatic: Dict[int, int] = {}
+        #: the node CPU whose stores the snooper taps while a page is bound
+        self._cpu: Optional["CPU"] = None
         # Metrics and measurement hooks.
         self.packets_sent = 0
         self.packets_received = 0
@@ -125,6 +129,10 @@ class ShrimpNic(UDMADevice, ReceiverPort):
     def attach_iommu(self, iommu: "Iommu") -> None:
         """Put the node's IOMMU in front of this NIC's receive DMA."""
         self.iommu = iommu
+
+    def attach_cpu(self, cpu: "CPU") -> None:
+        """Give the automatic-update snooper the node's memory bus."""
+        self._cpu = cpu
 
     # ----------------------------------------------------- UDMA device side
     def physical_errors(self, as_source: bool, offset: int, nbytes: int) -> int:
@@ -168,9 +176,12 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         """
         if self.clock is None or self.interconnect is None:
             raise ConfigurationError(f"{self.name} is not attached/connected")
-        index = offset // self.page_size
-        entry = self.nipt.require(index)
-        dst_paddr = self._entry_dst(entry, offset % self.page_size)
+        page_size = self.page_size
+        entry = self.nipt.require(offset // page_size)
+        if entry.virtual:
+            dst_paddr = self._entry_dst(entry, offset % page_size)
+        else:
+            dst_paddr = entry.dst_page * page_size + offset % page_size
         pkt_span = None
         if self._spans is not None and self._spans.current_data_span is not None:
             # The engine publishes the transfer span whose data this is;
@@ -184,15 +195,13 @@ class ShrimpNic(UDMADevice, ReceiverPort):
             )
         pool = self.interconnect.packet_pool
         if pool is not None and pkt_span is None and self.reliability is None:
-            # Fast lane: recycled packet shell + payload buffer.  Skipped
-            # whenever something downstream may retain the packet past
-            # delivery (spans, reliability), so recycling is always safe.
+            # Fast lane: a recycled packet shell.  Skipped whenever
+            # something downstream may retain the packet past delivery
+            # (spans, reliability), so recycling is always safe.  Without
+            # reliability the sequence number is the NIC-global counter.
+            self._seq += 1
             packet = pool.acquire(
-                self.node_id,
-                entry.dst_node,
-                dst_paddr,
-                data,
-                self._next_seq(entry.dst_node),
+                self.node_id, entry.dst_node, dst_paddr, data, self._seq
             )
         else:
             packet = Packet(
@@ -321,7 +330,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                         self.clock.now, self.name, "rx-error", bytes=len(wire)
                     )
                 return
-        if packet.is_ack:
+        if packet.kind == "ack":
             # ACKs are the reliability transport's control traffic: the
             # unpacking block consumes them on the spot; they never enter
             # the incoming FIFO or occupy the receive DMA.
@@ -367,7 +376,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         """Queue one checked packet for the receive-side DMA."""
         clock = self.clock
         assert clock is not None
-        self.incoming.push(packet, packet.wire_bytes)
+        self.incoming.push(packet, Packet.HEADER_BYTES + len(packet.payload))
         now = clock.now
         # The receive DMA streams cut-through behind the wire (it is faster
         # than the wire, so it is never the bottleneck); a packet adds only
@@ -399,7 +408,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                 # packet object if spans/reliability/hooks need it back at
                 # replay); a pooled shell can go home now.
                 if packet._pooled and not self.on_receive:
-                    self._release_pooled(packet)
+                    self.interconnect.packet_pool.release(packet)
             else:  # abort: degrade to the classic refusal
                 self.rx_errors += 1
                 if self.tracer.enabled:
@@ -412,7 +421,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                         seq=packet.seq,
                     )
                 if packet._pooled and not self.on_receive:
-                    self._release_pooled(packet)
+                    self.interconnect.packet_pool.release(packet)
             return
         self._rx_deliver(packet, packet.dst_paddr)
 
@@ -448,16 +457,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
             # Delivered and nothing downstream retains it: recycle.  The
             # receiving backplane is the one that lent the packet (pools
             # are per-backplane, per-shard), so the shell goes home.
-            self._release_pooled(packet)
-
-    def _release_pooled(self, packet: Packet) -> None:
-        pool = (
-            self.interconnect.packet_pool
-            if self.interconnect is not None
-            else None
-        )
-        if pool is not None:
-            pool.release(packet)
+            self.interconnect.packet_pool.release(packet)
 
     # ----------------------------------------------- fault-and-resume hooks
     def complete_parked(self, parked: "ParkedTransfer", dst_paddr: int) -> None:
@@ -522,6 +522,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         Subsequent snooped stores to the page are forwarded to the fixed
         remote page named by ``nipt_index`` -- the "fixed mappings between
         source and destination pages" of the automatic update strategy.
+        The first binding installs the snooper on the node CPU's stores.
         """
         if self.nipt.lookup(nipt_index) is None:
             raise ConfigurationError(
@@ -529,10 +530,19 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                 "binding automatic update"
             )
         self._automatic[local_page] = nipt_index
+        if self._cpu is not None:
+            self._cpu.store_snoop = self.snoop_store
 
     def unbind_automatic(self, local_page: int) -> None:
-        """Remove an automatic-update binding."""
+        """Remove an automatic-update binding (the last removes the snooper)."""
         self._automatic.pop(local_page, None)
+        cpu = self._cpu
+        if (
+            not self._automatic
+            and cpu is not None
+            and cpu.store_snoop == self.snoop_store
+        ):
+            cpu.store_snoop = None
 
     def snoop_store(self, paddr: int, data: bytes) -> None:
         """Bus snooper: forward a store to a bound page (word granularity)."""

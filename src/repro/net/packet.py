@@ -114,9 +114,8 @@ class Packet:
     src_node: int
     dst_node: int
     dst_paddr: int
-    #: private payload snapshot; a pooled packet carries a recycled
-    #: ``bytearray`` (same buffer protocol, same equality semantics)
-    payload: "bytes | bytearray"
+    #: private payload snapshot
+    payload: bytes
     seq: int = 0
     #: wire kind: ``"data"`` (deliberate update) or ``"ack"`` (cumulative
     #: acknowledgement); encoded in the magic word, so both kinds share

@@ -7,12 +7,13 @@ curated counters) are **bit-identical at any shard count**.
 
 * :class:`InProcessEngine` -- all shards in this process.  Cross-shard
   bounds are read live (a shard asks its peer's promise directly) and
-  cross-shard packets are ingested immediately, so there is no round
-  protocol and no staleness: this is the deterministic reference and the
-  debugging vehicle.
+  cross-shard packets are handed over as packet objects and ingested
+  immediately, so there is no encoding, no round protocol and no
+  staleness: this is the deterministic reference and the debugging
+  vehicle.
 
-* :class:`WorkerEngine` -- one OS process per shard, exchanging packets
-  and null-message promises through the parent in lock-step rounds (a
+* :class:`WorkerEngine` -- one OS process per shard, exchanging wire
+  bytes and null-message promises through the parent in lock-step rounds (a
   star relay: worker -> parent -> owning worker).  The parent forwards a
   round's packets *and* promises together, so every packet that a
   promise could unblock is ingested before the promise applies.
@@ -29,8 +30,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationLimitError
+from repro.net.packet import Packet
 from repro.params import CostModel
-from repro.sharding.shard import INFINITY, Shard, probe_canonical_frames
+from repro.sharding.shard import (
+    INFINITY,
+    Shard,
+    format_log,
+    probe_canonical_frames,
+)
 from repro.sharding.spec import ClusterSpec, ShardSpec, partition
 
 #: consecutive no-progress, no-traffic, promises-unchanged rounds the
@@ -50,7 +57,9 @@ class ShardRunResult:
 
     engine: str
     num_shards: int
-    logs: List[str] = field(default_factory=list)
+    #: per node, in node order: (node id, messages_total, step records,
+    #: summary line); :attr:`logs` formats them
+    log_records: List[tuple] = field(default_factory=list, repr=False)
     counters: Dict[str, int] = field(default_factory=dict)
     digests: Dict[str, str] = field(default_factory=dict)
     metrics: Dict[str, object] = field(default_factory=dict)
@@ -67,6 +76,24 @@ class ShardRunResult:
     #: report used to show 0.0 here because per-shard stats were dropped)
     xlat_hits: int = 0
     xlat_misses: int = 0
+    _logs: Optional[List[str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def logs(self) -> List[str]:
+        """Every node's step log lines and then its summary, in node order.
+
+        Formatted from :attr:`log_records` on first read and kept, so the
+        list is an ordinary mutable one: an edit shows on the next read.
+        """
+        if self._logs is None:
+            lines: List[str] = []
+            for node_id, total, records, summary in self.log_records:
+                lines += format_log(node_id, total, records)
+                lines.append(summary)
+            self._logs = lines
+        return self._logs
 
     def curated_counters(self) -> Dict[str, int]:
         """The shard-count-invariant counter subset (plus net totals).
@@ -86,7 +113,7 @@ class ShardRunResult:
 
 def _merge(engine: str, num_shards: int, reports: List[dict], rounds: int) -> ShardRunResult:
     result = ShardRunResult(engine=engine, num_shards=num_shards, rounds=rounds)
-    logs: Dict[int, List[str]] = {}
+    logs: Dict[int, tuple] = {}
     for report in reports:
         logs.update(report["logs"])
         result.counters.update(report["counters"])
@@ -101,8 +128,7 @@ def _merge(engine: str, num_shards: int, reports: List[dict], rounds: int) -> Sh
         index = report["shard"]
         result.net_routed += report["counters"][f"shard{index}.net.routed"]
         result.net_bytes += report["counters"][f"shard{index}.net.bytes"]
-    for node_id in sorted(logs):
-        result.logs.extend(logs[node_id])
+    result.log_records = [(node_id, *logs[node_id]) for node_id in sorted(logs)]
     for key, value in result.counters.items():
         if key.endswith(".xlat_hits"):
             result.xlat_hits += value
@@ -166,9 +192,9 @@ class InProcessEngine:
             shard._reattach_after_restore()
 
     def _deliver(
-        self, src: int, dst: int, arrival: int, chseq: int, data: bytes
+        self, src: int, dst: int, arrival: int, chseq: int, wire: "Packet | bytes"
     ) -> None:
-        self._owner[dst].ingest(src, dst, arrival, chseq, data)
+        self._owner[dst].ingest(src, dst, arrival, chseq, wire)
 
     def _bound(self, src: int, dst: int, lookahead: int) -> float:
         shard = self._owner[src]

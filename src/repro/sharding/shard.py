@@ -92,10 +92,15 @@ class ShardInterconnect(Interconnect):
             raise ConfigurationError(
                 "wire-fault injection is not supported in sharded mode"
             )
-        nbytes = wire.wire_bytes if isinstance(wire, Packet) else len(wire)
-        delay = self.route_delay(src_node, dst_node)
+        delay = self._delay_cache.get((src_node, dst_node))
+        if delay is None:
+            delay = self.route_delay(src_node, dst_node)
         self.packets_routed += 1
-        self.bytes_routed += nbytes
+        self.bytes_routed += (
+            Packet.HEADER_BYTES + len(wire.payload)
+            if type(wire) is Packet
+            else len(wire)
+        )
         self._shard.handoff(src_node, dst_node, delay, wire)
 
 
@@ -127,7 +132,32 @@ class NodeRuntime:
     sent: int = 0
     steps: int = 0
     retries: int = 0
-    log: List[str] = field(default_factory=list)
+    #: one ``(outcome, now)`` record per step; :func:`format_log` turns
+    #: them into the step log's lines
+    log: List[Tuple[str, int]] = field(default_factory=list)
+
+
+def format_log(
+    node_id: int, messages_total: int, records: List[Tuple[str, int]]
+) -> List[str]:
+    """The step log lines of one node, from its ``(outcome, now)`` records.
+
+    A step either sends (``"sent"``) or finds the device busy
+    (``"busy"``), so the step number and the running sent and retry
+    counts follow from a record's position and the outcomes before it.
+    """
+    lines = []
+    sent = retries = 0
+    for steps, (outcome, now) in enumerate(records, 1):
+        if outcome == "sent":
+            sent += 1
+        else:
+            retries += 1
+        lines.append(
+            f"n{node_id:03d} {steps:04d} {outcome:<5} "
+            f"m={sent}/{messages_total} t={now} r={retries}"
+        )
+    return lines
 
 
 def build_node(
@@ -158,7 +188,6 @@ def build_node(
     )
     machine.attach_device(nic)
     nic.connect(interconnect)
-    machine.cpu.store_snoop = nic.snoop_store
     return machine, nic
 
 
@@ -324,8 +353,9 @@ class Shard:
         #: messages: (src, dst) -> promised time + lookahead
         self.chan_bound: Dict[Tuple[int, int], float] = {}
         #: engine override: called for cross-shard deliveries instead of
-        #: the outbox (the in-process engine delivers immediately)
-        self.deliver_remote: Optional[Callable[[int, int, int, int, bytes], None]] = None
+        #: the outbox (the in-process engine delivers immediately, and
+        #: hands over packets rather than wire bytes)
+        self.deliver_remote: Optional[Callable[..., None]] = None
         #: engine override: live bound for a cross-shard in-link (the
         #: in-process engine reads the peer shard's promise directly)
         self.remote_bound: Optional[Callable[[int, int, int], float]] = None
@@ -389,6 +419,8 @@ class Shard:
         wire delay; the key ``(1, src, chseq)`` fixes the arrival's rank
         among same-cycle operations at the destination, independent of
         which shard -- or which worker process -- performed the delivery.
+        A peer shard in this process is handed the packet itself; a
+        worker's peer gets wire bytes through the outbox.
         """
         self.handoffs += 1
         arrival = self.runtimes[src].clock.now + delay
@@ -412,10 +444,26 @@ class Shard:
                 arrival, (1, src, chseq), partial(rt.nic.deliver, wire)
             )
             return
-        if isinstance(wire, Packet):
+        is_packet = type(wire) is Packet
+        if self.deliver_remote is not None and is_packet:
+            # An in-process peer takes the packet itself: no encode, no
+            # decode checksum (sharded mode refuses fault injectors, so
+            # the wire cannot have changed).  The arrival gets a private,
+            # non-pooled copy sharing the immutable payload, and the
+            # pooled shell goes straight back to this shard's pool.
+            if wire._pooled:
+                arriving = Packet(
+                    wire.src_node, wire.dst_node, wire.dst_paddr,
+                    wire.payload, wire.seq, wire.kind,
+                )
+                self.interconnect.packet_pool.release(wire)
+                wire = arriving
+            self.deliver_remote(src, dst, arrival, chseq, wire)
+            return
+        if is_packet:
             data = wire.encode()
-            # Cross-shard transit is always wire bytes; the pooled shell
-            # has served its purpose and can go straight home.
+            # A worker's peer lives in another process: transit is wire
+            # bytes, and the pooled shell can go straight home.
             pool = self.interconnect.packet_pool
             if pool is not None:
                 pool.release(wire)
@@ -426,11 +474,18 @@ class Shard:
         else:
             self.outbox.append((src, dst, arrival, chseq, data))
 
-    def ingest(self, src: int, dst: int, arrival: int, chseq: int, data: bytes) -> None:
-        """Accept a cross-shard arrival (wire bytes; the decode path)."""
+    def ingest(
+        self, src: int, dst: int, arrival: int, chseq: int, wire: "Packet | bytes"
+    ) -> None:
+        """Accept a cross-shard arrival.
+
+        An in-process peer hands over a private :class:`Packet`; a worker
+        peer's arrival is wire bytes, decoded and checksummed by the
+        receiving NIC.
+        """
         rt = self.runtimes[dst]
         rt.clock.schedule_keyed(
-            arrival, (1, src, chseq), partial(rt.nic.deliver, data)
+            arrival, (1, src, chseq), partial(rt.nic.deliver, wire)
         )
 
     def set_chan_bound(self, src: int, dst: int, bound: "float | None") -> None:
@@ -526,10 +581,9 @@ class Shard:
             outcome = "busy"
             rt.next_step = step_t + RETRY_GAP_CYCLES
         rt.steps += 1
-        rt.log.append(
-            f"n{rt.node_id:03d} {rt.steps:04d} {outcome:<5} "
-            f"m={rt.sent}/{rt.messages_total} t={rt.clock.now} r={rt.retries}"
-        )
+        # A record, not a line: lines are formatted only when a reader
+        # asks for ShardRunResult.logs.
+        rt.log.append((outcome, rt.clock.now))
 
     # ------------------------------------------------------------- running
     def run_until_blocked(self) -> bool:
@@ -644,9 +698,11 @@ class Shard:
         """Everything the engine needs to merge: logs, counters, digests.
 
         Keys are per-node, so merging across shards is a plain union and
-        the merged artefacts are bit-identical at any shard count.
+        the merged artefacts are bit-identical at any shard count.  A
+        node's log is ``(messages_total, step records, summary line)``;
+        the engine's result formats the records on first read.
         """
-        logs: Dict[int, List[str]] = {}
+        logs: Dict[int, Tuple[int, List[Tuple[str, int]], str]] = {}
         counters: Dict[str, int] = {}
         digests: Dict[str, str] = {}
         events = 0
@@ -658,7 +714,7 @@ class Shard:
                 f"n{node_id:03d} done  sent={rt.sent} retries={rt.retries} "
                 f"rx={rt.nic.packets_received} t={rt.clock.now}"
             )
-            logs[node_id] = rt.log + [summary]
+            logs[node_id] = (rt.messages_total, rt.log[:], summary)
             counters.update(self.node_counters(rt))
             h = hashlib.blake2b(digest_size=16)
             h.update(rt.machine.physmem.view(0, rt.machine.physmem.size))

@@ -22,6 +22,7 @@ from typing import Optional, Union
 
 from repro.core.state_machine import SpaceKind, StartDirective, UdmaState
 from repro.core.status import UdmaStatus
+from repro.devices.base import UDMADevice
 from repro.errors import AddressError, DmaError
 from repro.kernel.process import Process
 from repro.machine import Machine
@@ -70,13 +71,14 @@ class _SendPlan:
     both proxy pages are warm in the CPU's translation cache) and caches
     everything about the initiation that is a pure function of stable
     state: the physical proxy addresses, the decoded operands and start
-    directive, the one-piece byte count, and the batched cycle charge of
-    ``execute(align) + STORE + fence + LOAD``.  Every use re-validates the
-    translations (generation stamps + physical address equality) and the
-    protection backend's veto (keyed on the backend's generation, which
-    every grant, revoke and NIPT set/clear bumps), so a remap, shootdown,
-    backend switch or channel eviction sends the message back down the
-    slow path instead of replaying stale state.
+    directive, the one-piece byte count, the batched cycle charge of
+    ``execute(align) + STORE + fence + LOAD``, and the launch: both DMA
+    endpoints and the engine's transfer duration.  Every use re-validates
+    the translations (generation stamps + physical address equality) and
+    the protection backend's veto (keyed on the backend's generation,
+    which every grant, revoke and NIPT set/clear bumps), so a remap,
+    shootdown, backend switch or channel eviction sends the message back
+    down the slow path instead of replaying stale state.
     """
 
     __slots__ = (
@@ -91,6 +93,9 @@ class _SendPlan:
         "cpu_cycles",
         "total_cycles",
         "directive",
+        "source_ep",
+        "dest_ep",
+        "duration",
         "device",
         "dst_offset",
         "backend",
@@ -434,6 +439,16 @@ class UdmaUser:
         plan.directive = StartDirective(
             source=src_op, destination=dst_op, count=nbytes
         )
+        plan.source_ep = udma._endpoint(src_op)
+        plan.dest_ep = udma._endpoint(dst_op)
+        # The duration is fixed for a device that adds no latency of its
+        # own; one that does (a disk's seek depends on where its head is)
+        # is asked again on every launch.
+        plan.duration = (
+            udma.engine.transfer_duration(plan.source_ep, plan.dest_ep, nbytes)
+            if type(device).dma_extra_cycles is UDMADevice.dma_extra_cycles
+            else None
+        )
         plan.device = device
         plan.dst_offset = dst_offset
         plan.backend = udma.backend
@@ -521,7 +536,7 @@ class UdmaUser:
         sm.source = directive.source
         sm._in_flight_count = plan.count
         sm.state = UdmaState.TRANSFERRING
-        udma._launch(directive)
+        udma.start_transfer(plan.source_ep, plan.dest_ep, plan.count, plan.duration)
         stats.pieces += 1
         stats.initiations += 1
         stats.bytes_moved += plan.count

@@ -3,7 +3,7 @@
 Each test targets one stateful component in a configuration that has
 historically been hard to serialise correctly: a clock mid-burst with a
 populated free list and a same-cycle burst queued, a TLB carrying stale
-generation stamps, a packet pool with recycled buffers, detached sampled
+generation stamps, a packet pool with recycled shells, detached sampled
 metrics, the NULL_TRACER singleton.
 """
 
@@ -136,12 +136,28 @@ def test_clock_and_pool_blob_from_version_4_refused():
     with pytest.raises(SnapshotVersionError) as excinfo:
         restore(blob)
     assert excinfo.value.found == 4
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 5
+    assert excinfo.value.expected == SNAPSHOT_VERSION
     clock2, _fired2, pool2 = restore(encode((clock, fired, pool)))
     assert clock2.reference is False
     assert not hasattr(clock2, "_free_ids")
     assert pool2.stats() == pool.stats()
 
+
+
+def test_pool_log_and_snooper_blob_from_version_5_refused():
+    """Version 5 pickled the packet pool's payload-buffer free lists, a
+    sharded node's step log as formatted lines, and a NIC without the CPU
+    its snooper taps; such a blob must be refused, never restored into a
+    shell-only pool."""
+    pool = _used_pool()
+    blob = encode(pool, version=5)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 5
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 6
+    pool2 = restore(encode(pool))
+    assert pool2.stats() == pool.stats()
+    assert not hasattr(pool2, "_buffers")
 
 
 def _stale_tlb() -> TLB:
@@ -215,13 +231,12 @@ def test_packet_pool_round_trip_rebuilds_ownership():
     pool = _used_pool()
     pool2 = restore(snapshot(pool))
     assert pool2.stats() == pool.stats()
-    # The restored pool owns its free lists outright: no shell or buffer
-    # is shared with the original, and recycling from one leaves the
-    # other untouched.
+    # The restored pool owns its free list outright: no shell is shared
+    # with the original, and recycling from one leaves the other
+    # untouched.
     assert not {id(p) for p in pool2._packets} & {id(p) for p in pool._packets}
     packet = pool2.acquire(2, 3, 0x80, b"z" * 64, seq=11)
     assert pool2.stats()["packet_reuses"] == pool.stats()["packet_reuses"] + 1
-    assert pool2.stats()["buffer_reuses"] == pool.stats()["buffer_reuses"] + 1
     assert bytes(packet.payload) == b"z" * 64
     assert all(p.payload == b"" for p in pool._packets)
     # The restored pool must keep recycling correctly.
