@@ -64,6 +64,21 @@ def strip_paging_faults(actions: Sequence[Action]) -> List[Action]:
     return [a for a in actions if a.kind not in PAGING_FAULT_KINDS]
 
 
+def drain_before_writes(actions: Sequence[Action]) -> List[Action]:
+    """The race-free twin: a ``drain`` before every CPU ``write``.
+
+    A store racing an unwaited delivery into (or a source read of) the
+    same bytes lands before or after it depending on timing, which
+    twins that legally shift timing must not mistake for a divergence.
+    """
+    out: List[Action] = []
+    for action in actions:
+        if action.kind == "write":
+            out.append(Action("drain"))
+        out.append(action)
+    return out
+
+
 def outcome_class(outcome: str) -> str:
     """Timing-free projection of a world.apply() outcome label.
 
@@ -389,12 +404,16 @@ TWINS: Dict[str, Twin] = {
         ),
         Twin(
             # Backends legally shift timing, so an armed wire fault can
-            # swallow different transfers per backend: strip them.
+            # swallow different transfers per backend, and a CPU write
+            # can land before or after an in-flight delivery to the same
+            # bytes: strip the faults and settle before every write.
             "backends", "schedule",
-            "one run per --backend (wire faults off): failure kind@index, "
-            "outcome classes, fault ledger, NIPT, memory",
+            "one run per --backend (wire faults off, writes settled): "
+            "failure kind@index, outcome classes, fault ledger, NIPT, "
+            "memory",
             lambda s: [
-                Variant(spec, {"protection": spec}, strip_wire_faults)
+                Variant(spec, {"protection": spec},
+                        lambda a: drain_before_writes(strip_wire_faults(a)))
                 for spec in s.backends
             ],
             _protection,

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 from repro.bench.workloads import make_payload
 from repro.chaos.actions import Action
-from repro.cluster import ShrimpCluster
+from repro.cluster import ShrimpCluster, node_counters
 from repro.config import ClusterConfig, IommuConfig, MachineConfig
 from repro.devices.sink import SinkDevice
 from repro.errors import ConfigurationError, InvariantViolation, ReproError
@@ -731,26 +731,12 @@ class ChaosWorld:
         bit-identical across modes.
         """
         c: "dict[str, int]" = {"now": self.clock.now}
-        for i, machine in enumerate(self.machines):
-            cpu, vm = machine.cpu, machine.kernel.vm
-            sched = machine.kernel.scheduler
-            p = f"n{i}."
-            c[p + "loads"] = cpu.loads
-            c[p + "stores"] = cpu.stores
-            c[p + "instructions"] = cpu.instructions
-            c[p + "charged"] = cpu.charged_cycles
-            c[p + "faults"] = vm.faults_handled
-            c[p + "proxy_faults"] = vm.proxy_faults
-            c[p + "mmu_faults"] = machine.mmu.faults
-            c[p + "switches"] = sched.switches
-            c[p + "invals"] = sched.invals_fired
+        nics = self.cluster.nics if self.cluster is not None else [None]
+        for i, (machine, nic) in enumerate(zip(self.machines, nics)):
+            # io{i}.* only when the tier is on and nic{i}.* only in a
+            # cluster, so other counter sets stay bit-identical to history
+            c.update(node_counters(i, machine, nic))
         if self.cluster is not None:
-            for i, nic in enumerate(self.cluster.nics):
-                p = f"nic{i}."
-                c[p + "tx"] = nic.packets_sent
-                c[p + "rx"] = nic.packets_received
-                c[p + "rx_err"] = nic.rx_errors
-                c[p + "bytes_rx"] = nic.bytes_received
             c["net.routed"] = self.interconnect.packets_routed
             c["net.dropped"] = self.interconnect.packets_dropped
             if self.cluster.reliability is not None:
@@ -761,13 +747,6 @@ class ChaosWorld:
         if self.sink is not None:
             c["sink.reads"] = self.sink.reads
             c["sink.writes"] = self.sink.writes
-        if self.iommu:
-            # Only present when the tier is on, so iommu-off counter sets
-            # stay bit-identical to history.
-            for i, machine in enumerate(self.machines):
-                assert machine.iommu is not None
-                for name, value in machine.iommu.counters().items():
-                    c[f"io{i}.{name}"] = value
         return c
 
     def protection_faults(self) -> "List[str]":

@@ -23,7 +23,7 @@ dirty, the receiving-side I3 discipline for device-to-memory writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigurationError, SyscallError
@@ -83,6 +83,126 @@ class Channel:
         return self.npages * self.page_size
 
 
+def build_node(
+    config: ClusterConfig,
+    node_id: int,
+    clock: Clock,
+    interconnect: Interconnect,
+    obs: Observability,
+    tracer: Optional[Tracer] = None,
+    reliability: Optional[ReliabilityPlane] = None,
+) -> Tuple[Machine, ShrimpNic]:
+    """Build node ``node_id`` of a cluster: its machine and its NIC.
+
+    The machine is configured by ``config``'s per-node projection, runs
+    on ``clock`` and registers its metrics on ``obs``; the NIC is plugged
+    into ``interconnect`` (and into ``reliability``'s transport, if any).
+    A :class:`ShrimpCluster` passes one shared clock for every node, a
+    shard (:mod:`repro.sharding`) one clock per node.
+    """
+    machine = Machine(
+        config=config.node_config(obs),
+        clock=clock,
+        tracer=tracer,
+        name=f"node{node_id}",
+    )
+    nic = ShrimpNic(
+        node_id=node_id,
+        costs=machine.costs,
+        physmem=machine.physmem,
+        nipt_entries=config.nipt_entries,
+        cut_through=config.cut_through,
+    )
+    machine.attach_device(nic)
+    nic.connect(interconnect)
+    if reliability is not None:
+        nic.enable_reliability(reliability)
+    return machine, nic
+
+
+def export_receive_buffer(
+    machine: Machine,
+    process: Process,
+    vaddr: int,
+    npages: int,
+    physical: bool = True,
+    warm: bool = True,
+) -> Tuple[int, ...]:
+    """Receiver-side export: make pages resident, dirty, and pinned.
+
+    Returns the physical frames backing the buffer (what NIPT entries
+    will name).  See the module docstring for the pinning rationale.
+
+    Under the virtual-address RDMA tier (``physical=False``) the export
+    takes *no pin* and sets no dirty bit: it registers (asid, vpage)
+    windows with the node's IOMMU instead, and delivery-time translation
+    marks pages dirty as the device actually writes them.  By default
+    the pages are still touched resident once so the fault-free path
+    starts warm; they may be evicted freely afterwards -- that is the
+    whole point of the tier.  ``warm=False`` leaves them cold (nothing
+    resident, no frames returned), so the first delivery to each page
+    parks, fault-services and replays.
+    """
+    if vaddr % machine.layout.page_size:
+        raise SyscallError("EINVAL", "receive buffers must be page aligned")
+    if not physical and machine.iommu is None:
+        raise ConfigurationError(
+            f"{machine.name} has no IOMMU; virtual exports need "
+            "ClusterConfig(iommu=...)"
+        )
+    frames: List[int] = []
+    base_vpage = vaddr // machine.layout.page_size
+    for i in range(npages):
+        vpage = base_vpage + i
+        if not process.owns_vpage(vpage):
+            raise SyscallError("EFAULT", f"vpage {vpage:#x} not owned")
+        if not process.vpage_is_writable(vpage):
+            raise SyscallError("EFAULT", f"vpage {vpage:#x} is read-only")
+        if physical or warm:
+            frames.append(machine.kernel.vm.touch_resident(process, vpage))
+        if physical:
+            pte = process.page_table.get(vpage)
+            assert pte is not None
+            pte.dirty = True  # receiving-side I3: incoming DMA will write it
+            machine.kernel.frames.pin(frames[-1])
+        else:
+            machine.iommu.register_window(process.asid, vpage, writable=True)
+    return tuple(frames)
+
+
+def node_counters(
+    i: int, machine: Machine, nic: Optional[ShrimpNic] = None
+) -> Dict[str, int]:
+    """Node ``i``'s curated counters: the ones every twin run must match.
+
+    CPU, paging and scheduling counts (``n{i}.*``), the NIC's packet
+    counts (``nic{i}.*``) when there is a NIC, and the IOMMU's park and
+    replay ledger (``io{i}.*``) when the node has the tier.
+    """
+    cpu, vm = machine.cpu, machine.kernel.vm
+    sched = machine.kernel.scheduler
+    c = {
+        f"n{i}.loads": cpu.loads,
+        f"n{i}.stores": cpu.stores,
+        f"n{i}.instructions": cpu.instructions,
+        f"n{i}.charged": cpu.charged_cycles,
+        f"n{i}.faults": vm.faults_handled,
+        f"n{i}.proxy_faults": vm.proxy_faults,
+        f"n{i}.mmu_faults": machine.mmu.faults,
+        f"n{i}.switches": sched.switches,
+        f"n{i}.invals": sched.invals_fired,
+    }
+    if nic is not None:
+        c[f"nic{i}.tx"] = nic.packets_sent
+        c[f"nic{i}.rx"] = nic.packets_received
+        c[f"nic{i}.rx_err"] = nic.rx_errors
+        c[f"nic{i}.bytes_rx"] = nic.bytes_received
+    if machine.iommu is not None:
+        for name, value in machine.iommu.counters().items():
+            c[f"io{i}.{name}"] = value
+    return c
+
+
 class ShrimpCluster:
     """N SHRIMP nodes on one backplane.
 
@@ -115,11 +235,6 @@ class ShrimpCluster:
         self.config = config
         num_nodes = config.num_nodes
         self.costs = config.costs if config.costs is not None else shrimp()
-        #: protection-backend spec applied to every node (each node gets
-        #: its own backend instance; see repro.protection)
-        self.protection = (
-            config.protection if config.protection is not None else "proxy"
-        )
         self.clock = Clock(reference=config.reference)
         # One shared observability plane: every node registers its metrics
         # under a node{i}. namespace and all spans land on one tracker, so
@@ -167,34 +282,14 @@ class ShrimpCluster:
             )
         self.nodes: List[Machine] = []
         self.nics: List[ShrimpNic] = []
-        # Per-node NIPT allocator: free (base, length) ranges, first-fit.
-        # Starts as one big range, so allocation order matches the old
-        # bump allocator until something is released.
-        self._nipt_free: List[List[Tuple[int, int]]] = []
-        node_config = config.node_config().replace(
-            costs=self.costs, protection=self.protection, obs=self.obs
-        )
+        node_config = config.replace(costs=self.costs)
         for i in range(num_nodes):
-            node = Machine(
-                config=node_config,
-                clock=self.clock,
-                tracer=self.tracer,
-                name=f"node{i}",
+            node, nic = build_node(
+                node_config, i, self.clock, self.interconnect, self.obs,
+                tracer=self.tracer, reliability=self.reliability,
             )
-            nic = ShrimpNic(
-                node_id=i,
-                costs=self.costs,
-                physmem=node.physmem,
-                nipt_entries=config.nipt_entries,
-                cut_through=config.cut_through,
-            )
-            node.attach_device(nic)
-            nic.connect(self.interconnect)
-            if self.reliability is not None:
-                nic.enable_reliability(self.reliability)
             self.nodes.append(node)
             self.nics.append(nic)
-            self._nipt_free.append([(0, config.nipt_entries)])
         if self.obs.config.metrics:
             self._bind_metrics()
 
@@ -287,54 +382,6 @@ class ShrimpCluster:
         return len(self.nodes)
 
     # ----------------------------------------------------------- channels
-    def export_receive_buffer(
-        self,
-        node_index: int,
-        process: Process,
-        vaddr: int,
-        npages: int,
-        physical: bool = True,
-    ) -> Tuple[int, ...]:
-        """Receiver-side export: make pages resident, dirty, and pinned.
-
-        Returns the physical frames backing the buffer (what NIPT entries
-        will name).  See the module docstring for the pinning rationale.
-
-        Under the virtual-address RDMA tier (``physical=False``) the
-        export takes *no pin* and sets no dirty bit: it registers
-        (asid, vpage) windows with the receiving node's IOMMU instead,
-        and delivery-time translation marks pages dirty as the device
-        actually writes them.  Pages are still touched resident once so
-        the fault-free path starts warm; they may be evicted freely
-        afterwards -- that is the whole point of the tier.
-        """
-        node = self.nodes[node_index]
-        if vaddr % node.layout.page_size:
-            raise SyscallError("EINVAL", "receive buffers must be page aligned")
-        if not physical and node.iommu is None:
-            raise ConfigurationError(
-                f"node {node_index} has no IOMMU; virtual exports need "
-                "ClusterConfig(iommu=...)"
-            )
-        frames: List[int] = []
-        base_vpage = vaddr // node.layout.page_size
-        for i in range(npages):
-            vpage = base_vpage + i
-            if not process.owns_vpage(vpage):
-                raise SyscallError("EFAULT", f"vpage {vpage:#x} not owned")
-            if not process.vpage_is_writable(vpage):
-                raise SyscallError("EFAULT", f"vpage {vpage:#x} is read-only")
-            frame = node.kernel.vm.touch_resident(process, vpage)
-            if physical:
-                pte = process.page_table.get(vpage)
-                assert pte is not None
-                pte.dirty = True  # receiving-side I3: incoming DMA will write it
-                node.kernel.frames.pin(frame)
-            else:
-                node.iommu.register_window(process.asid, vpage, writable=True)
-            frames.append(frame)
-        return tuple(frames)
-
     def create_channel(
         self,
         src_node: int,
@@ -363,22 +410,19 @@ class ShrimpCluster:
             physical = self.nodes[dst_node].iommu is None
         page_size = self.costs.page_size
         npages = -(-nbytes // page_size)
-        frames = self.export_receive_buffer(
-            dst_node, dst_process, dst_vaddr, npages, physical=physical
+        frames = export_receive_buffer(
+            self.nodes[dst_node], dst_process, dst_vaddr, npages,
+            physical=physical,
         )
-        base = self._alloc_nipt(src_node, npages)
-        nic = self.nics[src_node]
-        dst_asid = -1
         if physical:
-            for i, frame in enumerate(frames):
-                nic.nipt.set_entry(base + i, dst_node, frame)
+            pages, dst_asid = frames, -1
         else:
             # Virtual entries: name the destination (asid, vpage); the
             # receiver's IOMMU resolves frames at delivery time.
-            dst_asid = dst_process.asid
             base_vpage = dst_vaddr // page_size
-            for i in range(npages):
-                nic.nipt.set_entry(base + i, dst_node, base_vpage + i, dst_asid)
+            pages = range(base_vpage, base_vpage + npages)
+            dst_asid = dst_process.asid
+        base = self.nics[src_node].nipt.install(dst_node, pages, dst_asid)
         return Channel(
             src_node=src_node,
             dst_node=dst_node,
@@ -467,10 +511,9 @@ class ShrimpCluster:
         is refused at translation time: revocation is enforced at
         delivery, a protection property the physical tier cannot offer.
         """
-        nic = self.nics[channel.src_node]
-        for i in range(channel.npages):
-            nic.nipt.clear_entry(channel.nipt_base + i)
-        self._free_nipt(channel.src_node, channel.nipt_base, channel.npages)
+        self.nics[channel.src_node].nipt.uninstall(
+            channel.nipt_base, channel.npages
+        )
         node = self.nodes[channel.dst_node]
         if channel.virtual:
             assert node.iommu is not None
@@ -481,31 +524,6 @@ class ShrimpCluster:
         for frame in channel.dst_frames:
             if node.kernel.frames.is_pinned(frame):
                 node.kernel.frames.unpin(frame)
-
-    def _alloc_nipt(self, node_index: int, npages: int) -> int:
-        ranges = self._nipt_free[node_index]
-        for i, (base, length) in enumerate(ranges):
-            if length >= npages:
-                if length == npages:
-                    del ranges[i]
-                else:
-                    ranges[i] = (base + npages, length - npages)
-                return base
-        raise SyscallError("ENOSPC", "sender NIPT exhausted")
-
-    def _free_nipt(self, node_index: int, base: int, npages: int) -> None:
-        """Return a NIPT index range, coalescing with neighbours."""
-        ranges = self._nipt_free[node_index]
-        ranges.append((base, npages))
-        ranges.sort()
-        merged = [ranges[0]]
-        for start, length in ranges[1:]:
-            prev_start, prev_len = merged[-1]
-            if prev_start + prev_len == start:
-                merged[-1] = (prev_start, prev_len + length)
-            else:
-                merged.append((start, length))
-        ranges[:] = merged
 
     # ----------------------------------------------------------- running
     def run_until_idle(self, max_events: int = 1_000_000) -> None:

@@ -157,14 +157,16 @@ class ClusterConfig:
     def iommu_config(self) -> Optional[IommuConfig]:
         return IommuConfig.coerce(self.iommu)
 
-    def node_config(self) -> MachineConfig:
+    def node_config(self, obs: object = None) -> MachineConfig:
         """The per-node :class:`MachineConfig` projection.
 
-        ``obs``/``reliability`` are intentionally absent: the cluster owns
-        one shared observability plane and one shared transport plane and
-        wires them itself.
+        ``obs``/``reliability`` are intentionally not projected: the
+        cluster owns one shared observability plane and one shared
+        transport plane and wires them itself -- the plane by passing it
+        here as ``obs`` (see :func:`repro.cluster.build_node`).
         """
         return MachineConfig(
+            obs=obs,
             costs=self.costs,
             mem_size=self.mem_size,
             scheme=self.scheme,

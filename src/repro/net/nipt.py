@@ -10,15 +10,18 @@ indexed with 15 bits, it can hold 32K different destination pages"
 
 The NIPT is configured by the operating system (the receive side must
 export a page before a sender's OS will install an entry for it); the
-hardware only reads it.
+hardware only reads it.  The OS side also owns the table's index space:
+:meth:`NetworkInterfacePageTable.install` places a channel's pages in the
+first free run of indices and :meth:`~NetworkInterfacePageTable.uninstall`
+gives the run back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import ConfigurationError, NetworkError, SyscallError
 from repro.snapshot.protocol import SnapshotMixin
 
 #: the paper's NIPT size: a 15-bit index
@@ -66,6 +69,10 @@ class NetworkInterfacePageTable(SnapshotMixin):
         #: and revoke send capabilities from these); called with
         #: ``(index, installed)`` after the table has been updated
         self._listeners: List[Callable[[int, bool], None]] = []
+        #: free (base, length) index runs, sorted; :meth:`install` takes
+        #: the first that fits, so until something is uninstalled the
+        #: runs are handed out in index order
+        self._free: List[Tuple[int, int]] = [(0, num_entries)]
 
     def add_listener(self, listener: Callable[[int, bool], None]) -> None:
         """Subscribe to set/clear events (host-side, costs nothing)."""
@@ -98,6 +105,44 @@ class NetworkInterfacePageTable(SnapshotMixin):
         if removed is not None:
             for listener in self._listeners:
                 listener(index, False)
+
+    def install(
+        self, dst_node: int, pages: Sequence[int], dst_asid: int = -1
+    ) -> int:
+        """OS-side: install one channel's entries; returns its base index.
+
+        Entry ``base + i`` names ``pages[i]`` on ``dst_node`` (frames, or
+        virtual pages of ``dst_asid`` under the IOMMU tier).  The index
+        run is the first free one that fits; ``ENOSPC`` when none does.
+        """
+        npages = len(pages)
+        for i, (base, length) in enumerate(self._free):
+            if length >= npages:
+                if length == npages:
+                    del self._free[i]
+                else:
+                    self._free[i] = (base + npages, length - npages)
+                break
+        else:
+            raise SyscallError("ENOSPC", "sender NIPT exhausted")
+        for i, page in enumerate(pages):
+            self.set_entry(base + i, dst_node, page, dst_asid)
+        return base
+
+    def uninstall(self, base: int, npages: int) -> None:
+        """OS-side: clear a run :meth:`install` returned and free its
+        indices, merging the run with free neighbours."""
+        for index in range(base, base + npages):
+            self.clear_entry(index)
+        runs = sorted(self._free + [(base, npages)])
+        merged = [runs[0]]
+        for start, length in runs[1:]:
+            prev_start, prev_len = merged[-1]
+            if prev_start + prev_len == start:
+                merged[-1] = (prev_start, prev_len + length)
+            else:
+                merged.append((start, length))
+        self._free = merged
 
     def lookup(self, index: int) -> Optional[NiptEntry]:
         """Hardware-side: fetch the destination, or None if invalid."""

@@ -137,28 +137,27 @@ def _merge(engine: str, num_shards: int, reports: List[dict], rounds: int) -> Sh
     return result
 
 
+def shard_specs(
+    spec: ClusterSpec, num_shards: int, costs: "CostModel | None" = None
+) -> List[ShardSpec]:
+    """Probe the canonical frames once; one :class:`ShardSpec` per block."""
+    frames = probe_canonical_frames(spec, costs)
+    return [
+        ShardSpec(index=j, num_shards=num_shards, nodes=block, rx_frames=frames)
+        for j, block in enumerate(partition(spec.num_nodes, num_shards))
+    ]
+
+
 def build_shards(
     spec: ClusterSpec,
     num_shards: int,
     costs: "CostModel | None" = None,
     audit: bool = False,
 ) -> List[Shard]:
-    """Probe the canonical frames once, then construct every shard."""
-    frames = probe_canonical_frames(spec, costs)
-    blocks = partition(spec.num_nodes, num_shards)
+    """Construct every shard of ``spec`` in this process."""
     return [
-        Shard(
-            spec,
-            ShardSpec(
-                index=j,
-                num_shards=num_shards,
-                nodes=block,
-                rx_frames=frames,
-            ),
-            costs=costs,
-            audit=audit,
-        )
-        for j, block in enumerate(blocks)
+        Shard(spec, shard_spec, costs=costs, audit=audit)
+        for shard_spec in shard_specs(spec, num_shards, costs)
     ]
 
 
@@ -322,25 +321,15 @@ class WorkerEngine:
         self._ctx = mp.get_context(mp_context)
 
     def run(self, max_rounds: int = 1_000_000) -> ShardRunResult:
-        frames = probe_canonical_frames(self.spec)
-        blocks = partition(self.spec.num_nodes, self.num_shards)
-        shard_specs = [
-            ShardSpec(
-                index=j,
-                num_shards=self.num_shards,
-                nodes=block,
-                rx_frames=frames,
-            )
-            for j, block in enumerate(blocks)
-        ]
+        specs = shard_specs(self.spec, self.num_shards)
         owner: Dict[int, int] = {
-            node_id: j
-            for j, block in enumerate(blocks)
-            for node_id in block
+            node_id: shard_spec.index
+            for shard_spec in specs
+            for node_id in shard_spec.nodes
         }
         conns = []
         workers = []
-        for shard_spec in shard_specs:
+        for shard_spec in specs:
             parent_conn, child_conn = self._ctx.Pipe()
             worker = self._ctx.Process(
                 target=_worker_main,

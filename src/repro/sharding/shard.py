@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.workloads import make_payload
-from repro.config import MachineConfig
+from repro.cluster import build_node, export_receive_buffer, node_counters
+from repro.config import ClusterConfig
 from repro.errors import ConfigurationError, DmaError
 from repro.kernel.invariants import InvariantChecker
 from repro.kernel.process import Process
@@ -72,17 +73,17 @@ class ShardInterconnect(Interconnect):
     single-clock engine).
     """
 
-    def __init__(self, shard: "Shard", costs: CostModel, spec: ClusterSpec) -> None:
+    def __init__(self, shard: "Shard", config: ClusterConfig) -> None:
         super().__init__(
             Clock(),  # never consulted: tracing is off and delivery is keyed
-            costs,
+            config.costs,
             NULL_TRACER,
-            topology=spec.topology,
-            mesh_width=spec.mesh_width,
+            topology=config.topology,
+            mesh_width=config.mesh_width,
         )
-        self.validate_topology(spec.num_nodes)
+        self.validate_topology(config.num_nodes)
         self._shard = shard
-        if not spec.reference:
+        if not config.reference:
             # One pool per shard: free lists never cross a process
             # boundary (the worker engine pickles only wire bytes).
             self.packet_pool = PacketPool()
@@ -160,58 +161,8 @@ def format_log(
     return lines
 
 
-def build_node(
-    spec: ClusterSpec,
-    costs: CostModel,
-    node_id: int,
-    obs: Observability,
-    interconnect: Interconnect,
-) -> Tuple[Machine, ShrimpNic]:
-    """Construct one node (machine + NIC) on a fresh ShardClock."""
-    machine = Machine(
-        config=MachineConfig(
-            costs=costs,
-            mem_size=spec.mem_size,
-            obs=obs,
-            reference=spec.reference,
-            iommu=spec.iommu,
-        ),
-        clock=ShardClock(reference=spec.reference),
-        name=f"node{node_id}",
-    )
-    nic = ShrimpNic(
-        node_id=node_id,
-        costs=costs,
-        physmem=machine.physmem,
-        nipt_entries=spec.nipt_entries,
-        cut_through=True,
-    )
-    machine.attach_device(nic)
-    nic.connect(interconnect)
-    return machine, nic
-
-
-def _export_receive_buffer(
-    machine: Machine, process: Process, vaddr: int, npages: int
-) -> Tuple[int, ...]:
-    """Receiver-side export: resident, dirty, pinned (cluster.py's model)."""
-    if vaddr % machine.layout.page_size:
-        raise ConfigurationError("receive buffers must be page aligned")
-    frames: List[int] = []
-    base_vpage = vaddr // machine.layout.page_size
-    for i in range(npages):
-        frame = machine.kernel.vm.touch_resident(process, base_vpage + i)
-        pte = process.page_table.get(base_vpage + i)
-        assert pte is not None
-        pte.dirty = True  # receiving-side I3: incoming DMA will write it
-        machine.kernel.frames.pin(frame)
-        frames.append(frame)
-    return tuple(frames)
-
-
 def setup_node(
     spec: ClusterSpec,
-    costs: CostModel,
     node_id: int,
     machine: Machine,
     nic: ShrimpNic,
@@ -225,32 +176,27 @@ def setup_node(
     and the canonical-frame substitution is sound.  The assertion makes
     a divergence loud rather than a silent digest mismatch.
     """
-    ps = costs.page_size
     npages = spec.channel_pages
-    nbytes = npages * ps
+    nbytes = npages * machine.layout.page_size
     kernel = machine.kernel
 
     rx_proc = machine.create_process(f"rx{node_id}")
     rx_buf = kernel.syscalls.alloc(rx_proc, nbytes)
     dst = spec.dst_of(node_id)
+    # Virtual-address tier: the export registers the IOMMU windows and
+    # leaves the buffer *cold* -- no residency, no pin -- so the first
+    # delivery to each page parks, fault-services and replays.
+    frames = export_receive_buffer(
+        machine, rx_proc, rx_buf, npages, physical=not spec.iommu, warm=False
+    )
     if spec.iommu:
-        # Virtual-address tier: export the window to the IOMMU and leave
-        # the buffer *cold* -- no residency, no pin -- so the first
-        # delivery to each page parks, fault-services and replays.  The
-        # NIPT names the destination's (asid, vpage); identical
+        # The NIPT names the destination's (asid, vpage); identical
         # construction makes our own rx identifiers the destination's,
         # so no canonical-frame probe is needed (or possible: frames are
         # assigned at fault-service time).
-        assert machine.iommu is not None
-        base_vpage = rx_buf // ps
-        for i in range(npages):
-            machine.iommu.register_window(
-                rx_proc.asid, base_vpage + i, writable=True
-            )
-        for k in range(npages):
-            nic.nipt.set_entry(k, dst, base_vpage + k, rx_proc.asid)
+        base_vpage = rx_buf // machine.layout.page_size
+        pages, dst_asid = range(base_vpage, base_vpage + npages), rx_proc.asid
     else:
-        frames = _export_receive_buffer(machine, rx_proc, rx_buf, npages)
         if canonical_frames is not None and frames != tuple(canonical_frames):
             raise ConfigurationError(
                 f"node {node_id} receive frames {frames} diverged from the "
@@ -260,12 +206,12 @@ def setup_node(
         # Sender side of the ring channel node_id -> dst: NIPT entries
         # name the destination's canonical frames (identical construction
         # makes them knowable without touching the destination's shard).
-        for k, frame in enumerate(canonical_frames or frames):
-            nic.nipt.set_entry(k, dst, frame)
+        pages, dst_asid = canonical_frames or frames, -1
+    base = nic.nipt.install(dst, pages, dst_asid)
 
     tx_proc = machine.create_process(f"tx{node_id}")
     grant = kernel.syscalls.grant_device_proxy(
-        tx_proc, nic.name, writable=True, pages=(0, npages)
+        tx_proc, nic.name, writable=True, pages=(base, npages)
     )
     buffer = kernel.syscalls.alloc(tx_proc, nbytes)
     kernel.scheduler.switch_to(tx_proc)
@@ -303,17 +249,17 @@ def probe_canonical_frames(
         # are assigned at fault-service time, so there is nothing to
         # probe and nothing for senders to need.
         return ()
-    costs = costs if costs is not None else shrimp()
-    scratch = Interconnect(Clock(), costs, topology="linear")
-    obs = Observability(ObsConfig(metrics=False))
-    machine, nic = build_node(spec, costs, 0, obs, scratch)
-    rt = setup_node(spec, costs, 0, machine, nic)
-    del rt
-    ps = costs.page_size
-    # Re-derive the frames from the NIPT install (entry k names frame k).
-    return tuple(
-        nic.nipt.require(k).dst_page for k in range(spec.channel_pages)
+    config = spec.cluster_config().replace(
+        costs=costs if costs is not None else shrimp()
     )
+    scratch = Interconnect(Clock(), config.costs, topology="linear")
+    obs = Observability(ObsConfig(metrics=False))
+    machine, nic = build_node(
+        config, 0, ShardClock(reference=spec.reference), scratch, obs
+    )
+    setup_node(spec, 0, machine, nic)
+    # Re-derive the frames from the NIPT install (entry k names frame k).
+    return tuple(entry.dst_page for _, entry in nic.nipt.entries())
 
 
 class Shard:
@@ -330,10 +276,12 @@ class Shard:
         self.spec = spec
         self.shard_spec = shard_spec
         self.costs = costs if costs is not None else shrimp()
+        #: the nodes' configuration, shared with ShrimpCluster's builder
+        self.config = spec.cluster_config().replace(costs=self.costs)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: per-shard observability plane; node metrics land as node{i}.*
         self.obs = Observability(ObsConfig(metrics=True))
-        self.interconnect = ShardInterconnect(self, self.costs, spec)
+        self.interconnect = ShardInterconnect(self, self.config)
         self.runtimes: Dict[int, NodeRuntime] = {}
         self.order: List[int] = list(shard_spec.nodes)
         self.ops_executed = 0
@@ -364,10 +312,11 @@ class Shard:
         local = set(shard_spec.nodes)
         for node_id in self.order:
             machine, nic = build_node(
-                spec, self.costs, node_id, self.obs, self.interconnect
+                self.config, node_id, ShardClock(reference=spec.reference),
+                self.interconnect, self.obs,
             )
             rt = setup_node(
-                spec, self.costs, node_id, machine, nic,
+                spec, node_id, machine, nic,
                 canonical_frames=shard_spec.rx_frames or None,
             )
             rt.in_links = [
@@ -384,9 +333,13 @@ class Shard:
             for (s, d) in spec.links()
             if s in local and d not in local
         ]
+        self._bind_metrics()
+
+    def _bind_metrics(self) -> None:
+        """Register the shard-level backplane and execution counters."""
         reg = self.obs.registry
         ic = self.interconnect
-        p = f"shard{shard_spec.index}."
+        p = f"shard{self.shard_spec.index}."
         reg.counter(p + "backplane.packets_routed", lambda: ic.packets_routed)
         reg.counter(p + "backplane.bytes_routed", lambda: ic.bytes_routed)
         reg.counter(p + "ops_executed", lambda: self.ops_executed)
@@ -396,20 +349,12 @@ class Shard:
 
         Node machines rebind their own instruments first (each takes the
         registry's rebinding window itself), then the shard-level
-        backplane counters get fresh closures over the restored
-        interconnect.
+        counters get fresh closures over the restored interconnect.
         """
         for rt in self.runtimes.values():
             rt.machine._reattach_after_restore()
-        reg = self.obs.registry
-        ic = self.interconnect
-        p = f"shard{self.shard_spec.index}."
-        with reg.rebinding():
-            reg.counter(
-                p + "backplane.packets_routed", lambda: ic.packets_routed
-            )
-            reg.counter(p + "backplane.bytes_routed", lambda: ic.bytes_routed)
-            reg.counter(p + "ops_executed", lambda: self.ops_executed)
+        with self.obs.registry.rebinding():
+            self._bind_metrics()
 
     # ----------------------------------------------------------- delivery
     def handoff(self, src: int, dst: int, delay: int, wire) -> None:
@@ -660,38 +605,19 @@ class Shard:
 
     # ------------------------------------------------------------ observers
     def node_counters(self, rt: NodeRuntime) -> Dict[str, int]:
-        """Curated per-node counters (the chaos oracle's set)."""
-        machine = rt.machine
-        cpu, vm = machine.cpu, machine.kernel.vm
-        sched = machine.kernel.scheduler
-        i = rt.node_id
-        extra: Dict[str, int] = {}
-        if machine.iommu is not None:
-            # The park/replay ledger joins the determinism surface: a
-            # shard-count-dependent fault service would show up here
-            # before it corrupted a digest.
-            extra = {
-                f"io{i}.{key}": value
-                for key, value in machine.iommu.counters().items()
-            }
+        """Curated per-node counters (the chaos oracle's set), plus the
+        node's clock and translation-cache totals.
+
+        With the IOMMU tier the park/replay ledger joins the determinism
+        surface: a shard-count-dependent fault service would show up
+        there before it corrupted a digest.
+        """
+        i, cpu = rt.node_id, rt.machine.cpu
         return {
-            **extra,
             f"n{i}.now": rt.clock.now,
-            f"n{i}.loads": cpu.loads,
-            f"n{i}.stores": cpu.stores,
-            f"n{i}.instructions": cpu.instructions,
-            f"n{i}.charged": cpu.charged_cycles,
-            f"n{i}.faults": vm.faults_handled,
-            f"n{i}.proxy_faults": vm.proxy_faults,
-            f"n{i}.mmu_faults": machine.mmu.faults,
-            f"n{i}.switches": sched.switches,
-            f"n{i}.invals": sched.invals_fired,
+            **node_counters(i, rt.machine, rt.nic),
             f"n{i}.xlat_hits": cpu.xlat_hits,
             f"n{i}.xlat_misses": cpu.xlat_misses,
-            f"nic{i}.tx": rt.nic.packets_sent,
-            f"nic{i}.rx": rt.nic.packets_received,
-            f"nic{i}.rx_err": rt.nic.rx_errors,
-            f"nic{i}.bytes_rx": rt.nic.bytes_received,
         }
 
     def report(self) -> dict:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.params import CostModel, shrimp
 
@@ -101,6 +102,23 @@ class ClusterSpec:
             raise ConfigurationError("messages_per_node must be >= 1")
         if self.gap_cycles < 1 or self.start_cycle < 0:
             raise ConfigurationError("gap_cycles/start_cycle out of range")
+
+    def cluster_config(self) -> ClusterConfig:
+        """The spec's nodes as a :class:`~repro.config.ClusterConfig`.
+
+        Shards build their nodes from this projection, through the same
+        :func:`repro.cluster.build_node` a :class:`~repro.cluster.ShrimpCluster`
+        uses, so node ``k`` is configured identically in either world.
+        """
+        return ClusterConfig(
+            num_nodes=self.num_nodes,
+            topology=self.topology,
+            mesh_width=self.mesh_width,
+            mem_size=self.mem_size,
+            nipt_entries=self.nipt_entries,
+            reference=self.reference,
+            iommu=self.iommu,
+        )
 
     # ------------------------------------------------------------ schedule
     def start_offset(self, node: int) -> int:

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.chaos import PROTECTION_BACKENDS, TWINS, ScheduleExplorer, run_chaos
+from repro.chaos.twins import drain_before_writes, strip_wire_faults
 from repro.cli import main
 from repro.sharding import ClusterSpec
 
@@ -110,15 +111,17 @@ def test_determinism_replica_never_resumes_from_the_first_run(explorer_runs):
 
 def test_backends_audits_its_own_reference_run(explorer_runs):
     """Without a twin that runs the raw schedule, the audited run is the
-    first backend's (wire-fault-stripped) run: one simulation per
-    backend, none extra."""
+    first backend's (wire-fault-stripped, write-drained) run: one
+    simulation per backend, none extra."""
     report = run_chaos(seed=2, steps=40, nodes=2, oracles=("backends",),
                        backends=PROTECTION_BACKENDS)
     assert report.ok, report.summary()
     assert report.fast is report.twin("backends").runs[0]
     assert len(explorer_runs) == len(PROTECTION_BACKENDS)
     # churn schedules carry wire faults, which the audited run strips
-    assert explorer_runs[0][1] < len(report.actions)
+    stripped = strip_wire_faults(report.actions)
+    assert len(stripped) < len(report.actions)
+    assert explorer_runs[0][1] == len(drain_before_writes(stripped))
 
 
 # ---------------------------------------------------- flags fail loudly

@@ -1,7 +1,10 @@
 """Tests for the sharded-cluster specification layer."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.params import shrimp
 from repro.sharding.spec import ClusterSpec, ShardSpec, partition
@@ -24,6 +27,22 @@ class TestClusterSpec:
     def test_rejects_unaligned_messages(self):
         with pytest.raises(ConfigurationError):
             ClusterSpec(msg_bytes=1023)
+
+    def test_cluster_config_carries_every_shared_field(self):
+        # One non-default value per field the two configs share: a new
+        # shared field fails here until the projection carries it.
+        values = dict(
+            num_nodes=16, topology="torus2d", mesh_width=8,
+            mem_size=64 * 4096, nipt_entries=32, reference=True, iommu=True,
+        )
+        shared = {f.name for f in fields(ClusterSpec)} & {
+            f.name for f in fields(ClusterConfig)
+        }
+        assert set(values) == shared
+        config = ClusterSpec(**values).cluster_config()
+        for name in sorted(shared):
+            assert getattr(config, name) == values[name], name
+            assert getattr(ClusterConfig(), name) != values[name], name
 
     def test_round_trips_through_dict(self):
         spec = ClusterSpec(num_nodes=16, seed=7, topology="torus2d")

@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SnapshotVersionError
 from repro.mem.physmem import PhysicalMemory
+from repro.net.nipt import NetworkInterfacePageTable
 from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.obs.registry import MetricsRegistry
@@ -154,10 +155,34 @@ def test_pool_log_and_snooper_blob_from_version_5_refused():
     with pytest.raises(SnapshotVersionError) as excinfo:
         restore(blob)
     assert excinfo.value.found == 5
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 6
+    assert excinfo.value.expected == SNAPSHOT_VERSION
     pool2 = restore(encode(pool))
     assert pool2.stats() == pool.stats()
     assert not hasattr(pool2, "_buffers")
+
+
+def _churned_nipt() -> NetworkInterfacePageTable:
+    nipt = NetworkInterfacePageTable(16)
+    first = nipt.install(1, (10, 11, 12))
+    nipt.install(2, (20, 21))
+    nipt.uninstall(first, 3)
+    return nipt
+
+
+def test_nipt_free_list_blob_from_version_6_refused():
+    """Version 6 kept a sender NIPT's free index runs on the cluster
+    (``ShrimpCluster._nipt_free``) and a NIPT without runs of its own;
+    such a blob must be refused, never restored into a NIPT whose
+    ``install`` reads ``_free``."""
+    nipt = _churned_nipt()
+    blob = encode(nipt, version=6)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 6
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 7
+    nipt2 = restore(encode(nipt))
+    assert nipt2._free == nipt._free == [(0, 3), (5, 11)]
+    assert nipt2.install(3, (30,)) == nipt.install(3, (30,)) == 0
 
 
 def _stale_tlb() -> TLB:
