@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from repro.bench import Row, print_table, sweep_sizes
+from repro.bench import Row, print_table
 from repro.bench.workloads import make_payload
 from repro.userlib.udma import DeviceRef, MemoryRef
 

@@ -1,24 +1,5 @@
-"""Post-hoc analysis over traces and counters."""
+"""Post-hoc analysis over counters."""
 
-from repro.analysis.metrics import (
-    nic_metrics,
-    render,
-)
-from repro.analysis.stats import Summary, summarize
-from repro.analysis.traffic import (
-    TrafficReport,
-    bandwidth_timeline,
-    packet_latencies,
-    traffic_report,
-)
+from repro.analysis.metrics import render
 
-__all__ = [
-    "Summary",
-    "TrafficReport",
-    "bandwidth_timeline",
-    "nic_metrics",
-    "packet_latencies",
-    "render",
-    "summarize",
-    "traffic_report",
-]
+__all__ = ["render"]

@@ -5,15 +5,12 @@ from repro.bench.measure import (
     bandwidth_curve,
     measure_message,
     measure_peak_bandwidth,
-    measure_traditional_dma_cycles,
-    measure_udma_initiation_cycles,
 )
 from repro.bench.report import Row, print_table
 from repro.bench.workloads import (
     fig8_sizes,
     hippi_block_sizes,
     make_payload,
-    sweep_sizes,
 )
 
 __all__ = [
@@ -25,8 +22,5 @@ __all__ = [
     "make_payload",
     "measure_message",
     "measure_peak_bandwidth",
-    "measure_traditional_dma_cycles",
-    "measure_udma_initiation_cycles",
     "print_table",
-    "sweep_sizes",
 ]

@@ -10,11 +10,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.bench.workloads import make_payload
-from repro.cluster import ShrimpCluster
-from repro.kernel.process import Process
-from repro.machine import Machine
-from repro.userlib.messaging import Receiver, Sender
-from repro.userlib.udma import DeviceRef, MemoryRef, UdmaUser
+from repro.userlib.messaging import Sender
 
 
 @dataclass(frozen=True)
@@ -88,62 +84,3 @@ def measure_peak_bandwidth(sender: Sender, probe_bytes: int = 1 << 18) -> float:
     probe = min(probe_bytes, sender.channel.nbytes, sender.buffer_bytes)
     timing = measure_message(sender, probe)
     return timing.bytes_per_cycle
-
-
-# --------------------------------------------------------------- initiation
-def measure_udma_initiation_cycles(machine: Machine, process: Process,
-                                   udma: Optional[UdmaUser] = None,
-                                   device_vaddr: Optional[int] = None,
-                                   src_vaddr: Optional[int] = None) -> int:
-    """Cycles charged to the CPU for one complete UDMA initiation.
-
-    Includes the paper's full accounting: the alignment check plus the
-    STORE / fence / LOAD sequence (section 8's 2.8 us quantity).  The
-    machine must have a device attached and granted; pass the runtime and
-    addresses, or let the helper build a throwaway setup on a sink device.
-    """
-    if udma is None or device_vaddr is None or src_vaddr is None:
-        raise ValueError("pass udma runtime, device_vaddr and src_vaddr")
-    # Touch both pages first so no demand-paging fault lands in the timing.
-    machine.cpu.store(src_vaddr, 0x1234)
-    before = machine.cpu.charged_cycles
-    machine.cpu.execute(machine.costs.udma_align_check_cycles)
-    status = udma.initiate(device_vaddr, udma.layout.proxy(src_vaddr), 64)
-    after = machine.cpu.charged_cycles
-    if not status.started:
-        raise RuntimeError(f"initiation failed: {status.describe()}")
-    machine.run_until_idle()
-    return after - before
-
-
-def measure_traditional_dma_cycles(
-    machine: Machine,
-    process: Process,
-    device_name: str,
-    nbytes: int,
-    bounce: bool = False,
-) -> Tuple[int, int]:
-    """(total_cycles, overhead_cycles) for one traditional DMA send.
-
-    Overhead subtracts the pure device transfer time (what the engine
-    would take with zero software cost), isolating the kernel-path cost
-    the paper quotes as "hundreds, possibly thousands of instructions".
-    """
-    vaddr = machine.kernel.syscalls.alloc(process, nbytes)
-    machine.cpu.write_bytes(vaddr, make_payload(nbytes))
-    start = machine.clock.now
-    machine.kernel.syscalls.dma(
-        process,
-        device_name=device_name,
-        device_offset=0,
-        vaddr=vaddr,
-        nbytes=nbytes,
-        to_device=True,
-        bounce=bounce,
-    )
-    total = machine.clock.now - start
-    device = machine.udma.device(device_name)
-    pure = machine.tdma_engine.costs.dma_start_cycles + int(
-        round(nbytes / machine.costs.dma_bytes_per_cycle)
-    ) + device.dma_extra_cycles(0, nbytes)
-    return total, max(0, total - pure)

@@ -37,14 +37,3 @@ def hippi_block_sizes() -> List[int]:
     """Block sizes for the section-1 HIPPI motivation sweep."""
     return [256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
             131072, 262144, 524288]
-
-
-def sweep_sizes(lo: int, hi: int, factor: float = 2.0) -> List[int]:
-    """Geometric size sweep from ``lo`` to ``hi`` inclusive."""
-    sizes: List[int] = []
-    size = lo
-    while size < hi:
-        sizes.append(int(size))
-        size = max(int(size * factor), int(size) + 1)
-    sizes.append(hi)
-    return sizes

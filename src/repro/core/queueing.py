@@ -39,7 +39,7 @@ from typing import Deque, Dict, Optional, Set
 
 from repro.core.controller import UdmaController
 from repro.core.events import UdmaEvent, classify_store
-from repro.core.state_machine import ProxyOperand, SpaceKind, UdmaState
+from repro.core.state_machine import ProxyOperand, SpaceKind
 from repro.core.status import UdmaStatus
 from repro.dma.engine import DmaEngine
 from repro.errors import ConfigurationError, QueueFull
@@ -260,11 +260,6 @@ class QueuedUdmaController(UdmaController):
             + len(self._system_queue)
             + (1 if self._in_flight is not None else 0)
         )
-
-    @property
-    def backlog_bytes(self) -> int:
-        """Total bytes not yet transferred."""
-        return sum(r.count for r in self._all_pending())
 
     @property
     def busy(self) -> bool:

@@ -253,11 +253,6 @@ class UdmaStateMachine:
         """Status word as a non-initiating LOAD from ``operand`` would see."""
         return self._status_snapshot(operand)
 
-    @property
-    def transfer_source_base(self) -> Optional[int]:
-        """Proxy address of the in-flight transfer's source base (for MATCH)."""
-        return self.source.proxy_addr if self.source is not None else None
-
     # ------------------------------------------------------------ internal
     def _status_snapshot(self, operand: Optional[ProxyOperand]) -> UdmaStatus:
         transferring = self.state is UdmaState.TRANSFERRING

@@ -18,7 +18,6 @@ from repro.devices.base import (
 from repro.devices.disk import Disk
 from repro.devices.framebuffer import FrameBuffer
 from repro.devices.sink import SinkDevice
-from repro.devices.tape import TapeDrive
 
 __all__ = [
     "AudioDevice",
@@ -29,6 +28,5 @@ __all__ = [
     "ERR_READONLY",
     "FrameBuffer",
     "SinkDevice",
-    "TapeDrive",
     "UDMADevice",
 ]

@@ -33,7 +33,7 @@ so they need no shootdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, SyscallError
 from repro.kernel.process import Process
@@ -547,13 +547,3 @@ class VmManager(SnapshotMixin):
         if meta is None:
             return None
         return meta.owner_asid, meta.owner_vpage
-
-    def resident_pages(self, process: Process) -> List[int]:
-        """All resident vpages of a process's real memory."""
-        return [
-            vpage
-            for vpage, pte in process.page_table.entries()
-            if pte.present
-            and self.layout.region_of(pte.pfn * self.page_size) is Region.MEMORY
-            and process.owns_vpage(vpage)
-        ]

@@ -8,7 +8,7 @@ never pin), and knows which frames are free for the page-replacement path.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.errors import ConfigurationError, DmaError
 
@@ -71,10 +71,6 @@ class FrameAllocator:
     def is_allocated(self, frame: int) -> bool:
         """True if the frame is currently handed out."""
         return frame in self._allocated
-
-    def allocated_frames(self) -> Iterator[int]:
-        """Iterate over allocated frames (unspecified order)."""
-        return iter(set(self._allocated))
 
     # ------------------------------------------------------------- pinning
     # Pinning exists solely for the traditional-DMA baseline of section 2.

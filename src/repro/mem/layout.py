@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import AddressError, ConfigurationError
 from repro.params import DEFAULT_PAGE_SIZE
@@ -179,10 +179,6 @@ class Layout:
             if window.contains(addr):
                 return window
         raise AddressError(addr, "no device window covers this address")
-
-    def windows(self) -> Tuple[DeviceWindow, ...]:
-        """All registered device windows, in registration order."""
-        return tuple(self._windows.values())
 
     def window_by_name(self, name: str) -> DeviceWindow:
         """Look up a device window by its device name."""

@@ -155,10 +155,6 @@ class PhysicalMemory(SnapshotMixin):
             raise AddressError(frame * self.page_size, "no such frame")
         return frame * self.page_size
 
-    def frame_view(self, frame: int) -> memoryview:
-        """A writable view of an entire frame (same loan rules as :meth:`view`)."""
-        return self.view(self.frame_base(frame), self.page_size)
-
     def read_frame(self, frame: int) -> bytes:
         """Read an entire frame."""
         return self.read(self.frame_base(frame), self.page_size)

@@ -183,44 +183,6 @@ class Interconnect:
             self._delay_cache[pair] = delay
         return delay
 
-    def route_path(self, src_node: int, dst_node: int) -> "list[int]":
-        """The node ids a packet visits after ``src_node``, in hop order.
-
-        Dimension-ordered: the packet first corrects X (choosing the
-        shorter ring direction on a torus, ties broken toward +X), then
-        Y.  Purely diagnostic -- latency uses :meth:`hops` -- but it
-        pins down the routing scheme for tests and docs.
-        """
-        if self.topology == "linear":
-            if src_node == dst_node:
-                return [dst_node]
-            step = 1 if dst_node > src_node else -1
-            return list(range(src_node + step, dst_node + step, step))
-        width, height = self._grid_dims()
-        torus = self.topology == "torus2d"
-
-        def _toward(cur: int, target: int, size: int) -> int:
-            if not torus:
-                return 1 if target > cur else -1
-            forward = (target - cur) % size
-            backward = (cur - target) % size
-            return 1 if forward <= backward else -1
-
-        x, y = src_node % width, src_node // width
-        tx, ty = dst_node % width, dst_node // width
-        path = []
-        while x != tx:
-            x = (x + _toward(x, tx, width)) % width if torus else x + _toward(
-                x, tx, width
-            )
-            path.append(y * width + x)
-        while y != ty:
-            y = (y + _toward(y, ty, height)) % height if torus else y + _toward(
-                y, ty, height
-            )
-            path.append(y * width + x)
-        return path or [dst_node]
-
     def route(self, src_node: int, dst_node: int, wire: Wire) -> None:
         """Inject a packet (object or wire bytes); delivery after routing delay.
 

@@ -7,16 +7,11 @@
   deliberate-update channels.
 * :mod:`repro.userlib.collectives` -- broadcast/gather/reduce/barrier
   built on mesh channels.
-* :mod:`repro.userlib.rpc` -- request/response messaging, the fine-grain
-  workload the paper's introduction motivates.
 """
 
 from repro.userlib.collectives import CollectiveGroup
 from repro.userlib.messaging import Receiver, Sender
 from repro.userlib.ring import MessageRing, RingReceiver, RingSender
-from repro.userlib.rpc import RpcClient, RpcServer
-from repro.userlib.rpc import connect as rpc_connect
-from repro.userlib.shmem import SharedRegion
 from repro.userlib.udma import DeviceRef, MemoryRef, TransferStats, UdmaUser
 
 __all__ = [
@@ -24,14 +19,10 @@ __all__ = [
     "MessageRing",
     "RingReceiver",
     "RingSender",
-    "SharedRegion",
     "DeviceRef",
     "MemoryRef",
     "Receiver",
-    "RpcClient",
-    "RpcServer",
     "Sender",
     "TransferStats",
     "UdmaUser",
-    "rpc_connect",
 ]

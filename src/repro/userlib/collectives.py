@@ -15,9 +15,9 @@ word acts as the arrival barrier -- the idiom SHRIMP applications used).
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.cluster import Channel, ShrimpCluster
+from repro.cluster import ShrimpCluster
 from repro.errors import ConfigurationError, DmaError
 from repro.kernel.process import Process
 from repro.userlib.messaging import Receiver, Sender
@@ -183,18 +183,6 @@ class CollectiveGroup:
                 received = self._recv(src, dst, len(token), seq)
                 if received != token:
                     raise DmaError("barrier token corrupted")
-
-    def ring_pass(self, payloads: Sequence[bytes]) -> List[bytes]:
-        """Each rank sends to its right neighbour; returns what each got."""
-        if len(payloads) != self.size:
-            raise ConfigurationError("one payload per rank required")
-        seq = self._next_seq()
-        for src in range(self.size):
-            self._send(src, (src + 1) % self.size, payloads[src], seq)
-        return [
-            self._recv((dst - 1) % self.size, dst, len(payloads[(dst - 1) % self.size]), seq)
-            for dst in range(self.size)
-        ]
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:

@@ -196,18 +196,6 @@ class Receiver:
             kernel.scheduler.switch_to(self.process)
         return self.machine.cpu.read_bytes(self.channel.dst_vaddr + offset, nbytes)
 
-    def recv_into(self, buf, offset: int = 0) -> int:
-        """Zero-copy variant of :meth:`recv_bytes`: fill ``buf`` in place.
-
-        Returns the number of bytes read (``len(buf)``).  Same charging
-        and protection as :meth:`recv_bytes`; the caller keeps ownership
-        of the buffer, so a polling consumer can reuse one allocation.
-        """
-        kernel = self.machine.kernel
-        if kernel.current is not self.process:
-            kernel.scheduler.switch_to(self.process)
-        return self.machine.cpu.read_into(self.channel.dst_vaddr + offset, buf)
-
     @property
     def packets_received(self) -> int:
         """Packets the node's NIC has delivered to memory so far."""

@@ -9,7 +9,7 @@ it and of its proxy alias.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.vm.pte import PTE
@@ -51,18 +51,6 @@ class PageTable:
     def entries(self) -> Iterator[Tuple[int, PTE]]:
         """Iterate ``(vpage, pte)`` pairs (unspecified order)."""
         return iter(list(self._entries.items()))
-
-    def vpages_mapping_pfn(self, pfn: int, present_only: bool = True) -> List[int]:
-        """Every virtual page whose PTE points at ``pfn``.
-
-        Used by the kernel when a physical page is remapped or cleaned and
-        all its aliases (including proxy aliases) must be found.
-        """
-        return [
-            vpage
-            for vpage, pte in self._entries.items()
-            if pte.pfn == pfn and (pte.present or not present_only)
-        ]
 
     # ------------------------------------------------------------ mutation
     def map(

@@ -33,27 +33,3 @@ class PTE:
     user: bool = True
     dirty: bool = False
     referenced: bool = False
-
-    def clone(self) -> "PTE":
-        """An independent copy (used by the TLB to cache entries)."""
-        return PTE(
-            pfn=self.pfn,
-            present=self.present,
-            writable=self.writable,
-            user=self.user,
-            dirty=self.dirty,
-            referenced=self.referenced,
-        )
-
-    def describe(self) -> str:
-        """Compact flag string for traces: e.g. ``pfn=0x12 PW-dr``."""
-        flags = "".join(
-            (
-                "P" if self.present else "-",
-                "W" if self.writable else "-",
-                "U" if self.user else "-",
-                "d" if self.dirty else "-",
-                "r" if self.referenced else "-",
-            )
-        )
-        return f"pfn={self.pfn:#x} {flags}"

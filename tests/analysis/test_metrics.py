@@ -1,6 +1,6 @@
 """Tests for the metrics snapshot API."""
 
-from repro.analysis.metrics import render, transfer_latency
+from repro.analysis.metrics import render
 
 
 class TestMachineMetrics:
@@ -49,7 +49,7 @@ class TestTransferLatency:
         for _ in range(3):
             rig.udma.transfer(rig.mem(0), rig.dev(0), 128)
             rig.machine.run_until_idle()
-        hist = transfer_latency(rig.machine)
+        hist = rig.machine.metrics()["udma"]["transfer_cycles"]
         assert hist["count"] == 3
         assert hist["min"] > 0
         assert hist["p50"] >= hist["min"]

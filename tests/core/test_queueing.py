@@ -175,13 +175,6 @@ class TestI4Strategies:
 
 
 class TestBacklogAccounting:
-    def test_backlog_bytes(self, rig):
-        rig.initiate(rig.window.base, rig.layout.proxy(0), 100)
-        rig.initiate(rig.window.base + PAGE, rig.layout.proxy(PAGE), 200)
-        assert rig.udma.backlog_bytes == 300
-        rig.clock.run_until_idle()
-        assert rig.udma.backlog_bytes == 0
-
     def test_accepted_counter(self, rig):
         rig.initiate(rig.window.base, rig.layout.proxy(0), 8)
         assert rig.udma.accepted == 1

@@ -1,4 +1,4 @@
-"""Multi-process workload driving.
+"""Multi-process workload driving for the I1-under-preemption tests.
 
 The paper's protection story is about *concurrent, untrusting* processes
 sharing one UDMA device under a preemptive scheduler.  The test suite
@@ -20,9 +20,11 @@ This models precisely the hazard I1 exists for: a workload can yield
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Generator, List, Optional, Tuple
 
+from repro.bench.workloads import make_payload
+from repro.core.status import UdmaStatus
 from repro.errors import ConfigurationError
 from repro.kernel.process import Process
 from repro.machine import Machine
@@ -48,7 +50,6 @@ class WorkloadDriver:
         self.machine = machine
         self._rng = random.Random(seed)
         self._entries: List[Tuple[Process, Generator, WorkloadResult]] = []
-        self.switches_forced = 0
 
     def add(self, name: str, workload: Workload) -> WorkloadResult:
         """Create a process and bind a workload generator to it."""
@@ -74,7 +75,6 @@ class WorkloadDriver:
             process, generator, result = pending[index]
             if self.machine.kernel.current is not process:
                 self.machine.kernel.scheduler.switch_to(process)
-                self.switches_forced += 1
             quantum = self._rng.randint(1, max_quantum)
             for _ in range(quantum):
                 try:
@@ -96,10 +96,6 @@ class WorkloadDriver:
         self.machine.run_until_idle()
         return [result for _, __, result in self._entries]
 
-    def results(self) -> Dict[str, WorkloadResult]:
-        """Results by workload name."""
-        return {result.name: result for _, __, result in self._entries}
-
 
 # ---------------------------------------------------------------- library
 def transfer_workload(
@@ -114,9 +110,6 @@ def transfer_workload(
     Yields between *every CPU step*, including between the STORE and LOAD
     of each initiation -- the I1 hazard in its natural habitat.
     """
-    from repro.bench.workloads import make_payload
-    from repro.core.status import UdmaStatus
-
     def body(machine: Machine, process: Process):
         page = machine.costs.page_size
         vaddr = machine.kernel.syscalls.alloc(process, buffer_pages * page)

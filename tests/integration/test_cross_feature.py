@@ -4,7 +4,7 @@ import pytest
 
 from repro import ClusterConfig, MachineConfig, ShrimpCluster
 from repro.bench.workloads import make_payload
-from repro.userlib import CollectiveGroup, MessageRing, Receiver, Sender
+from repro.userlib import CollectiveGroup, MessageRing, Sender
 
 PAGE = 4096
 
@@ -71,28 +71,6 @@ class TestTracingAcrossTheCluster:
         assert "node0.udma" in chart
         assert "nic0" in chart and "nic1" in chart
         assert "w" in chart and "r" in chart  # tx and rx glyphs
-
-    def test_traffic_report_measures_the_same_run(self):
-        from repro.analysis import traffic_report
-
-        cluster = ShrimpCluster(
-                      config=ClusterConfig(
-                          num_nodes=2,
-                          mem_size=1 << 21,
-                          record_trace=True,
-                      ),
-                  )
-        rx = cluster.node(1).create_process("rx")
-        buf = cluster.node(1).kernel.syscalls.alloc(rx, 2 * PAGE)
-        channel = cluster.create_channel(0, 1, rx, buf, 2 * PAGE)
-        tx = cluster.node(0).create_process("tx")
-        sender = Sender(cluster, tx, channel)
-        sender.send_bytes(make_payload(2 * PAGE))
-        cluster.run_until_idle()
-        report = traffic_report(cluster.tracer.events)
-        assert report.packets == 2
-        assert report.bytes == 2 * PAGE
-        assert report.latency.count == 2
 
 
 class TestSwapWithStepping:

@@ -3,15 +3,15 @@
 import pytest
 
 from repro import Machine, MachineConfig
-from repro.bench.scenarios import (
-    WorkloadDriver,
-    paging_workload,
-    transfer_workload,
-)
 from repro.bench.workloads import make_payload
 from repro.devices import SinkDevice
 from repro.errors import ConfigurationError
 from repro.kernel.invariants import InvariantChecker
+from tests.integration._workload_driver import (
+    WorkloadDriver,
+    paging_workload,
+    transfer_workload,
+)
 
 PAGE = 4096
 
@@ -100,8 +100,6 @@ class TestDriverMechanics:
             return machine.clock.now
 
         assert run_once(3) == run_once(3)
-        # Different interleavings genuinely differ.
-        assert run_once(3) != run_once(4) or True  # may coincide; no assert
 
 
 class TestI1UnderPreemption:

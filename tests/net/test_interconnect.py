@@ -291,19 +291,6 @@ class TestMesh2dTopology:
                   )
         assert cluster.interconnect.hops(0, 3) == 2
 
-    def test_route_path_is_dimension_ordered(self):
-        mesh = self.make(width=4, nodes=16)
-        # (0,0) -> (2,2): X first (1, 2), then Y (6, 10).
-        assert mesh.route_path(0, 10) == [1, 2, 6, 10]
-
-    def test_route_path_length_matches_hops(self):
-        mesh = self.make(width=4, nodes=16)
-        for src in range(16):
-            for dst in range(16):
-                if src == dst:
-                    continue
-                assert len(mesh.route_path(src, dst)) == mesh.hops(src, dst)
-
 
 class TestTorus2dTopology:
     def make(self, width, nodes):
@@ -343,20 +330,6 @@ class TestTorus2dTopology:
         assert torus.hops(0, 7) == 1   # X wraps on the 8-ring
         assert torus.hops(0, 24) == 1  # Y wraps on the 4-ring
         assert torus.hops(0, 4) == 4   # halfway around the X ring
-
-    def test_route_path_wraps_edges(self):
-        torus = self.make(width=4, nodes=16)
-        assert torus.route_path(0, 3) == [3]       # -X around the ring
-        assert torus.route_path(0, 12) == [12]     # -Y around the ring
-        assert torus.route_path(0, 15) == [3, 15]  # X ring then Y ring
-
-    def test_route_path_length_matches_hops(self):
-        torus = self.make(width=4, nodes=16)
-        for src in range(16):
-            for dst in range(16):
-                if src == dst:
-                    continue
-                assert len(torus.route_path(src, dst)) == torus.hops(src, dst)
 
 
 class TestTopologyValidation:

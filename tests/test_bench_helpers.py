@@ -7,7 +7,6 @@ from repro.bench.workloads import (
     fig8_sizes,
     hippi_block_sizes,
     make_payload,
-    sweep_sizes,
 )
 
 
@@ -36,15 +35,6 @@ class TestWorkloads:
         sizes = hippi_block_sizes()
         assert 1024 in sizes and 65536 in sizes
         assert max(sizes) > 65536
-
-    def test_sweep_sizes_geometric(self):
-        sizes = sweep_sizes(16, 256)
-        assert sizes[0] == 16 and sizes[-1] == 256
-        assert sizes == sorted(set(sizes))
-
-    def test_sweep_sizes_small_factor(self):
-        sizes = sweep_sizes(10, 12, factor=1.01)
-        assert sizes[-1] == 12  # always terminates and reaches hi
 
 
 class TestReport:

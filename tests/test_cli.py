@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -48,3 +51,19 @@ class TestCommands:
         assert main(["metrics"]) == 0
         out = capsys.readouterr().out
         assert "initiations" in out and "hit_rate" in out
+
+    def test_trace_json_is_a_perfetto_trace(self, capsys, tmp_path):
+        path = tmp_path / "trace.json"
+        assert main(["trace", "--nbytes", "8192", "--json", str(path)]) == 0
+        tree = capsys.readouterr().out
+        printed = {int(m) for m in re.findall(r"^\s*#(\d+) ", tree, re.MULTILINE)}
+        assert len(printed) == 6  # two pages: transfer, dma, packet each
+        events = json.loads(path.read_text())["traceEvents"]
+        assert isinstance(events, list)
+        spans = [e for e in events if e["ph"] == "X"]
+        for event in spans:
+            assert {"name", "ph", "ts", "dur", "pid", "tid"} <= set(event)
+            assert event["dur"] >= 0
+        ids = [e["args"]["id"] for e in spans]
+        assert len(ids) == len(set(ids)) and set(ids) == printed  # one per span
+        assert {e["args"]["parent"] for e in spans if "parent" in e["args"]} <= printed

@@ -73,16 +73,6 @@ class TestBarrierAndRing:
     def test_barrier_completes(self, group):
         group.barrier()  # must simply not wedge or corrupt
 
-    def test_ring_pass_shifts_payloads(self, group):
-        payloads = [f"p{i}".encode() for i in range(3)]
-        received = group.ring_pass(payloads)
-        # rank d receives from (d-1) mod N
-        assert received == [b"p2", b"p0", b"p1"]
-
-    def test_ring_pass_size_check(self, group):
-        with pytest.raises(ConfigurationError):
-            group.ring_pass([b"a", b"b"])
-
 
 class TestConstruction:
     def test_process_count_must_match(self):

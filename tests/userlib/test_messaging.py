@@ -67,6 +67,20 @@ class TestBounds:
             rig.sender.send_bytes(b"x" * 100, channel_offset=rig.channel.nbytes - 50)
 
 
+class TestKernelFree:
+    def test_send_and_receive_make_no_system_call(self, channel_rig):
+        """After channel setup, a message costs neither node a syscall."""
+        rig = channel_rig
+        nodes = [rig.cluster.node(i).kernel.syscalls for i in (0, 1)]
+        before = [(k.dma_calls, k.pages_pinned, k.bytes_copied) for k in nodes]
+        data = make_payload(2 * PAGE + 100)
+        rig.sender.send_bytes(data)
+        rig.receiver.drain()
+        assert rig.receiver.recv_bytes(len(data)) == data
+        after = [(k.dma_calls, k.pages_pinned, k.bytes_copied) for k in nodes]
+        assert after == before
+
+
 class TestSetupIsLeastPrivilege:
     def test_sender_grant_covers_only_channel_pages(self, channel_rig):
         rig = channel_rig

@@ -77,20 +77,6 @@ class TestFlagEdits:
             table.set_present(9, True)
 
 
-class TestReverseLookup:
-    def test_finds_all_mappers(self, table):
-        table.map(1, 7)
-        table.map(2, 7)
-        table.map(3, 8)
-        assert sorted(table.vpages_mapping_pfn(7)) == [1, 2]
-
-    def test_skips_non_present_by_default(self, table):
-        table.map(1, 7)
-        table.set_present(1, False)
-        assert table.vpages_mapping_pfn(7) == []
-        assert table.vpages_mapping_pfn(7, present_only=False) == [1]
-
-
 class TestGeneration:
     def test_generation_bumps_on_structural_change(self, table):
         g0 = table.generation

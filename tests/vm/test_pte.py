@@ -8,26 +8,3 @@ class TestPTE:
         pte = PTE(pfn=5)
         assert pte.present and pte.writable and pte.user
         assert not pte.dirty and not pte.referenced
-
-    def test_clone_is_independent(self):
-        pte = PTE(pfn=5)
-        copy = pte.clone()
-        copy.dirty = True
-        assert not pte.dirty
-
-    def test_clone_copies_all_fields(self):
-        pte = PTE(pfn=7, present=False, writable=False, user=False,
-                  dirty=True, referenced=True)
-        copy = pte.clone()
-        assert copy == pte
-
-    def test_describe_shows_flags(self):
-        pte = PTE(pfn=0x12, dirty=True)
-        text = pte.describe()
-        assert "pfn=0x12" in text
-        assert "d" in text
-
-    def test_describe_shows_cleared_flags(self):
-        pte = PTE(pfn=1, present=False, writable=False)
-        text = pte.describe()
-        assert text.count("-") >= 2
