@@ -40,7 +40,7 @@ def run_multipage(rig, misaligned=False):
 
 
 def test_multipage_queueing(benchmark):
-    basic = SinkRig(queue_depth=None)
+    basic = SinkRig(queue_depth=0)
     queued = SinkRig(queue_depth=16)
 
     (basic_stats, basic_cycles), (queued_stats, queued_cycles) = benchmark.pedantic(

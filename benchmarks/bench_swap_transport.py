@@ -21,7 +21,7 @@ from repro.kernel.invariants import InvariantChecker
 PAGE = 4096
 
 
-def run_paging(swap, queue_depth=None):
+def run_paging(swap, queue_depth=0):
     machine = Machine(
                   config=MachineConfig(
                       mem_size=16 * PAGE,

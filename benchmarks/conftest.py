@@ -22,7 +22,7 @@ PAGE = 4096
 class ClusterRig:
     """A 2-node cluster with one big channel, rebuilt per bench module."""
 
-    def __init__(self, queue_depth=None, mem_size=1 << 21, channel_bytes=1 << 19):
+    def __init__(self, queue_depth=0, mem_size=1 << 21, channel_bytes=1 << 19):
         self.cluster = ShrimpCluster(
                            config=ClusterConfig(
                                num_nodes=2,
@@ -42,7 +42,7 @@ class ClusterRig:
 class SinkRig:
     """A single node with a sink device, buffer, grant and runtime."""
 
-    def __init__(self, queue_depth=None, mem_size=1 << 21, sink_bytes=1 << 18,
+    def __init__(self, queue_depth=0, mem_size=1 << 21, sink_bytes=1 << 18,
                  costs=None, buffer_bytes=1 << 16, protection=None):
         self.machine = Machine(
                            config=MachineConfig(

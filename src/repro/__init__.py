@@ -52,7 +52,7 @@ from repro.obs import (
     Span,
     SpanTracker,
 )
-from repro.params import CostModel, hippi_paragon, shrimp, shrimp_queued
+from repro.params import CostModel, hippi_paragon, shrimp
 from repro.sim.trace import TraceEvent, Tracer
 from repro.userlib import DeviceRef, MemoryRef, Receiver, Sender, UdmaUser
 
@@ -87,6 +87,5 @@ __all__ = [
     "UdmaUser",
     "hippi_paragon",
     "shrimp",
-    "shrimp_queued",
     "__version__",
 ]

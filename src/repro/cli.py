@@ -20,7 +20,7 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from repro import ClusterConfig, Machine, MachineConfig, ShrimpCluster
+from repro import ClusterConfig, Machine, MachineConfig, ObsConfig, ShrimpCluster
 from repro.bench import (
     bandwidth_curve,
     fig8_sizes,
@@ -98,7 +98,9 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    machine = Machine(config=MachineConfig(mem_size=1 << 20, record_trace=True))
+    machine = Machine(
+        config=MachineConfig(mem_size=1 << 20, obs=ObsConfig(record_trace=True))
+    )
     machine.attach_device(SinkDevice("sink", size=1 << 16))
     p = machine.create_process("app")
     buf = machine.kernel.syscalls.alloc(p, 8192)
@@ -134,8 +136,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import ObsConfig
-
     cluster = ShrimpCluster(
         config=ClusterConfig(
             num_nodes=2, mem_size=1 << 21, obs=ObsConfig(spans=True)

@@ -36,7 +36,6 @@ from repro.net.reliable import ReliabilityConfig, ReliabilityPlane
 from repro.obs import Observability, unflatten
 from repro.params import shrimp
 from repro.sim.clock import Clock
-from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -89,21 +88,20 @@ def build_node(
     clock: Clock,
     interconnect: Interconnect,
     obs: Observability,
-    tracer: Optional[Tracer] = None,
     reliability: Optional[ReliabilityPlane] = None,
 ) -> Tuple[Machine, ShrimpNic]:
     """Build node ``node_id`` of a cluster: its machine and its NIC.
 
     The machine is configured by ``config``'s per-node projection, runs
-    on ``clock`` and registers its metrics on ``obs``; the NIC is plugged
-    into ``interconnect`` (and into ``reliability``'s transport, if any).
+    on ``clock`` and registers its metrics on ``obs`` (and traces to its
+    tracer); the NIC is plugged into ``interconnect`` (and into
+    ``reliability``'s transport, if any).
     A :class:`ShrimpCluster` passes one shared clock for every node, a
     shard (:mod:`repro.sharding`) one clock per node.
     """
     machine = Machine(
         config=config.node_config(obs),
         clock=clock,
-        tracer=tracer,
         name=f"node{node_id}",
     )
     nic = ShrimpNic(
@@ -245,13 +243,7 @@ class ShrimpCluster:
         else:
             self.obs = Observability(obs, clock=self.clock)
         self.obs.adopt_clock(self.clock)
-        if self.obs.tracer is not None:
-            self.tracer = self.obs.tracer
-        else:
-            self.tracer = Tracer(
-                record=config.record_trace or self.obs.config.record_trace
-            )
-            self.obs.tracer = self.tracer
+        self.tracer = self.obs.tracer
         self._metrics_bound = False
         self.interconnect = Interconnect(
             self.clock, self.costs, self.tracer,
@@ -286,7 +278,7 @@ class ShrimpCluster:
         for i in range(num_nodes):
             node, nic = build_node(
                 node_config, i, self.clock, self.interconnect, self.obs,
-                tracer=self.tracer, reliability=self.reliability,
+                reliability=self.reliability,
             )
             self.nodes.append(node)
             self.nics.append(nic)

@@ -5,8 +5,10 @@ arguments on both entry points.  This module is the redesigned front
 door: one frozen dataclass per entry point, carrying every *configuration*
 decision (cost model, proxy scheme, reference mode, observability, transport,
 protection, IOMMU tier...), while *wiring* parameters that name live
-objects owned by someone else -- ``clock``, ``tracer``, ``name`` -- stay
-explicit keyword arguments on the constructors.
+objects owned by someone else -- ``clock``, ``name`` -- stay explicit
+keyword arguments on the constructors.  Each decision has one field:
+the trace recorder is ``obs=ObsConfig(record_trace=True)``, the queued
+device is ``queue_depth > 0``.
 
     from repro import Machine, MachineConfig
 
@@ -77,7 +79,7 @@ class IommuConfig:
 class MachineConfig:
     """Everything a :class:`~repro.machine.Machine` is configured by.
 
-    Wiring parameters (``clock``, ``tracer``, ``name``) are *not* here:
+    Wiring parameters (``clock``, ``name``) are *not* here:
     they identify live objects owned by an enclosing assembly (a
     cluster's shared clock) and stay keyword arguments on ``Machine``.
     ``obs`` may be an :class:`~repro.obs.ObsConfig` (build a private
@@ -87,14 +89,13 @@ class MachineConfig:
     costs: Optional[CostModel] = None
     mem_size: int = 1 << 22
     scheme: ProxyScheme = ProxyScheme.HIGH_BIT
-    queue_depth: Optional[int] = None
+    #: depth of the section-7 hardware request queue (0 = unqueued device)
+    queue_depth: int = 0
     replacement_policy: str = "clock"
     i3_strategy: str = I3_WRITE_PROTECT
     guard_strategy: GuardStrategy = GuardStrategy.REGISTERS
     bounce_frames: int = 8
-    record_trace: bool = False
     dma_burst_bytes: int = 0
-    dma_bursts_per_event: int = 1
     swap: str = "dict"
     #: run without any host fast path (see :class:`ClusterConfig`)
     reference: bool = False
@@ -128,14 +129,12 @@ class ClusterConfig:
     costs: Optional[CostModel] = None
     mem_size: int = 1 << 22
     nipt_entries: int = 1 << 12
-    queue_depth: Optional[int] = None
+    queue_depth: int = 0
     scheme: ProxyScheme = ProxyScheme.HIGH_BIT
-    record_trace: bool = False
     cut_through: bool = True
     topology: str = "linear"
     mesh_width: int = 0
     dma_burst_bytes: int = 0
-    dma_bursts_per_event: int = 1
     #: reference mode: no host fast path at all -- no translation cache,
     #: no page-run bulk I/O, no event free list, no packet pool, no
     #: send-plan pipelining.  Simulated results are bit-identical either
@@ -172,7 +171,6 @@ class ClusterConfig:
             scheme=self.scheme,
             queue_depth=self.queue_depth,
             dma_burst_bytes=self.dma_burst_bytes,
-            dma_bursts_per_event=self.dma_bursts_per_event,
             reference=self.reference,
             protection=self.protection,
             iommu=self.iommu,

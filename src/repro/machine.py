@@ -43,7 +43,6 @@ from repro.obs import Observability, unflatten
 from repro.params import shrimp
 from repro.protection import ProtectionBackend, make_backend
 from repro.sim.clock import Clock
-from repro.sim.trace import Tracer
 from repro.vm.mmu import MMU
 
 
@@ -65,9 +64,10 @@ class Machine:
             the defaults.
         clock: share an existing clock (a cluster's); ``None`` builds a
             private one configured from ``config.reference``.
-        tracer: share an existing tracer; ``None`` derives one from the
-            observability plane / ``config.record_trace``.
         name: node name (namespaces metrics and trace sources).
+
+    The trace recorder is the observability plane's (``self.obs.tracer``):
+    a cluster's shared plane gives every node the same one.
     """
 
     def __init__(
@@ -75,7 +75,6 @@ class Machine:
         config: Optional[MachineConfig] = None,
         *,
         clock: Optional[Clock] = None,
-        tracer: Optional[Tracer] = None,
         name: str = "node",
     ) -> None:
         if config is None:
@@ -100,16 +99,7 @@ class Machine:
             self.obs = Observability(obs, clock=self.clock)
             self._obs_prefix = ""
         self.obs.adopt_clock(self.clock)
-        if tracer is not None:
-            self.tracer = tracer
-        elif self.obs.tracer is not None:
-            self.tracer = self.obs.tracer
-        else:
-            self.tracer = Tracer(
-                record=config.record_trace or self.obs.config.record_trace
-            )
-        if self.obs.tracer is None:
-            self.obs.tracer = self.tracer
+        self.tracer = self.obs.tracer
         self._metrics_bound = False
         self.layout = Layout(
             mem_size=config.mem_size,
@@ -119,24 +109,18 @@ class Machine:
         self.physmem = PhysicalMemory(config.mem_size, self.costs.page_size)
         self.mmu = MMU(self.costs, clock=None)  # walk penalty charged via CPU path
 
-        depth = (
-            config.queue_depth
-            if config.queue_depth is not None
-            else self.costs.udma_queue_depth
-        )
         self.udma_engine = DmaEngine(
             self.clock, self.costs, name=f"{name}.udma-engine",
             tracer=self.tracer, burst_bytes=config.dma_burst_bytes,
-            bursts_per_event=config.dma_bursts_per_event,
         )
         backend = make_backend(config.protection)
-        if depth > 0:
+        if config.queue_depth > 0:
             self.udma: UdmaController = QueuedUdmaController(
                 self.layout,
                 self.physmem,
                 self.udma_engine,
                 self.clock,
-                queue_depth=depth,
+                queue_depth=config.queue_depth,
                 name=f"{name}.udma",
                 tracer=self.tracer,
                 backend=backend,

@@ -40,6 +40,7 @@ from repro.obs.registry import (
     unflatten,
 )
 from repro.obs.spans import Span, SpanEvent, SpanTracker
+from repro.sim.trace import Tracer
 
 __all__ = [
     "Counter",
@@ -68,21 +69,15 @@ class Observability:
     causality survives).
     """
 
-    def __init__(
-        self,
-        config: Optional[ObsConfig] = None,
-        clock=None,
-        tracer=None,
-    ) -> None:
+    def __init__(self, config: Optional[ObsConfig] = None, clock=None) -> None:
         self.config = config if config is not None else ObsConfig()
         self.clock = clock
         self.registry = MetricsRegistry()
         self.spans: Optional[SpanTracker] = (
-            SpanTracker(clock, max_spans=self.config.max_spans)
-            if self.config.spans
-            else None
+            SpanTracker(clock) if self.config.spans else None
         )
-        self.tracer = tracer
+        #: the trace recorder every component of the assembly emits to
+        self.tracer = Tracer(enabled=self.config.record_trace)
 
     def adopt_clock(self, clock) -> None:
         """Late-bind the simulation clock (first assembly that wires us)."""

@@ -1,8 +1,10 @@
 """Observability configuration: the one knob assemblies accept.
 
-``Machine(..., obs=ObsConfig(...))`` and ``ShrimpCluster(..., obs=...)``
-replace the previous scatter of ``tracer=`` / ``record_trace=`` attach
-patterns (which still work, as thin aliases).
+``Machine(config=MachineConfig(obs=ObsConfig(...)))`` and
+``ShrimpCluster(config=ClusterConfig(obs=...))`` are the only way to
+switch the observability plane's instruments on, the trace recorder
+included: the plane builds its own :class:`~repro.sim.trace.Tracer` and
+the assembly reads it from there.
 """
 
 from __future__ import annotations
@@ -21,12 +23,9 @@ class ObsConfig:
         spans: mint causal transfer spans (initiation -> packets ->
             completion).  Off by default; purely host-side when on.
         record_trace: keep the full :class:`~repro.sim.trace.TraceEvent`
-            stream (the old ``record_trace=`` flag).
-        max_spans: span-tracker capacity; further spans are counted as
-            dropped rather than grown without bound.
+            stream.
     """
 
     metrics: bool = True
     spans: bool = False
     record_trace: bool = False
-    max_spans: int = 100_000

@@ -133,8 +133,6 @@ class CostModel:
     tlb_entries: int = 64
     #: page-table walk penalty on a TLB miss
     tlb_miss_cycles: int = 24
-    #: depth of the section-7 hardware request queue (0 = unqueued device)
-    udma_queue_depth: int = 0
 
     # ------------------------------------------------------------- helpers
     def cycles_to_us(self, cycles: float) -> float:
@@ -192,11 +190,6 @@ class CostModel:
 def shrimp(**overrides: object) -> CostModel:
     """The SHRIMP-calibrated preset (see module docstring)."""
     return CostModel().scaled(**overrides)
-
-
-def shrimp_queued(depth: int = 16, **overrides: object) -> CostModel:
-    """SHRIMP preset with the section-7 hardware request queue enabled."""
-    return CostModel(udma_queue_depth=depth).scaled(**overrides)
 
 
 def hippi_paragon(**overrides: object) -> CostModel:

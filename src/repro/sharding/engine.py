@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationLimitError
 from repro.net.packet import Packet
-from repro.params import CostModel
 from repro.sharding.shard import (
     INFINITY,
     Shard,
@@ -137,11 +136,9 @@ def _merge(engine: str, num_shards: int, reports: List[dict], rounds: int) -> Sh
     return result
 
 
-def shard_specs(
-    spec: ClusterSpec, num_shards: int, costs: "CostModel | None" = None
-) -> List[ShardSpec]:
+def shard_specs(spec: ClusterSpec, num_shards: int) -> List[ShardSpec]:
     """Probe the canonical frames once; one :class:`ShardSpec` per block."""
-    frames = probe_canonical_frames(spec, costs)
+    frames = probe_canonical_frames(spec)
     return [
         ShardSpec(index=j, num_shards=num_shards, nodes=block, rx_frames=frames)
         for j, block in enumerate(partition(spec.num_nodes, num_shards))
@@ -149,15 +146,12 @@ def shard_specs(
 
 
 def build_shards(
-    spec: ClusterSpec,
-    num_shards: int,
-    costs: "CostModel | None" = None,
-    audit: bool = False,
+    spec: ClusterSpec, num_shards: int, audit: bool = False
 ) -> List[Shard]:
     """Construct every shard of ``spec`` in this process."""
     return [
-        Shard(spec, shard_spec, costs=costs, audit=audit)
-        for shard_spec in shard_specs(spec, num_shards, costs)
+        Shard(spec, shard_spec, audit=audit)
+        for shard_spec in shard_specs(spec, num_shards)
     ]
 
 
@@ -168,7 +162,6 @@ class InProcessEngine:
         self,
         spec: ClusterSpec,
         num_shards: int = 1,
-        costs: "CostModel | None" = None,
         audit: bool = False,
     ) -> None:
         self.spec = spec
@@ -176,7 +169,7 @@ class InProcessEngine:
         #: host seconds spent inside :meth:`run` (construction happens
         #: in ``__init__``, so the run window is pure execution)
         self.timed_seconds: Optional[float] = None
-        self.shards = build_shards(spec, num_shards, costs=costs, audit=audit)
+        self.shards = build_shards(spec, num_shards, audit=audit)
         owner: Dict[int, Shard] = {}
         for shard in self.shards:
             for node_id in shard.shard_spec.nodes:
@@ -304,7 +297,6 @@ class WorkerEngine:
         spec: ClusterSpec,
         num_shards: int,
         audit: bool = False,
-        mp_context: "str | None" = None,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError("WorkerEngine needs >= 1 shard")
@@ -315,10 +307,8 @@ class WorkerEngine:
         #: drained" -- the benchmark's timed window (construction and
         #: final-report pickling excluded)
         self.timed_seconds: Optional[float] = None
-        if mp_context is None:
-            methods = mp.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else methods[0]
-        self._ctx = mp.get_context(mp_context)
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else methods[0])
 
     def run(self, max_rounds: int = 1_000_000) -> ShardRunResult:
         specs = shard_specs(self.spec, self.num_shards)

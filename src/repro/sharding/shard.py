@@ -47,10 +47,9 @@ from repro.net.nic import ShrimpNic
 from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.obs import Observability, ObsConfig
-from repro.params import CostModel, shrimp
 from repro.sharding.spec import RETRY_GAP_CYCLES, ClusterSpec, ShardSpec
 from repro.sim.clock import Clock, ShardClock
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import NULL_TRACER
 from repro.userlib.udma import DeviceRef, MemoryRef, UdmaUser, _SendPlan
 
 #: canonical key class of a workload step: sorts after every hardware
@@ -240,18 +239,14 @@ def setup_node(
     )
 
 
-def probe_canonical_frames(
-    spec: ClusterSpec, costs: "CostModel | None" = None
-) -> Tuple[int, ...]:
+def probe_canonical_frames(spec: ClusterSpec) -> Tuple[int, ...]:
     """Build one throwaway template node; return its receive frames."""
     if spec.iommu:
         # Virtual NIPT entries carry (asid, vpage), not frames; frames
         # are assigned at fault-service time, so there is nothing to
         # probe and nothing for senders to need.
         return ()
-    config = spec.cluster_config().replace(
-        costs=costs if costs is not None else shrimp()
-    )
+    config = spec.cluster_config()
     scratch = Interconnect(Clock(), config.costs, topology="linear")
     obs = Observability(ObsConfig(metrics=False))
     machine, nic = build_node(
@@ -269,16 +264,12 @@ class Shard:
         self,
         spec: ClusterSpec,
         shard_spec: ShardSpec,
-        costs: "CostModel | None" = None,
-        tracer: "Tracer | None" = None,
         audit: bool = False,
     ) -> None:
         self.spec = spec
         self.shard_spec = shard_spec
-        self.costs = costs if costs is not None else shrimp()
         #: the nodes' configuration, shared with ShrimpCluster's builder
-        self.config = spec.cluster_config().replace(costs=self.costs)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.config = spec.cluster_config()
         #: per-shard observability plane; node metrics land as node{i}.*
         self.obs = Observability(ObsConfig(metrics=True))
         self.interconnect = ShardInterconnect(self, self.config)
@@ -308,7 +299,7 @@ class Shard:
         #: in-process engine reads the peer shard's promise directly)
         self.remote_bound: Optional[Callable[[int, int, int], float]] = None
 
-        lookaheads = spec.lookaheads(self.costs)
+        lookaheads = spec.lookaheads()
         local = set(shard_spec.nodes)
         for node_id in self.order:
             machine, nic = build_node(
@@ -371,16 +362,6 @@ class Shard:
         arrival = self.runtimes[src].clock.now + delay
         chseq = self._chseq.get((src, dst), 0)
         self._chseq[(src, dst)] = chseq + 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.runtimes[src].clock.now,
-                f"shard{self.shard_spec.index}",
-                "handoff",
-                src=src,
-                dst=dst,
-                arrival=arrival,
-                seq=chseq,
-            )
         rt = self.runtimes.get(dst)
         if rt is not None:
             # partial (not a lambda): in-flight handoffs are snapshot
@@ -437,11 +418,6 @@ class Shard:
         """Apply a null message: link (src, dst) is safe strictly below
         ``bound`` (None = the source is finished; no further traffic)."""
         self.chan_bound[(src, dst)] = INFINITY if bound is None else bound
-        if self.tracer.enabled:
-            self.tracer.emit(
-                0, f"shard{self.shard_spec.index}", "lbts",
-                src=src, dst=dst, bound=bound,
-            )
 
     # ---------------------------------------------------------- operations
     def promise(self, rt: NodeRuntime) -> Optional[int]:

@@ -33,7 +33,8 @@ from repro.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.params import CostModel, shrimp
 
-#: gap before a failed (device-busy) initiation is retried
+#: gap before a failed (device-busy) initiation is retried, by the
+#: sharded ring and by :class:`~repro.traffic.engine.TrafficEngine` alike
 RETRY_GAP_CYCLES = 512
 
 
@@ -112,6 +113,7 @@ class ClusterSpec:
         """
         return ClusterConfig(
             num_nodes=self.num_nodes,
+            costs=shrimp(),
             topology=self.topology,
             mesh_width=self.mesh_width,
             mem_size=self.mem_size,

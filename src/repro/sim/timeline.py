@@ -37,8 +37,6 @@ _GLYPHS = {
     "route": ">",
     "chain-start": "c",
     "chain-complete": "C",
-    "handoff": "h",
-    "lbts": "b",
 }
 
 

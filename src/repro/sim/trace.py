@@ -2,20 +2,18 @@
 
 Components emit :class:`TraceEvent` records through a shared
 :class:`Tracer`.  Tracing is off by default (the null tracer discards
-everything at near-zero cost); tests and the bench harness attach a
-recording tracer to observe hardware-level behaviour -- state-machine
-transitions, packets on the wire, page faults -- without poking at
-internals.
+everything at near-zero cost); ``ObsConfig(record_trace=True)`` builds
+a recording one, so tests and the bench harness can observe
+hardware-level behaviour -- state-machine transitions, packets on the
+wire, page faults -- without poking at internals.
 """
 
 from __future__ import annotations
 
-import logging
-from repro.snapshot.protocol import SnapshotMixin
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
-_log = logging.getLogger(__name__)
+from repro.snapshot.protocol import SnapshotMixin
 
 
 @dataclass(frozen=True)
@@ -40,72 +38,23 @@ class TraceEvent:
 
 
 class Tracer(SnapshotMixin):
-    """Collects trace events and dispatches them to subscribers.
+    """Records trace events while :attr:`enabled`.
 
-    With ``record=False`` and no subscribers, :meth:`emit` is a cheap no-op
-    apart from building the call; the hot paths therefore guard emission
-    with :attr:`enabled`.  ``enabled`` is a plain precomputed attribute
-    (not a property) so those guards cost one attribute load on the
-    simulator's hottest paths; it is kept in sync by the ``record`` setter
-    and :meth:`subscribe`.
+    A disabled tracer's :meth:`emit` is a cheap no-op apart from building
+    the call; the hot paths therefore guard emission with
+    :attr:`enabled`, a plain attribute (not a property) so those guards
+    cost one attribute load on the simulator's hottest paths.
     """
 
-    def __init__(self, record: bool = False) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.events: List[TraceEvent] = []
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
-        self._record = record
-        #: True when emitting would have any observable effect (read-only;
-        #: derived from ``record`` and the subscriber list)
-        self.enabled = record
-        #: subscriber exceptions swallowed (observers must never be able
-        #: to crash the simulation step that emitted the event)
-        self.subscriber_errors = 0
-
-    @property
-    def record(self) -> bool:
-        """Whether emitted events are kept in :attr:`events`."""
-        return self._record
-
-    @record.setter
-    def record(self, value: bool) -> None:
-        self._record = value
-        self._refresh_enabled()
-
-    def subscribe(self, handler: Callable[[TraceEvent], None]) -> None:
-        """Add a live handler invoked for every emitted event."""
-        self._subscribers.append(handler)
-        self._refresh_enabled()
-
-    def _refresh_enabled(self) -> None:
-        self.enabled = self._record or bool(self._subscribers)
+        #: whether emitted events are kept in :attr:`events`
+        self.enabled = enabled
 
     def emit(self, time: int, source: str, kind: str, **detail: Any) -> None:
-        """Record and dispatch one event (no-op when disabled)."""
-        if not self.enabled:
-            return
-        event = TraceEvent(time, source, kind, detail)
-        if self.record:
-            self.events.append(event)
-        for handler in self._subscribers:
-            # Observers are isolated: a broken handler must not propagate
-            # into (and desync) the simulation step that emitted the event.
-            try:
-                handler(event)
-            except Exception:
-                self.subscriber_errors += 1
-                _log.exception(
-                    "trace subscriber %r raised on %s.%s", handler, source, kind
-                )
-
-    # -------------------------------------------------------- snapshotting
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # Subscribers are external observers (test harnesses, exporters);
-        # a snapshot captures the machine, not its audience.  Dropping
-        # them also drops ``enabled`` back to the record flag alone.
-        state["_subscribers"] = []
-        state["enabled"] = state["_record"]
-        return state
+        """Record one event (no-op when disabled)."""
+        if self.enabled:
+            self.events.append(TraceEvent(time, source, kind, detail))
 
     def __reduce_ex__(self, protocol: int):
         # The process-wide null tracer must restore to the *same* object:
@@ -137,7 +86,7 @@ class Tracer(SnapshotMixin):
 
 #: A process-wide tracer that drops everything; components use it as the
 #: default so callers never need to pass a tracer explicitly.
-NULL_TRACER = Tracer(record=False)
+NULL_TRACER = Tracer()
 
 
 def _null_tracer() -> Tracer:

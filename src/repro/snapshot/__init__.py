@@ -29,9 +29,9 @@ in-flight packets, reliable-transport channels and armed retransmit
 timers, the IOMMU's page table, IOTLB, park queue and pin ledger, and
 every observability counter and histogram.
 
-What is deliberately *not* captured: external observers.  Trace
-subscribers, the chaos auditor's clock hook, and the sampled metric
-``read`` callbacks all point from the outside in; they are dropped at
+What is deliberately *not* captured: external observers.  The chaos
+auditor's clock hook and the sampled metric ``read`` callbacks point
+from the outside in; they are dropped at
 capture and re-attached on restore (components expose
 ``_reattach_after_restore`` for the parts they own).  See
 ``docs/SNAPSHOT.md`` for the format and the full capture matrix.

@@ -30,10 +30,10 @@ from repro.errors import SnapshotError, SnapshotVersionError
 #: identifies a blob as a simulator snapshot before anything is trusted
 MAGIC = b"SHRIMPSN"
 
-#: bump on any change to a pickled component's persisted shape (7: the
-#: NIPT holds its own free index runs and a cluster no longer keeps a
-#: per-node NIPT free list)
-SNAPSHOT_VERSION = 7
+#: bump on any change to a pickled component's persisted shape (8: the
+#: tracer keeps only its events and ``enabled``, and the cost model,
+#: observability and machine configs lost their second-route fields)
+SNAPSHOT_VERSION = 8
 
 #: payloads at or above this size are zlib-compressed (tiny payloads skip
 #: the overhead)

@@ -8,7 +8,8 @@ due network events), then perform exactly one non-blocking send
 its next destination from its seeded stream and re-arms ``gap_cycles``
 later; on a transient refusal (the node's UDMA engine is still draining
 the previous message) it retries the *same* destination after
-``retry_gap_cycles``.
+:data:`~repro.sharding.spec.RETRY_GAP_CYCLES`, the sharded ring's retry
+delay, so single-clock and sharded workloads back off alike.
 
 CPU work never happens inside a clock-event callback.  A send charges
 cycles (context switch, initiation stores), and a charge fires any due
@@ -27,17 +28,14 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.cluster import ShrimpCluster
 from repro.errors import ConfigurationError
+from repro.sharding.spec import RETRY_GAP_CYCLES
 from repro.traffic.generators import TrafficPattern, Xorshift, _mix_seed, make_pattern
 from repro.traffic.tenants import TenantPlacement
 from repro.config import ClusterConfig
-
-#: Retry delay after a busy UDMA engine, mirroring the sharded transport's
-#: RETRY_GAP_CYCLES so single-clock and sharded workloads back off alike.
-RETRY_GAP_CYCLES = 512
 
 
 @dataclass
@@ -93,7 +91,6 @@ class TrafficEngine:
         messages: int,
         msg_bytes: int = 512,
         gap_cycles: int = 4000,
-        retry_gap_cycles: int = RETRY_GAP_CYCLES,
         churn_every: int = 0,
         scenario: str = "custom",
     ) -> None:
@@ -103,7 +100,7 @@ class TrafficEngine:
             raise ConfigurationError(
                 f"msg_bytes must be a positive multiple of 4, got {msg_bytes}"
             )
-        if gap_cycles < 1 or retry_gap_cycles < 1:
+        if gap_cycles < 1:
             raise ConfigurationError("gap cycles must be >= 1")
         channel_bytes = placement.channel_pages * cluster.costs.page_size
         if msg_bytes > channel_bytes:
@@ -115,7 +112,6 @@ class TrafficEngine:
         self.messages = messages
         self.msg_bytes = msg_bytes
         self.gap_cycles = gap_cycles
-        self.retry_gap_cycles = retry_gap_cycles
         self.churn_every = churn_every
         self.scenario = scenario
         self.payload = bytes(
@@ -144,7 +140,7 @@ class TrafficEngine:
         return drivers
 
     # --------------------------------------------------------------- run
-    def run(self, max_events: Optional[int] = None) -> TrafficResult:
+    def run(self) -> TrafficResult:
         """Build, drive to quota, drain in-flight traffic, and measure."""
         cluster = self.cluster
         self.placement.build(cluster, self.payload)
@@ -155,8 +151,7 @@ class TrafficEngine:
         base_events = clock.events_fired
         base_cycles = clock.now
         base_delivered = self._packets_received()
-        if max_events is None:
-            max_events = self.messages * 64 + 100_000
+        max_events = self.messages * 64 + 100_000
 
         host_start = time.perf_counter()
         heap: List = []
@@ -227,7 +222,7 @@ class TrafficEngine:
         incoming = self._incoming[dst]
         if incoming.used_bytes * 2 > incoming.capacity_bytes:
             d.retries += 1
-            return self.retry_gap_cycles
+            return RETRY_GAP_CYCLES
         sender = d.senders.get(dst)
         if sender is None:
             sender = self.placement.sender(d.src, d.tenant, dst)
@@ -245,7 +240,7 @@ class TrafficEngine:
             d.next_dst = d.stream()
             return self.gap_cycles
         d.retries += 1
-        return self.retry_gap_cycles
+        return RETRY_GAP_CYCLES
 
 
 def run_scenario(
@@ -257,29 +252,21 @@ def run_scenario(
     msg_bytes: int = 512,
     seed: int = 0,
     gap_cycles: int = 4000,
-    retry_gap_cycles: int = RETRY_GAP_CYCLES,
     churn_every: int = 0,
-    channel_pages: int = 1,
     reference: bool = False,
-    topology: str = "linear",
-    mesh_width: int = 0,
-    nipt_entries: Optional[int] = None,
-    max_events: Optional[int] = None,
     **pattern_kwargs,
 ) -> TrafficResult:
     """Build pattern + cluster + placement, run, and return the result.
 
     The cluster is sized from the placement's own demand accounting:
     enough frames per node for every receive export, send buffer, and the
-    worst-case churn re-allocations, and (unless overridden) a NIPT just
-    big enough for the busiest node -- so churn genuinely cycles the NIC
+    worst-case churn re-allocations, and a NIPT just big enough for the
+    busiest node -- so churn genuinely cycles the NIC
     page table through its free list rather than rattling around in an
     oversized one.
     """
     pat = make_pattern(pattern, num_nodes, seed=seed, **pattern_kwargs)
-    placement = TenantPlacement(
-        pat, tenants_per_node=tenants_per_node, channel_pages=channel_pages
-    )
+    placement = TenantPlacement(pat, tenants_per_node=tenants_per_node)
     senders = sum(
         tenants_per_node for src in range(num_nodes) if pat.peers(src)
     )
@@ -288,11 +275,7 @@ def run_scenario(
     pages = 0
     nipt_need = 8
     for node in range(num_nodes):
-        churn_pages = (
-            tenants_per_node * churns_per_driver * channel_pages
-            if pat.peers(node)
-            else 0
-        )
+        churn_pages = tenants_per_node * churns_per_driver if pat.peers(node) else 0
         pages = max(pages, placement.required_pages(node) + churn_pages)
         nipt_need = max(nipt_need, placement.nipt_demand(node))
     mem_size = max((pages + 64) * 4096, 1 << 22)
@@ -300,9 +283,7 @@ def run_scenario(
                   config=ClusterConfig(
                       num_nodes=num_nodes,
                       mem_size=mem_size,
-                      nipt_entries=nipt_entries if nipt_entries is not None else nipt_need,
-                      topology=topology,
-                      mesh_width=mesh_width,
+                      nipt_entries=nipt_need,
                       reference=reference,
                   ),
               )
@@ -312,8 +293,7 @@ def run_scenario(
         messages=messages,
         msg_bytes=msg_bytes,
         gap_cycles=gap_cycles,
-        retry_gap_cycles=retry_gap_cycles,
         churn_every=churn_every,
         scenario=name,
     )
-    return engine.run(max_events=max_events)
+    return engine.run()

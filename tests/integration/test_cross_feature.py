@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterConfig, MachineConfig, ShrimpCluster
+from repro import ClusterConfig, MachineConfig, ObsConfig, ShrimpCluster
 from repro.bench.workloads import make_payload
 from repro.userlib import CollectiveGroup, MessageRing, Sender
 
@@ -55,7 +55,7 @@ class TestTracingAcrossTheCluster:
                       config=ClusterConfig(
                           num_nodes=2,
                           mem_size=1 << 21,
-                          record_trace=True,
+                          obs=ObsConfig(record_trace=True),
                       ),
                   )
         rx = cluster.node(1).create_process("rx")

@@ -8,7 +8,7 @@ up as a concrete diff, not as a silently shifted curve.
 
 import pytest
 
-from repro import Machine, MachineConfig
+from repro import Machine, MachineConfig, ObsConfig
 from repro.bench.workloads import make_payload
 from repro.devices import SinkDevice
 from repro.userlib import DeviceRef, MemoryRef, UdmaUser
@@ -19,7 +19,9 @@ PAGE = 4096
 @pytest.fixture
 def traced_machine():
     machine = Machine(
-                  config=MachineConfig(mem_size=1 << 20, record_trace=True),
+                  config=MachineConfig(
+                      mem_size=1 << 20, obs=ObsConfig(record_trace=True)
+                  ),
               )
     machine.attach_device(SinkDevice("sink", size=1 << 14))
     p = machine.create_process("app")
@@ -78,7 +80,7 @@ class TestGoldenSingleTransfer:
             machine = Machine(
                           config=MachineConfig(
                               mem_size=1 << 20,
-                              record_trace=True,
+                              obs=ObsConfig(record_trace=True),
                           ),
                       )
             machine.attach_device(SinkDevice("sink", size=1 << 14))

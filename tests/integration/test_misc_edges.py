@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterConfig, Machine, MachineConfig, ShrimpCluster
+from repro import Machine, MachineConfig
 from repro.bench.workloads import make_payload
 from repro.devices import SinkDevice
 from repro.errors import ProtectionFault
@@ -64,21 +64,6 @@ class TestSchedulerEdges:
 
     def test_yield_with_no_processes(self, machine):
         assert machine.kernel.scheduler.yield_next() is None
-
-
-class TestClusterQueueDepthFromCosts:
-    def test_costs_preset_builds_queued_cluster(self):
-        from repro.core.queueing import QueuedUdmaController
-        from repro.params import shrimp_queued
-
-        cluster = ShrimpCluster(
-                      config=ClusterConfig(
-                          num_nodes=2,
-                          mem_size=1 << 20,
-                          costs=shrimp_queued(4),
-                      ),
-                  )
-        assert isinstance(cluster.node(0).udma, QueuedUdmaController)
 
 
 class TestTwoSendersSameNic:

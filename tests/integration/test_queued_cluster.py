@@ -57,7 +57,7 @@ class TestQueuedMessaging:
             sender = Sender(cluster, tx, channel)
             return measure_message(sender, 8 * PAGE).total_cycles
 
-        assert time_message(8) <= time_message(None)
+        assert time_message(8) <= time_message(0)
 
     def test_invariants_hold_with_queued_device(self, queued_cluster):
         cluster, sender, receiver = queued_cluster

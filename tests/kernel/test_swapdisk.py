@@ -71,7 +71,7 @@ class TestSwapRoundtrip:
                 config=MachineConfig(
                     mem_size=16 * PAGE,
                     bounce_frames=4,
-                    queue_depth=4 if mode == "disk-system-queue" else None,
+                    queue_depth=4 if mode == "disk-system-queue" else 0,
                 ),
             )
         )

@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.core.controller import UdmaController
 from repro.core.queueing import QueuedUdmaController
+from repro.core.status import UdmaStatus
 from repro.devices.sink import SinkDevice
 from repro.dma.engine import DmaEngine
 from repro.mem.layout import Layout
@@ -169,6 +170,44 @@ class TestControllerSpans:
         names = [e.name for e in span.events]
         assert names[:2] == ["queue-refused", "queued"]
         assert all(s.status == "complete" for s in rig.roots())
+
+
+class TestQueuedMachineSpans:
+    """The queued device's latch drops close the root span, on a machine
+    built the one way a queued device is built (``queue_depth > 0``)."""
+
+    def _machine(self):
+        machine = Machine(
+            config=MachineConfig(
+                mem_size=MEM, queue_depth=4, obs=ObsConfig(spans=True)
+            )
+        )
+        assert isinstance(machine.udma, QueuedUdmaController)
+        window = machine.attach_device(SinkDevice("sink", size=1 << 14))
+        return machine, window
+
+    def test_inval_drops_latch_and_retry_links_back(self):
+        machine, window = self._machine()
+        udma, spans = machine.udma, machine.obs.spans
+        udma.io_store(window.base, 64)
+        udma.inval()
+        (first,) = spans.roots()
+        assert first.status == "inval"
+        udma.io_store(window.base, 64)  # the retry, same destination
+        udma.io_load(machine.layout.proxy(0x1000))
+        machine.run_until_idle()
+        (retry,) = [s for s in spans.roots() if s.id != first.id]
+        assert retry.attrs["retry_of"] == first.id
+        assert retry.status == "complete"
+
+    def test_bad_load_drops_latch(self):
+        machine, _ = self._machine()
+        udma = machine.udma
+        udma.io_store(machine.layout.proxy(0x1000), 64)  # memory dest
+        word = udma.io_load(machine.layout.proxy(0x2000))  # memory source
+        assert UdmaStatus.decode(word).wrong_space
+        (root,) = machine.obs.spans.roots()
+        assert root.status == "bad-load"
 
 
 def _run_cluster_send(nbytes=2100):

@@ -21,7 +21,7 @@ ALL_BACKENDS = BACKEND_NAMES
 class ProtSinkRig:
     """Single node + sink, built for one protection backend."""
 
-    def __init__(self, protection=None, alignment=0, queue_depth=None,
+    def __init__(self, protection=None, alignment=0, queue_depth=0,
                  sink_size=1 << 16):
         self.machine = Machine(
                            config=MachineConfig(

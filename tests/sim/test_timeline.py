@@ -67,10 +67,8 @@ class TestRenderTimeline:
 
     def test_real_trace_renders(self, sink_machine):
         """A real machine trace produces a sensible chart."""
-        from repro.sim.trace import Tracer
-
         rig = sink_machine
-        rig.machine.tracer.record = True
+        rig.machine.tracer.enabled = True
         rig.fill_buffer(b"x" * 512)
         rig.udma.transfer(rig.mem(0), rig.dev(0), 512)
         rig.machine.run_until_idle()

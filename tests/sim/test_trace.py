@@ -11,7 +11,7 @@ class TestTracer:
         assert len(tracer) == 0
 
     def test_recording(self):
-        tracer = Tracer(record=True)
+        tracer = Tracer(enabled=True)
         tracer.emit(5, "udma", "state", state="Idle")
         assert len(tracer) == 1
         event = tracer.events[0]
@@ -20,41 +20,27 @@ class TestTracer:
         assert event.kind == "state"
         assert event.detail == {"state": "Idle"}
 
-    def test_subscriber_receives_events(self):
-        tracer = Tracer()
-        seen = []
-        tracer.subscribe(seen.append)
-        assert tracer.enabled
-        tracer.emit(1, "a", "b")
-        assert len(seen) == 1
-
-    def test_subscriber_without_recording_stores_nothing(self):
-        tracer = Tracer(record=False)
-        tracer.subscribe(lambda e: None)
-        tracer.emit(1, "a", "b")
-        assert len(tracer) == 0
-
     def test_of_kind_filter(self):
-        tracer = Tracer(record=True)
+        tracer = Tracer(enabled=True)
         tracer.emit(1, "a", "x")
         tracer.emit(2, "a", "y")
         tracer.emit(3, "b", "x")
         assert len(tracer.of_kind("x")) == 2
 
     def test_from_source_filter(self):
-        tracer = Tracer(record=True)
+        tracer = Tracer(enabled=True)
         tracer.emit(1, "a", "x")
         tracer.emit(2, "b", "x")
         assert len(tracer.from_source("b")) == 1
 
     def test_clear(self):
-        tracer = Tracer(record=True)
+        tracer = Tracer(enabled=True)
         tracer.emit(1, "a", "x")
         tracer.clear()
         assert len(tracer) == 0
 
     def test_iteration(self):
-        tracer = Tracer(record=True)
+        tracer = Tracer(enabled=True)
         tracer.emit(1, "a", "x")
         tracer.emit(2, "a", "y")
         assert [e.kind for e in tracer] == ["x", "y"]

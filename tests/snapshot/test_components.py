@@ -13,12 +13,15 @@ from functools import partial
 
 import pytest
 
+from repro.config import MachineConfig
 from repro.errors import ConfigurationError, SnapshotVersionError
 from repro.mem.physmem import PhysicalMemory
 from repro.net.nipt import NetworkInterfacePageTable
 from repro.net.packet import Packet
 from repro.net.pool import PacketPool
+from repro.obs import ObsConfig
 from repro.obs.registry import MetricsRegistry
+from repro.params import shrimp
 from repro.sim.clock import Clock
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.snapshot import SNAPSHOT_VERSION, Snapshottable, fork, restore, snapshot
@@ -179,10 +182,32 @@ def test_nipt_free_list_blob_from_version_6_refused():
     with pytest.raises(SnapshotVersionError) as excinfo:
         restore(blob)
     assert excinfo.value.found == 6
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 7
+    assert excinfo.value.expected == SNAPSHOT_VERSION
     nipt2 = restore(encode(nipt))
     assert nipt2._free == nipt._free == [(0, 3), (5, 11)]
     assert nipt2.install(3, (30,)) == nipt.install(3, (30,)) == 0
+
+
+def test_record_only_tracer_and_configs_blob_from_version_7_refused():
+    """Version 7 pickled a ``Tracer`` with a subscriber list, an error
+    count and a ``record`` flag beside ``enabled``, a ``CostModel`` with
+    ``udma_queue_depth``, an ``ObsConfig`` with ``max_spans`` and a
+    ``MachineConfig`` with ``record_trace``/``dma_bursts_per_event``;
+    such a blob must be refused, never restored into a record-only
+    tracer or configs missing those fields."""
+    tracer = Tracer(enabled=True)
+    tracer.emit(17, "udma", "proxy-store", value=64)
+    graph = (tracer, shrimp(), ObsConfig(spans=True), MachineConfig(queue_depth=4))
+    blob = encode(graph, version=7)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 7
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 8
+    tracer2, costs2, obs2, config2 = restore(encode(graph))
+    assert vars(tracer2).keys() == {"events", "enabled"}
+    assert [e.kind for e in tracer2.events] == ["proxy-store"]
+    assert tracer2.enabled
+    assert (costs2, obs2, config2) == graph[1:]
 
 
 def _stale_tlb() -> TLB:
@@ -276,16 +301,6 @@ def test_null_tracer_restores_by_identity():
     assert out["tracer"] is NULL_TRACER
     assert out["also"] is NULL_TRACER
     assert fork(obj)["tracer"] is NULL_TRACER
-
-
-def test_tracer_subscribers_dropped_on_capture():
-    tracer = Tracer(record=True)
-    tracer.subscribe(lambda event: None)
-    tracer.emit(17, "udma", "udma.start", n=1)
-    tracer2 = restore(snapshot(tracer))
-    assert tracer2._subscribers == []
-    assert [e.kind for e in tracer2.events] == ["udma.start"]
-    assert tracer2.enabled  # recording tracer stays enabled
 
 
 def test_detached_metric_read_raises_until_rebound():

@@ -24,16 +24,6 @@ class TestConstruction:
         assert isinstance(machine.udma, QueuedUdmaController)
         assert machine.udma.queue_depth == 8
 
-    def test_cost_model_queue_default(self):
-        from repro.params import shrimp_queued
-        machine = Machine(
-                      config=MachineConfig(
-                          costs=shrimp_queued(4),
-                          mem_size=1 << 20,
-                      ),
-                  )
-        assert isinstance(machine.udma, QueuedUdmaController)
-
     def test_offset_scheme(self):
         machine = Machine(
                       config=MachineConfig(

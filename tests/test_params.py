@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.params import CostModel, hippi_paragon, shrimp, shrimp_queued
+from repro.params import CostModel, hippi_paragon, shrimp
 
 
 class TestShrimpPreset:
@@ -37,14 +37,6 @@ class TestShrimpPreset:
         derived = base.scaled(io_ref_cycles=99)
         assert base.io_ref_cycles != 99
         assert derived.io_ref_cycles == 99
-
-
-class TestQueuedPreset:
-    def test_queue_depth_set(self):
-        assert shrimp_queued(8).udma_queue_depth == 8
-
-    def test_default_depth(self):
-        assert shrimp_queued().udma_queue_depth == 16
 
 
 class TestHippiPreset:

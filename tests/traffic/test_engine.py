@@ -70,7 +70,7 @@ def test_tight_incast_backs_off_instead_of_overflowing():
     # without credit-style backpressure the sink FIFO would overflow.
     result = run_scenario(
         "t", "incast", num_nodes=8, messages=400, msg_bytes=512, seed=5,
-        gap_cycles=300, retry_gap_cycles=300,
+        gap_cycles=300,
     )
     assert result.retries > 0
     assert result.messages == result.delivered == 400
