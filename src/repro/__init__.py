@@ -53,7 +53,6 @@ from repro.obs import (
     SpanTracker,
 )
 from repro.params import CostModel, hippi_paragon, shrimp
-from repro.sim.trace import TraceEvent, Tracer
 from repro.userlib import DeviceRef, MemoryRef, Receiver, Sender, UdmaUser
 
 __version__ = "1.0.0"
@@ -79,8 +78,6 @@ __all__ = [
     "ShrimpCluster",
     "Span",
     "SpanTracker",
-    "TraceEvent",
-    "Tracer",
     "UdmaController",
     "UdmaState",
     "UdmaStatus",

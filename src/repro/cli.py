@@ -99,7 +99,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     machine = Machine(
-        config=MachineConfig(mem_size=1 << 20, obs=ObsConfig(record_trace=True))
+        config=MachineConfig(mem_size=1 << 20, obs=ObsConfig(spans=True))
     )
     machine.attach_device(SinkDevice("sink", size=1 << 16))
     p = machine.create_process("app")
@@ -107,11 +107,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     grant = machine.kernel.syscalls.grant_device_proxy(p, "sink")
     udma = UdmaUser(machine, p)
     machine.cpu.write_bytes(buf, make_payload(args.nbytes))
-    machine.tracer.clear()
     udma.transfer(MemoryRef(buf), DeviceRef(grant), args.nbytes)
     machine.run_until_idle()
     print(f"one {args.nbytes}-byte UDMA transfer, traced:")
-    print(render_timeline(machine.tracer.events, width=64))
+    print(render_timeline(machine.obs.spans, width=64))
     print(f"\nlegend: {legend()}")
     return 0
 

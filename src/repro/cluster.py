@@ -93,8 +93,8 @@ def build_node(
     """Build node ``node_id`` of a cluster: its machine and its NIC.
 
     The machine is configured by ``config``'s per-node projection, runs
-    on ``clock`` and registers its metrics on ``obs`` (and traces to its
-    tracer); the NIC is plugged into ``interconnect`` (and into
+    on ``clock`` and registers its metrics (and spans) on ``obs``; the NIC
+    is plugged into ``interconnect`` (and into
     ``reliability``'s transport, if any).
     A :class:`ShrimpCluster` passes one shared clock for every node, a
     shard (:mod:`repro.sharding`) one clock per node.
@@ -243,10 +243,9 @@ class ShrimpCluster:
         else:
             self.obs = Observability(obs, clock=self.clock)
         self.obs.adopt_clock(self.clock)
-        self.tracer = self.obs.tracer
         self._metrics_bound = False
         self.interconnect = Interconnect(
-            self.clock, self.costs, self.tracer,
+            self.clock, self.costs,
             topology=config.topology, mesh_width=config.mesh_width,
         )
         # Fail fast on a node count that does not fill the configured
@@ -270,7 +269,6 @@ class ShrimpCluster:
                 rel_config,
                 clock=self.clock,
                 spans=self.obs.spans,
-                tracer=self.tracer,
             )
         self.nodes: List[Machine] = []
         self.nics: List[ShrimpNic] = []

@@ -7,8 +7,8 @@ decision (cost model, proxy scheme, reference mode, observability, transport,
 protection, IOMMU tier...), while *wiring* parameters that name live
 objects owned by someone else -- ``clock``, ``name`` -- stay explicit
 keyword arguments on the constructors.  Each decision has one field:
-the trace recorder is ``obs=ObsConfig(record_trace=True)``, the queued
-device is ``queue_depth > 0``.
+span tracing is ``obs=ObsConfig(spans=True)``, the queued device is
+``queue_depth > 0``.
 
     from repro import Machine, MachineConfig
 

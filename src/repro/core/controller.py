@@ -34,7 +34,6 @@ from repro.mem.layout import DeviceWindow, Layout, Region
 from repro.mem.physmem import PhysicalMemory
 from repro.protection import ProtectionBackend, ProxyBackend
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class UdmaController:
@@ -53,7 +52,6 @@ class UdmaController:
         engine: DmaEngine,
         clock: Clock,
         name: str = "udma",
-        tracer: Tracer = NULL_TRACER,
         backend: Optional[ProtectionBackend] = None,
     ) -> None:
         self.layout = layout
@@ -61,7 +59,6 @@ class UdmaController:
         self.engine = engine
         self.clock = clock
         self.name = name
-        self.tracer = tracer
         self.page_size = layout.page_size
         # The protection decision for the two-instruction send lives in a
         # pluggable backend (see repro.protection).  The default proxy
@@ -114,7 +111,7 @@ class UdmaController:
         self._devices[device.name] = device
         self._window_cache.clear()
         self._endpoints.clear()
-        device.attach(self.clock, self.tracer)
+        device.attach(self.clock)
         self.backend.device_attached(device)
         return window
 
@@ -173,16 +170,6 @@ class UdmaController:
             self.backend.record_fault("inval")
         if self._spans is not None:
             self._span_store(operand, value, event)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "proxy-store",
-                addr=f"{paddr:#x}",
-                value=value,
-                event=event.value,
-                state=self.sm.state.value,
-            )
 
     def io_load(self, paddr: int) -> int:
         """A CPU LOAD reached proxy space; returns the encoded status word."""
@@ -201,16 +188,6 @@ class UdmaController:
                 self._endpoint(start.source),
                 self._endpoint(start.destination),
                 start.count,
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "proxy-load",
-                addr=f"{paddr:#x}",
-                event=result.event.value,
-                state=self.sm.state.value,
-                status=result.status.describe(),
             )
         return result.status.encode(self.page_size)
 
@@ -231,10 +208,6 @@ class UdmaController:
         self.sm.store(operand, -1)
         if self._spans is not None:
             self._span_inval()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now, self.name, "inval", state=self.sm.state.value
-            )
 
     def terminate_transfer(self) -> bool:
         """Abort an in-flight transfer (the paper's sketched extension)."""
@@ -285,13 +258,12 @@ class UdmaController:
         A LOAD is a pure status read whenever the machine is *not* in
         DestLoaded (Idle and Transferring loads cause no transition and
         consult no device), and nothing host-side needs the full status
-        object (no spans, no tracer).  Event firing cannot enter
+        object (no spans).  Event firing cannot enter
         DestLoaded -- only a CPU store can -- so a True answer stays valid
         across the caller's cycle charge.
         """
         return (
             self._spans is None
-            and not self.tracer.enabled
             and self.sm.state is not UdmaState.DEST_LOADED
         )
 
@@ -483,10 +455,6 @@ class UdmaController:
             self._spans.finish(self._span, status="complete")
             self._span = None
             self._span_phase = ""
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now, self.name, "transfer-done", state=self.sm.state.value
-            )
 
     def _remaining_in_flight(self) -> int:
         """Bytes left in the in-flight transfer.

@@ -46,7 +46,6 @@ from repro.errors import ConfigurationError, QueueFull
 from repro.mem.layout import Layout
 from repro.mem.physmem import PhysicalMemory
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass
@@ -84,11 +83,10 @@ class QueuedUdmaController(UdmaController):
         clock: Clock,
         queue_depth: int = 16,
         name: str = "udmaq",
-        tracer: Tracer = NULL_TRACER,
         backend=None,
     ) -> None:
         super().__init__(
-            layout, physmem, engine, clock, name=name, tracer=tracer, backend=backend
+            layout, physmem, engine, clock, name=name, backend=backend
         )
         if queue_depth <= 0:
             raise ConfigurationError(
@@ -128,29 +126,10 @@ class QueuedUdmaController(UdmaController):
             )
             if self._spans is not None:
                 self._span_store_queued(operand, value)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "proxy-store",
-                addr=f"{paddr:#x}",
-                value=value,
-                event=event.value,
-                backlog=self.backlog_requests,
-            )
 
     def io_load(self, paddr: int) -> int:
         operand = self._decode(paddr)
         status = self._load(operand, system=False)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "proxy-load",
-                addr=f"{paddr:#x}",
-                status=status.describe(),
-                backlog=self.backlog_requests,
-            )
         return status.encode(self.page_size)
 
     def inval(self) -> None:
@@ -161,8 +140,6 @@ class QueuedUdmaController(UdmaController):
         self._count = 0
         if self._spans is not None:
             self._span_drop_latch("inval")
-        if self.tracer.enabled:
-            self.tracer.emit(self.clock.now, self.name, "inval")
 
     # ----------------------------------------------------------- span hooks
     # Host-side only, like the base class's: the queued device's root span
@@ -419,13 +396,6 @@ class QueuedUdmaController(UdmaController):
                 self._latency_hist.observe(self.clock.now - finished.accepted_at)
             if self._spans is not None and finished.span is not None:
                 self._spans.finish(finished.span, status="complete")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "transfer-done",
-                backlog=self.backlog_requests,
-            )
         self._maybe_launch()
 
     def _head_remaining(self) -> int:

@@ -54,7 +54,6 @@ from repro.mem.layout import Layout, Region
 from repro.mem.physmem import PhysicalMemory
 from repro.params import CostModel
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.vm.mmu import MMU, Access
 from repro.vm.page_table import PageTable
 from repro.snapshot.protocol import SnapshotMixin
@@ -109,7 +108,6 @@ class CPU(SnapshotMixin):
         layout: Layout,
         physmem: PhysicalMemory,
         udma: Optional[UdmaController] = None,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.clock = clock
         self.costs = costs
@@ -117,7 +115,6 @@ class CPU(SnapshotMixin):
         self.layout = layout
         self.physmem = physmem
         self.udma = udma
-        self.tracer = tracer
         # Execution context, set by the kernel on context switch.
         self.page_table: Optional[PageTable] = None
         self.asid = 0
@@ -406,15 +403,6 @@ class CPU(SnapshotMixin):
             except PageFault as fault:
                 if self.fault_handler is None:
                     raise ProtectionFault(vaddr, access.value, fault.reason) from fault
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.clock.now,
-                        "cpu",
-                        "page-fault",
-                        vaddr=f"{vaddr:#x}",
-                        access=access.value,
-                        reason=fault.reason,
-                    )
                 if not self.fault_handler(vaddr, access.value, fault.reason):
                     raise ProtectionFault(vaddr, access.value, fault.reason) from fault
                 continue  # mapping repaired; retry the access

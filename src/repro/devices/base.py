@@ -19,7 +19,6 @@ from typing import Optional
 
 from repro.errors import DeviceError
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 
 #: Standardised low error bits (devices may define more from
 #: :data:`ERR_DEVICE_BASE` upward).
@@ -47,15 +46,13 @@ class UDMADevice(abc.ABC):
         self.proxy_size = proxy_size
         self.alignment = alignment
         self.clock: Optional[Clock] = None
-        self.tracer: Tracer = NULL_TRACER
         # Span tracker when the owning Machine traces spans (repro.obs);
         # None otherwise, so call sites stay one attribute load.
         self._spans = None
 
-    def attach(self, clock: Clock, tracer: Tracer = NULL_TRACER) -> None:
-        """Wire the device to a node's clock and tracer."""
+    def attach(self, clock: Clock) -> None:
+        """Wire the device to a node's clock."""
         self.clock = clock
-        self.tracer = tracer
 
     # --------------------------------------------------------- device side
     @abc.abstractmethod

@@ -30,7 +30,6 @@ from repro.errors import DmaError
 from repro.mem.physmem import PhysicalMemory
 from repro.params import CostModel
 from repro.sim.clock import Clock, Event, transfer_cycles
-from repro.sim.trace import NULL_TRACER, Tracer
 
 #: anything the buffer protocol accepts for a write
 Buffer = Union[bytes, bytearray, memoryview]
@@ -170,7 +169,6 @@ class DmaEngine:
         clock: Clock,
         costs: CostModel,
         name: str = "dma",
-        tracer: Tracer = NULL_TRACER,
         burst_bytes: int = 0,
         bursts_per_event: int = 1,
     ) -> None:
@@ -196,7 +194,6 @@ class DmaEngine:
         self.clock = clock
         self.costs = costs
         self.name = name
-        self.tracer = tracer
         self.burst_bytes = burst_bytes
         self.bursts_per_event = bursts_per_event
         self.busy = False
@@ -268,16 +265,6 @@ class DmaEngine:
             self._start_stepping(duration)
         else:
             self._completion_event = self.clock.schedule(duration, self._complete)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "dma-start",
-                src=source.describe(),
-                dst=destination.describe(),
-                count=count,
-                duration=duration,
-            )
 
     def transfer_duration(
         self, source: Endpoint, destination: Endpoint, count: int
@@ -305,8 +292,6 @@ class DmaEngine:
             self._completion_event.cancel()
         for event in self._burst_events:
             event.cancel()
-        if self.tracer.enabled:
-            self.tracer.emit(self.clock.now, self.name, "dma-abort", count=self.count)
         if self._spans is not None and self._dma_span is not None:
             self._spans.finish(self._dma_span, status="aborted")
         self._reset()
@@ -404,10 +389,6 @@ class DmaEngine:
     def _finish(self) -> None:
         self.transfers_completed += 1
         self.bytes_transferred += self.count
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now, self.name, "dma-complete", count=self.count
-            )
         if self._spans is not None and self._dma_span is not None:
             self._spans.finish(self._dma_span, status="complete")
         on_complete = self._on_complete

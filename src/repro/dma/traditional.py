@@ -15,7 +15,6 @@ from typing import Callable, List, Optional
 
 from repro.dma.engine import DmaEngine, Endpoint
 from repro.errors import DmaError
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 @dataclass
@@ -64,11 +63,9 @@ class TraditionalDmaController:
         self,
         engine: DmaEngine,
         name: str = "tdma",
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.engine = engine
         self.name = name
-        self.tracer = tracer
         self._interrupt_handlers: List[Callable[[], None]] = []
         self._chain: List[DescriptorEntry] = []
         self._chain_pos = 0  # cursor into _chain; avoids O(n) pop(0) per piece
@@ -98,14 +95,6 @@ class TraditionalDmaController:
         self._chain = list(descriptor.entries)
         self._chain_pos = 0
         self._active = True
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.engine.clock.now,
-                self.name,
-                "chain-start",
-                pieces=len(self._chain),
-                bytes=descriptor.total_bytes,
-            )
         self._start_next()
 
     # ------------------------------------------------------------ internal
@@ -123,7 +112,5 @@ class TraditionalDmaController:
         self._active = False
         self._chain = []
         self.chains_completed += 1
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.clock.now, self.name, "chain-complete")
         for handler in self._interrupt_handlers:
             handler()

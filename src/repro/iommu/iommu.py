@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.config import IommuConfig
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet, unpack_virtual
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.snapshot.protocol import SnapshotMixin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -199,14 +198,12 @@ class Iommu(SnapshotMixin):
         costs,
         kernel: "Kernel",
         name: str = "iommu",
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.config = config
         self.clock = clock
         self.costs = costs
         self.kernel = kernel
         self.name = name
-        self.tracer = tracer
         self.page_size = costs.page_size
         self.table = IoPageTable()
         self.iotlb = Iotlb(config.iotlb_entries)
@@ -334,16 +331,6 @@ class Iommu(SnapshotMixin):
             queue.append(parked)
         self._parked_count += 1
         self.faults_parked += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "rx-park",
-                asid=key[0],
-                vpage=f"{key[1]:#x}",
-                bytes=len(parked.payload),
-                follow=follow,
-            )
         return RxVerdict("park", stall=self.costs.iommu_walk_cycles)
 
     def _service(self, key: Tuple[int, int]) -> None:
@@ -406,16 +393,6 @@ class Iommu(SnapshotMixin):
             self.delivered_replayed += 1
         if not was_pinned and self.kernel.frames.is_pinned(frame):
             self.kernel.frames.unpin(frame)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "rx-replay",
-                asid=asid,
-                vpage=f"{vpage:#x}",
-                frame=frame,
-                transfers=len(queue),
-            )
 
     # -------------------------------------------------------------- aborts
     def _abort(
@@ -423,14 +400,6 @@ class Iommu(SnapshotMixin):
     ) -> RxVerdict:
         self.aborted += 1
         self.aborts_by_reason[reason] = self.aborts_by_reason.get(reason, 0) + 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "rx-abort",
-                reason=reason,
-                dst=f"{packet.dst_paddr:#x}",
-            )
         return RxVerdict("abort", stall=stall, reason=reason)
 
     def _abort_page(self, key: Tuple[int, int], reason: str) -> None:

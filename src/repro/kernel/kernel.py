@@ -24,7 +24,6 @@ from repro.mem.layout import Layout
 from repro.mem.physmem import PhysicalMemory
 from repro.params import CostModel
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.vm.backing_store import BackingStore
 from repro.vm.mmu import MMU
 
@@ -47,7 +46,6 @@ class Kernel:
         guard_strategy: GuardStrategy = GuardStrategy.REGISTERS,
         grant_policy: GrantPolicy = allow_all,
         bounce_frames: int = 8,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.clock = clock
         self.costs = costs
@@ -55,7 +53,6 @@ class Kernel:
         self.physmem = physmem
         self.mmu = mmu
         self.cpu = cpu
-        self.tracer = tracer
         controllers = list(udma_controllers or [])
 
         if bounce_frames >= physmem.num_frames:
@@ -76,9 +73,8 @@ class Kernel:
             remap_guard=self.remap_guard,
             policy=replacement_policy,
             i3_strategy=i3_strategy,
-            tracer=tracer,
         )
-        self.scheduler = Scheduler(clock, costs, cpu, controllers, tracer)
+        self.scheduler = Scheduler(clock, costs, cpu, controllers)
         self.syscalls = SyscallInterface(
             clock=clock,
             costs=costs,
@@ -88,7 +84,6 @@ class Kernel:
             tdma=tdma,
             grant_policy=grant_policy,
             bounce_frames=bounce_frames,
-            tracer=tracer,
         )
         self._pids = itertools.count(1)
         self.processes: Dict[int, Process] = {}

@@ -21,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.kernel.process import Process, ProcessState
 from repro.params import CostModel
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 
 
 class Scheduler:
@@ -33,13 +32,11 @@ class Scheduler:
         costs: CostModel,
         cpu: CPU,
         udma_controllers: Optional[List[UdmaController]] = None,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.clock = clock
         self.costs = costs
         self.cpu = cpu
         self.udma_controllers = list(udma_controllers or [])
-        self.tracer = tracer
         self.ready: List[Process] = []
         self.current: Optional[Process] = None
         self.switches = 0
@@ -97,14 +94,6 @@ class Scheduler:
         self.current = process
         self.cpu.set_context(process.page_table, process.asid)
         self.switches += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                "sched",
-                "switch",
-                to=process.name,
-                from_=previous.name if previous else None,
-            )
 
     def yield_next(self) -> Optional[Process]:
         """Round-robin: switch to the longest-waiting ready process."""

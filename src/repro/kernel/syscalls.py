@@ -34,7 +34,6 @@ from repro.mem.layout import Layout
 from repro.mem.physmem import PhysicalMemory
 from repro.params import CostModel
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 
 #: permission policy: (process, device name, writable?) -> allowed?
 GrantPolicy = Callable[[Process, str, bool], bool]
@@ -64,7 +63,6 @@ class SyscallInterface:
         tdma: Optional[TraditionalDmaController] = None,
         grant_policy: GrantPolicy = allow_all,
         bounce_frames: int = 0,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.clock = clock
         self.costs = costs
@@ -74,7 +72,6 @@ class SyscallInterface:
         self.tdma = tdma
         self.grant_policy = grant_policy
         self.bounce_frames = bounce_frames
-        self.tracer = tracer
         self.page_size = costs.page_size
         # Metrics.
         self.dma_calls = 0

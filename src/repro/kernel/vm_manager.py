@@ -43,7 +43,6 @@ from repro.mem.layout import DeviceWindow, Layout, Region
 from repro.mem.physmem import PhysicalMemory
 from repro.params import CostModel
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.vm.backing_store import BackingStore
 from repro.vm.mmu import MMU
 from repro.vm.replacement import FrameView, ReplacementPolicy, make_policy
@@ -79,7 +78,6 @@ class VmManager(SnapshotMixin):
         remap_guard: RemapGuard,
         policy: "ReplacementPolicy | str" = "clock",
         i3_strategy: str = I3_WRITE_PROTECT,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         if i3_strategy not in (I3_WRITE_PROTECT, I3_PROXY_DIRTY):
             raise ConfigurationError(f"unknown i3_strategy {i3_strategy!r}")
@@ -93,7 +91,6 @@ class VmManager(SnapshotMixin):
         self.remap_guard = remap_guard
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.i3_strategy = i3_strategy
-        self.tracer = tracer
         self.page_size = layout.page_size
         self._processes: Dict[int, Process] = {}
         self._frame_meta: Dict[int, FrameMeta] = {}
@@ -202,16 +199,6 @@ class VmManager(SnapshotMixin):
         vproxy_page = proxy_vaddr // self.page_size
         process.page_table.map(vproxy_page, proxy_pfn, writable=writable, user=True)
         self.mmu.tlb.invalidate(process.asid, vproxy_page)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                "vm",
-                "proxy-map",
-                asid=process.asid,
-                vpage=f"{mem_vpage:#x}",
-                frame=frame,
-                writable=writable,
-            )
 
     # ----------------------------------------------------------- residency
     def _ensure_resident(self, process: Process, vpage: int) -> int:
@@ -430,15 +417,6 @@ class VmManager(SnapshotMixin):
         self.mmu.tlb.invalidate(process.asid, vpage)
         self.frames.free(frame)
         self.pages_out += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                "vm",
-                "page-out",
-                asid=process.asid,
-                vpage=f"{vpage:#x}",
-                frame=frame,
-            )
 
     def _invalidate_proxy(self, process: Process, vpage: int) -> None:
         """I2 maintenance: drop PROXY(vmem_page)'s mapping, if any."""

@@ -64,10 +64,7 @@ class Machine:
             the defaults.
         clock: share an existing clock (a cluster's); ``None`` builds a
             private one configured from ``config.reference``.
-        name: node name (namespaces metrics and trace sources).
-
-    The trace recorder is the observability plane's (``self.obs.tracer``):
-    a cluster's shared plane gives every node the same one.
+        name: node name (namespaces metrics and span sources).
     """
 
     def __init__(
@@ -99,7 +96,6 @@ class Machine:
             self.obs = Observability(obs, clock=self.clock)
             self._obs_prefix = ""
         self.obs.adopt_clock(self.clock)
-        self.tracer = self.obs.tracer
         self._metrics_bound = False
         self.layout = Layout(
             mem_size=config.mem_size,
@@ -111,7 +107,7 @@ class Machine:
 
         self.udma_engine = DmaEngine(
             self.clock, self.costs, name=f"{name}.udma-engine",
-            tracer=self.tracer, burst_bytes=config.dma_burst_bytes,
+            burst_bytes=config.dma_burst_bytes,
         )
         backend = make_backend(config.protection)
         if config.queue_depth > 0:
@@ -122,7 +118,6 @@ class Machine:
                 self.clock,
                 queue_depth=config.queue_depth,
                 name=f"{name}.udma",
-                tracer=self.tracer,
                 backend=backend,
             )
         else:
@@ -132,16 +127,13 @@ class Machine:
                 self.udma_engine,
                 self.clock,
                 name=f"{name}.udma",
-                tracer=self.tracer,
                 backend=backend,
             )
 
         self.tdma_engine = DmaEngine(
-            self.clock, self.costs, name=f"{name}.tdma-engine", tracer=self.tracer
+            self.clock, self.costs, name=f"{name}.tdma-engine"
         )
-        self.tdma = TraditionalDmaController(
-            self.tdma_engine, name=f"{name}.tdma", tracer=self.tracer
-        )
+        self.tdma = TraditionalDmaController(self.tdma_engine, name=f"{name}.tdma")
 
         self.cpu = CPU(
             self.clock,
@@ -150,7 +142,6 @@ class Machine:
             self.layout,
             self.physmem,
             udma=self.udma,
-            tracer=self.tracer,
         )
         if config.reference:
             self.cpu.xlat_enabled = False
@@ -168,7 +159,6 @@ class Machine:
             i3_strategy=config.i3_strategy,
             guard_strategy=config.guard_strategy,
             bounce_frames=config.bounce_frames,
-            tracer=self.tracer,
         )
         #: the virtual-address RDMA tier (:mod:`repro.iommu`); built only
         #: when the config asks for it -- ``None`` keeps every receive
@@ -182,7 +172,6 @@ class Machine:
                 costs=self.costs,
                 kernel=self.kernel,
                 name=f"{name}.iommu",
-                tracer=self.tracer,
             )
         if self.obs.spans is not None:
             self.udma._spans = self.obs.spans
@@ -274,7 +263,6 @@ class Machine:
                     config,
                     clock=self.clock,
                     spans=self.obs.spans,
-                    tracer=self.tracer,
                 )
             device.enable_reliability(self.reliability)
         return window

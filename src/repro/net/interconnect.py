@@ -27,7 +27,6 @@ from repro.errors import ConfigurationError, NetworkError
 from repro.net.packet import Packet
 from repro.params import CostModel
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 
 #: what the backplane can carry: a packet object or encoded wire bytes
 Wire = Union[Packet, bytes]
@@ -40,7 +39,6 @@ class Interconnect:
         self,
         clock: Clock,
         costs: CostModel,
-        tracer: Tracer = NULL_TRACER,
         topology: str = "linear",
         mesh_width: int = 0,
     ) -> None:
@@ -54,7 +52,6 @@ class Interconnect:
             raise ConfigurationError(f"unknown topology {topology!r}")
         self.clock = clock
         self.costs = costs
-        self.tracer = tracer
         self.topology = topology
         self.mesh_width = mesh_width
         #: rows of the 2D grid; pinned by :meth:`validate_topology`,
@@ -191,7 +188,7 @@ class Interconnect:
         very (immutable) object the wire is unchanged and the packet rides
         on, so only changed, copied, duplicated or held bytes are decoded.
 
-        The common case -- a packet, no injector, no spans, tracer off --
+        The common case -- a packet, no injector, no spans --
         is handled in this frame; everything else goes through
         :meth:`_route_one`, which charges the same counters.
         """
@@ -202,7 +199,6 @@ class Interconnect:
             type(wire) is Packet
             and self.fault_injector is None
             and self._spans is None
-            and not self.tracer.enabled
         ):
             delay = self._delay_cache.get((src_node, dst_node))
             if delay is None:
@@ -228,25 +224,28 @@ class Interconnect:
                 produced if isinstance(produced, (list, tuple)) else [produced]
             )
             for piece in pieces:
-                self._route_one(src_node, dst_node, piece)
+                self._route_one(src_node, dst_node, piece, packet)
             return
         self._route_one(src_node, dst_node, wire)
 
     def _route_one(
-        self, src_node: int, dst_node: int, wire: Optional[Wire]
+        self,
+        src_node: int,
+        dst_node: int,
+        wire: Optional[Wire],
+        origin: Optional[Wire] = None,
     ) -> None:
         """Deliver one (possibly injector-produced) packet after routing delay.
 
-        ``None`` means the fault injector dropped this copy: the drop is
-        counted and traced here -- and only here -- so single-drop and
-        drop-within-a-list injector outputs are charged identically.
+        ``None`` means the fault injector dropped this copy of ``origin``:
+        the drop is counted here -- and only here -- so single-drop and
+        drop-within-a-list injector outputs are charged identically, and
+        ``origin``'s packet span finishes ``dropped``.
         """
         if wire is None:
             self.packets_dropped += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.clock.now, "net", "drop", src=src_node, dst=dst_node
-                )
+            if self._spans is not None and isinstance(origin, Packet):
+                self._spans.finish(origin.span, status="dropped")
             return
         nbytes = wire.wire_bytes if isinstance(wire, Packet) else len(wire)
         delay = self.route_delay(src_node, dst_node)
@@ -260,16 +259,6 @@ class Interconnect:
         ):
             self._spans.event(
                 wire.span, "route", src=src_node, dst=dst_node, delay=delay
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                "net",
-                "route",
-                src=src_node,
-                dst=dst_node,
-                bytes=nbytes,
-                delay=delay,
             )
         # partial (not a lambda): delivery events must survive
         # snapshot/restore, and partials of bound methods pickle cleanly.

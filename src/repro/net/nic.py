@@ -277,16 +277,6 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         self.bytes_sent += len(packet.payload)
         if self._spans is not None:
             self._spans.event(packet.span, "wire-tx", seq=packet.seq)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "packet-tx",
-                dst=packet.dst_node,
-                paddr=f"{packet.dst_paddr:#x}",
-                bytes=len(packet.payload),
-                seq=packet.seq,
-            )
         if self.reliability is not None:
             # Track the packet and arm its retransmit timer only once it
             # has actually cleared the wire (retransmissions re-enter here
@@ -325,10 +315,6 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                 packet = Packet.decode(wire)
             except NetworkError:
                 self.rx_errors += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.clock.now, self.name, "rx-error", bytes=len(wire)
-                    )
                 return
         if packet.kind == "ack":
             # ACKs are the reliability transport's control traffic: the
@@ -336,13 +322,8 @@ class ShrimpNic(UDMADevice, ReceiverPort):
             # the incoming FIFO or occupy the receive DMA.
             if self.reliability is None:
                 self.rx_errors += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.clock.now,
-                        self.name,
-                        "rx-unexpected-ack",
-                        src=packet.src_node,
-                    )
+                if self._spans is not None:
+                    self._spans.finish(packet.span, status="rx-error")
                 return
             self.reliability.on_ack(self, packet)
             return
@@ -356,13 +337,8 @@ class ShrimpNic(UDMADevice, ReceiverPort):
             # the huge raw word is refused right here, the correct
             # behaviour for a mis-routed virtual packet.
             self.rx_errors += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.clock.now,
-                    self.name,
-                    "rx-bad-paddr",
-                    paddr=f"{packet.dst_paddr:#x}",
-                )
+            if self._spans is not None:
+                self._spans.finish(packet.span, status="rx-error")
             return
         if self.reliability is not None:
             # The transport filters duplicates and re-sequences; whatever
@@ -407,18 +383,15 @@ class ShrimpNic(UDMADevice, ReceiverPort):
                 # The IOMMU snapshotted the payload (and retained the
                 # packet object if spans/reliability/hooks need it back at
                 # replay); a pooled shell can go home now.
+                if self._spans is not None:
+                    self._spans.event(packet.span, "park")
                 if packet._pooled and not self.on_receive:
                     self.interconnect.packet_pool.release(packet)
             else:  # abort: degrade to the classic refusal
                 self.rx_errors += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.clock.now,
-                        self.name,
-                        "rx-iommu-abort",
-                        reason=verdict.reason,
-                        src=packet.src_node,
-                        seq=packet.seq,
+                if self._spans is not None:
+                    self._spans.finish(
+                        packet.span, status="aborted", reason=verdict.reason
                     )
                 if packet._pooled and not self.on_receive:
                     self.interconnect.packet_pool.release(packet)
@@ -437,16 +410,6 @@ class ShrimpNic(UDMADevice, ReceiverPort):
             # close the span the sending NIC opened.
             self._spans.finish(
                 packet.span, status="delivered", paddr=f"{dst_paddr:#x}"
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "packet-rx",
-                src=packet.src_node,
-                paddr=f"{dst_paddr:#x}",
-                bytes=len(packet.payload),
-                seq=packet.seq,
             )
         for hook in self.on_receive:
             hook(packet)
@@ -473,18 +436,9 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         self.bytes_received += len(parked.payload)
         self.last_delivery_done = self.clock.now
         if self._spans is not None:
+            self._spans.event(parked.span, "replay")
             self._spans.finish(
                 parked.span, status="delivered", paddr=f"{dst_paddr:#x}"
-            )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "packet-rx-replay",
-                src=parked.src_node,
-                paddr=f"{dst_paddr:#x}",
-                bytes=len(parked.payload),
-                seq=parked.seq,
             )
         packet = parked.packet
         if packet is None and (self.on_receive or self.reliability is not None):
@@ -503,17 +457,9 @@ class ShrimpNic(UDMADevice, ReceiverPort):
 
     def abort_parked(self, parked: "ParkedTransfer", reason: str) -> None:
         """A parked transfer degraded (budget/revocation): classic refusal."""
-        assert self.clock is not None
         self.rx_errors += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now,
-                self.name,
-                "rx-iommu-abort",
-                reason=reason,
-                src=parked.src_node,
-                seq=parked.seq,
-            )
+        if self._spans is not None:
+            self._spans.finish(parked.span, status="aborted", reason=reason)
 
     # ------------------------------------------------------ automatic update
     def bind_automatic(self, local_page: int, nipt_index: int) -> None:

@@ -48,7 +48,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.snapshot.protocol import SnapshotMixin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (nic -> reliable)
@@ -157,12 +156,10 @@ class ReliabilityPlane(SnapshotMixin):
         config: Optional[ReliabilityConfig] = None,
         clock=None,
         spans=None,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.config = config if config is not None else ReliabilityConfig()
         self.clock = clock
         self.spans = spans
-        self.tracer = tracer
         self._tx: Dict[Tuple[int, int], _TxChannel] = {}
         self._rx: Dict[Tuple[int, int], _RxChannel] = {}
         # Transport counters (the net.* metric surface).
@@ -264,12 +261,6 @@ class ReliabilityPlane(SnapshotMixin):
                     packet.span, status="delivery-failed",
                     attempts=pending.attempt,
                 )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.clock.now, nic.name, "delivery-failed",
-                    dst=packet.dst_node, seq=packet.seq,
-                    attempts=pending.attempt,
-                )
             return
         if not nic.outgoing.can_accept(packet):
             # The outgoing FIFO is saturated; charge the attempt (the
@@ -292,12 +283,6 @@ class ReliabilityPlane(SnapshotMixin):
             )
             retry = replace(packet, span=new_span)
             pending.packet = retry
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now, nic.name, "retransmit",
-                dst=packet.dst_node, seq=packet.seq,
-                attempt=pending.attempt,
-            )
         nic.retransmit(retry)
         # on_transmit re-arms the timer when the retry clears the wire;
         # until then the wire timeline itself bounds the wait.
@@ -338,11 +323,6 @@ class ReliabilityPlane(SnapshotMixin):
             self.dup_suppressed += 1
             if self.spans is not None:
                 self.spans.finish(packet.span, status="dup-suppressed")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.clock.now, nic.name, "dup-suppressed",
-                    src=packet.src_node, seq=seq,
-                )
             self.send_ack(nic, packet.src_node, channel.cum)
             return []
         if seq != seq_next(channel.cum):
@@ -353,6 +333,8 @@ class ReliabilityPlane(SnapshotMixin):
                     self.spans.finish(packet.span, status="dup-suppressed")
             elif len(channel.buffer) >= self.config.reorder_window:
                 self.reorder_discarded += 1
+                if self.spans is not None:
+                    self.spans.finish(packet.span, status="reorder-discarded")
             else:
                 channel.buffer[seq] = packet
                 self.reorder_buffered += 1
@@ -393,8 +375,4 @@ class ReliabilityPlane(SnapshotMixin):
         """
         self.acks_sent += 1
         ack = Packet.ack(nic.node_id, dst_node, cum_seq)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.clock.now, nic.name, "ack-tx", dst=dst_node, cum=cum_seq
-            )
         nic.interconnect.route(nic.node_id, dst_node, ack)

@@ -1,14 +1,13 @@
 """repro.obs: the unified observability plane.
 
 One :class:`Observability` object per machine -- or one *shared* object
-per cluster -- carries the three instruments:
+per cluster -- carries the two instruments:
 
 * a :class:`~repro.obs.registry.MetricsRegistry` of namespaced
   counters/gauges sampled over the components' live attributes (plus the
   per-transfer latency histogram),
 * a :class:`~repro.obs.spans.SpanTracker` minting causal transfer spans
-  when :attr:`ObsConfig.spans` is on,
-* the classic :class:`~repro.sim.trace.Tracer` event stream.
+  when :attr:`ObsConfig.spans` is on.
 
 Wiring is one config field::
 
@@ -40,7 +39,6 @@ from repro.obs.registry import (
     unflatten,
 )
 from repro.obs.spans import Span, SpanEvent, SpanTracker
-from repro.sim.trace import Tracer
 
 __all__ = [
     "Counter",
@@ -60,7 +58,7 @@ __all__ = [
 
 
 class Observability:
-    """One observability plane: registry + span tracker + tracer.
+    """One observability plane: registry + span tracker.
 
     A :class:`~repro.machine.Machine` builds its own from an
     :class:`ObsConfig`; a :class:`~repro.cluster.ShrimpCluster` builds one
@@ -76,8 +74,6 @@ class Observability:
         self.spans: Optional[SpanTracker] = (
             SpanTracker(clock) if self.config.spans else None
         )
-        #: the trace recorder every component of the assembly emits to
-        self.tracer = Tracer(enabled=self.config.record_trace)
 
     def adopt_clock(self, clock) -> None:
         """Late-bind the simulation clock (first assembly that wires us)."""

@@ -2,9 +2,7 @@
 
 ``Machine(config=MachineConfig(obs=ObsConfig(...)))`` and
 ``ShrimpCluster(config=ClusterConfig(obs=...))`` are the only way to
-switch the observability plane's instruments on, the trace recorder
-included: the plane builds its own :class:`~repro.sim.trace.Tracer` and
-the assembly reads it from there.
+switch the observability plane's instruments on.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ class ObsConfig:
             per-transfer latency histogram.  The default.
         spans: mint causal transfer spans (initiation -> packets ->
             completion).  Off by default; purely host-side when on.
-        record_trace: keep the full :class:`~repro.sim.trace.TraceEvent`
-            stream.
     """
 
     metrics: bool = True
     spans: bool = False
-    record_trace: bool = False

@@ -49,7 +49,6 @@ from repro.net.pool import PacketPool
 from repro.obs import Observability, ObsConfig
 from repro.sharding.spec import RETRY_GAP_CYCLES, ClusterSpec, ShardSpec
 from repro.sim.clock import Clock, ShardClock
-from repro.sim.trace import NULL_TRACER
 from repro.userlib.udma import DeviceRef, MemoryRef, UdmaUser, _SendPlan
 
 #: canonical key class of a workload step: sorts after every hardware
@@ -74,9 +73,8 @@ class ShardInterconnect(Interconnect):
 
     def __init__(self, shard: "Shard", config: ClusterConfig) -> None:
         super().__init__(
-            Clock(),  # never consulted: tracing is off and delivery is keyed
+            Clock(),  # never consulted: spans are off and delivery is keyed
             config.costs,
-            NULL_TRACER,
             topology=config.topology,
             mesh_width=config.mesh_width,
         )

@@ -1,6 +1,5 @@
-"""Discrete-event simulation substrate: the cycle clock and event tracing."""
+"""Discrete-event simulation substrate: the cycle clock."""
 
 from repro.sim.clock import Clock, Event
-from repro.sim.trace import TraceEvent, Tracer
 
-__all__ = ["Clock", "Event", "TraceEvent", "Tracer"]
+__all__ = ["Clock", "Event"]

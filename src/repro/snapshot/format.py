@@ -30,10 +30,10 @@ from repro.errors import SnapshotError, SnapshotVersionError
 #: identifies a blob as a simulator snapshot before anything is trusted
 MAGIC = b"SHRIMPSN"
 
-#: bump on any change to a pickled component's persisted shape (8: the
-#: tracer keeps only its events and ``enabled``, and the cost model,
-#: observability and machine configs lost their second-route fields)
-SNAPSHOT_VERSION = 8
+#: bump on any change to a pickled component's persisted shape (9:
+#: spans are the only event record, so machines, clusters and
+#: observability configs pickle no second recorder)
+SNAPSHOT_VERSION = 9
 
 #: payloads at or above this size are zlib-compressed (tiny payloads skip
 #: the overhead)

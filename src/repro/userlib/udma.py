@@ -482,7 +482,7 @@ class UdmaUser:
         sm = udma.sm
         if sm.state is not UdmaState.IDLE:
             return False
-        if udma._spans is not None or udma.tracer.enabled:
+        if udma._spans is not None:
             return False
         backend = udma.backend
         if plan.backend is not backend:

@@ -55,7 +55,7 @@ class TestTracingAcrossTheCluster:
                       config=ClusterConfig(
                           num_nodes=2,
                           mem_size=1 << 21,
-                          obs=ObsConfig(record_trace=True),
+                          obs=ObsConfig(spans=True),
                       ),
                   )
         rx = cluster.node(1).create_process("rx")
@@ -63,14 +63,21 @@ class TestTracingAcrossTheCluster:
         channel = cluster.create_channel(0, 1, rx, buf, PAGE)
         tx = cluster.node(0).create_process("tx")
         sender = Sender(cluster, tx, channel)
-        cluster.tracer.clear()
         sender.send_bytes(make_payload(PAGE))
         cluster.run_until_idle()
-        chart = render_timeline(cluster.tracer.events, width=60)
-        # Sender-side UDMA, the wire, and the receiver NIC all show up.
-        assert "node0.udma" in chart
-        assert "nic0" in chart and "nic1" in chart
-        assert "w" in chart and "r" in chart  # tx and rx glyphs
+        chart = render_timeline(cluster.obs.spans, width=60)
+        lanes = {
+            line.split("|")[0].rstrip(): line.split("|")[1]
+            for line in chart.splitlines()[:-1]
+        }
+        # Sender-side UDMA, its DMA fill, and the packet across the wire.
+        assert set(lanes) == {
+            "transfer node0.udma", "dma node0.udma-engine", "packet 0->1"
+        }
+        # wire-tx and route share a cycle, so the later ">" covers "w".
+        packet = lanes["packet 0->1"]
+        assert packet.strip() == "> r"
+        assert lanes["dma node0.udma-engine"].index("D") < packet.index(">")
 
 
 class TestSwapWithStepping:

@@ -66,12 +66,6 @@ class TestObsConfigWiring:
         assert c.node(0).obs.spans is c.obs.spans
         assert c.interconnect._spans is c.obs.spans
 
-    def test_obs_tracer_is_machine_tracer(self):
-        obs = Observability(ObsConfig(record_trace=True))
-        m = Machine(config=MachineConfig(mem_size=1 << 20, obs=obs))
-        assert m.tracer is obs.tracer
-        assert m.tracer.enabled
-
 
 class TestMetricsMethods:
     def test_machine_metrics_shape(self, sink_machine):
@@ -107,7 +101,6 @@ class TestPackageExports:
         [
             "Counter", "Gauge", "Histogram", "MetricsRegistry",
             "Observability", "ObsConfig", "Span", "SpanTracker",
-            "TraceEvent", "Tracer",
         ],
     )
     def test_obs_types_in_repro_all(self, name):

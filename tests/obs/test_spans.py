@@ -13,6 +13,7 @@ from repro import (
     ObsConfig,
     ShrimpCluster,
 )
+from repro.config import IommuConfig
 from repro.core.controller import UdmaController
 from repro.core.queueing import QueuedUdmaController
 from repro.core.status import UdmaStatus
@@ -21,6 +22,7 @@ from repro.dma.engine import DmaEngine
 from repro.mem.layout import Layout
 from repro.mem.physmem import PhysicalMemory
 from repro.obs import SpanTracker, chrome_trace
+from repro.obs import spans as spans_module
 from repro.params import shrimp
 from repro.sim.clock import Clock
 from repro.userlib import Sender
@@ -55,8 +57,9 @@ class TestSpanTracker:
         t.event(None, "nothing")
         t.event(999, "unknown id")  # silently dropped
 
-    def test_max_spans_drops_not_raises(self):
-        t = SpanTracker(max_spans=2)
+    def test_max_spans_drops_not_raises(self, monkeypatch):
+        monkeypatch.setattr(spans_module, "MAX_SPANS", 2)
+        t = SpanTracker()
         assert t.begin("a") is not None
         assert t.begin("b") is not None
         assert t.begin("c") is None
@@ -256,6 +259,51 @@ class TestClusterTransferTree:
         renders_b = [tb.render_tree(r.id) for r in tb.roots()]
         assert renders_a == renders_b
         assert a.metrics() == b.metrics()
+
+
+class TestEveryPacketSpanFinishes:
+    """A packet that never lands still reaches a final status."""
+
+    def _cluster(self, **config):
+        cluster = ShrimpCluster(
+            config=ClusterConfig(
+                num_nodes=2, mem_size=1 << 21, obs=ObsConfig(spans=True), **config
+            )
+        )
+        rx = cluster.node(1).create_process("rx")
+        buf = cluster.node(1).kernel.syscalls.alloc(rx, 4096)
+        channel = cluster.create_channel(0, 1, rx, buf, 4096)
+        sender = Sender(cluster, cluster.node(0).create_process("tx"), channel)
+        return cluster, sender, rx, buf
+
+    def _packets(self, cluster):
+        return [(s.status, s.attrs.get("reason")) for s in cluster.obs.spans
+                if s.name == "packet"]
+
+    def test_backplane_drop_finishes_the_packet_span(self):
+        cluster, sender, _, _ = self._cluster()
+        cluster.interconnect.fault_injector = lambda wire: None
+        sender.send_bytes(b"d" * 1024)
+        cluster.run_until_idle()
+        assert cluster.interconnect.packets_dropped == 1
+        assert self._packets(cluster) == [("dropped", None)]
+        assert cluster.obs.spans.open_spans() == []
+
+    def test_iommu_queue_full_abort_finishes_the_packet_span(self):
+        cluster, sender, rx, buf = self._cluster(
+            iommu=IommuConfig(fault_queue_depth=1)
+        )
+        vm = cluster.node(1).kernel.vm
+        vm._page_out(vm.resident_frame(rx, buf // 4096))  # a cold page parks
+        sender.send_bytes(b"a" * 64)
+        sender.send_bytes(b"b" * 64, channel_offset=64)  # arrives while parked
+        cluster.run_until_idle()
+        assert self._packets(cluster) == [
+            ("delivered", None), ("aborted", "queue-full")
+        ]
+        parked = [s for s in cluster.obs.spans if s.status == "delivered"][0]
+        assert [e.name for e in parked.events][-2:] == ["park", "replay"]
+        assert cluster.obs.spans.open_spans() == []
 
 
 class TestBitIdenticalSimulation:

@@ -4,7 +4,7 @@ Each test targets one stateful component in a configuration that has
 historically been hard to serialise correctly: a clock mid-burst with a
 populated free list and a same-cycle burst queued, a TLB carrying stale
 generation stamps, a packet pool with recycled shells, detached sampled
-metrics, the NULL_TRACER singleton.
+metrics.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 
 from repro.config import MachineConfig
+from repro.machine import Machine
 from repro.errors import ConfigurationError, SnapshotVersionError
 from repro.mem.physmem import PhysicalMemory
 from repro.net.nipt import NetworkInterfacePageTable
@@ -23,7 +24,6 @@ from repro.obs import ObsConfig
 from repro.obs.registry import MetricsRegistry
 from repro.params import shrimp
 from repro.sim.clock import Clock
-from repro.sim.trace import NULL_TRACER, Tracer
 from repro.snapshot import SNAPSHOT_VERSION, Snapshottable, fork, restore, snapshot
 from repro.snapshot.format import encode
 from repro.vm.tlb import TLB, TlbEntry
@@ -193,21 +193,37 @@ def test_record_only_tracer_and_configs_blob_from_version_7_refused():
     count and a ``record`` flag beside ``enabled``, a ``CostModel`` with
     ``udma_queue_depth``, an ``ObsConfig`` with ``max_spans`` and a
     ``MachineConfig`` with ``record_trace``/``dma_bursts_per_event``;
-    such a blob must be refused, never restored into a record-only
-    tracer or configs missing those fields."""
-    tracer = Tracer(enabled=True)
-    tracer.emit(17, "udma", "proxy-store", value=64)
-    graph = (tracer, shrimp(), ObsConfig(spans=True), MachineConfig(queue_depth=4))
+    such a blob must be refused, never restored into configs missing
+    those fields."""
+    graph = (shrimp(), ObsConfig(spans=True), MachineConfig(queue_depth=4))
     blob = encode(graph, version=7)
     with pytest.raises(SnapshotVersionError) as excinfo:
         restore(blob)
     assert excinfo.value.found == 7
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 8
-    tracer2, costs2, obs2, config2 = restore(encode(graph))
-    assert vars(tracer2).keys() == {"events", "enabled"}
-    assert [e.kind for e in tracer2.events] == ["proxy-store"]
-    assert tracer2.enabled
-    assert (costs2, obs2, config2) == graph[1:]
+    assert excinfo.value.expected == SNAPSHOT_VERSION
+    assert restore(encode(graph)) == graph
+
+
+def test_tracer_free_machine_blob_from_version_8_refused():
+    """Version 8 pickled a ``Tracer`` on every machine, cluster and
+    observability plane, a ``tracer`` attribute on each component, an
+    ``ObsConfig`` with ``record_trace`` and a span tracker with its own
+    ``max_spans``; such a blob must be refused, never restored into a
+    machine whose only event record is its span tracker."""
+    machine = Machine(
+        config=MachineConfig(mem_size=1 << 20, obs=ObsConfig(spans=True))
+    )
+    blob = encode(machine, version=8)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 8
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 9
+    machine2 = restore(snapshot(machine))
+    components = (machine2, machine2.obs, machine2.udma, machine2.udma_engine,
+                  machine2.cpu, machine2.kernel, machine2.kernel.vm)
+    assert not any(hasattr(c, "tracer") for c in components)
+    assert "max_spans" not in vars(machine2.obs.spans)
+    assert machine2.obs.config == ObsConfig(spans=True)
 
 
 def _stale_tlb() -> TLB:
@@ -293,14 +309,6 @@ def test_packet_pool_round_trip_rebuilds_ownership():
     packet = pool2.acquire(2, 3, 128, b"z" * 64, seq=11)
     assert isinstance(packet, Packet)
     pool2.release(packet)
-
-
-def test_null_tracer_restores_by_identity():
-    obj = {"tracer": NULL_TRACER, "also": NULL_TRACER}
-    out = restore(snapshot(obj))
-    assert out["tracer"] is NULL_TRACER
-    assert out["also"] is NULL_TRACER
-    assert fork(obj)["tracer"] is NULL_TRACER
 
 
 def test_detached_metric_read_raises_until_rebound():

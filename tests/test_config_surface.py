@@ -37,7 +37,7 @@ FIELDS = {
         "scheme", "cut_through", "topology", "mesh_width", "dma_burst_bytes",
         "reference", "obs", "reliability", "protection", "iommu",
     ),
-    ObsConfig: ("metrics", "spans", "record_trace"),
+    ObsConfig: ("metrics", "spans"),
     CostModel: (
         "cpu_hz", "mem_ref_cycles", "io_ref_cycles", "alu_cycles",
         "udma_align_check_cycles", "fence_cycles", "syscall_entry_cycles",
