@@ -34,7 +34,6 @@ from repro.chaos.actions import Action
 from repro.chaos.auditor import InvariantAuditor
 from repro.chaos.world import ChaosWorld
 from repro.errors import InvariantViolation
-from repro.snapshot import reattach
 
 #: retained checkpoint capsules per explorer; oldest evicted first.  Deep
 #: enough for ddmin (which probes prefixes of one schedule), bounded so a
@@ -229,7 +228,6 @@ class ScheduleExplorer:
             blob = self._checkpoints.get((reference, tuple(actions[:k])))
             if blob is not None:
                 world, auditor, log, outcomes = pickle.loads(blob)
-                reattach(world)
                 result.audit_log.extend(log)
                 result.outcomes.extend(outcomes)
                 self.checkpoint_hits += 1

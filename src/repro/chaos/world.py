@@ -705,21 +705,6 @@ class ChaosWorld:
         self._disarm()
         self.clock.run_until_idle()
 
-    # -------------------------------------------------------- snapshotting
-    def _reattach_after_restore(self) -> None:
-        """Re-attach observers after a checkpoint restore (repro.snapshot).
-
-        The planted bugs, armed wire faults and held packets all pickle
-        with the world (their shadows are callable classes, see the
-        deliberate-bugs note); only the metric bindings the underlying
-        machine/cluster dropped need re-attaching.
-        """
-        if self.cluster is not None:
-            self.cluster._reattach_after_restore()
-        else:
-            for machine in self.machines:
-                machine._reattach_after_restore()
-
     # ----------------------------------------------------------- observers
     def counters(self) -> "dict[str, int]":
         """Curated counters the differential oracle compares.

@@ -297,56 +297,30 @@ class ShrimpCluster:
         self._metrics_bound = True
         reg = self.obs.registry
         ic = self.interconnect
-        reg.counter("backplane.packets_routed", lambda: ic.packets_routed)
-        reg.counter("backplane.bytes_routed", lambda: ic.bytes_routed)
-        reg.gauge("backplane.topology", lambda: ic.topology)
-        reg.gauge("now_cycles", lambda: self.clock.now)
+        reg.counter("backplane.packets_routed", ic, "packets_routed")
+        reg.counter("backplane.bytes_routed", ic, "bytes_routed")
+        reg.gauge("backplane.topology", ic, "topology")
+        reg.gauge("now_cycles", self, "clock.now")
         if self.reliability is not None:
             # The net.* transport surface exists only when the transport
             # does: reliability-off clusters keep the historical name set
             # bit-identical (golden-file gated).
             plane = self.reliability
-            reg.counter("net.retransmits", lambda: plane.retransmits)
-            reg.counter("net.acks", lambda: plane.acks_sent)
-            reg.counter("net.dup_suppressed", lambda: plane.dup_suppressed)
-            reg.counter("net.delivery_failed", lambda: plane.delivery_failed)
-            reg.counter("net.messages_sent", lambda: plane.messages_sent)
-            reg.counter(
-                "net.messages_delivered", lambda: plane.messages_delivered
-            )
+            reg.counter("net.retransmits", plane, "retransmits")
+            reg.counter("net.acks", plane, "acks_sent")
+            reg.counter("net.dup_suppressed", plane, "dup_suppressed")
+            reg.counter("net.delivery_failed", plane, "delivery_failed")
+            reg.counter("net.messages_sent", plane, "messages_sent")
+            reg.counter("net.messages_delivered", plane, "messages_delivered")
         for i, nic in enumerate(self.nics):
             p = f"node{i}.nic."
-            reg.counter(p + "packets_sent", (lambda n: lambda: n.packets_sent)(nic))
-            reg.counter(
-                p + "packets_received", (lambda n: lambda: n.packets_received)(nic)
-            )
-            reg.counter(p + "bytes_sent", (lambda n: lambda: n.bytes_sent)(nic))
-            reg.counter(
-                p + "bytes_received", (lambda n: lambda: n.bytes_received)(nic)
-            )
-            reg.counter(p + "rx_errors", (lambda n: lambda: n.rx_errors)(nic))
-            reg.gauge(
-                p + "out_fifo_high_water",
-                (lambda n: lambda: n.outgoing.high_water)(nic),
-            )
-            reg.gauge(
-                p + "in_fifo_high_water",
-                (lambda n: lambda: n.incoming.high_water)(nic),
-            )
-
-    def _reattach_after_restore(self) -> None:
-        """Re-attach observers dropped by snapshotting (see repro.snapshot).
-
-        Rebinds the backplane/NIC metric samples and then each node's
-        (all on the one shared registry); see
-        :meth:`Machine._reattach_after_restore` for the mechanism.
-        """
-        if self._metrics_bound:
-            self._metrics_bound = False
-            with self.obs.registry.rebinding():
-                self._bind_metrics()
-        for node in self.nodes:
-            node._reattach_after_restore()
+            reg.counter(p + "packets_sent", nic, "packets_sent")
+            reg.counter(p + "packets_received", nic, "packets_received")
+            reg.counter(p + "bytes_sent", nic, "bytes_sent")
+            reg.counter(p + "bytes_received", nic, "bytes_received")
+            reg.counter(p + "rx_errors", nic, "rx_errors")
+            reg.gauge(p + "out_fifo_high_water", nic, "outgoing.high_water")
+            reg.gauge(p + "in_fifo_high_water", nic, "incoming.high_water")
 
     def metrics(self) -> dict:
         """Whole-multicomputer counters: per node plus the backplane.

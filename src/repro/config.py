@@ -152,10 +152,6 @@ class ClusterConfig:
         """A copy with the given fields replaced."""
         return replace(self, **overrides)  # type: ignore[arg-type]
 
-    @property
-    def iommu_config(self) -> Optional[IommuConfig]:
-        return IommuConfig.coerce(self.iommu)
-
     def node_config(self, obs: object = None) -> MachineConfig:
         """The per-node :class:`MachineConfig` projection.
 

@@ -460,10 +460,3 @@ class CPU(SnapshotMixin):
     def _charge(self, cycles: int) -> None:
         self.charged_cycles += cycles
         self._advance(cycles)
-
-    # ------------------------------------------------------------- metrics
-    @property
-    def xlat_hit_rate(self) -> float:
-        """Fraction of translations served by the fast path."""
-        total = self.xlat_hits + self.xlat_misses
-        return self.xlat_hits / total if total else 0.0

@@ -69,10 +69,6 @@ class AudioDevice(UDMADevice):
         self._playing = False
 
     @property
-    def playing(self) -> bool:
-        return self._playing
-
-    @property
     def buffered_bytes(self) -> int:
         """Bytes currently queued in the ring (after draining to now)."""
         self._drain_to_now()

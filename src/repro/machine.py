@@ -305,89 +305,65 @@ class Machine:
         sched = self.kernel.scheduler
         sys = self.kernel.syscalls
 
-        reg.counter(p + "cpu.instructions", lambda: cpu.instructions)
-        reg.counter(p + "cpu.loads", lambda: cpu.loads)
-        reg.counter(p + "cpu.stores", lambda: cpu.stores)
-        reg.counter(p + "cpu.charged_cycles", lambda: cpu.charged_cycles)
-        reg.counter(p + "cpu.xlat_hits", lambda: cpu.xlat_hits)
-        reg.counter(p + "cpu.xlat_misses", lambda: cpu.xlat_misses)
-        reg.counter(p + "cpu.xlat_fills", lambda: cpu.xlat_fills)
-        reg.counter(p + "tlb.hits", lambda: tlb.hits)
-        reg.counter(p + "tlb.misses", lambda: tlb.misses)
-        reg.gauge(p + "tlb.hit_rate", lambda: round(tlb.hit_rate, 4))
-        reg.counter(p + "tlb.flushes", lambda: tlb.flushes)
-        reg.counter(p + "vm.faults", lambda: vm.faults_handled)
-        reg.counter(p + "vm.proxy_faults", lambda: vm.proxy_faults)
-        reg.counter(p + "vm.pages_in", lambda: vm.pages_in)
-        reg.counter(p + "vm.pages_out", lambda: vm.pages_out)
-        reg.counter(p + "vm.cleans", lambda: vm.cleans)
-        reg.counter(p + "vm.cleans_deferred", lambda: vm.cleans_deferred)
+        reg.counter(p + "cpu.instructions", cpu, "instructions")
+        reg.counter(p + "cpu.loads", cpu, "loads")
+        reg.counter(p + "cpu.stores", cpu, "stores")
+        reg.counter(p + "cpu.charged_cycles", cpu, "charged_cycles")
+        reg.counter(p + "cpu.xlat_hits", cpu, "xlat_hits")
+        reg.counter(p + "cpu.xlat_misses", cpu, "xlat_misses")
+        reg.counter(p + "cpu.xlat_fills", cpu, "xlat_fills")
+        reg.counter(p + "tlb.hits", tlb, "hits")
+        reg.counter(p + "tlb.misses", tlb, "misses")
+        reg.gauge(p + "tlb.hit_rate", tlb, "hit_rate")
+        reg.counter(p + "tlb.flushes", tlb, "flushes")
+        reg.counter(p + "vm.faults", vm, "faults_handled")
+        reg.counter(p + "vm.proxy_faults", vm, "proxy_faults")
+        reg.counter(p + "vm.pages_in", vm, "pages_in")
+        reg.counter(p + "vm.pages_out", vm, "pages_out")
+        reg.counter(p + "vm.cleans", vm, "cleans")
+        reg.counter(p + "vm.cleans_deferred", vm, "cleans_deferred")
+        reg.counter(p + "vm.evictions_redirected", vm, "evictions_redirected")
+        reg.counter(p + "scheduler.switches", sched, "switches")
+        reg.counter(p + "scheduler.invals_fired", sched, "invals_fired")
+        reg.counter(p + "syscalls.dma_calls", sys, "dma_calls")
+        reg.counter(p + "syscalls.pages_pinned", sys, "pages_pinned")
+        reg.counter(p + "syscalls.bytes_copied", sys, "bytes_copied")
         reg.counter(
-            p + "vm.evictions_redirected", lambda: vm.evictions_redirected
+            p + "udma.engine_transfers", self, "udma_engine.transfers_completed"
         )
-        reg.counter(p + "scheduler.switches", lambda: sched.switches)
-        reg.counter(p + "scheduler.invals_fired", lambda: sched.invals_fired)
-        reg.counter(p + "syscalls.dma_calls", lambda: sys.dma_calls)
-        reg.counter(p + "syscalls.pages_pinned", lambda: sys.pages_pinned)
-        reg.counter(p + "syscalls.bytes_copied", lambda: sys.bytes_copied)
-        reg.counter(
-            p + "udma.engine_transfers",
-            lambda: self.udma_engine.transfers_completed,
-        )
-        reg.counter(
-            p + "udma.engine_bytes",
-            lambda: self.udma_engine.bytes_transferred,
-        )
+        reg.counter(p + "udma.engine_bytes", self, "udma_engine.bytes_transferred")
         udma = self.udma
         if isinstance(udma, QueuedUdmaController):
-            reg.counter(p + "udma.accepted", lambda: udma.accepted)
-            reg.counter(p + "udma.refused", lambda: udma.refused)
-            reg.gauge(p + "udma.backlog", lambda: udma.backlog_requests)
+            reg.counter(p + "udma.accepted", udma, "accepted")
+            reg.counter(p + "udma.refused", udma, "refused")
+            reg.gauge(p + "udma.backlog", udma, "backlog_requests")
         else:
             sm = udma.sm
-            reg.counter(p + "udma.initiations", lambda: sm.initiations)
-            reg.counter(p + "udma.completions", lambda: sm.completions)
-            reg.counter(p + "udma.bad_loads", lambda: sm.bad_loads)
-            reg.counter(p + "udma.invals", lambda: sm.invals)
+            reg.counter(p + "udma.initiations", sm, "initiations")
+            reg.counter(p + "udma.completions", sm, "completions")
+            reg.counter(p + "udma.bad_loads", sm, "bad_loads")
+            reg.counter(p + "udma.invals", sm, "invals")
         if self.iommu is not None:
             # IOMMU names exist only when the tier does: default machines
             # keep the historical metric name set bit-identical
             # (golden-file gated).
             io = self.iommu
-            reg.counter(p + "iommu.translations", lambda: io.translations)
-            reg.counter(p + "iommu.iotlb_hits", lambda: io.iotlb.hits)
-            reg.counter(p + "iommu.iotlb_misses", lambda: io.iotlb.misses)
-            reg.counter(
-                p + "iommu.delivered_direct", lambda: io.delivered_direct
-            )
-            reg.counter(
-                p + "iommu.delivered_replayed", lambda: io.delivered_replayed
-            )
-            reg.counter(p + "iommu.faults_parked", lambda: io.faults_parked)
-            reg.counter(p + "iommu.faults_reparked", lambda: io.faults_reparked)
-            reg.counter(p + "iommu.aborted", lambda: io.aborted)
-            reg.gauge(p + "iommu.parked_now", lambda: io.parked_count)
-            reg.gauge(p + "iommu.windows", lambda: io.table.windows)
-        reg.gauge(p + "sim.now_cycles", lambda: self.clock.now)
-        reg.counter(p + "sim.events_fired", lambda: self.clock.events_fired)
+            reg.counter(p + "iommu.translations", io, "translations")
+            reg.counter(p + "iommu.iotlb_hits", io, "iotlb.hits")
+            reg.counter(p + "iommu.iotlb_misses", io, "iotlb.misses")
+            reg.counter(p + "iommu.delivered_direct", io, "delivered_direct")
+            reg.counter(p + "iommu.delivered_replayed", io, "delivered_replayed")
+            reg.counter(p + "iommu.faults_parked", io, "faults_parked")
+            reg.counter(p + "iommu.faults_reparked", io, "faults_reparked")
+            reg.counter(p + "iommu.aborted", io, "aborted")
+            reg.gauge(p + "iommu.parked_now", io, "parked_count")
+            reg.gauge(p + "iommu.windows", io, "table.windows")
+        reg.gauge(p + "sim.now_cycles", self, "clock.now")
+        reg.counter(p + "sim.events_fired", self, "clock.events_fired")
         self.udma._latency_hist = reg.histogram(
             p + "udma.transfer_cycles",
             help="initiation-to-completion latency per UDMA transfer",
         )
-
-    def _reattach_after_restore(self) -> None:
-        """Re-attach observers dropped by snapshotting (see repro.snapshot).
-
-        Sampled metric bindings close over live components and are not
-        pickled; the registry keeps the detached instruments (preserving
-        histogram distributions), and this re-runs the binding under
-        :meth:`MetricsRegistry.rebinding` so every counter/gauge samples
-        *this* machine's restored components.
-        """
-        if self._metrics_bound:
-            self._metrics_bound = False
-            with self.obs.registry.rebinding():
-                self._bind_metrics()
 
     def metrics(self) -> dict:
         """This node's counters, grouped by subsystem.

@@ -225,6 +225,11 @@ class Interconnect:
             )
             for piece in pieces:
                 self._route_one(src_node, dst_node, piece, packet)
+            # What rides on is new bytes, decoded span-less at the
+            # receiver: the origin's span ends here (a drop above already
+            # finished it ``dropped``; the first status stands).
+            if self._spans is not None and isinstance(packet, Packet):
+                self._spans.finish(packet.span, status="rewritten")
             return
         self._route_one(src_node, dst_node, wire)
 

@@ -3,11 +3,13 @@
 The simulator's components keep plain integer attributes on their hot
 paths (``cpu.loads += 1`` costs one integer add and nothing else).  The
 registry does not replace those attributes -- it *binds* them: a
-:class:`Counter` or :class:`Gauge` registered with a ``read`` callback
-samples the live attribute only when a snapshot is taken, so observation
-costs nothing until someone observes.  :class:`Histogram` is the one
-*recording* instrument (distributions cannot be reconstructed after the
-fact); call sites guard it with ``if hist is not None``.
+:class:`Counter` or :class:`Gauge` holds its owning component and an
+attribute path (``cpu, "loads"`` or ``io, "iotlb.hits"``) and reads the
+live attribute only when a snapshot is taken, so observation costs
+nothing until someone observes.  The binding is plain data, so it
+pickles and deep-copies with its component.  :class:`Histogram` is the
+one *recording* instrument (distributions cannot be reconstructed after
+the fact); call sites guard it with ``if hist is not None``.
 
 Names are dotted, stable, and part of the public API: renaming a metric
 is an API change, enforced by the golden-name test in
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from operator import attrgetter
+from typing import Any, Dict, List
 
 from repro.errors import ConfigurationError
 from repro.snapshot.protocol import SnapshotMixin
@@ -49,100 +51,29 @@ class Metric:
         """Current value as it should appear in a snapshot."""
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"
 
+class Counter(Metric):
+    """A monotonically increasing count: ``owner``'s attribute ``attr``.
 
-class _SampledStateMixin:
-    """Pickle support for sampled instruments.
-
-    A ``read`` callback closes over a live component, so it cannot (and
-    must not) ride along in a snapshot.  Pickling drops the callback and
-    marks the instrument *detached*; reading a detached instrument raises
-    instead of silently returning the stale owned value.  Restore paths
-    re-run the owner's metric binding under
-    :meth:`MetricsRegistry.rebinding`, which re-attaches the callbacks.
-    """
-
-    _detached = False
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        if state.get("_read") is not None:
-            state["_read"] = None
-            state["_detached"] = True
-        return state
-
-    def _check_attached(self) -> None:
-        if self._detached:
-            raise ConfigurationError(
-                f"metric {self.name!r} was detached by snapshot/restore "
-                "and has not been rebound to its component"
-            )
-
-
-class Counter(_SampledStateMixin, Metric):
-    """A monotonically increasing count.
-
-    Either *sampled* (``read`` callback over a component's live
-    attribute -- the zero-overhead binding) or *owned* (call
-    :meth:`inc`); not both.
+    ``attr`` may be a dotted path (``"iotlb.hits"``), resolved from
+    ``owner`` on every read.
     """
 
     kind = "counter"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        read: Optional[Callable[[], Any]] = None,
-    ) -> None:
+    def __init__(self, name: str, owner: Any, attr: str, help: str = "") -> None:
         super().__init__(name, help)
-        self._read = read
-        self._value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Increment an owned counter (invalid on sampled counters)."""
-        if self._read is not None:
-            raise ConfigurationError(
-                f"counter {self.name!r} samples a live attribute; "
-                "increment the attribute, not the binding"
-            )
-        if amount < 0:
-            raise ConfigurationError(f"counter {self.name!r} cannot decrease")
-        self._value += amount
+        self.owner = owner
+        self._read = attrgetter(attr)
 
     def value(self) -> Any:
-        self._check_attached()
-        return self._read() if self._read is not None else self._value
+        return self._read(self.owner)
 
 
-class Gauge(_SampledStateMixin, Metric):
+class Gauge(Counter):
     """A point-in-time value (may go up, down, or be a label string)."""
 
     kind = "gauge"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        read: Optional[Callable[[], Any]] = None,
-    ) -> None:
-        super().__init__(name, help)
-        self._read = read
-        self._value: Any = 0
-
-    def set(self, value: Any) -> None:
-        """Set an owned gauge (invalid on sampled gauges)."""
-        if self._read is not None:
-            raise ConfigurationError(
-                f"gauge {self.name!r} samples a live attribute"
-            )
-        self._value = value
-
-    def value(self) -> Any:
-        self._check_attached()
-        return self._read() if self._read is not None else self._value
 
 
 #: default latency buckets: powers of two from 16 cycles to ~16M cycles
@@ -155,6 +86,9 @@ class Histogram(Metric):
     Unlike counters and gauges, a histogram must see every sample when it
     happens; call sites therefore hold a direct reference and guard with
     ``if hist is not None`` so the unobserved cost is one attribute load.
+    Recording is one dict count keyed by the sample (latencies take few
+    distinct values); count, sum, min, max and the bucket percentiles are
+    derived when the histogram is read.
     """
 
     kind = "histogram"
@@ -171,40 +105,39 @@ class Histogram(Metric):
                 f"histogram {self.name!r} needs ascending bucket bounds"
             )
         self.buckets = tuple(buckets)
-        self.counts = [0] * (len(self.buckets) + 1)  # +1: overflow bucket
-        self.count = 0
-        self.sum = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
+        #: sample value -> times observed
+        self.samples: Dict[int, int] = {}
 
     def observe(self, value: int) -> None:
         """Record one sample."""
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        samples = self.samples
+        samples[value] = samples.get(value, 0) + 1
+
+    @property
+    def count(self) -> int:
+        return sum(self.samples.values())
 
     def percentile(self, q: float) -> int:
         """Upper bucket bound holding the ``q``-quantile (0 < q <= 1)."""
-        if self.count == 0:
+        samples = self.samples
+        if not samples:
             return 0
         target = q * self.count
         running = 0
-        for bound, n in zip(self.buckets, self.counts):
-            running += n
+        for value in sorted(samples):
+            running += samples[value]
             if running >= target:
-                return bound
-        return self.max if self.max is not None else self.buckets[-1]
+                break
+        i = bisect_left(self.buckets, value)
+        return self.buckets[i] if i < len(self.buckets) else max(samples)
 
     def value(self) -> Dict[str, Any]:
+        samples = self.samples
         return {
             "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.min is not None else 0,
-            "max": self.max if self.max is not None else 0,
+            "sum": sum(v * n for v, n in samples.items()),
+            "min": min(samples) if samples else 0,
+            "max": max(samples) if samples else 0,
             "p50": self.percentile(0.50),
             "p99": self.percentile(0.99),
         }
@@ -215,9 +148,6 @@ class MetricsRegistry(SnapshotMixin):
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
-        #: transient flag set by :meth:`rebinding`; never pickled as True
-        #: because it is only set inside the context manager
-        self._rebinding = False
 
     # --------------------------------------------------------- registration
     def register(self, metric: Metric) -> Metric:
@@ -229,61 +159,13 @@ class MetricsRegistry(SnapshotMixin):
         self._metrics[metric.name] = metric
         return metric
 
-    @contextmanager
-    def rebinding(self) -> Iterator[None]:
-        """Re-run a component's metric bindings after snapshot restore.
+    def counter(self, name: str, owner: Any, attr: str, help: str = "") -> Counter:
+        """Register a counter sampling ``owner``'s attribute path ``attr``."""
+        return self.register(Counter(name, owner, attr, help=help))
 
-        Inside the context, registering an already-present name is not a
-        duplicate error: counters and gauges get their ``read`` callback
-        re-attached (clearing the detached marker), histograms return the
-        existing instrument so recorded distributions survive the round
-        trip.  Outside the context the strict duplicate check stands.
-        """
-        self._rebinding = True
-        try:
-            yield
-        finally:
-            self._rebinding = False
-
-    def counter(
-        self,
-        name: str,
-        read: Optional[Callable[[], Any]] = None,
-        help: str = "",
-    ) -> Counter:
-        """Register a counter (sampled when ``read`` is given)."""
-        if self._rebinding and name in self._metrics:
-            metric = self._metrics[name]
-            if not isinstance(metric, Counter):
-                raise ConfigurationError(
-                    f"metric {name!r} rebound with a different kind"
-                )
-            metric._read = read
-            metric._detached = False
-            return metric
-        metric = Counter(name, help=help, read=read)
-        self.register(metric)
-        return metric
-
-    def gauge(
-        self,
-        name: str,
-        read: Optional[Callable[[], Any]] = None,
-        help: str = "",
-    ) -> Gauge:
-        """Register a gauge (sampled when ``read`` is given)."""
-        if self._rebinding and name in self._metrics:
-            metric = self._metrics[name]
-            if not isinstance(metric, Gauge):
-                raise ConfigurationError(
-                    f"metric {name!r} rebound with a different kind"
-                )
-            metric._read = read
-            metric._detached = False
-            return metric
-        metric = Gauge(name, help=help, read=read)
-        self.register(metric)
-        return metric
+    def gauge(self, name: str, owner: Any, attr: str, help: str = "") -> Gauge:
+        """Register a gauge sampling ``owner``'s attribute path ``attr``."""
+        return self.register(Gauge(name, owner, attr, help=help))
 
     def histogram(
         self,
@@ -292,16 +174,7 @@ class MetricsRegistry(SnapshotMixin):
         help: str = "",
     ) -> Histogram:
         """Register a recording histogram."""
-        if self._rebinding and name in self._metrics:
-            metric = self._metrics[name]
-            if not isinstance(metric, Histogram):
-                raise ConfigurationError(
-                    f"metric {name!r} rebound with a different kind"
-                )
-            return metric
-        metric = Histogram(name, help=help, buckets=buckets)
-        self.register(metric)
-        return metric
+        return self.register(Histogram(name, help=help, buckets=buckets))
 
     # -------------------------------------------------------------- reading
     def get(self, name: str) -> Metric:
@@ -321,9 +194,6 @@ class MetricsRegistry(SnapshotMixin):
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
-
-    def __iter__(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -179,10 +179,6 @@ class InProcessEngine:
             shard.deliver_remote = self._deliver
             shard.remote_bound = self._bound
 
-    def _reattach_after_restore(self) -> None:
-        for shard in self.shards:
-            shard._reattach_after_restore()
-
     def _deliver(
         self, src: int, dst: int, arrival: int, chseq: int, wire: "Packet | bytes"
     ) -> None:

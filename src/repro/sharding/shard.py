@@ -329,21 +329,9 @@ class Shard:
         reg = self.obs.registry
         ic = self.interconnect
         p = f"shard{self.shard_spec.index}."
-        reg.counter(p + "backplane.packets_routed", lambda: ic.packets_routed)
-        reg.counter(p + "backplane.bytes_routed", lambda: ic.bytes_routed)
-        reg.counter(p + "ops_executed", lambda: self.ops_executed)
-
-    def _reattach_after_restore(self) -> None:
-        """Rebind sampled metric reads after a snapshot restore.
-
-        Node machines rebind their own instruments first (each takes the
-        registry's rebinding window itself), then the shard-level
-        counters get fresh closures over the restored interconnect.
-        """
-        for rt in self.runtimes.values():
-            rt.machine._reattach_after_restore()
-        with self.obs.registry.rebinding():
-            self._bind_metrics()
+        reg.counter(p + "backplane.packets_routed", ic, "packets_routed")
+        reg.counter(p + "backplane.bytes_routed", ic, "bytes_routed")
+        reg.counter(p + "ops_executed", self, "ops_executed")
 
     # ----------------------------------------------------------- delivery
     def handoff(self, src: int, dst: int, delay: int, wire) -> None:

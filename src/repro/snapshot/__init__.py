@@ -29,15 +29,16 @@ in-flight packets, reliable-transport channels and armed retransmit
 timers, the IOMMU's page table, IOTLB, park queue and pin ledger, and
 every observability counter and histogram.
 
-What is deliberately *not* captured: external observers.  The chaos
-auditor's clock hook and the sampled metric ``read`` callbacks point
-from the outside in; they are dropped at
-capture and re-attached on restore (components expose
-``_reattach_after_restore`` for the parts they own).  See
+What is deliberately *not* captured: the chaos auditor's clock hook,
+which points from the outside in.  It is dropped at capture; an auditor
+that wants to watch a restored clock installs its hook again.  Metric
+bindings are captured: each sampled counter holds its component and an
+attribute path, both plain data, so ``restore`` is one unpickle and
+``fork`` one deep copy, with nothing to re-attach after either.  See
 ``docs/SNAPSHOT.md`` for the format and the full capture matrix.
 """
 
-from repro.snapshot.api import fork, reattach, restore, snapshot
+from repro.snapshot.api import fork, restore, snapshot
 from repro.snapshot.format import MAGIC, SNAPSHOT_VERSION
 from repro.snapshot.protocol import SnapshotMixin, Snapshottable
 
@@ -45,7 +46,6 @@ __all__ = [
     "snapshot",
     "restore",
     "fork",
-    "reattach",
     "MAGIC",
     "SNAPSHOT_VERSION",
     "SnapshotMixin",

@@ -1,10 +1,9 @@
 """Capture, restore and fork whole simulated systems.
 
-The three public operations share one discipline: serialisation (or
-deep copy) first, observer re-attachment second.  Re-attachment runs
-over the *finished* graph via :func:`reattach` -- never from inside
-``__setstate__``, which executes while sibling objects may still be
-half-reconstructed and must not be called into.
+Each operation is one step over the object graph: pickle it, unpickle
+it, or deep-copy it.  Every piece of simulated state -- sampled metric
+bindings included, which hold their component and an attribute path --
+pickles with its owner, so nothing needs re-attaching afterwards.
 """
 
 from __future__ import annotations
@@ -33,12 +32,9 @@ def restore(blob: bytes) -> Any:
     Raises :class:`~repro.errors.SnapshotVersionError` if the blob was
     written by a different format version, and
     :class:`~repro.errors.SnapshotError` for anything that is not a
-    well-formed snapshot.  The result has had its observers re-attached
-    and is immediately runnable.
+    well-formed snapshot.  The result is immediately runnable.
     """
-    obj = _format.decode(blob)
-    reattach(obj)
-    return obj
+    return _format.decode(blob)
 
 
 def fork(obj: T) -> T:
@@ -49,33 +45,5 @@ def fork(obj: T) -> T:
     restore-equivalence -- but skips the serialise/compress round trip,
     so branching a scenario mid-run is cheap enough to do per-step.
     """
-    clone = copy.deepcopy(obj)
-    reattach(clone)
-    return clone
+    return copy.deepcopy(obj)
 
-
-def reattach(obj: Any) -> Any:
-    """Re-attach dropped observers on a restored or forked graph.
-
-    Components that own external-facing observers (sampled metric
-    bindings, primarily) expose ``_reattach_after_restore()``; anything
-    else restores fully from its pickled state and needs no hook.  Plain
-    containers (tuple/list/dict) are walked element-wise, so a snapshot
-    whose root bundles a machine with its user-level handles reattaches
-    the machine inside.  An object exposing the hook owns its whole
-    subtree -- its hook is called and the walk does not descend further.
-    Restoring through :func:`restore` / :func:`fork` calls this for you;
-    it is public for callers that unpickle machine graphs through their
-    own framing (the chaos checkpoint cache does).
-    """
-    hook = getattr(obj, "_reattach_after_restore", None)
-    if hook is not None:
-        hook()
-        return obj
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        for item in obj:
-            reattach(item)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            reattach(item)
-    return obj

@@ -30,10 +30,10 @@ from repro.errors import SnapshotError, SnapshotVersionError
 #: identifies a blob as a simulator snapshot before anything is trusted
 MAGIC = b"SHRIMPSN"
 
-#: bump on any change to a pickled component's persisted shape (9:
-#: spans are the only event record, so machines, clusters and
-#: observability configs pickle no second recorder)
-SNAPSHOT_VERSION = 9
+#: bump on any change to a pickled component's persisted shape (10:
+#: sampled counters and gauges pickle their owner and attribute path,
+#: and a histogram pickles one count per observed value)
+SNAPSHOT_VERSION = 10
 
 #: payloads at or above this size are zlib-compressed (tiny payloads skip
 #: the overhead)

@@ -124,9 +124,9 @@ class TLB(SnapshotMixin):
     # ------------------------------------------------------------- metrics
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups that hit (0.0 when never used)."""
+        """Fraction of lookups that hit, to 4 places (0.0 when never used)."""
         total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return round(self.hits / total, 4) if total else 0.0
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,5 +1,10 @@
 """Unit tests for the typed metrics registry."""
 
+import copy
+import pickle
+import random
+from bisect import bisect_left
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -7,57 +12,67 @@ from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.registry import DEFAULT_BUCKETS, unflatten
 
 
+class _Box:
+    """A stand-in component: plain attributes, one nested."""
+
+    def __init__(self):
+        self.hits = 0
+        self.inner = _Inner()
+
+
+class _Inner:
+    def __init__(self):
+        self.depth = 3
+
+
 class TestNames:
     def test_dotted_lowercase_accepted(self):
-        Counter("node0.nic.packets_sent")
-        Counter("cpu.loads")
+        Counter("node0.nic.packets_sent", _Box(), "hits")
+        Counter("cpu.loads", _Box(), "hits")
 
     @pytest.mark.parametrize(
         "bad", ["", "Cpu.loads", "cpu..loads", "cpu.loads-total", "cpu loads"]
     )
     def test_bad_names_rejected(self, bad):
         with pytest.raises(ConfigurationError):
-            Counter(bad)
+            Counter(bad, _Box(), "hits")
 
 
 class TestCounter:
-    def test_owned_counter_increments(self):
-        c = Counter("events")
-        c.inc()
-        c.inc(4)
-        assert c.value() == 5
-
-    def test_owned_counter_rejects_negative(self):
-        c = Counter("events")
-        with pytest.raises(ConfigurationError):
-            c.inc(-1)
-
     def test_sampled_counter_reads_live_attribute(self):
-        box = type("Box", (), {"hits": 0})()
-        c = Counter("box.hits", read=lambda: box.hits)
+        box = _Box()
+        c = Counter("box.hits", box, "hits")
         assert c.value() == 0
         box.hits = 7
         assert c.value() == 7
 
-    def test_sampled_counter_rejects_inc(self):
-        c = Counter("box.hits", read=lambda: 1)
-        with pytest.raises(ConfigurationError):
-            c.inc()
+    def test_dotted_attribute_path(self):
+        box = _Box()
+        c = Counter("box.depth", box, "inner.depth")
+        assert c.value() == 3
+        box.inner = _Inner()  # re-resolved from the owner on every read
+        box.inner.depth = 5
+        assert c.value() == 5
+
+    def test_binding_pickles_and_copies_with_its_owner(self):
+        box = _Box()
+        box.hits = 4
+        c = Counter("box.hits", box, "hits")
+        for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+            assert twin.value() == 4
+            twin.owner.hits = 9
+            assert twin.value() == 9
+            assert c.value() == 4
 
 
 class TestGauge:
-    def test_owned_gauge_set(self):
-        g = Gauge("depth")
-        g.set(3)
+    def test_sampled_gauge_reads_live_attribute(self):
+        box = _Box()
+        g = Gauge("box.depth", box, "inner.depth")
         assert g.value() == 3
-        g.set(1)
+        box.inner.depth = 1
         assert g.value() == 1
-
-    def test_sampled_gauge_rejects_set(self):
-        g = Gauge("depth", read=lambda: 9)
-        assert g.value() == 9
-        with pytest.raises(ConfigurationError):
-            g.set(1)
+        assert g.kind == "gauge"
 
 
 class TestHistogram:
@@ -85,6 +100,33 @@ class TestHistogram:
         assert h.count == 1
         assert h.percentile(0.5) == 5000  # falls through to max
 
+    def test_read_matches_per_sample_bucketing(self):
+        """Deriving the summary at read time gives what counting every
+        sample into its bucket on the way in gave."""
+        rng = random.Random(7)
+        buckets = (16, 32, 64, 128)
+        samples = [rng.choice((1, 16, 17, 64, 100, 128, 129, 5000))
+                   for _ in range(300)]
+        h = Histogram("lat", buckets=buckets)
+        counts = [0] * (len(buckets) + 1)
+        for v in samples:
+            h.observe(v)
+            counts[bisect_left(buckets, v)] += 1
+
+        def percentile(q):
+            running = 0
+            for bound, n in zip(buckets, counts):
+                running += n
+                if running >= q * len(samples):
+                    return bound
+            return max(samples)
+
+        assert h.value() == {
+            "count": len(samples), "sum": sum(samples),
+            "min": min(samples), "max": max(samples),
+            "p50": percentile(0.50), "p99": percentile(0.99),
+        }
+
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ConfigurationError):
             Histogram("lat", buckets=(100, 10))
@@ -97,16 +139,18 @@ class TestHistogram:
 class TestRegistry:
     def test_register_and_get(self):
         reg = MetricsRegistry()
-        c = reg.counter("a.b")
+        c = reg.counter("a.b", _Box(), "hits")
         assert reg.get("a.b") is c
         assert "a.b" in reg
         assert len(reg) == 1
 
     def test_duplicate_name_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("a.b")
+        reg.counter("a.b", _Box(), "hits")
         with pytest.raises(ConfigurationError):
-            reg.gauge("a.b")
+            reg.gauge("a.b", _Box(), "hits")
+        with pytest.raises(ConfigurationError):
+            reg.histogram("a.b")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -114,9 +158,11 @@ class TestRegistry:
 
     def test_snapshot_is_sorted_and_prefixed(self):
         reg = MetricsRegistry()
-        reg.counter("b.two", read=lambda: 2)
-        reg.counter("a.one", read=lambda: 1)
-        reg.counter("b.three", read=lambda: 3)
+        box = _Box()
+        box.one, box.two, box.three = 1, 2, 3
+        reg.counter("b.two", box, "two")
+        reg.counter("a.one", box, "one")
+        reg.counter("b.three", box, "three")
         assert list(reg.snapshot()) == ["a.one", "b.three", "b.two"]
         assert reg.snapshot("b.") == {"b.three": 3, "b.two": 2}
         assert reg.names("a.") == ["a.one"]

@@ -289,6 +289,19 @@ class TestEveryPacketSpanFinishes:
         assert self._packets(cluster) == [("dropped", None)]
         assert cluster.obs.spans.open_spans() == []
 
+    @pytest.mark.parametrize(
+        "injector",
+        [lambda w: w[:-1] + bytes([w[-1] ^ 1]), lambda w: [w, w]],
+        ids=["corrupt", "duplicate"],
+    )
+    def test_rewritten_wire_finishes_the_packet_span(self, injector):
+        cluster, sender, _, _ = self._cluster()
+        cluster.interconnect.fault_injector = injector
+        sender.send_bytes(b"c" * 1024)
+        cluster.run_until_idle()
+        assert self._packets(cluster) == [("rewritten", None)]
+        assert cluster.obs.spans.open_spans() == []
+
     def test_iommu_queue_full_abort_finishes_the_packet_span(self):
         cluster, sender, rx, buf = self._cluster(
             iommu=IommuConfig(fault_queue_depth=1)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.machine import Machine
-from repro.errors import ConfigurationError, SnapshotVersionError
+from repro.errors import SnapshotVersionError
 from repro.mem.physmem import PhysicalMemory
 from repro.net.nipt import NetworkInterfacePageTable
 from repro.net.packet import Packet
@@ -217,13 +217,34 @@ def test_tracer_free_machine_blob_from_version_8_refused():
     with pytest.raises(SnapshotVersionError) as excinfo:
         restore(blob)
     assert excinfo.value.found == 8
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 9
+    assert excinfo.value.expected == SNAPSHOT_VERSION
     machine2 = restore(snapshot(machine))
     components = (machine2, machine2.obs, machine2.udma, machine2.udma_engine,
                   machine2.cpu, machine2.kernel, machine2.kernel.vm)
     assert not any(hasattr(c, "tracer") for c in components)
     assert "max_spans" not in vars(machine2.obs.spans)
     assert machine2.obs.config == ObsConfig(spans=True)
+
+
+def test_owner_bound_metrics_blob_from_version_9_refused():
+    """Version 9 pickled each sampled counter and gauge detached (its
+    ``read`` closure dropped, a ``_detached`` marker set) and each
+    histogram as bucket counts plus running count/sum/min/max; such a
+    blob must be refused, never restored into a registry whose counters
+    sample through their owner."""
+    machine = Machine(config=MachineConfig(mem_size=1 << 20))
+    blob = encode(machine, version=9)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 9
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 10
+    machine2 = restore(snapshot(machine))
+    loads = machine2.obs.registry.get("cpu.loads")
+    assert loads.owner is machine2.cpu
+    assert "_detached" not in vars(loads)
+    assert vars(machine2.obs.registry.get("udma.transfer_cycles")).keys() == {
+        "name", "help", "buckets", "samples"
+    }
 
 
 def _stale_tlb() -> TLB:
@@ -311,39 +332,14 @@ def test_packet_pool_round_trip_rebuilds_ownership():
     pool2.release(packet)
 
 
-def test_detached_metric_read_raises_until_rebound():
-    reg = MetricsRegistry()
-    backing = {"n": 41}
-    counter = reg.counter("chaos.sends", lambda: backing["n"])
-    assert counter.value() == 41
-    reg2 = restore(snapshot(reg))
-    with pytest.raises(ConfigurationError, match="detached"):
-        reg2.get("chaos.sends").value()
-    # Rebinding re-attaches the read on the *existing* instrument.
-    with reg2.rebinding():
-        rebound = reg2.counter("chaos.sends", lambda: backing["n"] + 1)
-    assert rebound is reg2.get("chaos.sends")
-    assert rebound.value() == 42
-
-
-def test_rebinding_kind_mismatch_rejected():
-    reg = MetricsRegistry()
-    reg.counter("m", lambda: 0)
-    reg2 = restore(snapshot(reg))
-    with reg2.rebinding():
-        with pytest.raises(ConfigurationError):
-            reg2.gauge("m", lambda: 0.0)
-
-
 def test_histogram_distribution_survives_restore():
     reg = MetricsRegistry()
     hist = reg.histogram("udma.transfer_cycles")
     for v in (10, 20, 30, 40, 1000):
         hist.observe(v)
     reg2 = restore(snapshot(reg))
-    with reg2.rebinding():
-        hist2 = reg2.histogram("udma.transfer_cycles")
-    assert hist2 is reg2.get("udma.transfer_cycles")
+    hist2 = reg2.get("udma.transfer_cycles")
+    assert hist2 is not hist
     assert hist2.value() == hist.value()
     hist2.observe(50)
     assert hist2.value()["count"] == hist.value()["count"] + 1
