@@ -460,10 +460,9 @@ _TABLE = [
              },
              identical=False),
     # The two million-message collectives, single-tenant: a second
-    # tenant forces a context switch per send, which invalidates the TLB
-    # and turns every message down the slow path -- realistic, but a
-    # different experiment (the multi-tenant rows below cover it).  Each
-    # also runs in reference mode, so the speedup column is measured.
+    # tenant adds a context switch (one Inval store) per send -- a
+    # different experiment, which the multi-tenant rows below cover.
+    # Each also runs in reference mode, so the speedup column is measured.
     Scenario("scale", "incast_64x1", bench_traffic,
              **_traffic(1_000_000, 20_000, pattern="incast", num_nodes=64,
                         seed=7, gap_cycles=96_000),

@@ -359,7 +359,7 @@ class ChaosWorld:
         for machine in self.machines:
             freeze(
                 machine.mmu.tlb,
-                ("invalidate", "flush_asid", "flush_all", "note_context_switch"),
+                ("invalidate", "flush_asid", "flush_all"),
             )
             for process in machine.kernel.processes.values():
                 freeze(

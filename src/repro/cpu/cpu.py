@@ -29,10 +29,13 @@ routing, the write permission, and a reference to the authoritative PTE
 them).  Each entry is stamped with two generation counters at fill time:
 
 * :attr:`repro.vm.tlb.TLB.generation` -- bumped by every kernel shootdown
-  (``invalidate`` / ``flush_asid`` / ``flush_all``) and by the
-  scheduler's context-switch hook; and
+  (``invalidate`` / ``flush_asid`` / ``flush_all``); and
 * :attr:`repro.vm.page_table.PageTable.generation` -- bumped by every
   structural page-table edit (map / unmap / present / writable flips).
+
+A context switch bumps neither: entries are per asid, so a process that
+is switched back in finds its translations still valid, just as the
+asid-tagged hardware TLB keeps its entries.
 
 A stale stamp -- or a write through an entry cached non-writable, or any
 miss -- falls back to the full ``MMU.translate`` walk, which preserves

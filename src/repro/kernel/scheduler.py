@@ -75,14 +75,6 @@ class Scheduler:
             controller.inval()
             self.invals_fired += 1
 
-        # --- software-cache shootdown: the hardware TLB is asid-tagged
-        # and survives the switch, but the CPU's translation fast path
-        # must revalidate everything through MMU.translate afterwards --
-        # the cache analogue of I1's "nothing survives a switch
-        # unchecked".  This moves no simulated cycles (the Inval store
-        # above already carries the switch's architectural cost).
-        self.cpu.mmu.tlb.note_context_switch()
-
         # --- ordinary switch costs and address-space install.
         self.clock.advance(self.costs.context_switch_cycles)
         previous = self.current

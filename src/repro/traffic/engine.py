@@ -151,6 +151,7 @@ class TrafficEngine:
         base_events = clock.events_fired
         base_cycles = clock.now
         base_delivered = self._packets_received()
+        base_hits, base_misses = self._xlat_counts()
         max_events = self.messages * 64 + 100_000
 
         host_start = time.perf_counter()
@@ -176,10 +177,9 @@ class TrafficEngine:
 
         sent = sum(d.sent for d in self._drivers)
         retries = sum(d.retries for d in self._drivers)
-        hits = sum(cluster.node(i).cpu.xlat_hits for i in range(cluster.num_nodes))
-        misses = sum(
-            cluster.node(i).cpu.xlat_misses for i in range(cluster.num_nodes)
-        )
+        hits, misses = self._xlat_counts()
+        hits -= base_hits
+        misses -= base_misses
         lookups = hits + misses
         return TrafficResult(
             scenario=self.scenario,
@@ -209,6 +209,10 @@ class TrafficEngine:
             self.cluster.nic(i).packets_received
             for i in range(self.cluster.num_nodes)
         )
+
+    def _xlat_counts(self) -> "tuple[int, int]":
+        cpus = [self.cluster.node(i).cpu for i in range(self.cluster.num_nodes)]
+        return sum(c.xlat_hits for c in cpus), sum(c.xlat_misses for c in cpus)
 
     def _step(self, d: _Driver) -> int:
         """One send attempt; returns the re-arm delay (0 = quota reached)."""

@@ -118,19 +118,13 @@ class Sender:
         source, destination, padded = self._refs(
             nbytes, buffer_offset, channel_offset
         )
-        plan = None
-        kernel = self.machine.kernel
-        if kernel.current is self.process:
-            key = (nbytes, buffer_offset, channel_offset)
-            plan = self._plan_memo.get(key)
-            if plan is None:
-                plan = self._plan_memo[key] = self.udma.plan_for(
-                    source, destination, padded
-                )
-        else:
-            # The switch bumps the TLB generation, so no plan could
-            # validate after it: the attempt takes the slow path.
-            kernel.scheduler.switch_to(self.process)
+        self._ensure_current()
+        key = (nbytes, buffer_offset, channel_offset)
+        plan = self._plan_memo.get(key)
+        if plan is None:
+            plan = self._plan_memo[key] = self.udma.plan_for(
+                source, destination, padded
+            )
         return self.udma.send_once(
             source, destination, padded, stats=self._try_stats, plan=plan
         )

@@ -11,15 +11,15 @@ the authoritative page table, modelling a hardware-walked dirty-bit update.
 
 Shootdown generation
 --------------------
-Every invalidation -- :meth:`TLB.invalidate`, :meth:`TLB.flush_asid`,
-:meth:`TLB.flush_all`, and the scheduler's context-switch hook
-:meth:`TLB.note_context_switch` -- bumps :attr:`TLB.generation`.  The
-CPU's software translation cache (``repro.cpu.cpu``) stamps each cached
-entry with the generation at fill time; a stale stamp forces the cached
-entry back through the full :meth:`repro.vm.mmu.MMU.translate` walk, so a
+Every invalidation -- :meth:`TLB.invalidate`, :meth:`TLB.flush_asid`
+and :meth:`TLB.flush_all` -- bumps :attr:`TLB.generation`.  The CPU's
+software translation cache (``repro.cpu.cpu``) stamps each cached entry
+with the generation at fill time; a stale stamp forces the cached entry
+back through the full :meth:`repro.vm.mmu.MMU.translate` walk, so a
 kernel shootdown takes effect on the very next access even though the CPU
-never walks its cache.  See ``docs/PERFORMANCE.md`` ("Translation fast
-path").
+never walks its cache.  A context switch is not an invalidation: the
+entries are asid-tagged, so like the hardware TLB's they survive it.  See
+``docs/PERFORMANCE.md`` ("Translation fast path").
 """
 
 from __future__ import annotations
@@ -110,16 +110,12 @@ class TLB(SnapshotMixin):
         self.generation += 1
 
     def note_context_switch(self) -> None:
-        """The scheduler's hook: invalidate *software* caches only.
+        """A no-op that nothing calls; kept only as a named e2ebench layer
+        entry point until that list may change.
 
-        The hardware TLB is asid-tagged, so its entries survive a context
-        switch (that is the whole point of the tags); but the generation
-        bump forces the CPU's translation cache back through
-        :meth:`repro.vm.mmu.MMU.translate` after every switch, mirroring
-        the I1 discipline that nothing user-visible survives a switch
-        unchecked.
+        A context switch invalidates nothing: TLB entries and the CPU's
+        translation-cache entries are both asid-tagged, so they survive it.
         """
-        self.generation += 1
 
     # ------------------------------------------------------------- metrics
     @property

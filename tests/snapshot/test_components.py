@@ -252,7 +252,7 @@ def _stale_tlb() -> TLB:
     tlb.insert(1, 0x10, TlbEntry(pfn=3, writable=True, user=True))
     tlb.insert(1, 0x11, TlbEntry(pfn=4, writable=False, user=True))
     tlb.insert(2, 0x10, TlbEntry(pfn=9, writable=True, user=False))
-    tlb.note_context_switch()   # stamp staleness into the generation
+    tlb.invalidate(2, 0x77)     # non-resident: only stamps the generation
     tlb.invalidate(1, 0x11)
     tlb.lookup(1, 0x10)
     tlb.lookup(1, 0x55)         # miss

@@ -126,17 +126,20 @@ def test_nipt_sized_to_demand_forces_reuse():
     assert result.messages == result.delivered == 90
 
 
-def test_churn_send_builds_its_plan_at_most_once_per_attempt(monkeypatch):
-    """Two tenants per sender node: most sends context-switch first, so
-    their translations are stale and no fast-lane plan could validate.
-    A send that must switch resolves no plan at all -- zero builds -- and
-    a send that needs no switch builds at most once."""
+def test_switched_churn_sends_take_the_fast_lane(monkeypatch):
+    """Two tenants per sender node: most sends context-switch first.  The
+    switch invalidates no translation, so a switched attempt still
+    resolves its plan and mostly starts through ``_fast_send``.  A plan is
+    built at most once per attempt, and a build that fails (cold
+    translations) always leaves its attempt on the slow path."""
     from repro.userlib.messaging import Sender
     from repro.userlib.udma import UdmaUser
 
-    counts = {"attempts": 0, "switched": 0, "builds": 0, "switched_builds": 0}
+    counts = {"attempts": 0, "switched": 0, "switched_fast": 0, "fast": 0,
+              "builds": 0, "failed_builds": 0}
     state = {"switching": False}
     try_send, build_plan = Sender.try_send, UdmaUser._build_plan
+    fast_send = UdmaUser._fast_send
 
     def counted_try_send(self, *args, **kwargs):
         counts["attempts"] += 1
@@ -144,12 +147,20 @@ def test_churn_send_builds_its_plan_at_most_once_per_attempt(monkeypatch):
         counts["switched"] += state["switching"]
         return try_send(self, *args, **kwargs)
 
+    def counted_fast_send(self, *args, **kwargs):
+        ok = fast_send(self, *args, **kwargs)
+        counts["fast"] += ok
+        counts["switched_fast"] += ok and state["switching"]
+        return ok
+
     def counted_build_plan(self, *args, **kwargs):
         counts["builds"] += 1
-        counts["switched_builds"] += state["switching"]
-        return build_plan(self, *args, **kwargs)
+        plan = build_plan(self, *args, **kwargs)
+        counts["failed_builds"] += plan is None
+        return plan
 
     monkeypatch.setattr(Sender, "try_send", counted_try_send)
+    monkeypatch.setattr(UdmaUser, "_fast_send", counted_fast_send)
     monkeypatch.setattr(UdmaUser, "_build_plan", counted_build_plan)
     result = run_scenario(
         "t", "incast", num_nodes=3, tenants_per_node=2, messages=80,
@@ -159,5 +170,24 @@ def test_churn_send_builds_its_plan_at_most_once_per_attempt(monkeypatch):
     assert result.messages == result.delivered == 80
     assert counts["attempts"] >= 80
     assert counts["switched"] > counts["attempts"] // 2
-    assert counts["switched_builds"] == 0
-    assert counts["builds"] <= counts["attempts"] - counts["switched"]
+    assert counts["switched_fast"] > counts["switched"] // 2
+    assert counts["builds"] <= counts["attempts"]
+    assert 0 < counts["failed_builds"] <= counts["attempts"] - counts["fast"]
+
+
+def test_multi_tenant_fast_lane_matches_reference():
+    """Context switches keep the fast lane on: the default run serves most
+    translations from the cache and simulates exactly what the reference
+    run (every host fast path off) does."""
+    kwargs = dict(
+        pattern="incast", num_nodes=4, tenants_per_node=2, messages=300,
+        msg_bytes=256, seed=5, gap_cycles=2500, churn_every=10,
+    )
+    fast = run_scenario("t", **kwargs)
+    ref = run_scenario("t", reference=True, **kwargs)
+    fields = ("sim_cycles", "events", "delivered", "retries", "churns")
+    assert fast.churns > 0
+    assert {f: getattr(fast, f) for f in fields} == {
+        f: getattr(ref, f) for f in fields
+    }
+    assert fast.xlat_hit_rate > 0.5

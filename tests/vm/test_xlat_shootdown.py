@@ -4,8 +4,11 @@ The CPU caches ``(asid, vpage) -> (frame, writable)`` translations
 stamped with the TLB and page-table generation counters (see
 ``repro/cpu/cpu.py``, "Translation fast path").  These tests pin down the
 contract: every event that can change what a virtual address means --
-unmap, protection downgrade, page-out, context switch, TLB flush -- must
-prevent a previously cached translation from being served afterwards.
+unmap, protection downgrade, page-out, TLB flush -- must prevent a
+previously cached translation from being served afterwards.  A context
+switch changes no mapping: cached translations are per address space, so
+like the asid-tagged TLB's entries they survive it, and a process that is
+switched back in is served from the cache again.
 
 The property test drives a random op sequence against a plain dict
 reference model; any stale cached translation shows up as a wrong value
@@ -93,6 +96,27 @@ class TestShootdownDirected:
         assert machine.cpu.load(vb) == 0xBBBB
         machine.kernel.scheduler.switch_to(a)
         assert machine.cpu.load(va) == 0xAAAA
+
+    def test_translations_survive_a_context_switch(self):
+        machine = make_machine()
+        a = machine.create_process("a")
+        b = machine.create_process("b")
+        va = machine.kernel.syscalls.alloc(a, PAGE)
+        vb = machine.kernel.syscalls.alloc(b, PAGE)
+        sched = machine.kernel.scheduler
+        sched.switch_to(b)
+        machine.cpu.store(vb, 0xB1)  # b's demand fill is a shootdown
+        sched.switch_to(a)
+        machine.cpu.store(va, 0xA1)  # a's translation now cached
+        sched.switch_to(b)
+        assert machine.cpu.load(vb) == 0xB1
+        sched.switch_to(a)
+        misses, hits = machine.cpu.xlat_misses, machine.cpu.xlat_hits
+        assert machine.cpu.load(va) == 0xA1
+        machine.cpu.store(va, 0xA2)
+        assert machine.cpu.load(va) == 0xA2
+        assert machine.cpu.xlat_misses == misses  # served from the cache
+        assert machine.cpu.xlat_hits == hits + 3
 
     def test_tlb_flush_forces_fallback_walk(self):
         machine = make_machine()
