@@ -9,7 +9,9 @@ the functions no *system* consumer reached and those tier-1 missed too::
 
 A function counts as reached if any consumer entered it, whatever that
 consumer's exit code.  Each code is printed as the consumer finishes, and
-the script exits 1 if any consumer exited non-zero.  Not part of any gate.
+the script exits 1 if any consumer exited with another code than it
+should: 0, or 1 for a ci.yml ``must_fail`` row (a planted bug the chaos
+twin has to catch).  Not part of any gate.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ SRC = ROOT / "src" / "repro"
 
 
 def consumers():
-    """``(group, argv)`` for every consumer; argv follows ``python``.
+    """``(group, argv, exit code)`` for every consumer; argv follows
+    ``python``.
 
     System consumers: the paper benches, the e2ebench self-test, the
     examples, the CLI commands, every chaos row of ci.yml (read from the
@@ -52,17 +55,20 @@ def consumers():
           for s in sections()],
         ("tier1", ["-m", "pytest"]),
     ]
+    table = [(group, argv, 0) for group, argv in table]
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text().replace("\\\n", " ")
-    oracle = None
+    oracle, code = None, 0
     for line in ci.splitlines():
         line = re.sub(r"--repro-file \S+", "", line)
         if m := re.match(r"\s+- oracle: (\S+)", line):
-            oracle = m.group(1)
+            oracle, code = m.group(1), 0
+        elif m := re.match(r"\s+(campaigns|must_fail): \|", line):
+            code = int(m.group(1) == "must_fail")
         elif m := re.match(r"\s{14}(--.*)", line):                 # a campaigns row
             table.append(("system", ["-m", "repro", "chaos", "--oracle", oracle,
-                                     *shlex.split(m.group(1))]))
+                                     *shlex.split(m.group(1))], code))
         elif m := re.match(r"\s+python -m repro chaos (--oracle [^$]*)$", line):
-            table.append(("system", ["-m", "repro", "chaos", *shlex.split(m.group(1))]))
+            table.append(("system", ["-m", "repro", "chaos", *shlex.split(m.group(1))], 0))
     return table
 
 
@@ -124,18 +130,18 @@ def functions():
 
 def run_all():
     """``{group: set of code keys}`` reached by each consumer group, and
-    the argv of every consumer that exited non-zero."""
+    the argv of every consumer that exited with an unexpected code."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
                PYTEST_ADDOPTS="-q -p no:cacheprovider")
     reached, failed = defaultdict(set), []
     with tempfile.TemporaryDirectory() as tmp:
-        def one(i, group, argv):
+        def one(i, group, argv, code):
             out = os.path.join(tmp, f"{i}.json")
             proc = subprocess.run(
                 [sys.executable, __file__, "--record", out, *argv],
                 cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             print(f"  [{group}] exit {proc.returncode}: {' '.join(argv)}", file=sys.stderr)
-            if proc.returncode:
+            if proc.returncode != code:
                 failed.append(" ".join(argv))
             return group, {tuple(k) for path in Path(tmp).glob(f"{i}.json*")
                            for k in json.loads(path.read_text())}

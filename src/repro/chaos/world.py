@@ -16,11 +16,11 @@ plant (``break_mode``):
 * ``"no-inval"`` -- the scheduler forgets the I1 Inval on every context
   switch (modelled by hiding the controller list for the duration of each
   ``switch_to``, so the I1 ledger still knows how many Invals were owed).
-* ``"stale-xlat"`` -- the kernel edits page tables and shoots down TLBs
-  *without* bumping the generation counters the CPU's software
-  translation cache is stamped with, so the fast path keeps serving stale
-  translations.  The invariant checkers cannot see this (the page tables
-  themselves stay consistent); only the differential oracle catches it.
+* ``"stale-xlat"`` -- a page-table edit skips its eviction from the
+  CPU's software translation cache, so the fast path keeps serving the
+  translation the edit replaced.  The invariant checkers cannot see this
+  (the page tables and TLBs themselves stay consistent); only the
+  differential oracle catches it.
 """
 
 from __future__ import annotations
@@ -93,26 +93,18 @@ class _NoInvalSwitch:
             sched.udma_controllers = saved
 
 
-class _GenerationFreeze:
-    """The planted stale-xlat bug: one method with its generation bump undone.
+class _SkipEviction:
+    """The planted stale-xlat bug: a page table's ``_edited`` helper that
+    bumps the generation but leaves the edited page's cached translation
+    in place."""
 
-    Shadows ``name`` on ``obj`` and restores ``obj.generation`` after
-    each call, so fast-path stamps never see mapping changes.
-    """
+    __slots__ = ("table",)
 
-    __slots__ = ("obj", "name")
+    def __init__(self, table) -> None:
+        self.table = table
 
-    def __init__(self, obj, name: str) -> None:
-        self.obj = obj
-        self.name = name
-
-    def __call__(self, *args, **kwargs):
-        obj = self.obj
-        before = obj.generation
-        try:
-            return getattr(type(obj), self.name)(obj, *args, **kwargs)
-        finally:
-            obj.generation = before
+    def __call__(self, vpage: int) -> None:
+        self.table.generation += 1
 
 
 class _RecordingRoute:
@@ -342,30 +334,18 @@ class ChaosWorld:
             sched.switch_to = _NoInvalSwitch(sched)
 
     def _break_stale_xlat(self) -> None:
-        """Plant the fast-path bug: mapping changes skip generation bumps.
+        """Plant the fast-path bug: page-table edits skip their eviction.
 
-        Models a kernel that edits PTE fields and shoots down TLB entries
-        directly, without the generation discipline the CPU's software
-        translation cache relies on.  The page tables and TLB stay
-        *internally* consistent -- the invariant checkers see nothing --
-        but cached fast-path translations go stale, which only the
-        differential oracle (fast vs reference run) can expose.
+        Models a kernel whose page-table edits and TLB shootdowns are
+        right but never reach the CPU's software translation cache.  The
+        page tables and TLB stay *internally* consistent -- the invariant
+        checkers see nothing -- but cached fast-path translations go
+        stale, which only the differential oracle (fast vs reference run)
+        can expose.
         """
-
-        def freeze(obj, names: "tuple[str, ...]") -> None:
-            for name in names:
-                setattr(obj, name, _GenerationFreeze(obj, name))
-
         for machine in self.machines:
-            freeze(
-                machine.mmu.tlb,
-                ("invalidate", "flush_asid", "flush_all"),
-            )
             for process in machine.kernel.processes.values():
-                freeze(
-                    process.page_table,
-                    ("map", "unmap", "set_present", "set_writable", "clear_dirty"),
-                )
+                process.page_table._edited = _SkipEviction(process.page_table)
 
     # ------------------------------------------------------------- helpers
     def _rig(self, action: Action) -> _ProcRig:

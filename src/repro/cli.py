@@ -365,7 +365,10 @@ examples
                             "torus (default: the twin's own)")
     chaos.add_argument("--break", dest="break_mode", default=None,
                        metavar="MODE",
-                       help="plant a kernel bug: no-inval | stale-xlat")
+                       help="plant a kernel bug: no-inval (context "
+                            "switches skip the I1 Inval) | stale-xlat "
+                            "(page-table edits skip their translation-"
+                            "cache eviction)")
     chaos.add_argument("--iommu", action="store_true",
                        help="enable the virtual-address RDMA tier on every "
                             "node (the iommu twin turns it on itself)")

@@ -23,28 +23,38 @@ Translation fast path
 Repeated accesses to the same page dominate every workload (polling a
 proxy status word, streaming a buffer), so the CPU keeps a small software
 translation cache in front of :meth:`repro.vm.mmu.MMU.translate`: one
-entry per ``(asid, vpage)`` holding the physical page base, the region
-routing, the write permission, and a reference to the authoritative PTE
-(so referenced/dirty bits keep being set exactly as the MMU would set
-them).  Each entry is stamped with two generation counters at fill time:
+entry per vpage holding the physical page base, the region routing, the
+write permission, and a reference to the authoritative PTE (so
+referenced/dirty bits keep being set exactly as the MMU would set them).
 
-* :attr:`repro.vm.tlb.TLB.generation` -- bumped by every kernel shootdown
-  (``invalidate`` / ``flush_asid`` / ``flush_all``); and
-* :attr:`repro.vm.page_table.PageTable.generation` -- bumped by every
-  structural page-table edit (map / unmap / present / writable flips).
+The cache lives on the page table it derives from
+(:attr:`repro.vm.page_table.PageTable.xlat`), and every page-table
+mutator evicts the entry of the page it edits, so each cached entry
+equals the current PTE.  That is the paper's kernel discipline -- shoot
+down exactly what changed -- and it is why no hit needs a check:
 
-A context switch bumps neither: entries are per asid, so a process that
-is switched back in finds its translations still valid, just as the
-asid-tagged hardware TLB keeps its entries.
+* a context switch just rebinds the cache to the new address space, so a
+  process that is switched back in finds its translations still there,
+  as the asid-tagged hardware TLB keeps its entries;
+* a TLB shootdown (``invalidate`` / ``flush_asid`` / ``flush_all``)
+  changes no mapping, so it leaves the cache alone: every kernel remap
+  pairs a page-table mutator (which evicts) with its shootdown, and a
+  fill whose TLB snapshot disagrees with the PTE is refused.
 
-A stale stamp -- or a write through an entry cached non-writable, or any
-miss -- falls back to the full ``MMU.translate`` walk, which preserves
-every fault reason, the permission-upgrade re-walk, and the hardware
-TLB's snapshot semantics.  The cache therefore changes *host* cost only:
-simulated cycles, instruction/load/store counters and fault behaviour are
-bit-identical to the slow path (the ``Machine`` assembly charges walk
-penalties through the CPU cost model, not through the MMU clock).  See
-``docs/PERFORMANCE.md`` ("Translation fast path").
+Bit-identity with a cacheless run rests on that pairing: after a flush
+the cache does not replay the TLB refills a cacheless run makes, so an
+edit whose shootdown were skipped would show that run a stale TLB
+snapshot and this one a fresh walk.
+
+A write through an entry cached non-writable, or any miss, falls back to
+the full ``MMU.translate`` walk, which preserves every fault reason, the
+permission-upgrade re-walk, and the hardware TLB's snapshot semantics.
+The cache therefore changes *host* cost only: simulated cycles,
+instruction/load/store counters and fault behaviour are bit-identical to
+the slow path (the ``Machine`` assembly charges walk penalties through
+the CPU cost model, not through the MMU clock, so a TLB miss costs no
+simulated cycles).  See ``docs/PERFORMANCE.md`` ("Translation fast
+path").
 """
 
 from __future__ import annotations
@@ -76,18 +86,15 @@ _XLAT_CAPACITY = 4096
 
 
 class _Translation:
-    """One cached ``(asid, vpage)`` translation (internal to the CPU)."""
+    """One cached vpage translation (internal to the CPU)."""
 
-    __slots__ = ("paddr_base", "region", "writable", "pte", "table", "tlb_gen", "pt_gen")
+    __slots__ = ("paddr_base", "region", "writable", "pte")
 
-    def __init__(self, paddr_base, region, writable, pte, table, tlb_gen, pt_gen):
+    def __init__(self, paddr_base, region, writable, pte):
         self.paddr_base = paddr_base
         self.region = region
         self.writable = writable
         self.pte = pte
-        self.table = table
-        self.tlb_gen = tlb_gen
-        self.pt_gen = pt_gen
 
 
 class CPU(SnapshotMixin):
@@ -130,19 +137,16 @@ class CPU(SnapshotMixin):
         self.stores = 0
         self.instructions = 0
         self.charged_cycles = 0
-        # Translation fast path (see module docstring): per-asid vpage ->
-        # _Translation dicts, swapped wholesale on set_context so the hit
-        # path never builds (asid, vpage) tuples.  The cost model is
-        # frozen and the MMU's TLB is fixed at construction, so both are
-        # bound once here to keep the per-access attribute chase short.
+        # Translation fast path (see module docstring): the installed page
+        # table's vpage -> _Translation dict, rebound on set_context.  The
+        # cost model is frozen, so its fields are bound once here to keep
+        # the per-access attribute chase short.
         self._page_shift = costs.page_size.bit_length() - 1
         self._page_mask = costs.page_size - 1
-        self._tlb = mmu.tlb
         self._mem_ref_cycles = costs.mem_ref_cycles
         self._io_ref_cycles = costs.io_ref_cycles
         self._advance = clock.advance
-        self._xlat_by_asid: "dict[int, dict[int, _Translation]]" = {}
-        self._xlat: "dict[int, _Translation]" = self._xlat_by_asid.setdefault(0, {})
+        self._xlat: "dict[int, _Translation]" = {}
         self.xlat_hits = 0
         self.xlat_misses = 0
         self.xlat_fills = 0
@@ -160,7 +164,7 @@ class CPU(SnapshotMixin):
         """Install an address space (the MMU part of a context switch)."""
         self.page_table = page_table
         self.asid = asid
-        self._xlat = self._xlat_by_asid.setdefault(asid, {})
+        self._xlat = page_table.xlat
 
     # --------------------------------------------------------- word access
     def load(self, vaddr: int) -> int:
@@ -169,12 +173,7 @@ class CPU(SnapshotMixin):
         For proxy addresses the returned value is the UDMA status word.
         """
         entry = self._xlat.get(vaddr >> self._page_shift)
-        if (
-            entry is not None
-            and entry.table is self.page_table
-            and entry.pt_gen == entry.table.generation
-            and entry.tlb_gen == self._tlb.generation
-        ):
+        if entry is not None:
             self.xlat_hits += 1
             entry.pte.referenced = True
             self.loads += 1
@@ -204,13 +203,7 @@ class CPU(SnapshotMixin):
         Inval); for memory it is stored as a little-endian word.
         """
         entry = self._xlat.get(vaddr >> self._page_shift)
-        if (
-            entry is not None
-            and entry.writable
-            and entry.table is self.page_table
-            and entry.pt_gen == entry.table.generation
-            and entry.tlb_gen == self._tlb.generation
-        ):
+        if entry is not None and entry.writable:
             self.xlat_hits += 1
             pte = entry.pte
             pte.referenced = True
@@ -245,7 +238,7 @@ class CPU(SnapshotMixin):
         """Completion-poll fast lane: the MATCH flag of ``load(vaddr)``.
 
         Returns None -- with **no** simulated effects -- whenever the
-        access needs the full path (translation miss or stale, a non-proxy
+        access needs the full path (translation miss, a non-proxy
         address, tracing/spans active, or a controller state where the
         LOAD would not be a pure status read).  Otherwise performs
         bookkeeping and charging bit-identical to :meth:`load` on a proxy
@@ -253,13 +246,7 @@ class CPU(SnapshotMixin):
         construction/encode/decode round trip a poll loop never looks at.
         """
         entry = self._xlat.get(vaddr >> self._page_shift)
-        if (
-            entry is None
-            or entry.region is Region.MEMORY
-            or entry.table is not self.page_table
-            or entry.pt_gen != entry.table.generation
-            or entry.tlb_gen != self._tlb.generation
-        ):
+        if entry is None or entry.region is Region.MEMORY:
             return None
         udma = self.udma
         if (
@@ -379,13 +366,7 @@ class CPU(SnapshotMixin):
     def _translate_run(self, vaddr: int, write: bool) -> "tuple[int, Region]":
         """Fast-path translation for one page run of a buffer access."""
         entry = self._xlat.get(vaddr >> self._page_shift)
-        if (
-            entry is not None
-            and (entry.writable or not write)
-            and entry.table is self.page_table
-            and entry.pt_gen == entry.table.generation
-            and entry.tlb_gen == self._tlb.generation
-        ):
+        if entry is not None and (entry.writable or not write):
             self.xlat_hits += 1
             pte = entry.pte
             pte.referenced = True
@@ -445,13 +426,7 @@ class CPU(SnapshotMixin):
         if len(cache) >= _XLAT_CAPACITY and vpage not in cache:
             cache.clear()
         cache[vpage] = _Translation(
-            paddr & ~self._page_mask,
-            region,
-            pte.writable,
-            pte,
-            table,
-            self._tlb.generation,
-            table.generation,
+            paddr & ~self._page_mask, region, pte.writable, pte
         )
         self.xlat_fills += 1
 

@@ -20,14 +20,13 @@ This module is the kernel half of the UDMA contract.  It implements:
 * **I4** -- eviction consults the :class:`~repro.kernel.remap_guard.RemapGuard`
   and picks a different victim (or waits) when the hardware names a page.
 
-Every remap in this module pairs a page-table mutator (which bumps
-``PageTable.generation``) with a ``tlb.invalidate`` shootdown (which
-bumps ``TLB.generation``); the CPU's translation fast path keys its
-cached entries on those two counters, so a mapping changed here is
-never served stale -- see ``repro/cpu/cpu.py`` ("Translation fast
-path").  Direct PTE *use-bit* writes (``pte.dirty = ...``) are the one
-deliberate exception: they never change what an address translates to,
-so they need no shootdown.
+Every remap in this module pairs a page-table mutator (which evicts the
+page from the CPU's translation cache and bumps ``PageTable.generation``
+for the IOTLB) with a ``tlb.invalidate`` shootdown of the same page, so
+a mapping changed here is never served stale -- see ``repro/cpu/cpu.py``
+("Translation fast path").  Direct PTE *use-bit* writes
+(``pte.dirty = ...``) are the one deliberate exception: they never
+change what an address translates to, so they need no shootdown.
 """
 
 from __future__ import annotations

@@ -30,10 +30,10 @@ from repro.errors import SnapshotError, SnapshotVersionError
 #: identifies a blob as a simulator snapshot before anything is trusted
 MAGIC = b"SHRIMPSN"
 
-#: bump on any change to a pickled component's persisted shape (10:
-#: sampled counters and gauges pickle their owner and attribute path,
-#: and a histogram pickles one count per observed value)
-SNAPSHOT_VERSION = 10
+#: bump on any change to a pickled component's persisted shape (11:
+#: the CPU's translation cache lives on each page table, and neither
+#: the TLB nor a cached translation carries a generation stamp)
+SNAPSHOT_VERSION = 11
 
 #: payloads at or above this size are zlib-compressed (tiny payloads skip
 #: the overhead)

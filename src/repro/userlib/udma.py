@@ -74,11 +74,11 @@ class _SendPlan:
     directive, the one-piece byte count, the batched cycle charge of
     ``execute(align) + STORE + fence + LOAD``, and the launch: both DMA
     endpoints and the engine's transfer duration.  Every use re-validates
-    the translations (generation stamps + physical address equality) and
-    the protection backend's veto (keyed on the backend's generation,
-    which every grant, revoke and NIPT set/clear bumps), so a remap,
-    shootdown, backend switch or channel eviction sends the message back
-    down the slow path instead of replaying stale state.
+    the translations (still cached, since a page-table edit evicts them,
+    and at the same physical addresses) and the protection backend's veto
+    (keyed on the backend's generation, which every grant, revoke and NIPT
+    set/clear bumps), so a remap, backend switch or channel eviction sends
+    the message back down the slow path instead of replaying stale state.
     """
 
     __slots__ = (
@@ -338,7 +338,8 @@ class UdmaUser:
         callers hold the handle and pass it back to :meth:`send_once` to
         skip the per-call cache lookup.  The handle stays safe across
         remaps and channel churn -- every use re-validates translations
-        and the device check against their current generations.
+        against the CPU's translation cache and the device check against
+        the protection backend's generation.
         """
         if not self._pipelined:
             return None
@@ -386,19 +387,7 @@ class UdmaUser:
         xlat = cpu._xlat
         src_e = xlat.get(src_vpage)
         dst_e = xlat.get(dst_vpage)
-        table = cpu.page_table
-        tlb_gen = cpu._tlb.generation
-        if (
-            src_e is None
-            or dst_e is None
-            or not dst_e.writable
-            or src_e.table is not table
-            or dst_e.table is not table
-            or src_e.pt_gen != table.generation
-            or dst_e.pt_gen != table.generation
-            or src_e.tlb_gen != tlb_gen
-            or dst_e.tlb_gen != tlb_gen
-        ):
+        if src_e is None or dst_e is None or not dst_e.writable:
             return None
         src_paddr = src_e.paddr_base | (src_proxy & mask)
         dst_paddr = dst_e.paddr_base | (dst_proxy & mask)
@@ -491,19 +480,7 @@ class UdmaUser:
         xlat = cpu._xlat
         src_e = xlat.get(plan.src_vpage)
         dst_e = xlat.get(plan.dst_vpage)
-        table = cpu.page_table
-        tlb_gen = cpu._tlb.generation
-        if (
-            src_e is None
-            or dst_e is None
-            or not dst_e.writable
-            or src_e.table is not table
-            or dst_e.table is not table
-            or src_e.pt_gen != table.generation
-            or dst_e.pt_gen != table.generation
-            or src_e.tlb_gen != tlb_gen
-            or dst_e.tlb_gen != tlb_gen
-        ):
+        if src_e is None or dst_e is None or not dst_e.writable:
             return False
         mask = cpu._page_mask
         if (src_e.paddr_base | (plan.src_proxy & mask)) != plan.src_paddr:

@@ -9,16 +9,15 @@ permission checks, referenced and dirty bit maintenance -- and nothing
 UDMA-specific.
 
 :meth:`MMU.translate` is also the *authoritative slow path* behind the
-CPU's software translation cache (``repro/cpu/cpu.py``): the CPU may
-serve repeat accesses from its own cache only while both the TLB's and
-the page table's generation counters are unchanged, and every miss or
-staleness falls back to this method.  Anything that changes what an
-address translates to (pfn, present, writable, user) must therefore go
-through the page table's mutators (which bump ``PageTable.generation``)
-and/or the TLB's shootdown entry points (which bump ``TLB.generation``)
--- never by assigning those PTE fields directly, or caches above this
-layer cannot see the change.  The referenced/dirty use bits are exempt:
-they never alter a translation.
+CPU's software translation cache (``repro/cpu/cpu.py``): the CPU serves
+repeat accesses from the page table's cache, which the page table's
+mutators evict page by page, and every miss falls back to this method.
+Anything that changes what an address translates to (pfn, present,
+writable, user) must therefore go through the page table's mutators --
+never by assigning those PTE fields directly, or the cache above this
+layer cannot see the change -- paired, as in hardware, with a TLB
+shootdown.  The referenced/dirty use bits are exempt: they never alter a
+translation.
 """
 
 from __future__ import annotations

@@ -9,17 +9,12 @@ so; a fidelity test demonstrates what goes wrong when it doesn't.
 Dirty and referenced bits are *not* cached -- the MMU always sets them in
 the authoritative page table, modelling a hardware-walked dirty-bit update.
 
-Shootdown generation
---------------------
-Every invalidation -- :meth:`TLB.invalidate`, :meth:`TLB.flush_asid`
-and :meth:`TLB.flush_all` -- bumps :attr:`TLB.generation`.  The CPU's
-software translation cache (``repro.cpu.cpu``) stamps each cached entry
-with the generation at fill time; a stale stamp forces the cached entry
-back through the full :meth:`repro.vm.mmu.MMU.translate` walk, so a
-kernel shootdown takes effect on the very next access even though the CPU
-never walks its cache.  A context switch is not an invalidation: the
-entries are asid-tagged, so like the hardware TLB's they survive it.  See
-``docs/PERFORMANCE.md`` ("Translation fast path").
+The CPU's software translation cache (``repro.cpu.cpu``) is not a
+client of the shootdown entry points: it lives on the page table and is
+evicted by the page-table mutators, which every kernel remap pairs with
+its :meth:`TLB.invalidate`.  So a shootdown here changes what this TLB
+holds, never what the cache serves.  See ``docs/PERFORMANCE.md``
+("Translation fast path").
 """
 
 from __future__ import annotations
@@ -55,9 +50,6 @@ class TLB(SnapshotMixin):
         self.hits = 0
         self.misses = 0
         self.flushes = 0
-        #: bumped on every shootdown; consumers (the CPU's translation
-        #: cache) compare stamps against this to detect staleness in O(1)
-        self.generation = 0
 
     # -------------------------------------------------------------- lookup
     def lookup(self, asid: int, vpage: int) -> Optional[TlbEntry]:
@@ -82,16 +74,10 @@ class TLB(SnapshotMixin):
 
     # -------------------------------------------------------- invalidation
     def invalidate(self, asid: int, vpage: int) -> None:
-        """Shoot down one cached translation, if present.
-
-        Bumps the generation whether or not the entry was resident: the
-        CPU-side cache may hold a translation the TLB has already evicted,
-        and the shootdown must reach it too.
-        """
+        """Shoot down one cached translation, if present."""
         key = (asid, vpage)
         if self._entries.pop(key, None) is not None:
             self._drop_from_index(key)
-        self.generation += 1
 
     def flush_asid(self, asid: int) -> None:
         """Drop every entry belonging to one address space."""
@@ -100,21 +86,20 @@ class TLB(SnapshotMixin):
             for key in keys:
                 del self._entries[key]
         self.flushes += 1
-        self.generation += 1
 
     def flush_all(self) -> None:
         """Drop everything (un-tagged-TLB context switch)."""
         self._entries.clear()
         self._asid_keys.clear()
         self.flushes += 1
-        self.generation += 1
 
     def note_context_switch(self) -> None:
         """A no-op that nothing calls; kept only as a named e2ebench layer
         entry point until that list may change.
 
-        A context switch invalidates nothing: TLB entries and the CPU's
-        translation-cache entries are both asid-tagged, so they survive it.
+        A context switch invalidates nothing: TLB entries are asid-tagged
+        and the CPU's translation cache lives on each page table, so both
+        survive it.
         """
 
     # ------------------------------------------------------------- metrics

@@ -103,9 +103,10 @@ def test_missing_inval_is_caught_and_shrunk(nodes):
 
 @pytest.mark.parametrize("nodes", [1, 2])
 def test_stale_translation_cache_is_caught_and_shrunk(nodes):
-    """Kernel skips the generation bumps the CPU translation cache needs:
-    page tables stay self-consistent, so only downstream damage (invariant
-    fallout in the fast run) or the differential oracle can expose it."""
+    """Page-table edits skip their eviction from the CPU translation
+    cache: page tables stay self-consistent, so only downstream damage
+    (invariant fallout in the fast run) or the differential oracle can
+    expose it."""
     report = run_chaos(seed=7, steps=200, nodes=nodes, break_mode="stale-xlat")
     assert not report.ok
     assert report.shrunk is not None

@@ -2,9 +2,9 @@
 
 Each test targets one stateful component in a configuration that has
 historically been hard to serialise correctly: a clock mid-burst with a
-populated free list and a same-cycle burst queued, a TLB carrying stale
-generation stamps, a packet pool with recycled shells, detached sampled
-metrics.
+populated free list and a same-cycle burst queued, a TLB after
+shootdowns, a packet pool with recycled shells, detached sampled
+metrics, a translation cache shared by a CPU and its page table.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def test_owner_bound_metrics_blob_from_version_9_refused():
     with pytest.raises(SnapshotVersionError) as excinfo:
         restore(blob)
     assert excinfo.value.found == 9
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 10
+    assert excinfo.value.expected == SNAPSHOT_VERSION
     machine2 = restore(snapshot(machine))
     loads = machine2.obs.registry.get("cpu.loads")
     assert loads.owner is machine2.cpu
@@ -247,40 +247,87 @@ def test_owner_bound_metrics_blob_from_version_9_refused():
     }
 
 
-def _stale_tlb() -> TLB:
+def test_generation_stamped_xlat_blob_from_version_10_refused():
+    """Version 10 pickled the CPU's per-asid translation caches, each
+    entry stamped with its page table and two generations, and a TLB
+    with a shootdown generation; such a blob must be refused, never
+    restored into a machine whose page tables own their caches."""
+    machine = Machine(config=MachineConfig(mem_size=1 << 20))
+    blob = encode(machine, version=10)
+    with pytest.raises(SnapshotVersionError) as excinfo:
+        restore(blob)
+    assert excinfo.value.found == 10
+    assert excinfo.value.expected == SNAPSHOT_VERSION == 11
+    machine2 = restore(snapshot(machine))
+    assert not hasattr(machine2.mmu.tlb, "generation")
+    assert not hasattr(machine2.cpu, "_xlat_by_asid")
+
+
+def _shot_tlb() -> TLB:
     tlb = TLB(capacity=8)
     tlb.insert(1, 0x10, TlbEntry(pfn=3, writable=True, user=True))
     tlb.insert(1, 0x11, TlbEntry(pfn=4, writable=False, user=True))
     tlb.insert(2, 0x10, TlbEntry(pfn=9, writable=True, user=False))
-    tlb.invalidate(2, 0x77)     # non-resident: only stamps the generation
+    tlb.invalidate(2, 0x77)     # non-resident: a no-op
     tlb.invalidate(1, 0x11)
+    tlb.flush_asid(3)           # unknown asid: counted, drops nothing
     tlb.lookup(1, 0x10)
     tlb.lookup(1, 0x55)         # miss
     return tlb
 
 
-def test_tlb_stale_generation_stamps_survive():
-    tlb = _stale_tlb()
-    generation, hits, misses = tlb.generation, tlb.hits, tlb.misses
+def test_tlb_after_shootdowns_survives():
+    tlb = _shot_tlb()
+    hits, misses, flushes = tlb.hits, tlb.misses, tlb.flushes
     tlb2 = restore(snapshot(tlb))
-    assert tlb2.generation == generation == 2
-    assert tlb2.hits == hits and tlb2.misses == misses
+    assert (tlb2.hits, tlb2.misses, tlb2.flushes) == (hits, misses, flushes)
+    assert len(tlb2) == len(tlb) == 2
     assert tlb2.lookup(1, 0x10) == tlb.lookup(1, 0x10)
     assert tlb2.lookup(1, 0x11) is None
-    # Entries stay entries, shootdowns keep advancing the generation.
-    tlb2.flush_all()
-    assert tlb2.generation == generation + 1
-    assert tlb.generation == generation  # original untouched
+    # The copy shoots down on its own; the original keeps its entries.
+    tlb2.flush_asid(2)
+    assert tlb2.lookup(2, 0x10) is None
+    assert tlb2.flushes == flushes + 1
     assert tlb.lookup(2, 0x10) is not None
+    assert tlb.flushes == flushes
 
 
 def test_tlb_state_dict_round_trip():
-    tlb = _stale_tlb()
+    tlb = _shot_tlb()
     twin = TLB(capacity=8)
     twin.load_state(tlb.state_dict())
-    assert twin.generation == tlb.generation
+    assert (twin.hits, twin.misses, twin.flushes) == (
+        tlb.hits, tlb.misses, tlb.flushes
+    )
     assert dict(twin._entries) == dict(tlb._entries)
     assert twin._asid_keys == tlb._asid_keys
+
+
+@pytest.mark.parametrize(
+    "copy", [lambda m: restore(snapshot(m)), fork], ids=["restore", "fork"]
+)
+def test_copied_machine_keeps_one_translation_cache(copy):
+    """After restore or fork, the CPU still reads its page table's cache
+    (the very dict, not a copy of it), and an unmap on the copy evicts
+    the copy's entry only."""
+    machine = Machine(config=MachineConfig(mem_size=1 << 20))
+    p = machine.create_process("a")
+    va = machine.kernel.syscalls.alloc(p, 2 * 4096)
+    machine.cpu.store(va, 1)
+    machine.cpu.store(va + 4096, 2)
+    vpage = va // 4096
+    twin = copy(machine)
+    cpu, table = twin.cpu, twin.kernel.processes[p.pid].page_table
+    assert cpu._xlat is table.xlat
+    assert cpu._xlat is not machine.cpu._xlat
+    assert set(table.xlat) == set(p.page_table.xlat) == {vpage, vpage + 1}
+    table.unmap(vpage)
+    twin.mmu.tlb.invalidate(p.asid, vpage)
+    assert set(table.xlat) == {vpage + 1}
+    assert set(p.page_table.xlat) == {vpage, vpage + 1}
+    assert twin.cpu.load(va) == 0          # the copy re-walks a zero fill
+    assert machine.cpu.load(va) == 1       # the original still hits
+    assert twin.cpu.load(va + 4096) == 2
 
 
 def test_physical_memory_round_trip_and_memoryview_rebuilt():
