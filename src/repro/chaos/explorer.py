@@ -13,7 +13,7 @@ Audit logs double as the determinism witness (two runs of the same seed
 must produce byte-identical logs) and as the differential oracle's
 line-by-line comparison medium.
 
-**Checkpoint bisection** (``checkpoint_every=N``): the explorer pickles
+**Checkpoint bisection** (``checkpoint_every=N``): the explorer snapshots
 the live (world, auditor, partial log) capsule every N actions, keyed by
 the exact action prefix that produced it.  A later run whose schedule
 shares a checkpointed prefix restores the capsule and replays only the
@@ -26,7 +26,6 @@ checkpointing never changes a run's outcome, log, or shrunk reproducer.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,10 +33,11 @@ from repro.chaos.actions import Action
 from repro.chaos.auditor import InvariantAuditor
 from repro.chaos.world import ChaosWorld
 from repro.errors import InvariantViolation
+from repro.snapshot import restore, snapshot
 
 #: retained checkpoint capsules per explorer; oldest evicted first.  Deep
 #: enough for ddmin (which probes prefixes of one schedule), bounded so a
-#: long campaign cannot hold hundreds of pickled worlds.
+#: long campaign cannot hold hundreds of captured worlds.
 _CHECKPOINT_CACHE_CAP = 64
 
 
@@ -111,7 +111,7 @@ class ScheduleExplorer:
         self.protection = protection
         self.iommu = iommu
         self.checkpoint_every = checkpoint_every
-        #: (reference, action prefix) -> pickled capsule; insertion order
+        #: (reference, action prefix) -> capsule snapshot; insertion order
         #: doubles as the eviction order (oldest first)
         self._checkpoints: Dict[Tuple[bool, Tuple[Action, ...]], bytes] = {}
         #: observability: runs resumed from a capsule / capsules written
@@ -195,7 +195,7 @@ class ScheduleExplorer:
     ) -> None:
         """Capture a capsule for ``prefix`` (the actions applied so far).
 
-        World, auditor and the partial log pickle as one graph, so the
+        World, auditor and the partial log are captured as one graph, so the
         auditor's checkers keep pointing at the capsule world's kernels.
         Capture must not perturb the run -- guaranteed by the
         restore-equivalence tier, which diffs checkpointed runs against
@@ -205,9 +205,7 @@ class ScheduleExplorer:
         if key in self._checkpoints:
             return
         capsule = (world, auditor, result.audit_log, result.outcomes)
-        self._checkpoints[key] = pickle.dumps(
-            capsule, protocol=pickle.HIGHEST_PROTOCOL
-        )
+        self._checkpoints[key] = snapshot(capsule)
         self.checkpoints_stored += 1
         while len(self._checkpoints) > _CHECKPOINT_CACHE_CAP:
             self._checkpoints.pop(next(iter(self._checkpoints)))
@@ -219,7 +217,7 @@ class ScheduleExplorer:
 
         Returns ``(world, auditor, k)`` positioned after action ``k - 1``
         with the partial log already copied into ``result``, or ``None``
-        when no stored prefix matches.  Every load is a fresh unpickle,
+        when no stored prefix matches.  Every load is a fresh restore,
         so a capsule can seed any number of future runs.
         """
         every = self.checkpoint_every
@@ -227,7 +225,7 @@ class ScheduleExplorer:
         while k > 0:
             blob = self._checkpoints.get((reference, tuple(actions[:k])))
             if blob is not None:
-                world, auditor, log, outcomes = pickle.loads(blob)
+                world, auditor, log, outcomes = restore(blob)
                 result.audit_log.extend(log)
                 result.outcomes.extend(outcomes)
                 self.checkpoint_hits += 1

@@ -162,25 +162,24 @@ class SnapshotError(ReproError):
 
     Covers structural failures: a blob that is not a snapshot at all
     (bad magic), a truncated or corrupted payload, or an object graph
-    that cannot be serialised.  Version skew raises the more specific
-    :class:`SnapshotVersionError`.
+    that cannot be serialised.  A blob from another build raises the
+    more specific :class:`SnapshotVersionError`.
     """
 
 
 class SnapshotVersionError(SnapshotError):
-    """A snapshot blob's format version is not the one this code writes.
+    """A snapshot blob was written by a different build of ``repro``.
 
     Snapshots are point-in-time serialisations of internal object
-    graphs, so there is no cross-version compatibility promise: the
-    reader refuses anything but its own version, naming both versions so
-    the mismatch is diagnosable from the message alone.
+    graphs, so a blob restores only under the source that wrote it.
+    ``changed`` lists the source files (relative to the package) whose
+    digests differ; it is empty for a blob with an older header layout.
     """
 
-    def __init__(self, found: int, expected: int) -> None:
-        self.found = found
-        self.expected = expected
+    def __init__(self, changed: list[str]) -> None:
+        self.changed = changed
+        differs = ", ".join(changed) or "an older header layout"
         super().__init__(
-            f"snapshot format version {found} is not readable by this "
-            f"build (expects version {expected}); re-capture the snapshot "
-            "with the current code"
+            f"snapshot was written by a different build of repro "
+            f"({differs}); re-capture it with the current code"
         )

@@ -1,6 +1,6 @@
 """Machine snapshot/restore and fork-based scenario branching.
 
-A *snapshot* is a deterministic, versioned serialisation of a whole
+A *snapshot* is a deterministic, build-stamped serialisation of a whole
 simulated system -- a :class:`~repro.machine.Machine`, a
 :class:`~repro.cluster.ShrimpCluster`, or any object graph built from
 the simulator's components -- at one instant of simulated time.  The
@@ -15,16 +15,17 @@ Three operations:
 
 * :func:`snapshot` -- capture an object graph to ``bytes``.
 * :func:`restore` -- rebuild the graph from a blob (refusing blobs
-  written by a different format version with
-  :class:`~repro.errors.SnapshotVersionError`).
+  written by a different build of ``repro`` with
+  :class:`~repro.errors.SnapshotVersionError`, which names the source
+  files that differ).
 * :func:`fork` -- an in-memory deep copy, for cheap scenario branching
   (run the same machine down two different futures) without paying the
-  serialise/compress round trip.
+  serialise round trip.
 
 What is captured: every byte of simulated state -- the clock and its
 event queue (including the pooled event free list),
-physical memory, MMU/TLB and translation-cache generations, paging
-state, the NIPT and the active protection backend, NIC FIFOs and
+physical memory, page tables with their translation caches, the TLB,
+paging state, the NIPT and the active protection backend, NIC FIFOs and
 in-flight packets, reliable-transport channels and armed retransmit
 timers, the IOMMU's page table, IOTLB, park queue and pin ledger, and
 every observability counter and histogram.
@@ -39,7 +40,7 @@ attribute path, both plain data, so ``restore`` is one unpickle and
 """
 
 from repro.snapshot.api import fork, restore, snapshot
-from repro.snapshot.format import MAGIC, SNAPSHOT_VERSION
+from repro.snapshot.format import MAGIC
 from repro.snapshot.protocol import SnapshotMixin, Snapshottable
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "restore",
     "fork",
     "MAGIC",
-    "SNAPSHOT_VERSION",
     "SnapshotMixin",
     "Snapshottable",
 ]

@@ -30,7 +30,7 @@ def restore(blob: bytes) -> Any:
     """Rebuild the object graph captured in ``blob``.
 
     Raises :class:`~repro.errors.SnapshotVersionError` if the blob was
-    written by a different format version, and
+    written by a different build of ``repro``, and
     :class:`~repro.errors.SnapshotError` for anything that is not a
     well-formed snapshot.  The result is immediately runnable.
     """
@@ -42,7 +42,7 @@ def fork(obj: T) -> T:
 
     ``fork(m)`` is equivalent to ``restore(snapshot(m))`` -- the copy
     shares no mutable state with the original, and both sides satisfy
-    restore-equivalence -- but skips the serialise/compress round trip,
+    restore-equivalence -- but skips the serialise round trip,
     so branching a scenario mid-run is cheap enough to do per-step.
     """
     return copy.deepcopy(obj)

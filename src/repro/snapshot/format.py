@@ -1,69 +1,65 @@
-"""The snapshot wire format: a versioned header over a compressed pickle.
+"""The snapshot wire format: a build-stamped header over a pickle.
 
-Layout (all integers little-endian, fixed width)::
+Layout (integers little-endian, fixed width)::
 
     offset  size  field
     0       8     MAGIC          b"SHRIMPSN"
-    8       4     version        uint32, must equal SNAPSHOT_VERSION
-    12      4     flags          uint32, bit 0 = payload is zlib-compressed
-    16      ...   payload        pickle (optionally zlib-compressed)
+    8       16    build          blake2b-128 of the source table
+    24      4     table length   uint32
+    28      n     table          JSON {path: blake2b-64 hex} of repro/*.py
+    28+n    ...   payload        pickle
 
-The header is parsed *before* any unpickling, so version refusal never
-depends on the payload being readable: a blob from a different build
-fails with :class:`~repro.errors.SnapshotVersionError` naming both
-versions, not with an opaque unpickling error three layers deep.
-
-Snapshots serialise internal object graphs, so the version is bumped on
-*any* change to the persisted shape of a component -- there is no
-migration path, only refusal (see ``docs/SNAPSHOT.md``).
+Restore-equivalence is a promise about one build, so a blob restores
+only under the source that wrote it: no version to keep, no migration.
+The build is compared *before* any unpickling; on a mismatch the blob's
+table (JSON, never pickle) names the source files that differ.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import io
+import json
 import pickle
 import struct
-import zlib
+from pathlib import Path
 
 from repro.errors import SnapshotError, SnapshotVersionError
 
 #: identifies a blob as a simulator snapshot before anything is trusted
 MAGIC = b"SHRIMPSN"
 
-#: bump on any change to a pickled component's persisted shape (11:
-#: the CPU's translation cache lives on each page table, and neither
-#: the TLB nor a cached translation carries a generation stamp)
-SNAPSHOT_VERSION = 11
-
-#: payloads at or above this size are zlib-compressed (tiny payloads skip
-#: the overhead)
-_COMPRESS_THRESHOLD = 4096
-
-_FLAG_COMPRESSED = 1
-
-_HEADER = struct.Struct("<8sII")
+_HEADER = struct.Struct("<8s16sI")
+_PACKAGE = Path(__file__).resolve().parent.parent
 
 
-def encode(obj: object, *, version: int = SNAPSHOT_VERSION) -> bytes:
-    """Serialise ``obj`` into a framed snapshot blob.
+@functools.lru_cache(maxsize=None)
+def build() -> tuple[bytes, bytes]:
+    """``(digest, table)`` of the ``repro`` source in this process.
 
-    ``version`` is overridable only so tests can mint blobs that the
-    reader must refuse; production callers always write the current
-    version.
+    ``table`` is JSON mapping every ``*.py`` under the package (path
+    relative to it) to a blake2b-64 of its bytes; ``digest`` is the
+    blake2b-128 of ``table``.  Computed once per process.
     """
+    table = json.dumps({
+        path.relative_to(_PACKAGE).as_posix():
+            hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+        for path in sorted(_PACKAGE.rglob("*.py"))
+    }, separators=(",", ":")).encode()
+    return hashlib.blake2b(table, digest_size=16).digest(), table
+
+
+def encode(obj: object) -> bytes:
+    """Serialise ``obj`` into a build-stamped snapshot blob."""
     try:
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise SnapshotError(
             f"object graph is not snapshottable: {exc}"
         ) from exc
-    flags = 0
-    if len(payload) >= _COMPRESS_THRESHOLD:
-        compressed = zlib.compress(payload, level=1)
-        if len(compressed) < len(payload):
-            payload = compressed
-            flags |= _FLAG_COMPRESSED
-    return _HEADER.pack(MAGIC, version, flags) + payload
+    digest, table = build()
+    return _HEADER.pack(MAGIC, digest, len(table)) + table + payload
 
 
 def decode(blob: bytes) -> object:
@@ -73,25 +69,30 @@ def decode(blob: bytes) -> object:
             f"blob is {len(blob)} bytes, shorter than the "
             f"{_HEADER.size}-byte snapshot header"
         )
-    magic, version, flags = _HEADER.unpack_from(blob)
+    magic, digest, size = _HEADER.unpack_from(blob)
     if magic != MAGIC:
-        raise SnapshotError(
-            f"bad magic {magic!r}: not a simulator snapshot"
-        )
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotVersionError(found=version, expected=SNAPSHOT_VERSION)
-    payload = blob[_HEADER.size:]
-    if flags & _FLAG_COMPRESSED:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise SnapshotError(f"corrupt compressed payload: {exc}") from exc
+        raise SnapshotError(f"bad magic {magic!r}: not a simulator snapshot")
+    start = _HEADER.size + size
+    if digest != build()[0]:
+        raise SnapshotVersionError(_changed(blob[_HEADER.size:start]))
     try:
-        return _RestrictedUnpickler(io.BytesIO(payload)).load()
+        return _RestrictedUnpickler(io.BytesIO(blob[start:])).load()
     except SnapshotError:
         raise
     except Exception as exc:
         raise SnapshotError(f"corrupt snapshot payload: {exc}") from exc
+
+
+def _changed(table: bytes) -> list[str]:
+    """Source files whose digest in ``table`` differs from this build's,
+    or ``[]`` if ``table`` is not a table (an older header layout)."""
+    ours = json.loads(build()[1])
+    try:
+        theirs = json.loads(table)
+        return sorted(path for path in ours.keys() | theirs.keys()
+                      if ours.get(path) != theirs.get(path))
+    except (ValueError, AttributeError):  # not JSON, or not a JSON object
+        return []
 
 
 class _RestrictedUnpickler(pickle.Unpickler):

@@ -8,9 +8,9 @@ survive that cache:
   transfer must walk the *new* mapping, not a cached frame; the data the
   device sees proves which frame was read.
 * **I1** -- a context switch between the STORE and LOAD of an initiation
-  sequence invalidates the sequence (the kernel's Inval), and the
-  per-process translation caches must not let one process's proxy
-  references complete another's latch.
+  sequence invalidates the sequence (the kernel's Inval), while the
+  per-process translation caches survive the switch without letting one
+  process's proxy references complete another's latch.
 """
 
 from repro import Machine, MachineConfig
@@ -80,15 +80,19 @@ def test_context_switch_invalidates_initiation_sequence():
     dest_proxy = udma.proxy_of(DeviceRef(grant))
     src_proxy = udma.proxy_of(MemoryRef(buf))
     machine.cpu.store(dest_proxy, PAGE)
-    # The scheduler's switch strobes the controller's Inval line (I1) and
-    # bumps the TLB generation, so both the hardware latch and the CPU's
-    # cached proxy translations are cold when a resumes.
+    # The scheduler's switch strobes the controller's Inval line (I1), so
+    # the hardware latch is annulled when a resumes; a's cached proxy
+    # translations survive, since they live on a's page table, which a
+    # switch does not edit.
     machine.kernel.scheduler.switch_to(b)
     machine.kernel.scheduler.switch_to(a)
     machine.cpu.fence()
     status = udma.poll(src_proxy)
     assert not status.started        # the half-done sequence was annulled
     assert status.should_retry       # transient: user code just retries
+    misses = machine.cpu.xlat_misses
+    assert not udma.poll(dest_proxy).started  # a status read, still idle
+    assert machine.cpu.xlat_misses == misses  # the translation survived
 
     # And the retry (the full runtime path) still completes end to end.
     stats = udma.transfer(MemoryRef(buf), DeviceRef(grant), PAGE)

@@ -3,7 +3,7 @@
 Each test targets one stateful component in a configuration that has
 historically been hard to serialise correctly: a clock mid-burst with a
 populated free list and a same-cycle burst queued, a TLB after
-shootdowns, a packet pool with recycled shells, detached sampled
+shootdowns, a packet pool with recycled shells, owner-bound sampled
 metrics, a translation cache shared by a CPU and its page table.
 """
 
@@ -15,7 +15,6 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.machine import Machine
-from repro.errors import SnapshotVersionError
 from repro.mem.physmem import PhysicalMemory
 from repro.net.nipt import NetworkInterfacePageTable
 from repro.net.packet import Packet
@@ -24,8 +23,7 @@ from repro.obs import ObsConfig
 from repro.obs.registry import MetricsRegistry
 from repro.params import shrimp
 from repro.sim.clock import Clock
-from repro.snapshot import SNAPSHOT_VERSION, Snapshottable, fork, restore, snapshot
-from repro.snapshot.format import encode
+from repro.snapshot import Snapshottable, fork, restore, snapshot
 from repro.vm.tlb import TLB, TlbEntry
 
 
@@ -100,167 +98,6 @@ def test_clock_state_dict_round_trip():
     assert [entry[:2] for entry in twin._queue] == [
         entry[:2] for entry in clock._queue
     ]
-
-
-def test_clock_blob_from_version_2_refused():
-    """Version 2 pickled a heap of Event objects plus a same-time bucket;
-    such a blob must be refused, never restored into a tuple heap."""
-    clock, fired = _burst_clock()
-    blob = encode((clock, fired), version=2)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 2
-    assert excinfo.value.expected == SNAPSHOT_VERSION
-
-
-def test_packet_and_clock_blob_from_version_3_refused():
-    """Version 3 pickled a frozen ``Packet`` as an instance dict and the
-    clock's time as ``_now``; such a blob must be refused, never restored
-    into a slotted packet or a clock whose ``now`` is missing."""
-    clock, fired = _burst_clock()
-    packet = Packet(0, 1, 0x40, b"in flight", seq=3)
-    blob = encode((clock, fired, packet), version=3)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 3
-    assert excinfo.value.expected == SNAPSHOT_VERSION
-    # The current version still round-trips the same graph.
-    clock2, _fired2, packet2 = restore(encode((clock, fired, packet)))
-    assert clock2.now == clock.now
-    assert packet2 == packet
-
-def test_clock_and_pool_blob_from_version_4_refused():
-    """Version 4 pickled the clock's ``pooling``/``pool_debug`` switches
-    and id()-keyed ownership ledgers in the clock and the packet pool;
-    such a blob must be refused, never restored into a clock that reads
-    ``reference``."""
-    clock, fired = _burst_clock()
-    pool = _used_pool()
-    blob = encode((clock, fired, pool), version=4)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 4
-    assert excinfo.value.expected == SNAPSHOT_VERSION
-    clock2, _fired2, pool2 = restore(encode((clock, fired, pool)))
-    assert clock2.reference is False
-    assert not hasattr(clock2, "_free_ids")
-    assert pool2.stats() == pool.stats()
-
-
-
-def test_pool_log_and_snooper_blob_from_version_5_refused():
-    """Version 5 pickled the packet pool's payload-buffer free lists, a
-    sharded node's step log as formatted lines, and a NIC without the CPU
-    its snooper taps; such a blob must be refused, never restored into a
-    shell-only pool."""
-    pool = _used_pool()
-    blob = encode(pool, version=5)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 5
-    assert excinfo.value.expected == SNAPSHOT_VERSION
-    pool2 = restore(encode(pool))
-    assert pool2.stats() == pool.stats()
-    assert not hasattr(pool2, "_buffers")
-
-
-def _churned_nipt() -> NetworkInterfacePageTable:
-    nipt = NetworkInterfacePageTable(16)
-    first = nipt.install(1, (10, 11, 12))
-    nipt.install(2, (20, 21))
-    nipt.uninstall(first, 3)
-    return nipt
-
-
-def test_nipt_free_list_blob_from_version_6_refused():
-    """Version 6 kept a sender NIPT's free index runs on the cluster
-    (``ShrimpCluster._nipt_free``) and a NIPT without runs of its own;
-    such a blob must be refused, never restored into a NIPT whose
-    ``install`` reads ``_free``."""
-    nipt = _churned_nipt()
-    blob = encode(nipt, version=6)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 6
-    assert excinfo.value.expected == SNAPSHOT_VERSION
-    nipt2 = restore(encode(nipt))
-    assert nipt2._free == nipt._free == [(0, 3), (5, 11)]
-    assert nipt2.install(3, (30,)) == nipt.install(3, (30,)) == 0
-
-
-def test_record_only_tracer_and_configs_blob_from_version_7_refused():
-    """Version 7 pickled a ``Tracer`` with a subscriber list, an error
-    count and a ``record`` flag beside ``enabled``, a ``CostModel`` with
-    ``udma_queue_depth``, an ``ObsConfig`` with ``max_spans`` and a
-    ``MachineConfig`` with ``record_trace``/``dma_bursts_per_event``;
-    such a blob must be refused, never restored into configs missing
-    those fields."""
-    graph = (shrimp(), ObsConfig(spans=True), MachineConfig(queue_depth=4))
-    blob = encode(graph, version=7)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 7
-    assert excinfo.value.expected == SNAPSHOT_VERSION
-    assert restore(encode(graph)) == graph
-
-
-def test_tracer_free_machine_blob_from_version_8_refused():
-    """Version 8 pickled a ``Tracer`` on every machine, cluster and
-    observability plane, a ``tracer`` attribute on each component, an
-    ``ObsConfig`` with ``record_trace`` and a span tracker with its own
-    ``max_spans``; such a blob must be refused, never restored into a
-    machine whose only event record is its span tracker."""
-    machine = Machine(
-        config=MachineConfig(mem_size=1 << 20, obs=ObsConfig(spans=True))
-    )
-    blob = encode(machine, version=8)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 8
-    assert excinfo.value.expected == SNAPSHOT_VERSION
-    machine2 = restore(snapshot(machine))
-    components = (machine2, machine2.obs, machine2.udma, machine2.udma_engine,
-                  machine2.cpu, machine2.kernel, machine2.kernel.vm)
-    assert not any(hasattr(c, "tracer") for c in components)
-    assert "max_spans" not in vars(machine2.obs.spans)
-    assert machine2.obs.config == ObsConfig(spans=True)
-
-
-def test_owner_bound_metrics_blob_from_version_9_refused():
-    """Version 9 pickled each sampled counter and gauge detached (its
-    ``read`` closure dropped, a ``_detached`` marker set) and each
-    histogram as bucket counts plus running count/sum/min/max; such a
-    blob must be refused, never restored into a registry whose counters
-    sample through their owner."""
-    machine = Machine(config=MachineConfig(mem_size=1 << 20))
-    blob = encode(machine, version=9)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 9
-    assert excinfo.value.expected == SNAPSHOT_VERSION
-    machine2 = restore(snapshot(machine))
-    loads = machine2.obs.registry.get("cpu.loads")
-    assert loads.owner is machine2.cpu
-    assert "_detached" not in vars(loads)
-    assert vars(machine2.obs.registry.get("udma.transfer_cycles")).keys() == {
-        "name", "help", "buckets", "samples"
-    }
-
-
-def test_generation_stamped_xlat_blob_from_version_10_refused():
-    """Version 10 pickled the CPU's per-asid translation caches, each
-    entry stamped with its page table and two generations, and a TLB
-    with a shootdown generation; such a blob must be refused, never
-    restored into a machine whose page tables own their caches."""
-    machine = Machine(config=MachineConfig(mem_size=1 << 20))
-    blob = encode(machine, version=10)
-    with pytest.raises(SnapshotVersionError) as excinfo:
-        restore(blob)
-    assert excinfo.value.found == 10
-    assert excinfo.value.expected == SNAPSHOT_VERSION == 11
-    machine2 = restore(snapshot(machine))
-    assert not hasattr(machine2.mmu.tlb, "generation")
-    assert not hasattr(machine2.cpu, "_xlat_by_asid")
 
 
 def _shot_tlb() -> TLB:
@@ -390,3 +227,40 @@ def test_histogram_distribution_survives_restore():
     assert hist2.value() == hist.value()
     hist2.observe(50)
     assert hist2.value()["count"] == hist.value()["count"] + 1
+
+
+def _churned_nipt() -> NetworkInterfacePageTable:
+    nipt = NetworkInterfacePageTable(16)
+    first = nipt.install(1, (10, 11, 12))
+    nipt.install(2, (20, 21))
+    nipt.uninstall(first, 3)
+    return nipt
+
+
+#: graph builder, probe: graphs whose persisted shape has changed in the
+#: past (a slotted packet, a shell-only pool, a NIPT owning its free runs,
+#: one config field per decision, owner-bound metrics) restore whole
+ROUND_TRIPS = {
+    "packet": (
+        lambda: (*_burst_clock(), Packet(0, 1, 0x40, b"in flight", seq=3)),
+        lambda g: (g[0].now, g[2]),
+    ),
+    "pool": (_used_pool, PacketPool.stats),
+    "nipt": (_churned_nipt, lambda n: (n._free, n.install(3, (30,)))),
+    "configs": (
+        lambda: (shrimp(), ObsConfig(spans=True),
+                 MachineConfig(queue_depth=4)),
+        lambda g: g,
+    ),
+    "metrics": (
+        lambda: Machine(config=MachineConfig(mem_size=1 << 20)),
+        lambda m: m.obs.registry.get("cpu.loads").owner is m.cpu,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_component_graph_round_trips(name):
+    make, probe = ROUND_TRIPS[name]
+    graph = make()
+    assert probe(restore(snapshot(graph))) == probe(graph)

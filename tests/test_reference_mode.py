@@ -11,11 +11,14 @@ machine, backplane and fast send it built is inspected afterwards:
 
 * reference mode: no event is served from a clock's free list, no
   backplane owns a packet pool, no runtime even tries to build a send
-  plan, and no translation-cache hit is counted;
+  plan, no completion poll takes the controller's ``fast_poll`` lane,
+  and no translation-cache hit is counted;
 * default mode: each of those is active wherever the workload reaches
   it.  A lone machine has no NIC to plan sends to and no backplane.
   Chaos worlds trace spans, which keep packets out of the pool and sends
   off the planned path, so there the pool exists but recycles nothing.
+  Only blocking transfers poll for completion, so the traffic engines
+  and chaos worlds never reach ``fast_poll``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 
 from repro import ClusterConfig, Machine, MachineConfig, ShrimpCluster
 from repro.chaos import ChaosWorld, generate_schedule
+from repro.core.controller import UdmaController
 from repro.devices import SinkDevice
 from repro.net.interconnect import Interconnect
 from repro.sharding import ClusterSpec, run_sharded
@@ -35,13 +39,14 @@ from repro.bench.workloads import make_payload
 @pytest.fixture
 def built(monkeypatch):
     """Every machine and backplane constructed, every attempt to build a
-    send plan and every send that took one."""
+    send plan, every send that took one and every fast completion poll."""
     seen = {"machines": [], "interconnects": [], "plan_builds": 0,
-            "fast_sends": 0}
+            "fast_sends": 0, "fast_polls": 0}
     machine_init = Machine.__init__
     interconnect_init = Interconnect.__init__
     build_plan = UdmaUser._build_plan
     fast_send = UdmaUser._fast_send
+    fast_poll = UdmaController.fast_poll
 
     def record_machine(self, *args, **kwargs):
         machine_init(self, *args, **kwargs)
@@ -60,10 +65,15 @@ def built(monkeypatch):
         seen["fast_sends"] += sent
         return sent
 
+    def count_fast_poll(self, paddr):
+        seen["fast_polls"] += 1
+        return fast_poll(self, paddr)
+
     monkeypatch.setattr(Machine, "__init__", record_machine)
     monkeypatch.setattr(Interconnect, "__init__", record_interconnect)
     monkeypatch.setattr(UdmaUser, "_build_plan", count_plan)
     monkeypatch.setattr(UdmaUser, "_fast_send", count_fast_send)
+    monkeypatch.setattr(UdmaController, "fast_poll", count_fast_poll)
     return seen
 
 
@@ -116,13 +126,13 @@ def _chaos(reference: bool) -> None:
 
 
 #: subject -> (runner, does the default mode send on plans, does it
-#: recycle packets -- None: there is no backplane)
+#: recycle packets -- None: there is no backplane, does it poll fast)
 SUBJECTS = {
-    "Machine": (_machine, False, None),
-    "ShrimpCluster": (_cluster, True, True),
-    "run_sharded": (_sharded, True, True),
-    "run_scenario": (_traffic, True, True),
-    "ChaosWorld": (_chaos, False, False),
+    "Machine": (_machine, False, None, True),
+    "ShrimpCluster": (_cluster, True, True, True),
+    "run_sharded": (_sharded, True, True, False),
+    "run_scenario": (_traffic, True, True, False),
+    "ChaosWorld": (_chaos, False, False, False),
 }
 
 
@@ -133,22 +143,24 @@ def _backplanes(seen):
 
 @pytest.mark.parametrize("subject", list(SUBJECTS))
 def test_reference_mode_turns_every_fast_path_off(subject, built):
-    run, _, _ = SUBJECTS[subject]
+    run = SUBJECTS[subject][0]
     run(True)
     assert built["machines"]
     assert all(m.clock.pool_reuses == 0 for m in built["machines"])
     assert all(m.cpu.xlat_hits == 0 for m in built["machines"])
     assert all(ic.packet_pool is None for ic in _backplanes(built))
     assert built["plan_builds"] == built["fast_sends"] == 0
+    assert built["fast_polls"] == 0
 
 
 @pytest.mark.parametrize("subject", list(SUBJECTS))
 def test_default_mode_reaches_every_fast_path(subject, built):
-    run, sends_on_plans, recycles_packets = SUBJECTS[subject]
+    run, sends_on_plans, recycles_packets, polls_fast = SUBJECTS[subject]
     run(False)
     assert any(m.clock.pool_reuses for m in built["machines"])
     assert any(m.cpu.xlat_hits for m in built["machines"])
     assert (built["fast_sends"] > 0) is sends_on_plans
+    assert (built["fast_polls"] > 0) is polls_fast
     backplanes = _backplanes(built)
     if recycles_packets is None:
         assert not backplanes
