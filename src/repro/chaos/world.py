@@ -37,6 +37,7 @@ from repro.devices.sink import SinkDevice
 from repro.errors import ConfigurationError, InvariantViolation, ReproError
 from repro.kernel.process import Process
 from repro.machine import Machine
+from repro.net.packet import Packet
 from repro.obs import ObsConfig
 from repro.params import shrimp
 from repro.userlib.messaging import Receiver, Sender
@@ -107,20 +108,6 @@ class _SkipEviction:
         self.table.generation += 1
 
 
-class _RecordingRoute:
-    """Armed-fault route shadow: remembers (src, dst) for the injector."""
-
-    __slots__ = ("world", "ic")
-
-    def __init__(self, world: "ChaosWorld", ic) -> None:
-        self.world = world
-        self.ic = ic
-
-    def __call__(self, src: int, dst: int, wire) -> None:
-        self.world._route_ctx = (src, dst)
-        type(self.ic).route(self.ic, src, dst, wire)
-
-
 class ChaosWorld:
     """A fresh system under test plus the action interpreter."""
 
@@ -177,8 +164,7 @@ class ChaosWorld:
 
         # fault-injection arming state (cluster only)
         self._armed: Optional[list] = None  # [mode, remaining, salt]
-        self._held: List[Tuple[int, int, bytes]] = []
-        self._route_ctx: Tuple[int, int] = (0, 0)
+        self._held: List[Packet] = []
 
         if self.num_nodes == 1:
             self._build_single()
@@ -621,16 +607,11 @@ class ChaosWorld:
         if self.interconnect is None:
             return "skip"
         self._flush_held()
-        self._disarm()
-        ic = self.interconnect
         self._armed = [mode, 2 if mode == "reorder" else 1, action.size]
-        # Callable class, not a closure: an armed world must pickle (see
-        # the planted-bug note above).
-        ic.route = _RecordingRoute(self, ic)
-        ic.fault_injector = self._inject
+        self.interconnect.fault_injector = self._inject
         return "armed"
 
-    def _inject(self, wire: bytes):
+    def _inject(self, wire: Packet):
         assert self._armed is not None
         mode, remaining, salt = self._armed
         if mode == "drop":
@@ -638,7 +619,7 @@ class ChaosWorld:
             return None
         if mode == "corrupt":
             self._disarm()
-            data = bytearray(wire)
+            data = bytearray(bytes(wire))
             data[salt % len(data)] ^= 0xFF
             return bytes(data)
         if mode == "dup":
@@ -646,37 +627,29 @@ class ChaosWorld:
             return [wire, wire]
         # reorder: hold the first packet, release it after the second.
         if remaining == 2:
-            self._held.append((*self._route_ctx, wire))
+            self._held.append(wire)
             self._armed[1] = 1
             return []
-        src, dst = self._route_ctx
-        hsrc, hdst, hwire = self._held.pop()
+        held = self._held.pop()
         self._disarm()
-        if (hsrc, hdst) == (src, dst):
-            return [wire, hwire]  # swapped arrival order on the same lane
+        if (held.src_node, held.dst_node) == (wire.src_node, wire.dst_node):
+            return [wire, held]  # swapped arrival order on the same lane
         # Different lane: release the held packet on its own lane; it is
         # scheduled first, the current packet right after -- still a
         # deterministic perturbation of arrival order.
-        self.interconnect._route_one(hsrc, hdst, hwire)
+        self.interconnect._route_one(held.src_node, held.dst_node, held)
         return wire
 
     def _disarm(self) -> None:
-        if self.interconnect is None:
-            return
-        self.interconnect.fault_injector = None
-        # Un-shadow rather than re-assign a saved bound method: popping
-        # the instance attribute re-exposes the class's route() and keeps
-        # nothing unpicklable (or self-referential) behind.
-        self.interconnect.__dict__.pop("route", None)
+        if self.interconnect is not None:
+            self.interconnect.fault_injector = None
         self._armed = None
 
     def _flush_held(self) -> None:
         """Deliver any packet a reorder arm is still holding back."""
-        if self.interconnect is None:
-            return
         while self._held:
-            src, dst, wire = self._held.pop(0)
-            self.interconnect._route_one(src, dst, wire)
+            held = self._held.pop(0)
+            self.interconnect._route_one(held.src_node, held.dst_node, held)
 
     # ------------------------------------------------------------ settling
     def settle(self) -> None:

@@ -10,11 +10,12 @@ backplane adds latency, not bandwidth limits.
 Packets are normally carried as :class:`~repro.net.packet.Packet` objects
 -- the zero-copy fast path, where the only per-byte work of a whole wire
 transit is the receive DMA's single copy into destination physical memory.
-When a fault injector is installed it sees the packet's wire bytes; bytes
-it changed, duplicated or held back are decoded -- checksum and all -- at
-the receiver, where real hardware would detect corruption, while bytes it
-hands back untouched let the original packet ride on.  Raw wire bytes
-handed directly to :meth:`Interconnect.route` always take the decode path.
+A fault injector sees the packet itself, not its bytes: a packet it hands
+back untouched rides on unserialised, while whatever it changed,
+duplicated or held back reaches the receiver as wire bytes, decoded --
+checksum and all -- where real hardware would detect corruption.  Raw
+wire bytes handed directly to :meth:`Interconnect.route` always take the
+decode path.
 """
 
 from __future__ import annotations
@@ -69,13 +70,15 @@ class Interconnect:
         self.packets_routed = 0
         self.bytes_routed = 0
         self.packets_dropped = 0
-        #: optional fault injector: wire bytes -> corrupted bytes, ``None``
-        #: (the packet is dropped by the backplane), or a list of wire
-        #: byte strings (each delivered in order -- duplication, and, with
-        #: a stateful injector that holds packets back, reordering; list
-        #: entries may themselves be ``None`` to drop just that copy)
+        #: optional fault injector, called with exactly what ``route`` was
+        #: given (a packet, or raw wire bytes).  It returns that same
+        #: object (the packet rides on), ``None`` (the backplane drops
+        #: it), new wire bytes (corruption), or a list of these (each
+        #: delivered in order -- duplication, and, with a stateful
+        #: injector that holds packets back, reordering; a ``None`` entry
+        #: drops just that copy).  ``bytes(packet)`` is its wire image.
         self.fault_injector: Optional[
-            Callable[[bytes], "bytes | None | list[bytes | None]"]
+            Callable[[Wire], "Wire | None | list[Wire | None]"]
         ] = None
 
     def register(self, node_id: int, port: "ReceiverPort") -> None:
@@ -184,54 +187,49 @@ class Interconnect:
         """Inject a packet (object or wire bytes); delivery after routing delay.
 
         Packet objects ride the backplane as-is -- no serialisation, no
-        copy.  A fault injector sees real wire bytes; when it returns that
-        very (immutable) object the wire is unchanged and the packet rides
-        on, so only changed, copied, duplicated or held bytes are decoded.
-
-        The common case -- a packet, no injector, no spans --
-        is handled in this frame; everything else goes through
-        :meth:`_route_one`, which charges the same counters.
+        copy.  A fault injector sees the same object; when it returns it
+        unchanged the wire is untouched and it rides on here, in this
+        frame, exactly as with no injector.  Drops and anything else the
+        injector produced go through :meth:`_route_one`, which charges
+        the same counters.
         """
         port = self._nics.get(dst_node)
         if port is None:
             raise NetworkError(f"no node {dst_node} on the backplane")
-        if (
-            type(wire) is Packet
-            and self.fault_injector is None
-            and self._spans is None
-        ):
-            delay = self._delay_cache.get((src_node, dst_node))
-            if delay is None:
-                delay = self.route_delay(src_node, dst_node)
-            self.packets_routed += 1
-            self.bytes_routed += Packet.HEADER_BYTES + len(wire.payload)
-            self.clock.schedule(delay, partial(port.deliver, wire))
-            return
-        if self.fault_injector is not None:
-            packet = wire
-            if isinstance(wire, Packet):
-                wire = wire.encode()
-            produced = self.fault_injector(wire)
-            if produced is wire:
-                self._route_one(src_node, dst_node, packet)
+        injector = self.fault_injector
+        if injector is not None:
+            produced = injector(wire)
+            if produced is not wire:
+                # Normalise the output to a list of copies; every copy --
+                # including a dropped one (``None``) -- goes through
+                # ``_route_one``, the single place where drop and routing
+                # counters are charged, so each copy is charged once.
+                pieces = (
+                    produced if isinstance(produced, (list, tuple)) else [produced]
+                )
+                for piece in pieces:
+                    self._route_one(src_node, dst_node, piece, wire)
+                # What rides on is new bytes, decoded span-less at the
+                # receiver: the origin's span ends here (a drop above
+                # already finished it ``dropped``; the first status stands).
+                if self._spans is not None and isinstance(wire, Packet):
+                    self._spans.finish(wire.span, status="rewritten")
                 return
-            # Normalise the injector's output to a list of copies; every
-            # copy -- including a dropped one (``None``) -- goes through
-            # ``_route_one``, the single place where drop and routing
-            # counters are charged.  An injector that duplicates *and*
-            # drops therefore charges each copy exactly once.
-            pieces = (
-                produced if isinstance(produced, (list, tuple)) else [produced]
-            )
-            for piece in pieces:
-                self._route_one(src_node, dst_node, piece, packet)
-            # What rides on is new bytes, decoded span-less at the
-            # receiver: the origin's span ends here (a drop above already
-            # finished it ``dropped``; the first status stands).
-            if self._spans is not None and isinstance(packet, Packet):
-                self._spans.finish(packet.span, status="rewritten")
-            return
-        self._route_one(src_node, dst_node, wire)
+        delay = self._delay_cache.get((src_node, dst_node))
+        if delay is None:
+            delay = self.route_delay(src_node, dst_node)
+        self.packets_routed += 1
+        if type(wire) is Packet:
+            self.bytes_routed += Packet.HEADER_BYTES + len(wire.payload)
+            if self._spans is not None and wire.span is not None:
+                self._spans.event(
+                    wire.span, "route", src=src_node, dst=dst_node, delay=delay
+                )
+        else:
+            self.bytes_routed += len(wire)
+        # partial (not a lambda): delivery events must survive
+        # snapshot/restore, and partials of bound methods pickle cleanly.
+        self.clock.schedule(delay, partial(port.deliver, wire))
 
     def _route_one(
         self,
@@ -240,34 +238,28 @@ class Interconnect:
         wire: Optional[Wire],
         origin: Optional[Wire] = None,
     ) -> None:
-        """Deliver one (possibly injector-produced) packet after routing delay.
+        """Deliver one injector-produced copy of ``origin`` as wire bytes.
 
-        ``None`` means the fault injector dropped this copy of ``origin``:
-        the drop is counted here -- and only here -- so single-drop and
+        ``None`` means the fault injector dropped this copy: the drop is
+        counted here -- and only here -- so single-drop and
         drop-within-a-list injector outputs are charged identically, and
-        ``origin``'s packet span finishes ``dropped``.
+        ``origin``'s packet span finishes ``dropped``.  A packet object
+        (a duplicated, held or released one) is encoded first, so a
+        pooled shell is never delivered -- and recycled -- as a copy.
         """
         if wire is None:
             self.packets_dropped += 1
             if self._spans is not None and isinstance(origin, Packet):
                 self._spans.finish(origin.span, status="dropped")
             return
-        nbytes = wire.wire_bytes if isinstance(wire, Packet) else len(wire)
-        delay = self.route_delay(src_node, dst_node)
+        if isinstance(wire, Packet):
+            wire = wire.encode()
         self.packets_routed += 1
-        self.bytes_routed += nbytes
-        port = self._nics[dst_node]
-        if (
-            self._spans is not None
-            and isinstance(wire, Packet)
-            and wire.span is not None
-        ):
-            self._spans.event(
-                wire.span, "route", src=src_node, dst=dst_node, delay=delay
-            )
-        # partial (not a lambda): delivery events must survive
-        # snapshot/restore, and partials of bound methods pickle cleanly.
-        self.clock.schedule(delay, partial(port.deliver, wire))
+        self.bytes_routed += len(wire)
+        self.clock.schedule(
+            self.route_delay(src_node, dst_node),
+            partial(self._nics[dst_node].deliver, wire),
+        )
 
     @property
     def node_ids(self) -> "list[int]":

@@ -283,7 +283,7 @@ class ShrimpNic(UDMADevice, ReceiverPort):
             # too, re-arming with backoff).
             self.reliability.on_transmit(self, packet)
         # Zero-copy transit: hand the packet object to the backplane; wire
-        # bytes are only materialised if a fault injector must see them.
+        # bytes are only materialised if a fault injector rewrites it.
         self.interconnect.route(self.node_id, packet.dst_node, packet)
 
     def retransmit(self, packet: Packet) -> None:

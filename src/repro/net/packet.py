@@ -10,12 +10,13 @@ the receive side's "Unpacking/Checking" block of Figure 6 has real work to
 do and tests can corrupt packets in flight.
 
 Host-side, serialisation is off the hot path: the backplane carries
-:class:`Packet` objects end-to-end and only materialises wire bytes for a
-fault injector (see :meth:`repro.net.interconnect.Interconnect.route`)
-or a cross-shard handoff.  Only bytes that actually changed on the wire
-are decoded and checked again; an injector that hands back the very bytes
-it was given lets the original packet ride on.  :meth:`Packet.encode`
-builds the wire in one pass: the checksum is additive over little-endian
+:class:`Packet` objects end-to-end, and a fault injector sees the packet
+object too (see :meth:`repro.net.interconnect.Interconnect.route`).  Wire
+bytes are materialised only for what an injector changed, duplicated or
+held back -- or for a cross-shard handoff -- and only those are decoded
+and checked again; a packet the injector hands back rides on
+unserialised.  :meth:`Packet.encode` (also ``bytes(packet)``) builds the
+wire in one pass: the checksum is additive over little-endian
 words and the header is six whole words, so it is the header's words
 summed arithmetically plus one C-level pass over the payload's words.
 
@@ -123,11 +124,11 @@ class Packet:
     kind: str = "data"
     #: trace-only sidecar: the span id this packet belongs to (see
     #: repro.obs).  Deliberately NOT part of the simulated wire format --
-    #: encode/decode ignore it, so wire bytes are unchanged.  A packet
-    #: whose wire bytes a fault injector left alone rides on as the same
-    #: object and keeps its span; one rebuilt from changed bytes (corrupt,
-    #: duplicated, held back) loses it, leaving the span open: exactly
-    #: the signal a drop should produce.
+    #: encode/decode ignore it, so wire bytes are unchanged.  A packet a
+    #: fault injector hands back rides on as the same object and keeps
+    #: its span; one rebuilt from wire bytes (corrupt, duplicated, held
+    #: back) has none, and the backplane finishes the origin's span
+    #: ``rewritten``.
     span: Optional[int] = field(default=None, compare=False, repr=False)
     #: host-side provenance sidecar: True iff this packet shell belongs to
     #: a :class:`~repro.net.pool.PacketPool` and may be recycled after the
@@ -178,6 +179,10 @@ class Packet:
         return b"".join(
             (header, payload, (total & 0xFFFFFFFF).to_bytes(4, "little"))
         )
+
+    #: ``bytes(wire)`` is the wire image, whether ``wire`` is a packet
+    #: object or already bytes (what a corrupting fault injector reads)
+    __bytes__ = encode
 
     @classmethod
     def decode(cls, wire: "bytes | bytearray | memoryview") -> "Packet":

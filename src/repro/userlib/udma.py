@@ -315,11 +315,11 @@ class UdmaUser:
         "If this LOAD instruction returns with the match flag set, then
         the transfer has not completed; otherwise it has."
         """
-        poll_fast = self.cpu.poll_proxy if self._pipelined else None
+        poll_fast = self.cpu.poll_proxy
         for _ in range(self.poll_limit):
-            match: "bool | None" = None
-            if poll_fast is not None:
-                match = poll_fast(src_proxy)
+            # None (no effects) unless a cached translation and a
+            # fast-path-capable controller make the LOAD a pure status read
+            match = poll_fast(src_proxy)
             if match is None:
                 match = self.poll(src_proxy).match
             stats.poll_loads += 1

@@ -29,7 +29,7 @@ class TestCorruption:
         frame = sender.channel.dst_frames[0]
         cluster.node(1).physmem.write(frame * PAGE, b"\xee" * 64)
         cluster.interconnect.fault_injector = (
-            lambda wire: wire[:-1] + bytes([wire[-1] ^ 0xFF])
+            lambda wire: bytes(wire)[:-1] + bytes([bytes(wire)[-1] ^ 0xFF])
         )
         sender.send_bytes(make_payload(64), wait=False)
         cluster.run_until_idle()
@@ -48,7 +48,7 @@ class TestCorruption:
         def corrupt_second(wire):
             seen["count"] += 1
             if seen["count"] == 2:
-                return wire[:-1] + bytes([wire[-1] ^ 1])
+                return bytes(wire)[:-1] + bytes([bytes(wire)[-1] ^ 1])
             return wire
 
         cluster.interconnect.fault_injector = corrupt_second
@@ -67,7 +67,7 @@ class TestCorruption:
         cluster, sender, receiver, buf = lossy_rig
         flag_off = 2 * PAGE
         cluster.interconnect.fault_injector = (
-            lambda wire: wire[:-1] + bytes([wire[-1] ^ 1])
+            lambda wire: bytes(wire)[:-1] + bytes([bytes(wire)[-1] ^ 1])
         )
         sender.send_bytes(b"FLAG", channel_offset=flag_off, wait=False)
         cluster.run_until_idle()
@@ -81,7 +81,7 @@ class TestCorruption:
         oblivious (the paper's NIC has no end-to-end acking)."""
         cluster, sender, receiver, buf = lossy_rig
         cluster.interconnect.fault_injector = (
-            lambda wire: wire[:-1] + bytes([wire[-1] ^ 1])
+            lambda wire: bytes(wire)[:-1] + bytes([bytes(wire)[-1] ^ 1])
         )
         stats = sender.send_bytes(make_payload(128))  # wait=True still returns
         assert stats.pieces == 1

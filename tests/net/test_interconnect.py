@@ -67,12 +67,22 @@ class TestRouting:
         assert interconnect.bytes_routed == len(wire)
 
     def test_fault_injector_sees_wire_bytes(self, net):
+        """The injector is handed the routed packet itself; ``bytes(wire)``
+        is its wire image, and the bytes it returns are what is delivered."""
         clock, interconnect, ports = net
-        interconnect.fault_injector = lambda wire: wire[:-1] + b"\x00"
-        original = Packet(0, 1, 0, b"payload").encode()
-        interconnect.route(0, 1, original)
+        seen = []
+
+        def corrupt(wire):
+            seen.append(wire)
+            return bytes(wire)[:-1] + b"\x00"
+
+        interconnect.fault_injector = corrupt
+        packet = Packet(0, 1, 0, b"payload")
+        interconnect.route(0, 1, packet)
         clock.run_until_idle()
-        assert ports[1].delivered[0] != original
+        assert len(seen) == 1 and seen[0] is packet
+        assert bytes(seen[0]) == packet.encode()
+        assert ports[1].delivered == [packet.encode()[:-1] + b"\x00"]
 
     def test_node_ids(self, net):
         _, interconnect, _ = net
@@ -169,7 +179,7 @@ class TestUntouchedWire:
         packet = Packet(0, 1, 0x100, b"payload", seq=4, span=17)
         interconnect.route(0, 1, packet)
         clock.run_until_idle()
-        assert seen == [packet.encode()]  # the injector saw real bytes
+        assert [bytes(w) for w in seen] == [packet.encode()]  # real bytes
         assert landed == [packet] and landed[0] is packet
         assert landed[0].span == 17
         assert decodes == []
@@ -181,7 +191,7 @@ class TestUntouchedWire:
         """Equal but not identical bytes are not the injector's own
         object; they take the decode path, as any changed wire does."""
         clock, interconnect, nic, landed, decodes = rig
-        interconnect.fault_injector = lambda wire: bytes(bytearray(wire))
+        interconnect.fault_injector = lambda wire: bytes(wire)
         packet = Packet(0, 1, 0x100, b"payload", span=17)
         interconnect.route(0, 1, packet)
         clock.run_until_idle()
@@ -192,7 +202,7 @@ class TestUntouchedWire:
     def test_corrupted_bytes_decode_and_fail_checking(self, rig):
         clock, interconnect, nic, landed, decodes = rig
         interconnect.fault_injector = (
-            lambda wire: wire[:-1] + bytes([wire[-1] ^ 0xFF])
+            lambda wire: bytes(wire)[:-1] + bytes([bytes(wire)[-1] ^ 0xFF])
         )
         interconnect.route(0, 1, Packet(0, 1, 0x100, b"payload"))
         clock.run_until_idle()
@@ -238,6 +248,140 @@ class TestUntouchedWire:
         clock.run_until_idle()
         assert decodes == [wire]
         assert landed == [Packet(0, 1, 0x100, b"payload")]
+
+
+class TestInjectorSerialisesOnlyWhatItRewrites:
+    """The injector contract's host cost, counted rather than timed: a
+    packet the injector hands back or drops is never encoded (nor
+    checksummed); each rewritten piece is encoded exactly once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import repro.net.packet as packet_module
+
+        counts = {"encode": 0, "checksum": 0}
+        encode, checksum = Packet.encode, packet_module._checksum
+
+        def counted_encode(packet):
+            counts["encode"] += 1
+            return encode(packet)
+
+        def counted_checksum(data):
+            counts["checksum"] += 1
+            return checksum(data)
+
+        monkeypatch.setattr(Packet, "encode", counted_encode)
+        monkeypatch.setattr(Packet, "__bytes__", counted_encode)
+        monkeypatch.setattr(packet_module, "_checksum", counted_checksum)
+        return counts
+
+    @staticmethod
+    def _send(cluster, messages):
+        from repro import Receiver, Sender
+
+        rx = cluster.node(1).create_process("rx")
+        buf = cluster.node(1).kernel.syscalls.alloc(rx, 4096)
+        channel = cluster.create_channel(0, 1, rx, buf, 4096)
+        sender = Sender(cluster, cluster.node(0).create_process("tx"), channel)
+        for i in range(messages):
+            sender.send_bytes(bytes([0x40 + i]) * 64, wait=False)
+            cluster.run_until_idle()
+        return Receiver(cluster, rx, channel).recv_bytes(64)
+
+    def test_drop_every_nth_never_encodes(self, counts):
+        from repro import ShrimpCluster
+
+        cluster = ShrimpCluster(config=ClusterConfig(
+            num_nodes=2, mem_size=1 << 21, reliability=True))
+        routed = {"n": 0}
+
+        def drop_every_third(wire):
+            routed["n"] += 1
+            return None if routed["n"] % 3 == 0 else wire
+
+        cluster.interconnect.fault_injector = drop_every_third
+        assert self._send(cluster, 12) == bytes([0x40 + 11]) * 64
+        assert cluster.interconnect.packets_dropped > 0
+        assert cluster.reliability.retransmits > 0
+        assert cluster.reliability.messages_delivered == 12
+        assert counts == {"encode": 0, "checksum": 0}
+
+    def test_each_rewritten_piece_encodes_once(self, counts):
+        from repro import ShrimpCluster
+
+        cluster = ShrimpCluster(config=ClusterConfig(
+            num_nodes=2, mem_size=1 << 21, reliability=True))
+        routed = {"n": 0, "pieces": 0}
+
+        def mixed(wire):
+            routed["n"] += 1
+            step = routed["n"] % 4
+            if step == 1:
+                routed["pieces"] += 2
+                return [wire, wire]
+            if step == 2:
+                routed["pieces"] += 1
+                data = bytearray(bytes(wire))
+                data[-1] ^= 1
+                return bytes(data)
+            return None if step == 3 else wire
+
+        cluster.interconnect.fault_injector = mixed
+        assert self._send(cluster, 8) == bytes([0x40 + 7]) * 64
+        assert cluster.reliability.messages_delivered == 8
+        assert routed["pieces"] > 0
+        assert counts["encode"] == routed["pieces"]
+
+    def test_duplicated_pooled_packet_is_delivered_as_two_decoded_copies(self):
+        from repro import ShrimpCluster
+
+        cluster = ShrimpCluster(config=ClusterConfig(num_nodes=2, mem_size=1 << 21))
+        pool, nic = cluster.interconnect.packet_pool, cluster.nic(1)
+        assert pool is not None and cluster.reliability is None
+        self._send(cluster, 1)  # control: the delivered shell is recycled
+        assert (nic.packets_received, pool.releases) == (1, 1)
+        cluster.interconnect.fault_injector = lambda wire: [wire, wire]
+        assert self._send(cluster, 1) == bytes([0x40]) * 64
+        assert nic.packets_received == 3
+        assert pool.releases == 1
+
+    def test_every_route_names_the_packets_own_lane(self, monkeypatch):
+        """Data, retransmitted, snooped and ACK packets are all routed
+        with ``(src, dst) == (packet.src_node, packet.dst_node)``, so an
+        injector may read a packet's lane from its header."""
+        from repro import ShrimpCluster
+
+        lanes = []
+        route = Interconnect.route
+
+        def recording(self, src, dst, wire):
+            lanes.append((src, dst, wire.src_node, wire.dst_node, wire.kind))
+            route(self, src, dst, wire)
+
+        monkeypatch.setattr(Interconnect, "route", recording)
+        cluster = ShrimpCluster(config=ClusterConfig(
+            num_nodes=2, mem_size=1 << 21, reliability=True))
+        routed = {"n": 0}
+
+        def drop_first(wire):
+            routed["n"] += 1
+            return None if routed["n"] == 1 else wire
+
+        cluster.interconnect.fault_injector = drop_first
+        self._send(cluster, 2)
+        src = cluster.node(0).create_process("writer")
+        dst = cluster.node(1).create_process("mirror")
+        src_buf = cluster.node(0).kernel.syscalls.alloc(src, 4096)
+        dst_buf = cluster.node(1).kernel.syscalls.alloc(dst, 4096)
+        cluster.bind_automatic_update(0, src, src_buf, 1, dst, dst_buf, 4096)
+        cluster.node(0).kernel.scheduler.switch_to(src)
+        cluster.node(0).cpu.store(src_buf, 0xFEED)
+        cluster.run_until_idle()
+        assert cluster.reliability.retransmits == 1
+        kinds = [kind for *_, kind in lanes]
+        assert kinds.count("data") == 2 + 1 + 1  # sends, retry, snoop
+        assert kinds.count("ack") > 0
+        assert all((s, d) == (ps, pd) for s, d, ps, pd, _ in lanes)
 
 
 class TestMesh2dTopology:

@@ -94,7 +94,9 @@ class TestChecking:
 
 class TestReceiveErrors:
     def test_corrupted_packet_dropped(self, rig):
-        rig.interconnect.fault_injector = lambda w: w[:-1] + bytes([w[-1] ^ 1])
+        rig.interconnect.fault_injector = (
+            lambda w: bytes(w)[:-1] + bytes([bytes(w)[-1] ^ 1])
+        )
         rig.nics[0].nipt.set_entry(0, 1, 0)
         rig.nics[0].dma_write(0, b"will be corrupted")
         rig.clock.run_until_idle()

@@ -128,7 +128,7 @@ class TestLossRecovery:
             # ACKs are header-only packets; the first one dies.
             from repro.net.packet import Packet
 
-            if Packet.decode(wire).is_ack and state["routed"] == 0:
+            if Packet.decode(bytes(wire)).is_ack and state["routed"] == 0:
                 state["routed"] += 1
                 return None
             return wire

@@ -291,7 +291,7 @@ class TestEveryPacketSpanFinishes:
 
     @pytest.mark.parametrize(
         "injector",
-        [lambda w: w[:-1] + bytes([w[-1] ^ 1]), lambda w: [w, w]],
+        [lambda w: bytes(w)[:-1] + bytes([bytes(w)[-1] ^ 1]), lambda w: [w, w]],
         ids=["corrupt", "duplicate"],
     )
     def test_rewritten_wire_finishes_the_packet_span(self, injector):

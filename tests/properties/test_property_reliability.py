@@ -42,14 +42,11 @@ class PlanInjector:
 
     def __init__(self, plan):
         self.plan = list(plan)
-        self.held = {}  # (src, dst) -> held wire bytes
+        self.held = {}  # (src, dst) -> held packet
 
     @staticmethod
     def _key(wire):
-        from repro.net.packet import Packet
-
-        packet = Packet.decode(wire)
-        return (packet.src_node, packet.dst_node)
+        return (wire.src_node, wire.dst_node)
 
     def __call__(self, wire):
         key = self._key(wire)
