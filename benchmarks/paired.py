@@ -4,6 +4,7 @@
 Usage::
 
     python benchmarks/paired.py A_DIR B_DIR WORKLOAD [--pairs N] [--scale S] [--seed K]
+        [--metric msgs_per_s|setup_s]
 
 ``A_DIR`` and ``B_DIR`` are repository checkouts (each with ``src/`` and
 ``e2ebench/workloads.py``).  One persistent worker process per checkout
@@ -13,11 +14,15 @@ pair, so slow drifts of host speed hit both sides alike.  Every pair
 asserts that A and B simulated identically (equal ``sim``), so a speedup
 is only ever reported for bit-identical simulations.
 
-Prints one line per pair (A and B msgs/s, the B/A ratio), then each
-side's median and quartiles of msgs/s, the median ratio and how many
-pairs B won.  Exit status: 0 done, 1 the simulations differed, 2 bad
-arguments.  Point both sides at the same checkout for an A/A control:
-its median ratio shows the harness's own noise floor.
+Prints one line per pair (A and B readings, the B/A ratio), then each
+side's median and quartiles, the median ratio and how many pairs B won.
+``--metric`` picks the reading: ``msgs_per_s`` (the default; higher
+wins) is the timed window's host rate, ``setup_s`` (lower wins) is the
+world's construction plus its pre-window seconds, exactly what
+``e2ebench/run.py`` reports under that name.  Exit status: 0 done, 1
+the simulations differed, 2 bad arguments.  Point both sides at the
+same checkout for an A/A control: its median ratio shows the harness's
+own noise floor.
 """
 
 from __future__ import annotations
@@ -42,17 +47,22 @@ def worker_main(checkout: str) -> int:
     sys.path.insert(0, str(root / "e2ebench"))
     sys.path.insert(0, str(root / "src"))
     import gc
+    from time import perf_counter
+
     from workloads import WORKLOADS
 
     for line in sys.stdin:
         request = json.loads(line)
         cls = WORKLOADS[request["workload"]]
         gc.collect()
+        t0 = perf_counter()
         world = cls(request["seed"], request["scale"])
-        _pre, window = world.run()
+        built = perf_counter() - t0
+        pre, window = world.run()
         outcome = world.outcome()
         reply = {
-            "rate": outcome.messages / window,
+            "msgs_per_s": outcome.messages / window,
+            "setup_s": built + pre,
             "sim": outcome.sim,
             "failed": outcome.failed,
         }
@@ -88,12 +98,19 @@ class Worker:
         self.proc.wait(timeout=60)
 
 
-def _quartiles(values: list) -> str:
+#: metric -> (unit, print format, True if higher is better)
+METRICS = {
+    "msgs_per_s": ("msgs/s", "{:10.1f}", True),
+    "setup_s": ("s", "{:10.5f}", False),
+}
+
+
+def _quartiles(values: list, fmt: str) -> str:
     """First and third quartile, or the lone value of a one-pair run."""
     if len(values) < 2:
-        return f"{values[0]:.1f}"
+        return fmt.format(values[0]).strip()
     q1, _median, q3 = statistics.quantiles(values, n=4)
-    return f"{q1:.1f} .. {q3:.1f}"
+    return f"{fmt.format(q1).strip()} .. {fmt.format(q3).strip()}"
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -104,6 +121,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--metric", choices=sorted(METRICS), default="msgs_per_s")
     args = p.parse_args(argv)
     for checkout in (args.a_dir, args.b_dir):
         if not (checkout / "e2ebench" / "workloads.py").is_file():
@@ -119,13 +137,14 @@ def main(argv=None) -> int:
     if argv[:1] == ["--worker"]:
         return worker_main(argv[1])
     args = parse_args(argv)
+    unit, fmt, higher_wins = METRICS[args.metric]
     workers = {"A": Worker(args.a_dir), "B": Worker(args.b_dir)}
     try:
         # One untimed window per side settles imports and the host.
         for worker in workers.values():
             worker.window(args.workload, args.seed, args.scale)
         ratios = []
-        rates = {"A": [], "B": []}
+        readings = {"A": [], "B": []}
         for k in range(args.pairs):
             order = ("A", "B") if k % 2 == 0 else ("B", "A")
             got = {
@@ -140,20 +159,20 @@ def main(argv=None) -> int:
                 print(f"pair {k}: failed messages A={got['A']['failed']} "
                       f"B={got['B']['failed']}")
                 return 1
-            for side in rates:
-                rates[side].append(got[side]["rate"])
-            ratio = got["B"]["rate"] / got["A"]["rate"]
-            ratios.append(ratio)
-            print(f"pair {k:2d} ({order[0]} first): A {got['A']['rate']:10.1f}  "
-                  f"B {got['B']['rate']:10.1f} msgs/s  B/A {ratio:.3f}", flush=True)
+            a, b = got["A"][args.metric], got["B"][args.metric]
+            readings["A"].append(a)
+            readings["B"].append(b)
+            ratios.append(b / a)
+            print(f"pair {k:2d} ({order[0]} first): A {fmt.format(a)}  "
+                  f"B {fmt.format(b)} {unit}  B/A {b / a:.3f}", flush=True)
     finally:
         for worker in workers.values():
             worker.close()
-    for side, values in rates.items():
-        print(f"{side}: median {statistics.median(values):.1f} msgs/s "
-              f"[{_quartiles(values)}]")
-    wins = sum(r > 1.0 for r in ratios)
-    print(f"{args.workload} seed {args.seed} scale {args.scale}: "
+    for side, values in readings.items():
+        median = fmt.format(statistics.median(values)).strip()
+        print(f"{side}: median {median} {unit} [{_quartiles(values, fmt)}]")
+    wins = sum((r > 1.0) if higher_wins else (r < 1.0) for r in ratios)
+    print(f"{args.workload} seed {args.seed} scale {args.scale} {args.metric}: "
           f"median B/A {statistics.median(ratios):.3f}, "
           f"B won {wins}/{len(ratios)} pairs")
     return 0

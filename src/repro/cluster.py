@@ -33,9 +33,22 @@ from repro.net.interconnect import Interconnect
 from repro.net.nic import ShrimpNic
 from repro.net.pool import PacketPool
 from repro.net.reliable import ReliabilityConfig, ReliabilityPlane
-from repro.obs import Observability, unflatten
+from repro.obs import MetricTable, Observability, unflatten
 from repro.params import shrimp
 from repro.sim.clock import Clock
+
+
+#: each NIC's sampled metrics, under ``node{i}.nic.`` (see
+#: :meth:`ShrimpCluster._bind_metrics`)
+NIC_METRICS = MetricTable([
+    ("packets_sent", "counter", "nic", "packets_sent"),
+    ("packets_received", "counter", "nic", "packets_received"),
+    ("bytes_sent", "counter", "nic", "bytes_sent"),
+    ("bytes_received", "counter", "nic", "bytes_received"),
+    ("rx_errors", "counter", "nic", "rx_errors"),
+    ("out_fifo_high_water", "gauge", "nic", "outgoing.high_water"),
+    ("in_fifo_high_water", "gauge", "nic", "incoming.high_water"),
+])
 
 
 @dataclass(frozen=True)
@@ -313,14 +326,7 @@ class ShrimpCluster:
             reg.counter("net.messages_sent", plane, "messages_sent")
             reg.counter("net.messages_delivered", plane, "messages_delivered")
         for i, nic in enumerate(self.nics):
-            p = f"node{i}.nic."
-            reg.counter(p + "packets_sent", nic, "packets_sent")
-            reg.counter(p + "packets_received", nic, "packets_received")
-            reg.counter(p + "bytes_sent", nic, "bytes_sent")
-            reg.counter(p + "bytes_received", nic, "bytes_received")
-            reg.counter(p + "rx_errors", nic, "rx_errors")
-            reg.gauge(p + "out_fifo_high_water", nic, "outgoing.high_water")
-            reg.gauge(p + "in_fifo_high_water", nic, "incoming.high_water")
+            reg.bind(f"node{i}.nic.", NIC_METRICS, nic=nic)
 
     def metrics(self) -> dict:
         """Whole-multicomputer counters: per node plus the backplane.

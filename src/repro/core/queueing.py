@@ -392,8 +392,10 @@ class QueuedUdmaController(UdmaController):
         self._in_flight = None
         if finished is not None:
             self._note_pages(finished, -1)
-            if self._latency_hist is not None:
-                self._latency_hist.observe(self.clock.now - finished.accepted_at)
+            samples = self._latency_samples
+            if samples is not None:
+                cycles = self.clock.now - finished.accepted_at
+                samples[cycles] = samples.get(cycles, 0) + 1
             if self._spans is not None and finished.span is not None:
                 self._spans.finish(finished.span, status="complete")
         self._maybe_launch()

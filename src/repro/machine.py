@@ -39,11 +39,72 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.mem.layout import DeviceWindow, Layout
 from repro.mem.physmem import PhysicalMemory
-from repro.obs import Observability, unflatten
+from repro.obs import MetricTable, Observability, unflatten
 from repro.params import shrimp
 from repro.protection import ProtectionBackend, make_backend
 from repro.sim.clock import Clock
 from repro.vm.mmu import MMU
+
+
+#: A node's sampled metrics, one table per component group (see
+#: :meth:`Machine._bind_metrics`).  Names are stable API -- see
+#: ``tests/obs/test_metric_names_golden.py``.
+NODE_METRICS = MetricTable([
+    ("cpu.instructions", "counter", "cpu", "instructions"),
+    ("cpu.loads", "counter", "cpu", "loads"),
+    ("cpu.stores", "counter", "cpu", "stores"),
+    ("cpu.charged_cycles", "counter", "cpu", "charged_cycles"),
+    ("cpu.xlat_hits", "counter", "cpu", "xlat_hits"),
+    ("cpu.xlat_misses", "counter", "cpu", "xlat_misses"),
+    ("cpu.xlat_fills", "counter", "cpu", "xlat_fills"),
+    ("tlb.hits", "counter", "tlb", "hits"),
+    ("tlb.misses", "counter", "tlb", "misses"),
+    ("tlb.hit_rate", "gauge", "tlb", "hit_rate"),
+    ("tlb.flushes", "counter", "tlb", "flushes"),
+    ("vm.faults", "counter", "vm", "faults_handled"),
+    ("vm.proxy_faults", "counter", "vm", "proxy_faults"),
+    ("vm.pages_in", "counter", "vm", "pages_in"),
+    ("vm.pages_out", "counter", "vm", "pages_out"),
+    ("vm.cleans", "counter", "vm", "cleans"),
+    ("vm.cleans_deferred", "counter", "vm", "cleans_deferred"),
+    ("vm.evictions_redirected", "counter", "vm", "evictions_redirected"),
+    ("scheduler.switches", "counter", "scheduler", "switches"),
+    ("scheduler.invals_fired", "counter", "scheduler", "invals_fired"),
+    ("syscalls.dma_calls", "counter", "syscalls", "dma_calls"),
+    ("syscalls.pages_pinned", "counter", "syscalls", "pages_pinned"),
+    ("syscalls.bytes_copied", "counter", "syscalls", "bytes_copied"),
+    ("udma.engine_transfers", "counter", "machine",
+     "udma_engine.transfers_completed"),
+    ("udma.engine_bytes", "counter", "machine", "udma_engine.bytes_transferred"),
+    ("sim.now_cycles", "gauge", "machine", "clock.now"),
+    ("sim.events_fired", "counter", "machine", "clock.events_fired"),
+])
+#: the basic device's state machine
+UDMA_METRICS = MetricTable([
+    ("udma.initiations", "counter", "sm", "initiations"),
+    ("udma.completions", "counter", "sm", "completions"),
+    ("udma.bad_loads", "counter", "sm", "bad_loads"),
+    ("udma.invals", "counter", "sm", "invals"),
+])
+#: the queued device (``queue_depth > 0``)
+QUEUED_UDMA_METRICS = MetricTable([
+    ("udma.accepted", "counter", "udma", "accepted"),
+    ("udma.refused", "counter", "udma", "refused"),
+    ("udma.backlog", "gauge", "udma", "backlog_requests"),
+])
+#: the virtual-address receive tier; its names exist only when it does
+IOMMU_METRICS = MetricTable([
+    ("iommu.translations", "counter", "iommu", "translations"),
+    ("iommu.iotlb_hits", "counter", "iommu", "iotlb.hits"),
+    ("iommu.iotlb_misses", "counter", "iommu", "iotlb.misses"),
+    ("iommu.delivered_direct", "counter", "iommu", "delivered_direct"),
+    ("iommu.delivered_replayed", "counter", "iommu", "delivered_replayed"),
+    ("iommu.faults_parked", "counter", "iommu", "faults_parked"),
+    ("iommu.faults_reparked", "counter", "iommu", "faults_reparked"),
+    ("iommu.aborted", "counter", "iommu", "aborted"),
+    ("iommu.parked_now", "gauge", "iommu", "parked_count"),
+    ("iommu.windows", "gauge", "iommu", "table.windows"),
+])
 
 
 class Machine:
@@ -286,84 +347,36 @@ class Machine:
 
     # ------------------------------------------------------- observability
     def _bind_metrics(self) -> None:
-        """Register this node's stable metric names over its live counters.
+        """Bind this node's stable metric names over its live counters.
 
-        Bindings are *sampled*: each counter/gauge reads the component's
+        Bindings are *sampled* table rows: each reads the component's
         bare integer attribute only when a snapshot is taken, so the hot
         paths stay untouched.  The one recording instrument is the
-        per-transfer latency histogram, handed to the UDMA controller
-        (guarded there with ``if hist is not None``).  Names are stable
-        API -- see ``tests/obs/test_metric_names_golden.py``.
+        per-transfer latency histogram, whose sample dict the UDMA
+        controller counts into (guarded there with ``if samples is not
+        None``).
         """
         if self._metrics_bound:
             return
         self._metrics_bound = True
         reg = self.obs.registry
         p = self._obs_prefix
-        cpu, tlb = self.cpu, self.mmu.tlb
-        vm = self.kernel.vm
-        sched = self.kernel.scheduler
-        sys = self.kernel.syscalls
-
-        reg.counter(p + "cpu.instructions", cpu, "instructions")
-        reg.counter(p + "cpu.loads", cpu, "loads")
-        reg.counter(p + "cpu.stores", cpu, "stores")
-        reg.counter(p + "cpu.charged_cycles", cpu, "charged_cycles")
-        reg.counter(p + "cpu.xlat_hits", cpu, "xlat_hits")
-        reg.counter(p + "cpu.xlat_misses", cpu, "xlat_misses")
-        reg.counter(p + "cpu.xlat_fills", cpu, "xlat_fills")
-        reg.counter(p + "tlb.hits", tlb, "hits")
-        reg.counter(p + "tlb.misses", tlb, "misses")
-        reg.gauge(p + "tlb.hit_rate", tlb, "hit_rate")
-        reg.counter(p + "tlb.flushes", tlb, "flushes")
-        reg.counter(p + "vm.faults", vm, "faults_handled")
-        reg.counter(p + "vm.proxy_faults", vm, "proxy_faults")
-        reg.counter(p + "vm.pages_in", vm, "pages_in")
-        reg.counter(p + "vm.pages_out", vm, "pages_out")
-        reg.counter(p + "vm.cleans", vm, "cleans")
-        reg.counter(p + "vm.cleans_deferred", vm, "cleans_deferred")
-        reg.counter(p + "vm.evictions_redirected", vm, "evictions_redirected")
-        reg.counter(p + "scheduler.switches", sched, "switches")
-        reg.counter(p + "scheduler.invals_fired", sched, "invals_fired")
-        reg.counter(p + "syscalls.dma_calls", sys, "dma_calls")
-        reg.counter(p + "syscalls.pages_pinned", sys, "pages_pinned")
-        reg.counter(p + "syscalls.bytes_copied", sys, "bytes_copied")
-        reg.counter(
-            p + "udma.engine_transfers", self, "udma_engine.transfers_completed"
+        kernel = self.kernel
+        reg.bind(
+            p, NODE_METRICS, cpu=self.cpu, tlb=self.mmu.tlb, vm=kernel.vm,
+            scheduler=kernel.scheduler, syscalls=kernel.syscalls, machine=self,
         )
-        reg.counter(p + "udma.engine_bytes", self, "udma_engine.bytes_transferred")
         udma = self.udma
         if isinstance(udma, QueuedUdmaController):
-            reg.counter(p + "udma.accepted", udma, "accepted")
-            reg.counter(p + "udma.refused", udma, "refused")
-            reg.gauge(p + "udma.backlog", udma, "backlog_requests")
+            reg.bind(p, QUEUED_UDMA_METRICS, udma=udma)
         else:
-            sm = udma.sm
-            reg.counter(p + "udma.initiations", sm, "initiations")
-            reg.counter(p + "udma.completions", sm, "completions")
-            reg.counter(p + "udma.bad_loads", sm, "bad_loads")
-            reg.counter(p + "udma.invals", sm, "invals")
+            reg.bind(p, UDMA_METRICS, sm=udma.sm)
         if self.iommu is not None:
-            # IOMMU names exist only when the tier does: default machines
-            # keep the historical metric name set bit-identical
-            # (golden-file gated).
-            io = self.iommu
-            reg.counter(p + "iommu.translations", io, "translations")
-            reg.counter(p + "iommu.iotlb_hits", io, "iotlb.hits")
-            reg.counter(p + "iommu.iotlb_misses", io, "iotlb.misses")
-            reg.counter(p + "iommu.delivered_direct", io, "delivered_direct")
-            reg.counter(p + "iommu.delivered_replayed", io, "delivered_replayed")
-            reg.counter(p + "iommu.faults_parked", io, "faults_parked")
-            reg.counter(p + "iommu.faults_reparked", io, "faults_reparked")
-            reg.counter(p + "iommu.aborted", io, "aborted")
-            reg.gauge(p + "iommu.parked_now", io, "parked_count")
-            reg.gauge(p + "iommu.windows", io, "table.windows")
-        reg.gauge(p + "sim.now_cycles", self, "clock.now")
-        reg.counter(p + "sim.events_fired", self, "clock.events_fired")
-        self.udma._latency_hist = reg.histogram(
+            reg.bind(p, IOMMU_METRICS, iommu=self.iommu)
+        udma._latency_samples = reg.histogram(
             p + "udma.transfer_cycles",
             help="initiation-to-completion latency per UDMA transfer",
-        )
+        ).samples
 
     def metrics(self) -> dict:
         """This node's counters, grouped by subsystem.

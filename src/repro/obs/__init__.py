@@ -36,6 +36,7 @@ from repro.obs.registry import (
     Histogram,
     Metric,
     MetricsRegistry,
+    MetricTable,
     unflatten,
 )
 from repro.obs.spans import Span, SpanEvent, SpanTracker
@@ -46,6 +47,7 @@ __all__ = [
     "Histogram",
     "Metric",
     "MetricsRegistry",
+    "MetricTable",
     "ObsConfig",
     "Observability",
     "Span",

@@ -298,7 +298,12 @@ class Shard:
         self.remote_bound: Optional[Callable[[int, int, int], float]] = None
 
         lookaheads = spec.lookaheads()
+        links = spec.links()
         local = set(shard_spec.nodes)
+        in_links: Dict[int, List[Tuple[int, int]]] = {}
+        for src, dst in links:
+            if dst in local:
+                in_links.setdefault(dst, []).append((src, lookaheads[(src, dst)]))
         for node_id in self.order:
             machine, nic = build_node(
                 self.config, node_id, ShardClock(reference=spec.reference),
@@ -308,18 +313,14 @@ class Shard:
                 spec, node_id, machine, nic,
                 canonical_frames=shard_spec.rx_frames or None,
             )
-            rt.in_links = [
-                (s, lookaheads[(s, d)])
-                for (s, d) in spec.links()
-                if d == node_id
-            ]
+            rt.in_links = in_links.get(node_id, [])
             rt.self_fed = any(s == node_id for s, _ in rt.in_links)
             self.runtimes[node_id] = rt
             if audit:
                 self._checkers[node_id] = InvariantChecker(machine.kernel)
         self._cross_out = [
             (s, d, lookaheads[(s, d)])
-            for (s, d) in spec.links()
+            for (s, d) in links
             if s in local and d not in local
         ]
         self._bind_metrics()

@@ -1,9 +1,12 @@
 """Capture, restore and fork whole simulated systems.
 
 Each operation is one step over the object graph: pickle it, unpickle
-it, or deep-copy it.  Every piece of simulated state -- sampled metric
-bindings included, which hold their component and an attribute path --
-pickles with its owner, so nothing needs re-attaching afterwards.
+it, or deep-copy it.  Every piece of simulated state pickles with its
+owner, so nothing needs re-attaching afterwards.  That includes the
+metrics registry: its bindings hold their component (each entry is the
+component and a shared, immutable table row naming an attribute path),
+and the UDMA controller holds its latency histogram's own sample dict,
+which a copy keeps shared with the copied histogram.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from bisect import bisect_left
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, MetricTable
 from repro.obs.registry import DEFAULT_BUCKETS, unflatten
 
 
@@ -166,6 +166,94 @@ class TestRegistry:
         assert list(reg.snapshot()) == ["a.one", "b.three", "b.two"]
         assert reg.snapshot("b.") == {"b.three": 3, "b.two": 2}
         assert reg.names("a.") == ["a.one"]
+
+
+BOX_TABLE = MetricTable([
+    ("box.hits", "counter", "box", "hits"),
+    ("box.depth", "gauge", "box", "inner.depth"),
+    ("other.hits", "counter", "other", "hits"),
+])
+
+
+class TestTables:
+    @pytest.mark.parametrize("bad", ["", "Box.hits", "box..hits", "box hits"])
+    def test_bad_suffix_refused_when_the_table_is_built(self, bad):
+        with pytest.raises(ConfigurationError):
+            MetricTable([(bad, "counter", "box", "hits")])
+
+    def test_repeated_suffix_and_unknown_kind_refused(self):
+        with pytest.raises(ConfigurationError):
+            MetricTable([("a", "counter", "box", "hits"),
+                         ("a", "gauge", "box", "hits")])
+        with pytest.raises(ConfigurationError):
+            MetricTable([("a", "histogram", "box", "hits")])
+
+    @pytest.mark.parametrize("bad", ["node0", "Node0.", "node0..", ".node0."])
+    def test_bad_prefix_refused(self, bad):
+        with pytest.raises(ConfigurationError):
+            MetricsRegistry().bind(bad, BOX_TABLE, box=_Box(), other=_Box())
+
+    def test_missing_owner_refused(self):
+        with pytest.raises(ConfigurationError):
+            MetricsRegistry().bind("", BOX_TABLE, box=_Box())
+
+    def test_duplicate_across_table_and_one_off_refused(self):
+        reg = MetricsRegistry()
+        reg.counter("n1.box.hits", _Box(), "hits")
+        with pytest.raises(ConfigurationError, match="n1.box.hits"):
+            reg.bind("n1.", BOX_TABLE, box=_Box(), other=_Box())
+        assert reg.names() == ["n1.box.hits"]  # nothing half-bound
+
+        reg = MetricsRegistry()
+        reg.bind("n1.", BOX_TABLE, box=_Box(), other=_Box())
+        for one_off in (
+            lambda: reg.gauge("n1.box.depth", _Box(), "hits"),
+            lambda: reg.histogram("n1.other.hits"),
+        ):
+            with pytest.raises(ConfigurationError):
+                one_off()
+        with pytest.raises(ConfigurationError):
+            reg.bind("n1.", BOX_TABLE, box=_Box(), other=_Box())
+        reg.bind("n2.", BOX_TABLE, box=_Box(), other=_Box())
+        assert len(reg) == 6
+
+    def test_get_is_a_view_over_the_live_component(self):
+        reg = MetricsRegistry()
+        box, other = _Box(), _Box()
+        reg.bind("n0.", BOX_TABLE, box=box, other=other)
+        hits, depth = reg.get("n0.box.hits"), reg.get("n0.box.depth")
+        assert type(hits) is Counter and type(depth) is Gauge
+        assert hits.name == "n0.box.hits" and hits.kind == "counter"
+        assert hits.owner is box and depth.owner is box
+        assert reg.get("n0.other.hits").owner is other
+        box.hits, box.inner.depth = 5, 8
+        assert hits.value() == 5 and depth.value() == 8
+        assert reg.snapshot("n0.box.") == {"n0.box.depth": 8, "n0.box.hits": 5}
+        assert "n0.box.hits" in reg and "n1.box.hits" not in reg
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda graph: pickle.loads(pickle.dumps(graph)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_copy_samples_the_copys_components(self, duplicate):
+        reg = MetricsRegistry()
+        box, other = _Box(), _Box()
+        box.hits = 2
+        reg.bind("", BOX_TABLE, box=box, other=other)
+        hist = reg.histogram("lat")
+        hist.observe(7)
+
+        twin, twin_box, twin_other = duplicate((reg, box, other))
+        assert twin.get("box.hits").owner is twin_box
+        assert twin.get("other.hits").owner is twin_other
+        assert twin.snapshot() == reg.snapshot()
+        twin_box.hits, twin_box.inner.depth = 40, 41
+        twin.get("lat").observe(9)
+        assert twin.snapshot()["box.hits"] == 40
+        assert twin.snapshot()["box.depth"] == 41
+        assert twin.snapshot()["lat"]["count"] == 2
+        assert reg.snapshot()["box.hits"] == 2
+        assert reg.snapshot()["box.depth"] == 3
+        assert reg.snapshot()["lat"]["count"] == 1
 
 
 class TestUnflatten:

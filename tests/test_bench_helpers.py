@@ -10,7 +10,34 @@ from repro.bench.workloads import (
 )
 
 
+def _reference_payload(nbytes, seed=1):
+    """The per-word LCG loop ``make_payload`` reproduces: the oracle."""
+    state = seed & 0xFFFFFFFF or 1
+    out = bytearray()
+    while len(out) < nbytes:
+        state = (state * 1103515245 + 12345) & 0xFFFFFFFF
+        out += state.to_bytes(4, "little")
+    return bytes(out[:nbytes])
+
+
+#: every size to 64, then to 8,200 by 4s and odd tails, then 1 MiB
+PAYLOAD_SIZES = (
+    list(range(65))
+    + list(range(68, 8201, 4))
+    + list(range(69, 8201, 4))
+    + list(range(71, 8201, 4))
+    + [1 << 20]
+)
+
+
 class TestWorkloads:
+    @pytest.mark.parametrize("seed", [0, 1, 251, 2**32 + 5, -3])
+    def test_payload_matches_the_per_word_loop(self, seed):
+        # The loop's output for n bytes is the first n of its longest run.
+        stream = _reference_payload(max(PAYLOAD_SIZES), seed)
+        for n in PAYLOAD_SIZES:
+            assert make_payload(n, seed=seed) == stream[:n], n
+
     def test_payload_is_deterministic(self):
         assert make_payload(128, seed=3) == make_payload(128, seed=3)
 

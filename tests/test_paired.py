@@ -24,6 +24,19 @@ def test_a_a_pairs_agree_and_report_ratio():
     assert lines[-1].endswith("/3 pairs")
 
 
+def test_setup_metric_reads_seconds_and_lower_wins():
+    proc = _run(ROOT, ROOT, "incast_64x1", "--pairs", "2", "--scale", "0.002",
+                "--metric", "setup_s")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    readings = [float(line.split()[k]) for line in lines[:2] for k in (5, 7)]
+    assert all(0 < r < 60 for r in readings)
+    assert " s  B/A " in lines[0]
+    assert "incast_64x1 seed 0 scale 0.002 setup_s: median B/A" in lines[-1]
+    wins = sum(float(line.split()[-1]) < 1.0 for line in lines[:2])
+    assert lines[-1].endswith(f"B won {wins}/2 pairs")
+
+
 def test_sharded_workload_runs_paired():
     proc = _run(ROOT, ROOT, "ring_64x2shard", "--pairs", "1", "--scale", "0.02")
     assert proc.returncode == 0, proc.stdout + proc.stderr
