@@ -11,7 +11,10 @@ A function counts as reached if any consumer entered it, whatever that
 consumer's exit code.  Each code is printed as the consumer finishes, and
 the script exits 1 if any consumer exited with another code than it
 should: 0, or 1 for a ci.yml ``must_fail`` row (a planted bug the chaos
-twin has to catch).  Not part of any gate.
+twin has to catch).  A consumer that replaces the profiler (its own
+``cProfile.Profile().enable()`` or ``sys.setprofile``) would hide
+everything it runs afterwards, so it fails instead: ``FAILED: profiler
+displaced`` and exit status :data:`DISPLACED`.  Not part of any gate.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+
+#: exit status of a consumer that displaced the profiler (EX_SOFTWARE):
+#: distinct from 0 and from a ``must_fail`` row's 1, so it always fails
+DISPLACED = 70
 
 
 def consumers():
@@ -82,7 +89,8 @@ def sections():
 
 def record(out: str, argv: list) -> int:
     """Run ``python *argv`` under cProfile, write the code keys it entered
-    and return the exit status ``python *argv`` would have had."""
+    and return the exit status ``python *argv`` would have had, or
+    :data:`DISPLACED` if the profiler was no longer installed at the end."""
     prof = cProfile.Profile()
 
     def dump(path):
@@ -96,6 +104,9 @@ def record(out: str, argv: list) -> int:
         None, dump, args=(f"{out}.{os.getpid()}",), exitpriority=0))
     sys.argv = argv[1:] if argv[0] == "-m" else argv
     prof.enable()
+    # Where the interpreter shows cProfile through sys.getprofile() (before
+    # 3.12), it must still be ours at the end of the run.
+    watched = sys.getprofile() is prof
     code = 0
     try:
         if argv[0] == "-m":
@@ -105,7 +116,11 @@ def record(out: str, argv: list) -> int:
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else int(e.code is not None)
     finally:
+        displaced = watched and sys.getprofile() is not prof
         dump(out)
+    if displaced:
+        print(f"FAILED: profiler displaced in {' '.join(argv)}", file=sys.stderr)
+        return DISPLACED
     return code
 
 

@@ -373,7 +373,7 @@ TWINS: Dict[str, Twin] = {
         Twin(
             "fast-paths", "schedule",
             "default / reference=True (no translation cache, bulk I/O, "
-            "event free list or send plans): failure, audit log, "
+            "packet pool or send plans): failure, audit log, "
             "counters, memory",
             lambda s: [Variant("fast"), Variant("reference", {"reference": True})],
             _exact,

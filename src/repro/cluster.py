@@ -246,7 +246,7 @@ class ShrimpCluster:
         self.config = config
         num_nodes = config.num_nodes
         self.costs = config.costs if config.costs is not None else shrimp()
-        self.clock = Clock(reference=config.reference)
+        self.clock = Clock()
         # One shared observability plane: every node registers its metrics
         # under a node{i}. namespace and all spans land on one tracker, so
         # a transfer's causality survives crossing the backplane.
@@ -423,9 +423,9 @@ class ShrimpCluster:
         propagated, word by word, to the fixed remote page -- no
         initiation sequence at all, but one packet per store.
 
-        Both sides' pages are made resident and pinned for the lifetime of
-        the binding (the mapping is fixed by definition).  Returns a
-        :class:`Channel` describing the destination side.
+        Both sides' pages are made resident and pinned for good: the
+        mapping is fixed by definition, and a binding is never torn down.
+        Returns a :class:`Channel` describing the destination side.
         """
         if src_node == dst_node:
             raise ConfigurationError("loopback bindings are not supported")
@@ -450,20 +450,6 @@ class ShrimpCluster:
             node.kernel.frames.pin(frame)  # the fixed mapping must hold
             nic.bind_automatic(frame, channel.nipt_base + i)
         return channel
-
-    def unbind_automatic_update(
-        self, src_node: int, src_process: Process, src_vaddr: int, npages: int
-    ) -> None:
-        """Tear down an automatic-update binding (unpins the source pages)."""
-        node = self.nodes[src_node]
-        nic = self.nics[src_node]
-        base_vpage = src_vaddr // self.costs.page_size
-        for i in range(npages):
-            frame = node.kernel.vm.resident_frame(src_process, base_vpage + i)
-            if frame is not None:
-                nic.unbind_automatic(frame)
-                if node.kernel.frames.is_pinned(frame):
-                    node.kernel.frames.unpin(frame)
 
     def release_channel(self, channel: Channel) -> None:
         """Tear down a deliberate-update channel (the tenant-churn path).

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.kernel.remap_guard import GuardStrategy
 from repro.kernel.vm_manager import I3_WRITE_PROTECT
 from repro.mem.layout import ProxyScheme
 from repro.params import CostModel
@@ -93,7 +92,6 @@ class MachineConfig:
     queue_depth: int = 0
     replacement_policy: str = "clock"
     i3_strategy: str = I3_WRITE_PROTECT
-    guard_strategy: GuardStrategy = GuardStrategy.REGISTERS
     bounce_frames: int = 8
     dma_burst_bytes: int = 0
     swap: str = "dict"
@@ -136,9 +134,9 @@ class ClusterConfig:
     mesh_width: int = 0
     dma_burst_bytes: int = 0
     #: reference mode: no host fast path at all -- no translation cache,
-    #: no page-run bulk I/O, no event free list, no packet pool, no
-    #: send-plan pipelining.  Simulated results are bit-identical either
-    #: way; the chaos ``fast-paths`` and ``shards`` twins diff the two.
+    #: no page-run bulk I/O, no packet pool, no send-plan pipelining.
+    #: Simulated results are bit-identical either way; the chaos
+    #: ``fast-paths`` and ``shards`` twins diff the two.
     reference: bool = False
     obs: object = None
     reliability: object = None

@@ -65,9 +65,6 @@ class UdmaController:
         # backend is bit-identical to the pre-backend controller.
         self.backend = backend if backend is not None else ProxyBackend()
         self.backend.attach(self)
-        # Live grants, kept so a backend switch can replay them into the
-        # new backend's tables: (asid, device name, writable).
-        self._grants: Set["tuple[int, str, bool]"] = set()
         self.sm = UdmaStateMachine(
             page_size=layout.page_size,
             remaining_in_flight=self._remaining_in_flight,
@@ -125,40 +122,12 @@ class UdmaController:
             raise ConfigurationError(f"no device {name!r} attached to {self.name}") from None
 
     # -------------------------------------------------- protection backend
-    def set_backend(self, backend: ProtectionBackend) -> ProtectionBackend:
-        """Swap the protection backend on a live controller.
-
-        The new backend inherits the controller's world: devices are
-        re-announced (rebuilding capability tables from live NIPT state)
-        and outstanding grants are replayed.  The host-side decode and
-        window caches are flushed — they were populated under the old
-        backend, and cache keys are only operand bits (see ISSUE 8
-        satellite), so a stale entry must not survive the switch.
-        """
-        backend.attach(self)
-        for device in self._devices.values():
-            backend.device_attached(device)
-        for asid, device_name, writable in sorted(self._grants):
-            backend.note_grant(asid, device_name, writable)
-        self.backend = backend
-        self._operand_cache.clear()
-        self._window_cache.clear()
-        self._endpoints.clear()
-        self._inval_operand = None
-        return backend
-
     def note_grant(self, asid: int, device_name: str, writable: bool) -> None:
         """Kernel hook: a device-proxy window was granted to ``asid``."""
-        self._grants.add((asid, device_name, writable))
         self.backend.note_grant(asid, device_name, writable)
 
     def note_revoke(self, asid: int, device_name: str) -> None:
         """Kernel hook: a device-proxy grant was torn down."""
-        self._grants = {
-            grant
-            for grant in self._grants
-            if not (grant[0] == asid and grant[1] == device_name)
-        }
         self.backend.note_revoke(asid, device_name)
 
     # ---------------------------------------------------------- bus access

@@ -19,10 +19,13 @@ Design decisions the paper leaves open, resolved here:
   equals the referenced proxy address, so "wait for the completion of the
   last transfer" works by repeating the last initiating LOAD.
 
-Both of the paper's I4 strategies are provided: a per-page reference
-counter (:meth:`QueuedUdmaController.page_reference_count`) and an
-associative queue query (:meth:`QueuedUdmaController.query_page`); the
-remap guard may use either.
+For I4 the paper offers a per-page reference counter or an associative
+query of the queue.  Both answer the same question, so one route serves:
+every request counts its pages from enqueue to completion
+(:meth:`QueuedUdmaController.page_reference_count`), and
+:meth:`QueuedUdmaController.memory_pages_in_registers` -- the pages with
+a non-zero count plus the latched destination -- is what the remap guard
+reads.
 
 Two priorities are implemented ("implementing just two queues, with the
 higher priority queue reserved for the system, would certainly be
@@ -209,17 +212,6 @@ class QueuedUdmaController(UdmaController):
         The paper's "readable reference-count register for each page".
         """
         return self._page_refs.get(page, 0)
-
-    def query_page(self, page: int) -> bool:
-        """Associative query: is the page involved in any pending transfer?
-
-        The paper's alternative I4 strategy -- "the hardware can support an
-        associative query that searches the hardware queue for a page".
-        """
-        for request in self._all_pending():
-            if page in self._request_pages(request):
-                return True
-        return False
 
     def memory_pages_in_registers(self) -> Set[int]:
         """All pages pinned-by-presence: queue + engine + latch."""

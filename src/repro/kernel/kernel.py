@@ -14,8 +14,8 @@ from repro.core.controller import UdmaController
 from repro.cpu.cpu import CPU
 from repro.dma.traditional import TraditionalDmaController
 from repro.errors import ConfigurationError
-from repro.kernel.process import Process, ProcessState
-from repro.kernel.remap_guard import GuardStrategy, RemapGuard
+from repro.kernel.process import Process
+from repro.kernel.remap_guard import RemapGuard
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.syscalls import GrantPolicy, SyscallInterface, allow_all
 from repro.kernel.vm_manager import I3_WRITE_PROTECT, VmManager
@@ -43,7 +43,6 @@ class Kernel:
         tdma: Optional[TraditionalDmaController] = None,
         replacement_policy: str = "clock",
         i3_strategy: str = I3_WRITE_PROTECT,
-        guard_strategy: GuardStrategy = GuardStrategy.REGISTERS,
         grant_policy: GrantPolicy = allow_all,
         bounce_frames: int = 8,
     ) -> None:
@@ -61,7 +60,7 @@ class Kernel:
             )
         self.frames = FrameAllocator(physmem.num_frames, reserved=bounce_frames)
         self.backing = BackingStore(layout.page_size)
-        self.remap_guard = RemapGuard(clock, costs, controllers, guard_strategy)
+        self.remap_guard = RemapGuard(clock, costs, controllers)
         self.vm = VmManager(
             clock=clock,
             costs=costs,
@@ -100,14 +99,6 @@ class Kernel:
             self.scheduler.switch_to(process)
         return process
 
-    def exit_process(self, process: Process) -> None:
-        """Terminate a process and reclaim its resources."""
-        self.scheduler.remove(process)
-        self.vm.destroy(process)
-        self.mmu.tlb.flush_asid(process.asid)
-        self.processes.pop(process.pid, None)
-        process.state = ProcessState.DEAD
-
     @property
     def current(self) -> Optional[Process]:
         """The running process."""
@@ -119,9 +110,3 @@ class Kernel:
         if process is None:
             return False
         return self.vm.handle_fault(process, vaddr, access, reason)
-
-    # ----------------------------------------------------------- controllers
-    def attach_controller(self, controller: UdmaController) -> None:
-        """Register a late-attached UDMA controller with guard and scheduler."""
-        self.remap_guard.attach(controller)
-        self.scheduler.attach_controller(controller)

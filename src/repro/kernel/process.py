@@ -21,7 +21,6 @@ class ProcessState(enum.Enum):
     READY = "ready"
     RUNNING = "running"
     BLOCKED = "blocked"
-    DEAD = "dead"
 
 
 class Process:

@@ -3,8 +3,12 @@
 "To maintain I4, the kernel must check before remapping a page to make
 sure that that page's address is not in the hardware's SOURCE or
 DESTINATION registers.  (The kernel reads the two registers to perform the
-check.)" (section 6).  For the queued device of section 7, the check uses
-either the per-page reference counters or the associative queue query.
+check.)" (section 6).  For the queued device of section 7 the paper offers
+per-page reference counters or an associative query of the queue: both
+give the same answer, and
+:meth:`~repro.core.queueing.QueuedUdmaController.memory_pages_in_registers`
+gives it from the counters plus the initiation latch, so one check covers
+both devices.
 
 This replaces pinning: "Although this scheme has the same effect as page
 pinning, it is much faster.  Pinning requires changing the page table on
@@ -14,24 +18,11 @@ case."  The PIN bench quantifies exactly that trade.
 
 from __future__ import annotations
 
-import enum
 from typing import List, Set
 
 from repro.core.controller import UdmaController
-from repro.core.queueing import QueuedUdmaController
 from repro.params import CostModel
 from repro.sim.clock import Clock
-
-
-class GuardStrategy(enum.Enum):
-    """How the kernel asks the hardware about a page."""
-
-    #: read the SOURCE/DESTINATION registers (basic device)
-    REGISTERS = "registers"
-    #: read the per-page reference-count register (queued device, option 1)
-    REFCOUNT = "refcount"
-    #: issue the associative queue query (queued device, option 2)
-    QUERY = "query"
 
 
 class RemapGuard:
@@ -42,17 +33,11 @@ class RemapGuard:
         clock: Clock,
         costs: CostModel,
         controllers: List[UdmaController],
-        strategy: GuardStrategy = GuardStrategy.REGISTERS,
     ) -> None:
         self.clock = clock
         self.costs = costs
         self.controllers = list(controllers)
-        self.strategy = strategy
         self.checks = 0
-
-    def attach(self, controller: UdmaController) -> None:
-        """Track one more controller."""
-        self.controllers.append(controller)
 
     # -------------------------------------------------------------- checks
     def pages_in_use(self) -> Set[int]:
@@ -72,24 +57,6 @@ class RemapGuard:
         """
         self.checks += 1
         self.clock.advance(self.costs.remap_check_cycles)
-        if self.strategy is GuardStrategy.REGISTERS:
-            return any(
-                page in c.memory_pages_in_registers() for c in self.controllers
-            )
-        for controller in self.controllers:
-            if isinstance(controller, QueuedUdmaController):
-                if self.strategy is GuardStrategy.REFCOUNT:
-                    if controller.page_reference_count(page) > 0:
-                        return True
-                    # The latch is not covered by the counters; fall back.
-                    if page in controller.memory_pages_in_registers():
-                        return True
-                else:  # QUERY
-                    if controller.query_page(page):
-                        return True
-                    if page in controller.memory_pages_in_registers():
-                        return True
-            else:
-                if page in controller.memory_pages_in_registers():
-                    return True
-        return False
+        return any(
+            page in c.memory_pages_in_registers() for c in self.controllers
+        )

@@ -50,14 +50,6 @@ class Scheduler:
         process.state = ProcessState.READY
         self.ready.append(process)
 
-    def remove(self, process: Process) -> None:
-        """Remove a process (exit)."""
-        if process in self.ready:
-            self.ready.remove(process)
-        if self.current is process:
-            self.current = None
-        process.state = ProcessState.DEAD
-
     # ------------------------------------------------------------ dispatch
     def switch_to(self, process: Process) -> None:
         """Context-switch to ``process`` (must be admitted)."""
@@ -93,7 +85,3 @@ class Scheduler:
             return self.current
         self.switch_to(self.ready[0])
         return self.current
-
-    def attach_controller(self, controller: UdmaController) -> None:
-        """Register an additional UDMA controller for the I1 hook."""
-        self.udma_controllers.append(controller)

@@ -116,13 +116,6 @@ class DiskBackingStore:
     def has(self, asid: int, vpage: int) -> bool:
         return (asid, vpage) in self._slots
 
-    def discard(self, asid: int, vpage: int) -> None:
-        self._slots.pop((asid, vpage), None)
-
-    def discard_asid(self, asid: int) -> None:
-        for key in [k for k in self._slots if k[0] == asid]:
-            del self._slots[key]
-
     def __len__(self) -> int:
         return len(self._slots)
 

@@ -107,21 +107,6 @@ class VmManager(SnapshotMixin):
         """Track a process's address space."""
         self._processes[process.asid] = process
 
-    def destroy(self, process: Process) -> None:
-        """Tear down an address space, freeing frames and swap."""
-        for vpage, pte in list(process.page_table.entries()):
-            if pte.present and self.layout.region_of(pte.pfn * self.page_size) is Region.MEMORY:
-                frame = pte.pfn
-                self._frame_meta.pop(frame, None)
-                if self.frames.is_allocated(frame):
-                    if self.frames.is_pinned(frame):
-                        self.frames.unpin(frame)
-                    self.frames.free(frame)
-            process.page_table.unmap(vpage)
-            self.mmu.tlb.invalidate(process.asid, vpage)
-        self.backing.discard_asid(process.asid)
-        self._processes.pop(process.asid, None)
-
     # -------------------------------------------------------------- faults
     def handle_fault(self, process: Process, vaddr: int, access: str, reason: str) -> bool:
         """The kernel page-fault handler; True = repaired, retry the access."""

@@ -124,7 +124,7 @@ class Machine:
         config: a :class:`~repro.config.MachineConfig`; ``None`` builds
             the defaults.
         clock: share an existing clock (a cluster's); ``None`` builds a
-            private one configured from ``config.reference``.
+            private one.
         name: node name (namespaces metrics and span sources).
     """
 
@@ -144,10 +144,7 @@ class Machine:
         self.config = config
         self.costs = config.costs if config.costs is not None else shrimp()
         self.name = name
-        # A shared (cluster) clock arrives configured by its owner.
-        self.clock = (
-            clock if clock is not None else Clock(reference=config.reference)
-        )
+        self.clock = clock if clock is not None else Clock()
         obs = config.obs
         if isinstance(obs, Observability):
             # Shared plane (a cluster's): namespace this node's metrics.
@@ -218,7 +215,6 @@ class Machine:
             tdma=self.tdma,
             replacement_policy=config.replacement_policy,
             i3_strategy=config.i3_strategy,
-            guard_strategy=config.guard_strategy,
             bounce_frames=config.bounce_frames,
         )
         #: the virtual-address RDMA tier (:mod:`repro.iommu`); built only
@@ -328,21 +324,9 @@ class Machine:
             device.enable_reliability(self.reliability)
         return window
 
-    def set_protection(
-        self, protection: "str | ProtectionBackend"
-    ) -> ProtectionBackend:
-        """Switch the UDMA protection backend on the live machine.
-
-        Accepts the same spec strings as ``MachineConfig(protection=...)``
-        (see :func:`repro.protection.make_backend`).  Devices and
-        outstanding grants are replayed into the new backend and the
-        host-side decode caches are flushed.
-        """
-        return self.udma.set_backend(make_backend(protection))
-
     @property
     def protection(self) -> ProtectionBackend:
-        """The active UDMA protection backend."""
+        """The UDMA protection backend, fixed by ``MachineConfig(protection=)``."""
         return self.udma.backend
 
     # ------------------------------------------------------- observability

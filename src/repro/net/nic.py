@@ -479,17 +479,6 @@ class ShrimpNic(UDMADevice, ReceiverPort):
         if self._cpu is not None:
             self._cpu.store_snoop = self.snoop_store
 
-    def unbind_automatic(self, local_page: int) -> None:
-        """Remove an automatic-update binding (the last removes the snooper)."""
-        self._automatic.pop(local_page, None)
-        cpu = self._cpu
-        if (
-            not self._automatic
-            and cpu is not None
-            and cpu.store_snoop == self.snoop_store
-        ):
-            cpu.store_snoop = None
-
     def snoop_store(self, paddr: int, data: bytes) -> None:
         """Bus snooper: forward a store to a bound page (word granularity)."""
         index = self._automatic.get(paddr // self.page_size)

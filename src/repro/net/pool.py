@@ -3,8 +3,8 @@
 The per-message hot path used to allocate one :class:`Packet` and
 several :class:`~repro.sim.clock.Event` objects per message; at millions
 of messages per run the allocator and the garbage collector showed up in
-host time.  The event free list lives in the clock itself
-(:mod:`repro.sim.clock`); this module recycles packet shells.  A payload
+host time.  This module recycles packet shells; events are not pooled
+(measured to earn nothing end to end, docs/PERFORMANCE.md).  A payload
 is an ordinary ``bytes`` snapshot: recycling payload buffers as well cost
 more in bookkeeping than it saved in allocation (docs/PERFORMANCE.md).
 

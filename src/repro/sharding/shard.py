@@ -248,7 +248,7 @@ def probe_canonical_frames(spec: ClusterSpec) -> Tuple[int, ...]:
     scratch = Interconnect(Clock(), config.costs, topology="linear")
     obs = Observability(ObsConfig(metrics=False))
     machine, nic = build_node(
-        config, 0, ShardClock(reference=spec.reference), scratch, obs
+        config, 0, ShardClock(), scratch, obs
     )
     setup_node(spec, 0, machine, nic)
     # Re-derive the frames from the NIPT install (entry k names frame k).
@@ -306,7 +306,7 @@ class Shard:
                 in_links.setdefault(dst, []).append((src, lookaheads[(src, dst)]))
         for node_id in self.order:
             machine, nic = build_node(
-                self.config, node_id, ShardClock(reference=spec.reference),
+                self.config, node_id, ShardClock(),
                 self.interconnect, self.obs,
             )
             rt = setup_node(

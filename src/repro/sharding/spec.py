@@ -57,9 +57,9 @@ class ClusterSpec:
         channel_pages: channel/buffer length in pages.
         nipt_entries: sender NIPT size (sized to the channel).
         reference: run every node without host fast paths (no
-            translation cache, bulk I/O, event free list, packet pool or
-            send plans).  Exact: the simulation is bit-identical either
-            way, which the chaos ``shards`` twin verifies.
+            translation cache, bulk I/O, packet pool or send plans).
+            Exact: the simulation is bit-identical either way, which the
+            chaos ``shards`` twin verifies.
         iommu: run every node with the virtual-address RDMA tier
             (:mod:`repro.iommu`): NIPT entries name (asid, virtual page)
             on the receiver, receive buffers start *cold* (allocated but

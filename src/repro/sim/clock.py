@@ -22,17 +22,9 @@ tombstones outnumber live events.  :meth:`Clock.run`,
 :meth:`Clock.run_until_idle` and :meth:`Clock.advance` share one inlined
 fire loop.
 
-**Event free list** (on by default, off in reference mode,
-``Clock(reference=True)``): fired events are recycled instead of freed, so a
-steady-state workload schedules without allocating, which is cheaper
-per event than building new ones (docs/PERFORMANCE.md, "Per-message hot
-path").  Only *fired* events
-are recycled; cancelled tombstones are dropped (a stale ``cancel()``
-through a retained reference must never kill a pool successor).  The
-contract for holders of an :class:`Event` reference: once the event has
-fired the reference is dead and ``cancel()`` must not be called through
-it (the existing callers -- DMA completion, retransmit timers -- already
-null or replace their references before that point).
+Each :meth:`Clock.schedule` builds a new :class:`Event`, so a handle is
+never shared: ``cancel()`` through the handle of an event that already
+fired is a no-op, whatever was scheduled since.
 """
 
 from __future__ import annotations
@@ -48,11 +40,6 @@ from repro.snapshot.protocol import SnapshotMixin
 #: Compaction fires when ``len(queue) > 2 * live + COMPACT_SLACK``: the
 #: slack keeps tiny queues from compacting on every cancel.
 COMPACT_SLACK = 64
-
-#: Upper bound on the per-clock event free list.  Steady-state messaging
-#: needs a handful of in-flight events per channel; the cap only matters
-#: after a transient burst and bounds worst-case retained memory.
-EVENT_FREE_LIST_CAP = 4096
 
 
 class Event:
@@ -92,18 +79,17 @@ class Clock(SnapshotMixin):
 
     The clock never runs backwards.  Events scheduled for a time that has
     already passed fire on the next :meth:`advance` / :meth:`run` call.
-
-    ``reference=True`` turns the event free list off.  The free list is
-    an exact optimisation -- fire order, fire times and every counter are
-    bit-identical either way, which the chaos ``shards`` twin checks
-    (its reference variant runs with the free list off).
     """
 
     #: set on ShardClock: heap entries carry an ordering key,
     #: ``(time, key, seq, event)``, and :meth:`schedule` uses the empty key
     _keyed = False
 
-    def __init__(self, reference: bool = False) -> None:
+    #: events reused instead of built: always 0, every schedule builds a
+    #: new Event (kept because e2ebench's ``sim.event_reuse_ratio`` reads it)
+    pool_reuses = 0
+
+    def __init__(self) -> None:
         #: the current time in cycles; a plain attribute (read on every
         #: packet and charge), written only by this module
         self.now = 0
@@ -117,10 +103,6 @@ class Clock(SnapshotMixin):
         #: chaos harness's continuous invariant auditor); None keeps the
         #: hot path a single attribute check
         self.audit_hook: Optional[Callable[[], None]] = None
-        self.reference = reference
-        #: events served from the free list (pool effectiveness metric)
-        self.pool_reuses = 0
-        self._free: List[Event] = []
 
     # ---------------------------------------------------------- snapshotting
     def __getstate__(self) -> dict:
@@ -151,13 +133,7 @@ class Clock(SnapshotMixin):
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event {delay} cycles in the past")
-        free = self._free
-        if free:
-            event = free.pop()
-            event.callback = callback
-            self.pool_reuses += 1
-        else:
-            event = Event(callback, self)
+        event = Event(callback, self)
         if self._keyed:
             entry: tuple = (self.now + delay, (), next(self._seq), event)
         else:
@@ -236,7 +212,6 @@ class Clock(SnapshotMixin):
         heap head every turn, and compaction rebuilds the list in place.
         """
         queue = self._queue
-        free = None if self.reference else self._free
         fired = 0
         while queue:
             entry = queue[0]
@@ -259,8 +234,6 @@ class Clock(SnapshotMixin):
             hook = self.audit_hook
             if hook is not None:
                 hook()
-            if free is not None and len(free) < EVENT_FREE_LIST_CAP:
-                free.append(event)
         return fired
 
     def _on_cancel(self) -> None:
@@ -334,13 +307,7 @@ class ShardClock(Clock):
         clock has already charged past the wire arrival cycle; it still
         sorts (and fires) at its true arrival time.
         """
-        free = self._free
-        if free:
-            event = free.pop()
-            event.callback = callback
-            self.pool_reuses += 1
-        else:
-            event = Event(callback, self)
+        event = Event(callback, self)
         heappush(self._queue, (time, key, next(self._seq), event))
         self._live += 1
         return event

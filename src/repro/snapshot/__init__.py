@@ -23,7 +23,7 @@ Three operations:
   serialise round trip.
 
 What is captured: every byte of simulated state -- the clock and its
-event queue (including the pooled event free list),
+event queue,
 physical memory, page tables with their translation caches, the TLB,
 paging state, the NIPT and the active protection backend, NIC FIFOs and
 in-flight packets, reliable-transport channels and armed retransmit

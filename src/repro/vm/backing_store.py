@@ -57,16 +57,3 @@ class BackingStore:
         so observing a run never perturbs it.
         """
         return self._pages.get((asid, vpage))
-
-    def discard(self, asid: int, vpage: int) -> None:
-        """Drop the swap copy (process exit / unmap)."""
-        self._pages.pop((asid, vpage), None)
-
-    def discard_asid(self, asid: int) -> None:
-        """Drop every page of one address space."""
-        stale = [key for key in self._pages if key[0] == asid]
-        for key in stale:
-            del self._pages[key]
-
-    def __len__(self) -> int:
-        return len(self._pages)

@@ -156,13 +156,6 @@ class TestI4Strategies:
         rig.clock.run_until_idle()
         assert rig.udma.page_reference_count(3) == 0
 
-    def test_associative_query(self, rig):
-        rig.initiate(rig.window.base, rig.layout.proxy(5 * PAGE), PAGE)
-        assert rig.udma.query_page(5)
-        assert not rig.udma.query_page(6)
-        rig.clock.run_until_idle()
-        assert not rig.udma.query_page(5)
-
     def test_memory_pages_in_registers_includes_queue(self, rig):
         rig.initiate(rig.window.base, rig.layout.proxy(1 * PAGE), PAGE)
         rig.initiate(rig.window.base + PAGE, rig.layout.proxy(2 * PAGE), PAGE)

@@ -67,17 +67,6 @@ class TestAutomaticUpdate:
         frame = src.page_table.get(vpage).pfn
         assert cluster.node(0).kernel.frames.is_pinned(frame)
 
-    def test_unbind_stops_propagation_and_unpins(self, bound_pair):
-        cluster, src, dst, src_buf, dst_buf, channel = bound_pair
-        cluster.node(0).kernel.scheduler.switch_to(src)
-        frame = src.page_table.get(src_buf // PAGE).pfn
-        cluster.unbind_automatic_update(0, src, src_buf, 2)
-        sent_before = cluster.nic(0).packets_sent
-        cluster.node(0).cpu.store(src_buf, 0x9999)
-        cluster.run_until_idle()
-        assert cluster.nic(0).packets_sent == sent_before
-        assert not cluster.node(0).kernel.frames.is_pinned(frame)
-
     def test_unaligned_source_rejected(self):
         cluster = ShrimpCluster(
                       config=ClusterConfig(num_nodes=2, mem_size=1 << 20),

@@ -57,11 +57,6 @@ class TestSchedulerEdges:
         p = machine.create_process("only")
         assert machine.kernel.scheduler.yield_next() is p
 
-    def test_remove_current_leaves_cpu_idle(self, machine):
-        p = machine.create_process("p")
-        machine.kernel.scheduler.remove(p)
-        assert machine.kernel.scheduler.current is None
-
     def test_yield_with_no_processes(self, machine):
         assert machine.kernel.scheduler.yield_next() is None
 

@@ -5,7 +5,6 @@ import pytest
 from repro import Machine
 from repro.devices import SinkDevice
 from repro.errors import ProtectionFault
-from repro.kernel.process import ProcessState
 
 PAGE = 4096
 
@@ -19,31 +18,6 @@ class TestProcessLifecycle:
     def test_first_process_becomes_current(self, machine):
         a = machine.create_process("a")
         assert machine.kernel.current is a
-
-    def test_exit_releases_everything(self, machine):
-        a = machine.create_process("a")
-        b = machine.create_process("b")
-        vaddr = machine.kernel.syscalls.alloc(a, 4 * PAGE)
-        machine.kernel.scheduler.switch_to(a)
-        for i in range(4):
-            machine.cpu.store(vaddr + i * PAGE, 1)
-        free = machine.kernel.frames.available
-        machine.kernel.exit_process(a)
-        assert machine.kernel.frames.available == free + 4
-        assert a.state is ProcessState.DEAD
-        assert a.pid not in machine.kernel.processes
-
-    def test_exit_of_current_clears_cpu_context(self, machine):
-        a = machine.create_process("a")
-        machine.kernel.exit_process(a)
-        assert machine.kernel.current is None
-
-    def test_dead_process_asid_flushed_from_tlb(self, machine):
-        a = machine.create_process("a")
-        vaddr = machine.kernel.syscalls.alloc(a, PAGE)
-        machine.cpu.store(vaddr, 1)  # fills the TLB
-        machine.kernel.exit_process(a)
-        assert machine.mmu.tlb.lookup(a.asid, vaddr // PAGE) is None
 
 
 class TestFaultDispatch:
@@ -62,19 +36,3 @@ class TestFaultDispatch:
         machine.cpu.store(va, 1)
         assert a.faults_served >= 1
         assert b.faults_served == 0
-
-
-class TestLateControllerAttach:
-    def test_attach_controller_registers_everywhere(self, machine):
-        from repro.core.controller import UdmaController
-        from repro.dma.engine import DmaEngine
-
-        engine = DmaEngine(machine.clock, machine.costs, name="extra-engine")
-        extra = UdmaController(
-            machine.layout, machine.physmem, engine, machine.clock, name="extra"
-        )
-        before_sched = len(machine.kernel.scheduler.udma_controllers)
-        before_guard = len(machine.kernel.remap_guard.controllers)
-        machine.kernel.attach_controller(extra)
-        assert len(machine.kernel.scheduler.udma_controllers) == before_sched + 1
-        assert len(machine.kernel.remap_guard.controllers) == before_guard + 1

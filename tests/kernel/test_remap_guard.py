@@ -1,20 +1,16 @@
 """Tests for the I4 remap guard."""
 
-import pytest
-
 from repro import Machine, MachineConfig
 from repro.devices import SinkDevice
-from repro.kernel.remap_guard import GuardStrategy
 
 PAGE = 4096
 
 
-def build(queue_depth=0, strategy=GuardStrategy.REGISTERS):
+def build(queue_depth=0):
     machine = Machine(
                   config=MachineConfig(
                       mem_size=32 * PAGE,
                       queue_depth=queue_depth,
-                      guard_strategy=strategy,
                       bounce_frames=2,
                   ),
               )
@@ -65,10 +61,9 @@ class TestRegistersStrategy:
         assert machine.kernel.remap_guard.checks == 2
 
 
-@pytest.mark.parametrize("strategy", [GuardStrategy.REFCOUNT, GuardStrategy.QUERY])
 class TestQueuedStrategies:
-    def test_queued_pages_reported(self, strategy):
-        machine, p, vaddr, grant = build(queue_depth=4, strategy=strategy)
+    def test_queued_pages_reported(self):
+        machine, p, vaddr, grant = build(queue_depth=4)
         # queue two transfers from two different pages
         for i in range(2):
             machine.cpu.store(vaddr + i * PAGE, 1)
@@ -83,8 +78,8 @@ class TestQueuedStrategies:
             frame = p.page_table.get((vaddr + i * PAGE) // PAGE).pfn
             assert not machine.kernel.remap_guard.is_page_in_use(frame)
 
-    def test_latch_covered(self, strategy):
-        machine, p, vaddr, grant = build(queue_depth=4, strategy=strategy)
+    def test_latch_covered(self):
+        machine, p, vaddr, grant = build(queue_depth=4)
         machine.cpu.store(vaddr, 1)
         # STORE names the memory page as DESTINATION; no LOAD yet.
         machine.cpu.store(machine.proxy(vaddr), 64)

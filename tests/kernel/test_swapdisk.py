@@ -147,17 +147,6 @@ class TestSlotManagement:
         assert len(store) == 1
         assert store.load(1, 5) == b"\x02" * PAGE
 
-    def test_discard_and_discard_asid(self):
-        machine = swap_machine("disk")
-        store = machine.kernel.backing
-        store.save(1, 5, b"\x01" * PAGE)
-        store.save(1, 6, b"\x01" * PAGE)
-        store.save(2, 5, b"\x01" * PAGE)
-        store.discard(1, 5)
-        assert not store.has(1, 5) and store.has(1, 6)
-        store.discard_asid(1)
-        assert len(store) == 1
-
     def test_load_missing_returns_none(self):
         machine = swap_machine("disk")
         assert machine.kernel.backing.load(9, 9) is None

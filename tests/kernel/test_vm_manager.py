@@ -270,19 +270,6 @@ class TestCleaningRace:
         assert machine.kernel.vm.clean_page(rig.process, vpage)
 
 
-class TestDestroy:
-    def test_destroy_releases_frames_and_swap(self):
-        machine = small_machine()
-        p = machine.create_process("a")
-        vaddr = machine.kernel.syscalls.alloc(p, 4 * PAGE)
-        for i in range(4):
-            machine.cpu.store(vaddr + i * PAGE, 1)
-        free_before = machine.kernel.frames.available
-        machine.kernel.exit_process(p)
-        assert machine.kernel.frames.available == free_before + 4
-        assert len(machine.kernel.backing) == 0
-
-
 class TestEvictionWaitsForHardware:
     def test_evict_waits_when_all_candidates_are_in_registers(self, sink_machine):
         """Section 6: 'the kernel must either find another page to remap,

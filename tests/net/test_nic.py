@@ -147,14 +147,6 @@ class TestAutomaticUpdate:
         rig.clock.run_until_idle()
         assert rig.nics[1].packets_received == 0
 
-    def test_unbind_stops_forwarding(self, rig):
-        rig.nics[0].nipt.set_entry(2, 1, 9)
-        rig.nics[0].bind_automatic(4, 2)
-        rig.nics[0].unbind_automatic(4)
-        rig.nics[0].snoop_store(4 * PAGE, b"\x01\x02\x03\x04")
-        rig.clock.run_until_idle()
-        assert rig.nics[1].packets_received == 0
-
     def test_binding_requires_valid_nipt_entry(self, rig):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""The automatic-update snooper is on a CPU's store path only while bound."""
+"""The automatic-update snooper joins a CPU's store path only once bound."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro.sharding import ClusterSpec, InProcessEngine
 PAGE = 4096
 
 
-def test_snooper_installed_by_first_binding_removed_by_last():
+def test_snooper_installed_by_first_binding():
     cluster = ShrimpCluster(config=ClusterConfig(num_nodes=2, mem_size=1 << 20))
     assert all(node.cpu.store_snoop is None for node in cluster.nodes)
     src = cluster.node(0).create_process("writer")
@@ -19,31 +19,6 @@ def test_snooper_installed_by_first_binding_removed_by_last():
     cluster.bind_automatic_update(0, src, src_buf, 1, dst, dst_buf, 2 * PAGE)
     assert cpu.store_snoop == cluster.nic(0).snoop_store
     assert cluster.node(1).cpu.store_snoop is None
-    # One of two pages unbound: the other still needs the snooper.
-    cluster.unbind_automatic_update(0, src, src_buf, 1)
-    assert cpu.store_snoop == cluster.nic(0).snoop_store
-    cluster.unbind_automatic_update(0, src, src_buf + PAGE, 1)
-    assert cpu.store_snoop is None
-    # Stores after the last unbind stay local.
-    cluster.node(0).kernel.scheduler.switch_to(src)
-    cpu.store(src_buf, 0xFEED)
-    cluster.run_until_idle()
-    assert cluster.nic(1).packets_received == 0
-
-
-def test_unbind_leaves_a_foreign_snooper_alone():
-    cluster = ShrimpCluster(config=ClusterConfig(num_nodes=2, mem_size=1 << 20))
-    nic = cluster.nic(0)
-    cpu = cluster.node(0).cpu
-    nic.nipt.set_entry(0, 1, 0)
-    nic.bind_automatic(4, 0)
-
-    def foreign(paddr, data):
-        pass
-
-    cpu.store_snoop = foreign
-    nic.unbind_automatic(4)
-    assert cpu.store_snoop is foreign
 
 
 def test_shard_nodes_start_without_a_snooper():

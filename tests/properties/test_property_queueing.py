@@ -90,7 +90,6 @@ def test_queued_controller_matches_reference_model(actions):
         for page in range(8):
             expected = pending_pages.count(page)
             assert udma.page_reference_count(page) == expected
-            assert udma.query_page(page) == (expected > 0)
 
     clock.run_until_idle()
     assert udma.backlog_requests == 0

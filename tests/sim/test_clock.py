@@ -261,6 +261,19 @@ class TestEventHousekeeping:
         clock.advance(12)  # fires events at 10(cancelled skip), 11, 12
         assert clock.pending() == 2
 
+    def test_stale_cancel_leaves_a_later_event_alone(self):
+        """Cancelling a fired event's handle must not touch what came after."""
+        clock = Clock()
+        fired = []
+        a = clock.schedule(5, lambda: fired.append("a"))
+        clock.run_until_idle()
+        b = clock.schedule(5, lambda: fired.append("b"))
+        a.cancel()
+        clock.run_until_idle()
+        assert b is not a
+        assert fired == ["a", "b"]
+        assert clock.pending() == 0
+
 
 class TestKeyedOrdering:
     def test_keyed_events_sort_time_key_seq(self):
@@ -349,6 +362,18 @@ class TestShardClock:
         clock.schedule_keyed(20, (1, 0, 1), lambda: None)
         doomed.cancel()
         assert clock.next_op() == (20, (1, 0, 1))
+
+    def test_stale_cancel_leaves_a_later_arrival_alone(self):
+        clock = ShardClock()
+        fired = []
+        a = clock.schedule_keyed(10, (1, 0, 0), lambda: fired.append("a"))
+        clock.fire_next()
+        b = clock.schedule_keyed(20, (1, 0, 1), lambda: fired.append("b"))
+        a.cancel()
+        assert clock.next_op() == (20, (1, 0, 1))
+        clock.fire_next()
+        assert b is not a
+        assert fired == ["a", "b"]
 
 
 class TestTransferCycles:

@@ -7,9 +7,8 @@ through ``next_op``/``head``/``fire_next``) against a naive reference
 that keeps pending events in a dict and fires the minimum of
 ``(time, key, seq)`` each turn.  Programs include same-cycle bursts,
 floods of cancels big enough to make the heap compact itself, and
-callbacks that schedule or cancel while they fire.  Every run is made
-twice, with the event free list on and off; both must match the
-reference event for event.
+callbacks that schedule or cancel while they fire.  The clock must
+match the reference event for event.
 """
 
 from __future__ import annotations
@@ -229,20 +228,16 @@ def _observe(runner: _Runner, keyed: bool):
 def _check(program, keyed: bool) -> None:
     cls = ShardClock if keyed else Clock
     model = _Model()
-    pooled = _Real(cls())
-    unpooled = _Real(cls(reference=True))
+    real = _Real(cls())
     for step, op in enumerate(program):
-        for runner in (model, pooled, unpooled):
+        for runner in (model, real):
             _apply(runner, op, keyed)
-        expected = _observe(model, keyed)
-        for name, runner in (("pooled", pooled), ("unpooled", unpooled)):
-            got = _observe(runner, keyed)
-            assert got == expected, f"{name} clock diverged at step {step}: {op}"
+        got = _observe(real, keyed)
+        assert got == _observe(model, keyed), f"clock diverged at step {step}: {op}"
         if op[0] == "flood":  # the cancels compacted the heap
-            for runner in (pooled, unpooled):
-                clock = runner.clock
-                assert len(clock._queue) <= 2 * clock.pending() + COMPACT_SLACK
-    assert pooled.clock.events_fired == unpooled.clock.events_fired == len(model.log)
+            clock = real.clock
+            assert len(clock._queue) <= 2 * clock.pending() + COMPACT_SLACK
+    assert real.clock.events_fired == len(model.log)
 
 
 @given(_program(keyed=False))

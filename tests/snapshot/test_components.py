@@ -2,7 +2,7 @@
 
 Each test targets one stateful component in a configuration that has
 historically been hard to serialise correctly: a clock mid-burst with a
-populated free list and a same-cycle burst queued, a TLB after
+fired event, a tombstone and a same-cycle burst queued, a TLB after
 shootdowns, a packet pool with recycled shells, owner-bound sampled
 metrics, a translation cache shared by a CPU and its page table.
 """
@@ -28,12 +28,12 @@ from repro.vm.tlb import TLB, TlbEntry
 
 
 def _burst_clock() -> "tuple[Clock, list]":
-    """A pooled clock stopped mid-burst.
+    """A clock stopped mid-burst.
 
     Pending events include a same-cycle burst (three events at one
-    cycle); the free list is non-empty (a fired event has been
-    recycled).  Callbacks append to ``fired`` (a plain list, so the
-    whole graph stays inside the snapshot module allow-list).
+    cycle); one event has fired and one was cancelled.  Callbacks append
+    to ``fired`` (a plain list, so the whole graph stays inside the
+    snapshot module allow-list).
     """
     clock = Clock()
     fired: list = []
@@ -43,8 +43,8 @@ def _burst_clock() -> "tuple[Clock, list]":
     for tag in ("b0", "b1", "b2"):  # same-cycle burst at t=20
         clock.schedule(20, partial(fired.append, tag))
     clock.schedule(30, partial(fired.append, "late"))
-    clock.run(until=10)  # fire "early", recycle its event
-    assert clock._free, "setup must leave a populated free list"
+    clock.run(until=10)  # fire "early"
+    assert fired == ["early"]
     assert clock.pending() == 4
     # heap entries are (time, seq, event); the burst keeps schedule order
     assert sorted(entry[:2] for entry in clock._queue) == [
@@ -64,20 +64,6 @@ def test_clock_mid_burst_restore_equivalence():
     assert clock2.now == ref_clock.now
     assert clock2.events_fired == ref_clock.events_fired
     assert clock2.pending() == 0
-
-
-def test_clock_free_list_ids_rebuilt():
-    clock, fired = _burst_clock()
-    clock2 = restore(snapshot((clock, fired)))[0]
-    # The restored free list holds fresh, fired events of its own: none
-    # is shared with the original clock, and each reuse is counted.
-    assert len(clock2._free) == len(clock._free)
-    assert not {id(e) for e in clock2._free} & {id(e) for e in clock._free}
-    assert all(e.callback is None for e in clock2._free)
-    reuses = clock2.pool_reuses
-    reused = clock2._free[-1]
-    assert clock2.schedule(1, lambda: None) is reused
-    assert clock2.pool_reuses == reuses + 1
 
 
 def test_clock_audit_hook_not_captured():

@@ -29,7 +29,7 @@ from repro.traffic import TrafficEngine, run_scenario
 FIELDS = {
     MachineConfig: (
         "costs", "mem_size", "scheme", "queue_depth", "replacement_policy",
-        "i3_strategy", "guard_strategy", "bounce_frames", "dma_burst_bytes",
+        "i3_strategy", "bounce_frames", "dma_burst_bytes",
         "swap", "reference", "obs", "reliability", "protection", "iommu",
     ),
     ClusterConfig: (

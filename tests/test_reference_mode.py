@@ -9,10 +9,10 @@ would make the diff compare a mode against itself.  Each entry point
 that takes the switch runs a short workload in both modes, and every
 machine, backplane and fast send it built is inspected afterwards:
 
-* reference mode: no event is served from a clock's free list, no
-  backplane owns a packet pool, no runtime even tries to build a send
-  plan, no completion poll takes the controller's ``fast_poll`` lane,
-  and no translation-cache hit is counted;
+* reference mode: no backplane owns a packet pool, no runtime even
+  tries to build a send plan, no completion poll takes the
+  controller's ``fast_poll`` lane, and no translation-cache hit is
+  counted;
 * default mode: each of those is active wherever the workload reaches
   it.  A lone machine has no NIC to plan sends to and no backplane.
   Chaos worlds trace spans, which keep packets out of the pool and sends
@@ -146,7 +146,6 @@ def test_reference_mode_turns_every_fast_path_off(subject, built):
     run = SUBJECTS[subject][0]
     run(True)
     assert built["machines"]
-    assert all(m.clock.pool_reuses == 0 for m in built["machines"])
     assert all(m.cpu.xlat_hits == 0 for m in built["machines"])
     assert all(ic.packet_pool is None for ic in _backplanes(built))
     assert built["plan_builds"] == built["fast_sends"] == 0
@@ -157,7 +156,6 @@ def test_reference_mode_turns_every_fast_path_off(subject, built):
 def test_default_mode_reaches_every_fast_path(subject, built):
     run, sends_on_plans, recycles_packets, polls_fast = SUBJECTS[subject]
     run(False)
-    assert any(m.clock.pool_reuses for m in built["machines"])
     assert any(m.cpu.xlat_hits for m in built["machines"])
     assert (built["fast_sends"] > 0) is sends_on_plans
     assert (built["fast_polls"] > 0) is polls_fast

@@ -32,19 +32,6 @@ class TestBackingStore:
         with pytest.raises(ConfigurationError):
             store.save(1, 5, b"short")
 
-    def test_discard(self, store):
-        store.save(1, 5, bytes(PAGE))
-        store.discard(1, 5)
-        assert not store.has(1, 5)
-
-    def test_discard_asid(self, store):
-        store.save(1, 5, bytes(PAGE))
-        store.save(1, 6, bytes(PAGE))
-        store.save(2, 5, bytes(PAGE))
-        store.discard_asid(1)
-        assert len(store) == 1
-        assert store.has(2, 5)
-
     def test_save_overwrites(self, store):
         store.save(1, 5, bytes(PAGE))
         store.save(1, 5, b"\x01" * PAGE)
