@@ -1,5 +1,9 @@
 """Tests for the I4 remap guard."""
 
+import enum
+
+import pytest
+
 from repro import Machine, MachineConfig
 from repro.devices import SinkDevice
 
@@ -61,8 +65,30 @@ class TestRegistersStrategy:
         assert machine.kernel.remap_guard.checks == 2
 
 
+class GuardStrategy(enum.Enum):
+    """The paper's two I4 readings of the queued device (section 7)."""
+
+    #: the per-page reference-count register
+    REFCOUNT = "refcount"
+    #: the associative query that searches the hardware queue for a page
+    QUERY = "query"
+
+
+def queue_names_page(machine, frame, strategy):
+    """Whether the queued device's pending requests name ``frame``.
+
+    Each strategy reads the device its own way; the remap guard must agree
+    with both on every page a queued request names.
+    """
+    udma = machine.udma
+    if strategy is GuardStrategy.REFCOUNT:
+        return udma.page_reference_count(frame) > 0
+    return any(frame in udma._request_pages(r) for r in udma._all_pending())
+
+
+@pytest.mark.parametrize("strategy", [GuardStrategy.REFCOUNT, GuardStrategy.QUERY])
 class TestQueuedStrategies:
-    def test_queued_pages_reported(self):
+    def test_queued_pages_reported(self, strategy):
         machine, p, vaddr, grant = build(queue_depth=4)
         # queue two transfers from two different pages
         for i in range(2):
@@ -72,16 +98,21 @@ class TestQueuedStrategies:
             machine.cpu.load(machine.proxy(vaddr + i * PAGE))
         for i in range(2):
             frame = p.page_table.get((vaddr + i * PAGE) // PAGE).pfn
+            assert queue_names_page(machine, frame, strategy)
             assert machine.kernel.remap_guard.is_page_in_use(frame)
         machine.run_until_idle()
         for i in range(2):
             frame = p.page_table.get((vaddr + i * PAGE) // PAGE).pfn
+            assert not queue_names_page(machine, frame, strategy)
             assert not machine.kernel.remap_guard.is_page_in_use(frame)
 
-    def test_latch_covered(self):
+    def test_latch_covered(self, strategy):
         machine, p, vaddr, grant = build(queue_depth=4)
         machine.cpu.store(vaddr, 1)
         # STORE names the memory page as DESTINATION; no LOAD yet.
         machine.cpu.store(machine.proxy(vaddr), 64)
         frame = p.page_table.get(vaddr // PAGE).pfn
+        # Nothing is queued, so neither reading sees the page; the guard
+        # still does, from the latch.
+        assert not queue_names_page(machine, frame, strategy)
         assert machine.kernel.remap_guard.is_page_in_use(frame)
