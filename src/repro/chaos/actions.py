@@ -39,10 +39,11 @@ ACTION_WEIGHTS: "Dict[str, int]" = {
     "downgrade": 3,   # revoke write permission on a buffer page
     "upgrade": 3,     # restore write permission on a buffer page
     "shootdown": 3,   # TLB flush (asid or full)
-    "corrupt": 2,     # arm wire corruption for the next packet(s)
-    "drop": 2,        # arm packet drop
-    "dup": 2,         # arm packet duplication
-    "reorder": 1,     # arm packet reordering (hold one, swap with next)
+    # wire faults plan the next free packet of the node's lane (FaultPlan)
+    "corrupt": 2,     # invert one of its bytes
+    "drop": 2,        # lose it
+    "dup": 2,         # deliver it twice
+    "reorder": 1,     # deliver it after the lane's next packet
     "stall": 3,       # device stall: coast the clock with the CPU idle
     "drain": 4,       # run all pending hardware to completion
 }
@@ -61,12 +62,10 @@ CHURN_WEIGHTS: "Dict[str, int]" = dict(
 #: The "paging" profile leans hard on the memory system -- forced
 #: evictions, page cleaning, and demand page-ins interleaved with sends
 #: -- so virtual-address (IOMMU) campaigns reliably drive incoming
-#: transfers into the park-and-resume path.  The wire is kept quiet:
-#: wire-fault actions arm "the next packet", and *which* packet that is
-#: shifts once paging actions are stripped for the convergence twin, so
-#: the same armed fault would hit different transfers in the two runs --
-#: wire adversity belongs to the reliability standard, not this one.
-#: Existing profiles are untouched: same seed, same bytes, forever.
+#: transfers into the park-and-resume path.  The wire is kept quiet: a
+#: fault's lane ordinal no longer moves when paging actions are stripped,
+#: but the ``iommu`` twin strips wire faults until a campaign shows it
+#: can stop, and published weights stay: same seed, same bytes, forever.
 PAGING_WEIGHTS: "Dict[str, int]" = dict(
     ACTION_WEIGHTS,
     pageout=12, clean=6, touch=6, send=12, recv=6,

@@ -238,8 +238,8 @@ class ScheduleExplorer:
         faults = sum(m.kernel.vm.faults_handled for m in world.machines)
         switches = sum(m.kernel.scheduler.switches for m in world.machines)
         packets = (
-            world.interconnect.packets_routed
-            if world.interconnect is not None
+            world.cluster.interconnect.packets_routed
+            if world.cluster is not None
             else (world.sink.writes + world.sink.reads if world.sink else 0)
         )
         return (

@@ -70,13 +70,11 @@ class Interconnect:
         self.packets_routed = 0
         self.bytes_routed = 0
         self.packets_dropped = 0
-        #: optional fault injector, called with exactly what ``route`` was
-        #: given (a packet, or raw wire bytes).  It returns that same
-        #: object (the packet rides on), ``None`` (the backplane drops
-        #: it), new wire bytes (corruption), or a list of these (each
-        #: delivered in order -- duplication, and, with a stateful
-        #: injector that holds packets back, reordering; a ``None`` entry
-        #: drops just that copy).  ``bytes(packet)`` is its wire image.
+        #: optional fault injector (e.g. :class:`~repro.net.faults.FaultPlan`)
+        #: called with exactly what ``route`` was given.  It returns that
+        #: object (it rides on), ``None`` (dropped), new wire bytes, or a
+        #: list of these delivered in order (a ``None`` entry drops just that
+        #: copy).  ``bytes(packet)`` is its wire image.
         self.fault_injector: Optional[
             Callable[[Wire], "Wire | None | list[Wire | None]"]
         ] = None

@@ -66,9 +66,8 @@ class ShardInterconnect(Interconnect):
     Latency accounting (hops, per-hop cycles) is inherited; delivery is
     redirected to the owning shard's :meth:`Shard.handoff`, which either
     schedules a keyed arrival on a local node's clock or emits a
-    cross-shard handoff.  Fault injectors and span tracking are not
-    supported in sharded mode (the chaos wire-fault harness drives the
-    single-clock engine).
+    cross-shard handoff.  Span tracking and fault injectors are not
+    supported in sharded mode; assigning an injector raises.
     """
 
     def __init__(self, shard: "Shard", config: ClusterConfig) -> None:
@@ -85,11 +84,19 @@ class ShardInterconnect(Interconnect):
             # boundary (the worker engine pickles only wire bytes).
             self.packet_pool = PacketPool()
 
-    def route(self, src_node: int, dst_node: int, wire) -> None:
-        if self.fault_injector is not None:
+    @property
+    def fault_injector(self) -> None:
+        return None
+
+    @fault_injector.setter
+    def fault_injector(self, injector) -> None:
+        if injector is not None:
             raise ConfigurationError(
-                "wire-fault injection is not supported in sharded mode"
+                "wire-fault injection is not supported in sharded mode "
+                "(ROADMAP item 4: a FaultPlan keyed by each lane's chseq)"
             )
+
+    def route(self, src_node: int, dst_node: int, wire) -> None:
         delay = self._delay_cache.get((src_node, dst_node))
         if delay is None:
             delay = self.route_delay(src_node, dst_node)

@@ -255,26 +255,6 @@ class TestInjectorSerialisesOnlyWhatItRewrites:
     packet the injector hands back or drops is never encoded (nor
     checksummed); each rewritten piece is encoded exactly once."""
 
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        import repro.net.packet as packet_module
-
-        counts = {"encode": 0, "checksum": 0}
-        encode, checksum = Packet.encode, packet_module._checksum
-
-        def counted_encode(packet):
-            counts["encode"] += 1
-            return encode(packet)
-
-        def counted_checksum(data):
-            counts["checksum"] += 1
-            return checksum(data)
-
-        monkeypatch.setattr(Packet, "encode", counted_encode)
-        monkeypatch.setattr(Packet, "__bytes__", counted_encode)
-        monkeypatch.setattr(packet_module, "_checksum", counted_checksum)
-        return counts
-
     @staticmethod
     def _send(cluster, messages):
         from repro import Receiver, Sender
@@ -288,7 +268,7 @@ class TestInjectorSerialisesOnlyWhatItRewrites:
             cluster.run_until_idle()
         return Receiver(cluster, rx, channel).recv_bytes(64)
 
-    def test_drop_every_nth_never_encodes(self, counts):
+    def test_drop_every_nth_never_encodes(self, encode_counts):
         from repro import ShrimpCluster
 
         cluster = ShrimpCluster(config=ClusterConfig(
@@ -304,9 +284,9 @@ class TestInjectorSerialisesOnlyWhatItRewrites:
         assert cluster.interconnect.packets_dropped > 0
         assert cluster.reliability.retransmits > 0
         assert cluster.reliability.messages_delivered == 12
-        assert counts == {"encode": 0, "checksum": 0}
+        assert encode_counts == {"encode": 0, "checksum": 0}
 
-    def test_each_rewritten_piece_encodes_once(self, counts):
+    def test_each_rewritten_piece_encodes_once(self, encode_counts):
         from repro import ShrimpCluster
 
         cluster = ShrimpCluster(config=ClusterConfig(
@@ -330,7 +310,7 @@ class TestInjectorSerialisesOnlyWhatItRewrites:
         assert self._send(cluster, 8) == bytes([0x40 + 7]) * 64
         assert cluster.reliability.messages_delivered == 8
         assert routed["pieces"] > 0
-        assert counts["encode"] == routed["pieces"]
+        assert encode_counts["encode"] == routed["pieces"]
 
     def test_duplicated_pooled_packet_is_delivered_as_two_decoded_copies(self):
         from repro import ShrimpCluster

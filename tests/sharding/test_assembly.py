@@ -38,3 +38,20 @@ def test_shard_ring_channel_is_installed_through_the_allocator():
     for rt in shard.runtimes.values():
         assert [i for i, _ in rt.nic.nipt.entries()] == [0, 1]
         assert rt.nic.nipt._free == [(2, spec.nipt_entries - 2)]
+
+
+def test_shard_backplane_refuses_a_fault_injector_when_assigned():
+    """Misuse fails at the assignment, naming the item that lifts it,
+    not at the first routed packet."""
+    from repro.errors import ConfigurationError
+    from repro.net.faults import FaultPlan
+
+    spec = ClusterSpec(num_nodes=2, topology="linear")
+    shard = Shard(spec, ShardSpec(index=0, num_shards=1, nodes=(0, 1)))
+    interconnect = shard.interconnect
+    with pytest.raises(ConfigurationError, match="ROADMAP item 4"):
+        interconnect.fault_injector = lambda wire: wire
+    with pytest.raises(ConfigurationError, match="ROADMAP item 4"):
+        FaultPlan(interconnect)
+    interconnect.fault_injector = None  # clearing it is no misuse
+    assert interconnect.fault_injector is None

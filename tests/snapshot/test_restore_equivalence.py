@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import generate_schedule
+from repro.chaos import Action, generate_schedule
 from repro.sharding import ClusterSpec, InProcessEngine
 from repro.snapshot import restore, snapshot
 
@@ -75,6 +75,38 @@ def test_double_snapshot_equivalence():
     from tests.snapshot._equiv import observe
 
     assert observe(world, log) == plain
+
+
+#: a reorder holds node 0's first packet across steps 1-2 (released by
+#: the step-3 send) and node 1's across the end of the schedule (released
+#: by the final settle)
+HELD = [
+    Action("reorder", node=0),
+    Action("send", node=0, size=100, arg=1),
+    Action("stall", size=4000),
+    Action("send", node=0, page=5, size=200, arg=1),
+    Action("recv", node=0, size=300),
+    Action("reorder", node=1),
+    Action("send", node=1, size=50, arg=1),
+    Action("stall", size=4000),
+]
+
+
+def test_restore_while_a_reorder_holds_a_packet():
+    """A checkpoint taken while the fault plan holds a packet restores
+    the held packet, and the restored run releases it exactly as the
+    uninterrupted run does."""
+    from repro.chaos import ChaosWorld
+
+    plain = run_plain(HELD, nodes=2)
+    for k in (2, len(HELD)):
+        world = ChaosWorld(nodes=2)
+        for action in HELD[:k]:
+            world.apply(action)
+        assert world.faults.held, f"nothing held at step {k}"
+        assert run_snapshotted(HELD, k, nodes=2) == plain, (
+            f"restored-at-{k} run diverged from the uninterrupted run"
+        )
 
 
 # ------------------------------------------------------------ sharded runs
