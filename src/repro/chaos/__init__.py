@@ -40,7 +40,6 @@ from repro.chaos.twins import (
     PROTECTION_BACKENDS,
     SPEC_PROFILES,
     TWINS,
-    WIRE_FAULT_KINDS,
     Setup,
     Twin,
     TwinReport,
@@ -77,7 +76,6 @@ __all__ = [
     "Twin",
     "TwinReport",
     "Variant",
-    "WIRE_FAULT_KINDS",
     "actions_from_json",
     "actions_to_json",
     "format_repro",

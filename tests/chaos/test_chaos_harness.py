@@ -16,12 +16,16 @@ Four properties make the harness trustworthy:
    reproducers (<= 20 actions) that still fail when replayed.
 4. **Schedule/shrinker mechanics** -- generation is seed-stable, and
    ddmin only ever returns a subsequence that fails.
+5. **Wire faults land** -- a wire-fault action plans its fault on a lane
+   that carries packets, so every "armed" fault can hit one.
 """
 
 import pytest
 
 from repro.chaos import TWINS, generate_schedule, run_chaos, shrink
+from repro.chaos.actions import Action
 from repro.chaos.explorer import ScheduleExplorer
+from repro.chaos.world import ChaosWorld
 
 
 # ------------------------------------------------------------ determinism
@@ -145,3 +149,21 @@ def test_shrinker_respects_evaluation_budget():
 
     result = shrink(actions, still_fails, max_evals=5)
     assert result.evaluations <= 5
+
+
+# ---------------------------------------------------- wire-fault planning
+@pytest.mark.parametrize("nodes, reliability, lane", [
+    (2, False, (1, 0)),  # the reverse lane is node 1's ring lane
+    (3, True, (1, 0)),   # the reverse lane carries node 0's ACKs
+    (3, False, (0, 1)),  # the reverse lane carries nothing: send lane
+])
+def test_a_reverse_lane_fault_lands_on_a_lane_with_packets(
+    nodes, reliability, lane
+):
+    world = ChaosWorld(nodes=nodes, reliability=reliability)
+    assert world.apply(Action("drop", node=0, arg=2)) == "armed"
+    assert list(world.faults.entries) == [lane + (0,)]
+    world.apply(Action("send", node=0, size=100))
+    world.apply(Action("send", node=1, size=100))
+    world.settle()
+    assert world.counters()["net.dropped"] == 1
