@@ -128,11 +128,20 @@ def functions():
     """``{(file, first line): (qualname, lines)}`` for every def in src/."""
     found = {}
 
+    def name_of(fn, prefix):
+        # A property's setter or deleter shares the getter's name; it
+        # gets a key of its own (``Class.prop.setter``).
+        for d in fn.decorator_list:
+            if (isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter")
+                    and isinstance(d.value, ast.Name) and d.value.id == fn.name):
+                return f"{prefix}{fn.name}.{d.attr}"
+        return prefix + fn.name
+
     def walk(path, node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(str(path), first)] = (prefix + child.name, child.end_lineno - first + 1)
+                found[(str(path), first)] = (name_of(child, prefix), child.end_lineno - first + 1)
                 walk(path, child, prefix + child.name + ".<locals>.")
             else:
                 walk(path, child, prefix + child.name + "."

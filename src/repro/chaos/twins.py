@@ -402,16 +402,13 @@ TWINS: Dict[str, Twin] = {
         ),
         Twin(
             # Backends legally shift timing: settle before every write so
-            # a store cannot race an in-flight delivery.  Timing does not
-            # move a wire fault's lane ordinal, but the strip stays until
-            # a campaign shows it can go.
+            # a store cannot race an in-flight delivery.
             "backends", "schedule",
-            "one run per --backend (wire faults off, writes settled): "
+            "one run per --backend (writes settled): "
             "failure kind@index, outcome classes, fault ledger, NIPT, "
             "memory",
             lambda s: [
-                Variant(spec, {"protection": spec},
-                        lambda a: drain_before_writes(strip_wire_faults(a)))
+                Variant(spec, {"protection": spec}, drain_before_writes)
                 for spec in s.backends
             ],
             _protection,
@@ -456,8 +453,9 @@ def audited_variant(twins: Sequence[Twin], setup: Setup) -> Variant:
     """The schedule run whose invariant failures fail the campaign.
 
     The untouched subject when any selected twin runs it, else the first
-    twin's first variant (the ``backends`` and ``iommu`` twins strip
-    wire faults), so auditing never costs a run of its own.
+    twin's first variant (the ``backends`` twin settles writes, the
+    ``iommu`` twin strips wire faults), so auditing never costs a run of
+    its own.
     """
     variants = [v for twin in twins for v in twin.variants(setup)]
     return next((v for v in variants if v.untouched),

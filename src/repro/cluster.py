@@ -181,6 +181,41 @@ def export_receive_buffer(
     return tuple(frames)
 
 
+def install_channel(
+    nic: ShrimpNic,
+    dst_node: int,
+    dst_process: Process,
+    dst_vaddr: int,
+    npages: int,
+    frames: Tuple[int, ...],
+    physical: bool,
+) -> Channel:
+    """Sender-side setup: install ``nic``'s NIPT entries for an exported buffer.
+
+    Physical entries name ``frames``; virtual ones name the destination's
+    (asid, vpage) and the receiver's IOMMU resolves frames at delivery
+    time.  Returns the channel record a :class:`~repro.userlib.messaging.Sender`
+    sends on.
+    """
+    page_size = nic.page_size
+    if physical:
+        pages, dst_asid = frames, -1
+    else:
+        base_vpage = dst_vaddr // page_size
+        pages = range(base_vpage, base_vpage + npages)
+        dst_asid = dst_process.asid
+    return Channel(
+        src_node=nic.node_id,
+        dst_node=dst_node,
+        nipt_base=nic.nipt.install(dst_node, pages, dst_asid),
+        npages=npages,
+        dst_vaddr=dst_vaddr,
+        dst_frames=frames,
+        page_size=page_size,
+        dst_asid=dst_asid,
+    )
+
+
 def node_counters(
     i: int, machine: Machine, nic: Optional[ShrimpNic] = None
 ) -> Dict[str, int]:
@@ -378,30 +413,14 @@ class ShrimpCluster:
             raise ConfigurationError("loopback channels are not supported")
         if physical is None:
             physical = self.nodes[dst_node].iommu is None
-        page_size = self.costs.page_size
-        npages = -(-nbytes // page_size)
+        npages = -(-nbytes // self.costs.page_size)
         frames = export_receive_buffer(
             self.nodes[dst_node], dst_process, dst_vaddr, npages,
             physical=physical,
         )
-        if physical:
-            pages, dst_asid = frames, -1
-        else:
-            # Virtual entries: name the destination (asid, vpage); the
-            # receiver's IOMMU resolves frames at delivery time.
-            base_vpage = dst_vaddr // page_size
-            pages = range(base_vpage, base_vpage + npages)
-            dst_asid = dst_process.asid
-        base = self.nics[src_node].nipt.install(dst_node, pages, dst_asid)
-        return Channel(
-            src_node=src_node,
-            dst_node=dst_node,
-            nipt_base=base,
-            npages=npages,
-            dst_vaddr=dst_vaddr,
-            dst_frames=frames,
-            page_size=page_size,
-            dst_asid=dst_asid,
+        return install_channel(
+            self.nics[src_node], dst_node, dst_process, dst_vaddr, npages,
+            frames, physical,
         )
 
     def bind_automatic_update(

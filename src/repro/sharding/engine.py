@@ -5,15 +5,18 @@ the workload drains, then merge the per-shard reports into a single
 :class:`ShardRunResult` whose node-keyed artefacts (logs, digests,
 curated counters) are **bit-identical at any shard count**.
 
+Both hand a cross-shard packet over as one thing: a private, non-pooled
+:class:`~repro.net.packet.Packet` (never encoded; see
+:meth:`~repro.sharding.shard.Shard.handoff`).
+
 * :class:`InProcessEngine` -- all shards in this process.  Cross-shard
   bounds are read live (a shard asks its peer's promise directly) and
-  cross-shard packets are handed over as packet objects and ingested
-  immediately, so there is no encoding, no round protocol and no
-  staleness: this is the deterministic reference and the debugging
-  vehicle.
+  cross-shard packets are ingested immediately, so there is no round
+  protocol and no staleness: this is the deterministic reference and
+  the debugging vehicle.
 
-* :class:`WorkerEngine` -- one OS process per shard, exchanging wire
-  bytes and null-message promises through the parent in lock-step rounds (a
+* :class:`WorkerEngine` -- one OS process per shard, exchanging packets
+  and null-message promises through the parent in lock-step rounds (a
   star relay: worker -> parent -> owning worker).  The parent forwards a
   round's packets *and* promises together, so every packet that a
   promise could unblock is ingested before the promise applies.
@@ -180,7 +183,7 @@ class InProcessEngine:
             shard.remote_bound = self._bound
 
     def _deliver(
-        self, src: int, dst: int, arrival: int, chseq: int, wire: "Packet | bytes"
+        self, src: int, dst: int, arrival: int, chseq: int, wire: Packet
     ) -> None:
         self._owner[dst].ingest(src, dst, arrival, chseq, wire)
 
@@ -267,8 +270,8 @@ def _worker_main(conn, spec: ClusterSpec, shard_spec: ShardSpec, audit: bool) ->
                 return
             if command.get("cmd") == "abort":
                 return
-            for src, dst, arrival, chseq, data in command.get("msgs", ()):
-                shard.ingest(src, dst, arrival, chseq, data)
+            for src, dst, arrival, chseq, packet in command.get("msgs", ()):
+                shard.ingest(src, dst, arrival, chseq, packet)
             for (src, dst), bound in command.get("bounds", {}).items():
                 shard.set_chan_bound(src, dst, bound)
     except Exception as exc:  # ship the failure; never hang the parent

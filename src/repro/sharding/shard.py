@@ -18,14 +18,26 @@ and memory image -- is a pure function of the
 :class:`~repro.sharding.spec.ClusterSpec`, identical at any shard count
 and under either engine.
 
+Each node sends on its ring link as a program on a
+:class:`~repro.cluster.ShrimpCluster` does: through a
+:class:`~repro.userlib.messaging.Sender` on a
+:class:`~repro.cluster.Channel`, with the :class:`Shard` as the sender's
+cluster.
+
 Workload steps are *atomic*: the node's CPU charges cycles without
 firing events (:class:`~repro.sim.clock.ShardClock` defers them), so a
-step is one indivisible operation.  A step is the paper's
-two-instruction initiation plus its alignment check, applied through the
-runtime's validated send plan (``UdmaUser.send_once``, never
-``wait=True`` polling): a bounded, non-blocking step that cannot need to
-coast the clock.  The plan's batched cycle charge is exact here because
-charging never fires an event.
+step is one indivisible operation.  A step is the message stamp plus one
+:meth:`~repro.userlib.messaging.Sender.try_send` -- the paper's
+two-instruction initiation and its alignment check, through the sender's
+validated send plan, never ``wait=True`` polling: a bounded,
+non-blocking step that cannot need to coast the clock.  The plan's
+batched cycle charge is exact here because charging never fires an
+event.
+
+A packet bound for another shard's node crosses as a private, non-pooled
+:class:`~repro.net.packet.Packet` under either engine (the worker engine
+pickles it through its relay); wire bytes appear only where a fault
+injector rewrote a packet, and sharded mode refuses injectors.
 """
 
 from __future__ import annotations
@@ -36,7 +48,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.workloads import make_payload
-from repro.cluster import build_node, export_receive_buffer, node_counters
+from repro.cluster import (
+    build_node,
+    export_receive_buffer,
+    install_channel,
+    node_counters,
+)
 from repro.config import ClusterConfig
 from repro.errors import ConfigurationError, DmaError
 from repro.kernel.invariants import InvariantChecker
@@ -49,7 +66,7 @@ from repro.net.pool import PacketPool
 from repro.obs import Observability, ObsConfig
 from repro.sharding.spec import RETRY_GAP_CYCLES, ClusterSpec, ShardSpec
 from repro.sim.clock import Clock, ShardClock
-from repro.userlib.udma import DeviceRef, MemoryRef, UdmaUser, _SendPlan
+from repro.userlib.messaging import Sender
 
 #: canonical key class of a workload step: sorts after every hardware
 #: event (empty key) and every network arrival ((1, src, seq)) at the
@@ -80,8 +97,8 @@ class ShardInterconnect(Interconnect):
         self.validate_topology(config.num_nodes)
         self._shard = shard
         if not config.reference:
-            # One pool per shard: free lists never cross a process
-            # boundary (the worker engine pickles only wire bytes).
+            # One pool per shard: a packet leaving the shard is a
+            # private, non-pooled copy, so no shell crosses a boundary.
             self.packet_pool = PacketPool()
 
     @property
@@ -96,46 +113,39 @@ class ShardInterconnect(Interconnect):
                 "(ROADMAP item 4: a FaultPlan keyed by each lane's chseq)"
             )
 
-    def route(self, src_node: int, dst_node: int, wire) -> None:
+    def route(self, src_node: int, dst_node: int, wire: Packet) -> None:
         delay = self._delay_cache.get((src_node, dst_node))
         if delay is None:
             delay = self.route_delay(src_node, dst_node)
         self.packets_routed += 1
-        self.bytes_routed += (
-            Packet.HEADER_BYTES + len(wire.payload)
-            if type(wire) is Packet
-            else len(wire)
-        )
+        self.bytes_routed += Packet.HEADER_BYTES + len(wire.payload)
         self._shard.handoff(src_node, dst_node, delay, wire)
 
 
 @dataclass
 class NodeRuntime:
-    """One node's simulation state plus its self-driving send schedule."""
+    """One node's simulation state plus its self-driving send schedule.
+
+    The schedule's shape (message size, gap, message count) is read from
+    the shard's :class:`~repro.sharding.spec.ClusterSpec`; a runtime holds
+    only what differs per node.
+    """
 
     node_id: int
     machine: Machine
     nic: ShrimpNic
     clock: ShardClock
-    tx_proc: Process
-    udma: UdmaUser
-    buffer: int
-    source: MemoryRef
-    destination: DeviceRef
-    msg_bytes: int
-    messages_total: int
-    gap: int
+    #: the transmit side of the node's ring link
+    sender: Sender
     next_step: Optional[int]
+    #: the receive side: the process owning the buffer the ring writes
     rx_proc: Process
     rx_buf: int
     in_links: List[Tuple[int, int]] = field(default_factory=list)
     #: the node is one of its own in-link sources, so its own operations
     #: can lower its bound (see :meth:`Shard.run_until_blocked`)
     self_fed: bool = False
-    #: the send's fast-lane plan handle, resolved once it can be built
-    plan: Optional[_SendPlan] = None
     sent: int = 0
-    steps: int = 0
     retries: int = 0
     #: one ``(outcome, now)`` record per step; :func:`format_log` turns
     #: them into the step log's lines
@@ -165,76 +175,54 @@ def format_log(
     return lines
 
 
-def setup_node(
-    spec: ClusterSpec,
-    node_id: int,
-    machine: Machine,
-    nic: ShrimpNic,
-    canonical_frames: Optional[Tuple[int, ...]] = None,
-) -> NodeRuntime:
+def setup_node(shard: "Shard", node_id: int) -> NodeRuntime:
     """Run the per-node OS setup and return the workload runtime.
 
     Every node performs the identical sequence -- receive process and
-    buffer, export, sender NIPT install (naming the *canonical* frames),
-    send process, grant, buffer fill -- so construction is deterministic
-    and the canonical-frame substitution is sound.  The assertion makes
-    a divergence loud rather than a silent digest mismatch.
+    buffer, export, the ring link's NIPT install (naming the *canonical*
+    frames), send process, the :class:`Sender`'s grant and buffer, buffer
+    fill -- so construction is deterministic and the canonical-frame
+    substitution is sound.  The check makes a divergence loud rather than
+    a silent digest mismatch.
     """
+    spec, canonical = shard.spec, tuple(shard.shard_spec.rx_frames)
+    machine, nic = shard.node(node_id), shard.nic(node_id)
     npages = spec.channel_pages
-    nbytes = npages * machine.layout.page_size
     kernel = machine.kernel
 
     rx_proc = machine.create_process(f"rx{node_id}")
-    rx_buf = kernel.syscalls.alloc(rx_proc, nbytes)
-    dst = spec.dst_of(node_id)
+    rx_buf = kernel.syscalls.alloc(rx_proc, npages * machine.layout.page_size)
     # Virtual-address tier: the export registers the IOMMU windows and
-    # leaves the buffer *cold* -- no residency, no pin -- so the first
-    # delivery to each page parks, fault-services and replays.
+    # leaves the buffer *cold* -- no residency, no pin, no frames -- so
+    # the first delivery to each page parks, fault-services and replays.
     frames = export_receive_buffer(
         machine, rx_proc, rx_buf, npages, physical=not spec.iommu, warm=False
     )
-    if spec.iommu:
-        # The NIPT names the destination's (asid, vpage); identical
-        # construction makes our own rx identifiers the destination's,
-        # so no canonical-frame probe is needed (or possible: frames are
-        # assigned at fault-service time).
-        base_vpage = rx_buf // machine.layout.page_size
-        pages, dst_asid = range(base_vpage, base_vpage + npages), rx_proc.asid
-    else:
-        if canonical_frames is not None and frames != tuple(canonical_frames):
-            raise ConfigurationError(
-                f"node {node_id} receive frames {frames} diverged from the "
-                f"canonical {tuple(canonical_frames)}; deterministic "
-                "construction is broken"
-            )
-        # Sender side of the ring channel node_id -> dst: NIPT entries
-        # name the destination's canonical frames (identical construction
-        # makes them knowable without touching the destination's shard).
-        pages, dst_asid = canonical_frames or frames, -1
-    base = nic.nipt.install(dst, pages, dst_asid)
-
-    tx_proc = machine.create_process(f"tx{node_id}")
-    grant = kernel.syscalls.grant_device_proxy(
-        tx_proc, nic.name, writable=True, pages=(base, npages)
+    if canonical and frames != canonical:
+        raise ConfigurationError(
+            f"node {node_id} receive frames {frames} diverged from the "
+            f"canonical {canonical}; deterministic construction is broken"
+        )
+    # The ring link node_id -> dst: identical construction makes this
+    # node's own receive buffer (its canonical frames, or its asid and
+    # vpages under the IOMMU tier) the destination's, so the NIPT entries
+    # are knowable without touching the destination's shard.
+    channel = install_channel(
+        nic, spec.dst_of(node_id), rx_proc, rx_buf, npages, frames,
+        physical=not spec.iommu,
     )
-    buffer = kernel.syscalls.alloc(tx_proc, nbytes)
+    tx_proc = machine.create_process(f"tx{node_id}")
+    sender = Sender(shard, tx_proc, channel)
     kernel.scheduler.switch_to(tx_proc)
     machine.cpu.write_bytes(
-        buffer, make_payload(spec.msg_bytes, seed=1 + node_id % 251)
+        sender.buffer, make_payload(spec.msg_bytes, seed=1 + node_id % 251)
     )
     return NodeRuntime(
         node_id=node_id,
         machine=machine,
         nic=nic,
         clock=machine.clock,  # type: ignore[arg-type]
-        tx_proc=tx_proc,
-        udma=UdmaUser(machine, tx_proc),
-        buffer=buffer,
-        source=MemoryRef(buffer),
-        destination=DeviceRef(grant),
-        msg_bytes=spec.msg_bytes,
-        messages_total=spec.messages_per_node,
-        gap=spec.gap_cycles,
+        sender=sender,
         rx_proc=rx_proc,
         rx_buf=rx_buf,
         # Setup itself charges the node's clock (identically on every
@@ -245,21 +233,13 @@ def setup_node(
 
 
 def probe_canonical_frames(spec: ClusterSpec) -> Tuple[int, ...]:
-    """Build one throwaway template node; return its receive frames."""
-    if spec.iommu:
-        # Virtual NIPT entries carry (asid, vpage), not frames; frames
-        # are assigned at fault-service time, so there is nothing to
-        # probe and nothing for senders to need.
-        return ()
-    config = spec.cluster_config()
-    scratch = Interconnect(Clock(), config.costs, topology="linear")
-    obs = Observability(ObsConfig(metrics=False))
-    machine, nic = build_node(
-        config, 0, ShardClock(), scratch, obs
-    )
-    setup_node(spec, 0, machine, nic)
-    # Re-derive the frames from the NIPT install (entry k names frame k).
-    return tuple(entry.dst_page for _, entry in nic.nipt.entries())
+    """Build a throwaway one-node shard; return its ring link's frames.
+
+    Empty under the IOMMU tier: virtual NIPT entries carry (asid, vpage)
+    and frames are assigned at fault-service time.
+    """
+    template = Shard(spec, ShardSpec(index=0, num_shards=1, nodes=(0,)))
+    return template.runtimes[0].sender.channel.dst_frames
 
 
 class Shard:
@@ -279,6 +259,8 @@ class Shard:
         self.obs = Observability(ObsConfig(metrics=True))
         self.interconnect = ShardInterconnect(self, self.config)
         self.runtimes: Dict[int, NodeRuntime] = {}
+        #: this shard's own nodes: node id -> (machine, NIC)
+        self._nodes: Dict[int, Tuple[Machine, ShrimpNic]] = {}
         self.order: List[int] = list(shard_spec.nodes)
         self.ops_executed = 0
         self.audit_count = 0
@@ -291,14 +273,13 @@ class Shard:
         #: causal order -- the second component of every arrival key
         self._chseq: Dict[Tuple[int, int], int] = {}
         #: cross-shard messages awaiting relay: (src, dst, arrival,
-        #: chseq, wire_bytes)
-        self.outbox: List[Tuple[int, int, int, int, bytes]] = []
+        #: chseq, packet)
+        self.outbox: List[Tuple[int, int, int, int, Packet]] = []
         #: absolute safe bounds for cross-shard in-links, from null
         #: messages: (src, dst) -> promised time + lookahead
         self.chan_bound: Dict[Tuple[int, int], float] = {}
         #: engine override: called for cross-shard deliveries instead of
-        #: the outbox (the in-process engine delivers immediately, and
-        #: hands over packets rather than wire bytes)
+        #: the outbox (the in-process engine delivers immediately)
         self.deliver_remote: Optional[Callable[..., None]] = None
         #: engine override: live bound for a cross-shard in-link (the
         #: in-process engine reads the peer shard's promise directly)
@@ -312,14 +293,11 @@ class Shard:
             if dst in local:
                 in_links.setdefault(dst, []).append((src, lookaheads[(src, dst)]))
         for node_id in self.order:
-            machine, nic = build_node(
+            machine, nic = self._nodes[node_id] = build_node(
                 self.config, node_id, ShardClock(),
                 self.interconnect, self.obs,
             )
-            rt = setup_node(
-                spec, node_id, machine, nic,
-                canonical_frames=shard_spec.rx_frames or None,
-            )
+            rt = setup_node(self, node_id)
             rt.in_links = in_links.get(node_id, [])
             rt.self_fed = any(s == node_id for s, _ in rt.in_links)
             self.runtimes[node_id] = rt
@@ -332,6 +310,14 @@ class Shard:
         ]
         self._bind_metrics()
 
+    def node(self, index: int) -> Machine:
+        """One of this shard's own nodes, by node id."""
+        return self._nodes[index][0]
+
+    def nic(self, index: int) -> ShrimpNic:
+        """The NIC of one of this shard's own nodes, by node id."""
+        return self._nodes[index][1]
+
     def _bind_metrics(self) -> None:
         """Register the shard-level backplane and execution counters."""
         reg = self.obs.registry
@@ -342,15 +328,15 @@ class Shard:
         reg.counter(p + "ops_executed", self, "ops_executed")
 
     # ----------------------------------------------------------- delivery
-    def handoff(self, src: int, dst: int, delay: int, wire) -> None:
+    def handoff(self, src: int, dst: int, delay: int, wire: Packet) -> None:
         """Deliver a routed packet: keyed local arrival or cross-shard.
 
         The arrival time is the sending node's *current* cycle plus the
         wire delay; the key ``(1, src, chseq)`` fixes the arrival's rank
         among same-cycle operations at the destination, independent of
         which shard -- or which worker process -- performed the delivery.
-        A peer shard in this process is handed the packet itself; a
-        worker's peer gets wire bytes through the outbox.
+        Another shard's node is handed a private packet, directly by the
+        in-process engine or through the outbox the worker engine relays.
         """
         self.handoffs += 1
         arrival = self.runtimes[src].clock.now + delay
@@ -364,45 +350,26 @@ class Shard:
                 arrival, (1, src, chseq), partial(rt.nic.deliver, wire)
             )
             return
-        is_packet = type(wire) is Packet
-        if self.deliver_remote is not None and is_packet:
-            # An in-process peer takes the packet itself: no encode, no
-            # decode checksum (sharded mode refuses fault injectors, so
-            # the wire cannot have changed).  The arrival gets a private,
-            # non-pooled copy sharing the immutable payload, and the
-            # pooled shell goes straight back to this shard's pool.
-            if wire._pooled:
-                arriving = Packet(
-                    wire.src_node, wire.dst_node, wire.dst_paddr,
-                    wire.payload, wire.seq, wire.kind,
-                )
-                self.interconnect.packet_pool.release(wire)
-                wire = arriving
-            self.deliver_remote(src, dst, arrival, chseq, wire)
-            return
-        if is_packet:
-            data = wire.encode()
-            # A worker's peer lives in another process: transit is wire
-            # bytes, and the pooled shell can go straight home.
-            pool = self.interconnect.packet_pool
-            if pool is not None:
-                pool.release(wire)
-        else:
-            data = bytes(wire)
+        # The packet itself crosses, never encoded: sharded mode refuses
+        # fault injectors, so the wire cannot have changed.  The arrival
+        # gets a private, non-pooled copy sharing the immutable payload,
+        # and the pooled shell goes straight back to this shard's pool.
+        if wire._pooled:
+            arriving = Packet(
+                wire.src_node, wire.dst_node, wire.dst_paddr,
+                wire.payload, wire.seq, wire.kind,
+            )
+            self.interconnect.packet_pool.release(wire)
+            wire = arriving
         if self.deliver_remote is not None:
-            self.deliver_remote(src, dst, arrival, chseq, data)
+            self.deliver_remote(src, dst, arrival, chseq, wire)
         else:
-            self.outbox.append((src, dst, arrival, chseq, data))
+            self.outbox.append((src, dst, arrival, chseq, wire))
 
     def ingest(
-        self, src: int, dst: int, arrival: int, chseq: int, wire: "Packet | bytes"
+        self, src: int, dst: int, arrival: int, chseq: int, wire: Packet
     ) -> None:
-        """Accept a cross-shard arrival.
-
-        An in-process peer hands over a private :class:`Packet`; a worker
-        peer's arrival is wire bytes, decoded and checksummed by the
-        receiving NIC.
-        """
+        """Accept a cross-shard arrival: a private :class:`Packet`."""
         rt = self.runtimes[dst]
         rt.clock.schedule_keyed(
             arrival, (1, src, chseq), partial(rt.nic.deliver, wire)
@@ -466,36 +433,33 @@ class Shard:
 
         Exactly the paper's user-level critical path -- alignment check,
         STORE to the destination proxy, fence, LOAD of the status word --
-        applied through the runtime's validated send plan, with a busy
-        device folded into the schedule as a deterministic retry.  No
-        polling, no coasting: the step is bounded CPU work.
+        as one :meth:`Sender.try_send`, with a busy device folded into
+        the schedule as a deterministic retry.  No polling, no coasting:
+        the step is bounded CPU work.
         """
         assert rt.next_step is not None
+        spec = self.spec
         step_t = max(rt.next_step, rt.clock.now)
         if rt.clock.now < step_t:
             rt.clock.advance(step_t - rt.clock.now)  # idle until the step
-        rt.machine.cpu.store(rt.buffer, rt.sent + 1)  # the app stamps its message
-        if rt.plan is None:
-            # None until a first slow-path send has warmed both proxy
-            # translations; every use re-validates the handle.
-            rt.plan = rt.udma.plan_for(rt.source, rt.destination, rt.msg_bytes)
+        sender = rt.sender
+        rt.machine.cpu.store(sender.buffer, rt.sent + 1)  # the app stamps its message
         try:
-            started = rt.udma.send_once(
-                rt.source, rt.destination, rt.msg_bytes, plan=rt.plan
-            )
+            started = sender.try_send(spec.msg_bytes)
         except DmaError as exc:
             raise DmaError(f"node {rt.node_id}: {exc}") from exc
         if started:
             rt.sent += 1
             outcome = "sent"
             rt.next_step = (
-                step_t + rt.gap if rt.sent < rt.messages_total else None
+                step_t + spec.gap_cycles
+                if rt.sent < spec.messages_per_node
+                else None
             )
         else:
             rt.retries += 1
             outcome = "busy"
             rt.next_step = step_t + RETRY_GAP_CYCLES
-        rt.steps += 1
         # A record, not a line: lines are formatted only when a reader
         # asks for ShardRunResult.logs.
         rt.log.append((outcome, rt.clock.now))
@@ -610,7 +574,7 @@ class Shard:
                 f"n{node_id:03d} done  sent={rt.sent} retries={rt.retries} "
                 f"rx={rt.nic.packets_received} t={rt.clock.now}"
             )
-            logs[node_id] = (rt.messages_total, rt.log[:], summary)
+            logs[node_id] = (self.spec.messages_per_node, rt.log[:], summary)
             counters.update(self.node_counters(rt))
             h = hashlib.blake2b(digest_size=16)
             h.update(rt.machine.physmem.view(0, rt.machine.physmem.size))

@@ -26,6 +26,8 @@ class Sender:
 
     Construction performs the one-time OS work (device-proxy grant and
     send-buffer allocation); after that, every send is kernel-free.
+    ``cluster`` is asked only for ``node(i)`` and ``nic(i)`` of the
+    channel's source: a :class:`ShrimpCluster`, or a shard that owns it.
     """
 
     def __init__(

@@ -16,8 +16,9 @@ import json
 import pytest
 
 from repro.chaos import PROTECTION_BACKENDS, TWINS, ScheduleExplorer, run_chaos
-from repro.chaos.twins import drain_before_writes, strip_wire_faults
+from repro.chaos.twins import drain_before_writes
 from repro.cli import main
+from repro.net.faults import FAULT_OPS
 from repro.sharding import ClusterSpec
 
 SMALL = {
@@ -111,17 +112,16 @@ def test_determinism_replica_never_resumes_from_the_first_run(explorer_runs):
 
 def test_backends_audits_its_own_reference_run(explorer_runs):
     """Without a twin that runs the raw schedule, the audited run is the
-    first backend's (wire-fault-stripped, write-drained) run: one
-    simulation per backend, none extra."""
+    first backend's (write-drained) run: one simulation per backend,
+    none extra."""
     report = run_chaos(seed=2, steps=40, nodes=2, oracles=("backends",),
                        backends=PROTECTION_BACKENDS)
     assert report.ok, report.summary()
     assert report.fast is report.twin("backends").runs[0]
     assert len(explorer_runs) == len(PROTECTION_BACKENDS)
-    # churn schedules carry wire faults, which the audited run strips
-    stripped = strip_wire_faults(report.actions)
-    assert len(stripped) < len(report.actions)
-    assert explorer_runs[0][1] == len(drain_before_writes(stripped))
+    # churn schedules carry wire faults, which every backend run keeps
+    assert any(a.kind in FAULT_OPS for a in report.actions)
+    assert explorer_runs[0][1] == len(drain_before_writes(report.actions))
 
 
 # ---------------------------------------------------- flags fail loudly

@@ -1,4 +1,4 @@
-"""Cross-shard packet handoff and the step log's records."""
+"""Cross-shard packet handoff, the ring step, and the step log's records."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from repro.net.packet import Packet
 from repro.sharding import ClusterSpec, InProcessEngine, WorkerEngine
 from repro.sharding.engine import build_shards
 from repro.sharding.shard import Shard
+from repro.userlib.messaging import Sender
 
 
 def _spec(**overrides) -> ClusterSpec:
@@ -43,10 +44,11 @@ def test_in_process_arrival_is_a_private_packet(monkeypatch):
     assert result.sent == 4 * 3
 
 
-def test_worker_peers_exchange_wire_bytes():
+def test_worker_peers_exchange_private_packets():
     # Without an in-process peer a shard's cross-shard packets go to its
-    # outbox as wire bytes (what the worker engine relays).  Null
-    # messages saying "no more traffic" let every node run to the end.
+    # outbox (what the worker engine relays) as the same private,
+    # non-pooled packets the in-process engine hands over.  Null messages
+    # saying "no more traffic" let every node run to the end.
     spec = _spec()
     shards = build_shards(spec, 2)
     for shard in shards:
@@ -55,7 +57,24 @@ def test_worker_peers_exchange_wire_bytes():
         shard.run_until_blocked()
     outbox = [msg for shard in shards for msg in shard.outbox]
     assert outbox, "the ring must cross the shard boundary"
-    assert all(type(data) is bytes for *_head, data in outbox)
+    for *_head, packet in outbox:
+        assert type(packet) is Packet
+        assert not packet._pooled
+        assert len(packet.payload) == spec.msg_bytes
+    # Relay the outboxes as a worker round does and drain the arrivals:
+    # every shell either pool lent came home, the crossing ones included.
+    owner = {node: shard for shard in shards for node in shard.shard_spec.nodes}
+    for msg in outbox:
+        owner[msg[1]].ingest(*msg)
+    for shard in shards:
+        shard.outbox = []
+        shard.run_until_blocked()
+        assert shard.idle()
+        pool = shard.interconnect.packet_pool
+        assert pool.releases == pool.packet_allocs + pool.packet_reuses > 0
+    assert sum(
+        rt.nic.packets_received for shard in shards for rt in shard.runtimes.values()
+    ) == spec.num_nodes * spec.messages_per_node
     worker = WorkerEngine(spec, num_shards=2).run()
     in_process = InProcessEngine(spec, num_shards=2).run()
     assert worker.logs == in_process.logs
@@ -94,3 +113,23 @@ def test_busy_steps_count_as_retries():
             assert int(step) == int(sent) + int(retries)
             last[node] = int(retries)
     assert sum(last.values()) == result.retries
+
+
+def test_each_ring_step_is_one_sender_try_send(monkeypatch):
+    # The ring sends through the library's own Sender: every step, sent
+    # or busy, is exactly one try_send on the node's ring channel.
+    calls = []
+    real = Sender.try_send
+
+    def spy(self, nbytes, *args, **kwargs):
+        calls.append((self.channel.src_node, self.channel.dst_node, nbytes))
+        return real(self, nbytes, *args, **kwargs)
+
+    monkeypatch.setattr(Sender, "try_send", spy)
+    spec = _spec(gap_cycles=50)
+    result = InProcessEngine(spec, num_shards=2).run()
+    assert result.retries > 0
+    assert len(calls) == result.sent + result.retries
+    assert set(calls) == {
+        (src, dst, spec.msg_bytes) for src, dst in spec.links()
+    }

@@ -1,4 +1,5 @@
-"""benchmarks/reach.py: a consumer that displaces the profiler fails loudly."""
+"""benchmarks/reach.py: a consumer that displaces the profiler fails loudly,
+and every function has a verdict key of its own."""
 
 import os
 import subprocess
@@ -28,3 +29,27 @@ def test_a_plain_consumer_passes(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAILED" not in proc.stdout + proc.stderr
     assert (tmp_path / "keys.json").exists()
+
+
+def _reach_module():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("reach", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_property_setter_has_a_key_of_its_own():
+    # The JSON verdicts are keyed by file and name: a setter sharing its
+    # getter's name would hide whichever of the two is unreached.
+    reach = _reach_module()
+    found = reach.functions()
+    names = [
+        (os.path.relpath(path, reach.SRC.parent), name)
+        for (path, _first), (name, _lines) in found.items()
+    ]
+    assert len(names) == len(set(names))
+    shard = [name for file, name in names if file == os.path.join("repro", "sharding", "shard.py")]
+    assert "ShardInterconnect.fault_injector" in shard
+    assert "ShardInterconnect.fault_injector.setter" in shard
