@@ -3,20 +3,23 @@
 Every other bench in this directory measures **simulated** time (cycles on
 the modelled 60 MHz node).  This module measures **host** time: simulated
 messages, bytes and clock events per wall-clock second of the Python
-process.  It is the instrument behind ``run_bench.py`` and the committed
-``BENCH_core.json`` / ``BENCH_scale.json`` files that later changes
-regress against (see ``docs/PERFORMANCE.md``).
+process.  It is the instrument behind ``run_bench.py``, whose
+``--check --parent`` gate pairs each rate-gated row against the parent
+checkout (``paired.py``), and the committed ``BENCH_core.json`` /
+``BENCH_scale.json`` records, whose simulated fields are exact goldens
+and whose host rates are a record, not a bound (``docs/PERFORMANCE.md``).
 
 One table, :data:`SCENARIOS`, holds every scenario.  Each belongs to a
 section:
 
 * ``core`` -- the hot paths the zero-copy data plane, the translation
   fast path and the sharded kernel optimise: single-node UDMA sends into
-  a sink (``udma_send``), the 2-node deliberate-update round trip
-  (``cluster_pingpong``), the word-stepping DMA engine
+  a sink (``udma_send``), the word-stepping DMA engine
   (``stepping_dma``), a translation-cache stress loop
-  (``translate_storm``) and a 64-node mesh on the conservative-PDES
-  sharded kernel (``cluster_mesh_64``);
+  (``translate_storm``), and two e2ebench worlds, imported from
+  ``e2ebench/workloads.py`` so each world is built in one place: the
+  2-node blocking round trip (``pingpong_mix``) and the 64-node ring on
+  the conservative-PDES sharded kernel (``ring_64x2shard``);
 * ``obs`` -- ``udma_send`` with the observability plane off, at its
   default (metrics) and fully on (spans);
 * ``reliability`` -- ``cluster_pingpong`` with the ack/retransmit
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import os
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -53,6 +57,12 @@ from repro.bench.workloads import make_payload
 from repro.devices import SinkDevice
 from repro.dma.engine import DmaEngine, MemoryEndpoint
 from repro.userlib import DeviceRef, MemoryRef, Sender, UdmaUser
+
+# The core section's two cluster worlds are e2ebench's, built by its own
+# classes (appended, so e2ebench/ shadows no module found before it).
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "e2ebench"))
+from workloads import WORKLOADS as E2E_WORKLOADS  # noqa: E402
 
 #: The one schema of every bench JSON file (``BENCH_core.json``,
 #: ``BENCH_scale.json``, ``--json`` reports).
@@ -322,24 +332,41 @@ def bench_translate_storm(iterations: int = 120, pages: int = 64) -> Result:
     return result
 
 
-def bench_cluster_mesh_64(
-    messages: int = 16, shards: int = 1, engine: str = "in-process"
-) -> Result:
-    """A 64-node 8x8 mesh of self-driving senders on the sharded kernel.
+def bench_e2e(workload: str, scale: float) -> Result:
+    """One timed window of an e2ebench workload at seed 0.
+
+    The world is the one ``e2ebench/run.py`` measures, built by the same
+    class; ``scale`` shrinks its message count.  ``sim`` holds the
+    workload's own simulated results plus the table's message and byte
+    counts.
+    """
+    world = E2E_WORKLOADS[workload](0, scale)
+    _pre, window = world.run()
+    outcome = world.outcome()
+    if outcome.failed:
+        raise RuntimeError(f"{workload}: {outcome.problems}")
+    sim = dict(outcome.sim, messages=outcome.messages,
+               sim_bytes=outcome.payload_bytes)
+    sim["events_fired"] = sim.pop("events")
+    return Result(sim=sim, host_seconds=window,
+                  xlat_hits=int(outcome.counters["xlat_hits"]),
+                  xlat_misses=int(outcome.counters["xlat_misses"]))
+
+
+def bench_cluster_mesh_64(messages: int = 16, shards: int = 1) -> Result:
+    """A 64-node 8x8 mesh of self-driving senders on ``shards`` workers.
 
     Every node streams ``messages`` deliberate-update sends around the
     node ring under the conservative-PDES engine (``repro.sharding``),
-    in this process (``engine="in-process"``) or on ``shards`` worker
-    processes (``engine="worker"``).  The timed window is the engine's
-    own ``timed_seconds``: it starts once every shard is built and ends
-    when the run drains, so it measures execution, not construction or
-    process spawning.
+    each shard in its own worker process.  The timed window is the
+    engine's own ``timed_seconds``: it starts once every shard is built
+    and ends when the run drains, so it measures execution, not
+    construction or process spawning.
     """
-    from repro.sharding import ClusterSpec, InProcessEngine, WorkerEngine
+    from repro.sharding import ClusterSpec, WorkerEngine
 
     spec = ClusterSpec(num_nodes=64, messages_per_node=messages)
-    engines = {"in-process": InProcessEngine, "worker": WorkerEngine}
-    runner = engines[engine](spec, num_shards=shards)
+    runner = WorkerEngine(spec, num_shards=shards)
     result = runner.run()
     return Result(
         sim={
@@ -391,7 +418,7 @@ class Scenario:
     )
     #: the variants must simulate identically
     identical: bool = True
-    #: host msgs/s is compared against a baseline
+    #: host msgs/s is gated in pairs against the parent checkout
     gate_rate: bool = True
 
     def kwargs(self, quick: bool) -> Dict[str, object]:
@@ -427,24 +454,26 @@ def _traffic(full: int, quick: int, **kwargs) -> Dict[str, dict]:
 _REFERENCE = {"reference": {"reference": True}, "default": {}}
 
 
-# Quick workloads keep every timed window at or above 100 ms per repeat:
-# 110-200 ms for each core scenario and obs variant (250 ms with spans),
-# 140-400 ms per reliability variant and 0.4-1.4 s per scale pass, best
-# of 5 on a 2-vCPU Xeon, CPython 3.11.7.  Even so that host's speed
-# drifts by about +-25% within minutes, which is why CI gates quick runs
-# with a wide --tolerance (docs/PERFORMANCE.md).  Simulated fields are
-# exact on every host.
-_MESH = {"full": {"messages": 128}, "quick": {"messages": 48}}
+# Quick workloads keep every timed window at or above 100 ms: 110-250 ms
+# for each core scenario and obs variant, 140-400 ms per reliability
+# variant and 0.4-1.4 s per scale pass on a 2-vCPU Xeon, CPython 3.11.7.
+# That host's speed drifts by about +-25% within minutes, so host rates
+# are judged only in pairs against the parent checkout (run_bench.py
+# --parent); simulated fields are exact on every host.
 _UDMA = {"full": {"messages": 10_000}, "quick": {"messages": 4_000}}
 _TABLE = [
     Scenario("core", "udma_send", bench_udma_send, **_UDMA),
-    Scenario("core", "cluster_pingpong", bench_cluster_pingpong,
-             {"rounds": 5_000}, {"rounds": 2_000}),
+    # The two cluster worlds are e2ebench's own, at a smaller scale.
+    Scenario("core", "pingpong_mix", bench_e2e,
+             {"workload": "pingpong_mix", "scale": 1.0},
+             {"workload": "pingpong_mix", "scale": 0.25}),
     Scenario("core", "stepping_dma", bench_stepping_dma,
              {"transfers": 800}, {"transfers": 320}),
     Scenario("core", "translate_storm", bench_translate_storm,
              {"iterations": 1_000}, {"iterations": 400}),
-    Scenario("core", "cluster_mesh_64", bench_cluster_mesh_64, **_MESH),
+    Scenario("core", "ring_64x2shard", bench_e2e,
+             {"workload": "ring_64x2shard", "scale": 1.0},
+             {"workload": "ring_64x2shard", "scale": 0.5}),
     # The metrics registry samples live counters only at snapshot time
     # and the span tracker is never built when disabled, so ``metrics``
     # must land within 2% of ``baseline`` (run_bench.py's check).
@@ -484,10 +513,10 @@ _TABLE = [
                         hot_permille=400, gap_cycles=24_000)),
     # Worker rates depend on OS scheduling, so they are reported, never
     # gated; the simulated fields must still match at every shard count.
-    Scenario("shards", "cluster_mesh_64", bench_cluster_mesh_64, **_MESH,
+    Scenario("shards", "cluster_mesh_64", bench_cluster_mesh_64,
+             {"messages": 128}, {"messages": 48},
              variants={
-                 str(n): {"engine": "worker", "shards": n}
-                 for n in shard_counts(os.cpu_count() or 1)
+                 str(n): {"shards": n} for n in shard_counts(os.cpu_count() or 1)
              },
              gate_rate=False),
 ]

@@ -385,15 +385,14 @@ TWINS: Dict[str, Twin] = {
             requires=frozenset({"cluster", "reliability"}),
         ),
         Twin(
-            # A wire fault's lane ordinal does not move when pageouts go;
-            # both sides strip faults until a campaign shows they can stop.
+            # A wire fault's lane ordinal does not move when pageouts go,
+            # so both sides keep the schedule's wire faults.
             "iommu", "schedule",
-            "paging as is / stripped (wire faults off): clean, exact "
-            "ledgers, no extra aborts, deliveries, logical memory",
+            "paging as is / stripped: clean, exact ledgers, no extra "
+            "aborts, deliveries, logical memory",
             lambda s: [
-                Variant("faulted", transform=strip_wire_faults),
-                Variant("paging-free", transform=lambda a: strip_paging_faults(
-                    strip_wire_faults(a))),
+                Variant("faulted"),
+                Variant("paging-free", transform=strip_paging_faults),
             ],
             lambda run: {"delivered count": _ledger(run)[0], "logical memory": run.vm_digest},
             check=_iommu_check,
@@ -453,9 +452,8 @@ def audited_variant(twins: Sequence[Twin], setup: Setup) -> Variant:
     """The schedule run whose invariant failures fail the campaign.
 
     The untouched subject when any selected twin runs it, else the first
-    twin's first variant (the ``backends`` twin settles writes, the
-    ``iommu`` twin strips wire faults), so auditing never costs a run of
-    its own.
+    twin's first variant (the ``backends`` twin settles writes), so
+    auditing never costs a run of its own.
     """
     variants = [v for twin in twins for v in twin.variants(setup)]
     return next((v for v in variants if v.untouched),

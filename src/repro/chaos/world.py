@@ -29,7 +29,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.bench.workloads import make_payload
 from repro.chaos.actions import Action
 from repro.cluster import ShrimpCluster, node_counters
 from repro.config import ClusterConfig, IommuConfig, MachineConfig
@@ -37,6 +36,7 @@ from repro.devices.sink import SinkDevice
 from repro.errors import ConfigurationError, InvariantViolation, ReproError
 from repro.kernel.process import Process
 from repro.machine import Machine
+from repro.mem.payload import make_payload
 from repro.net.faults import FAULT_OPS, FaultPlan
 from repro.obs import ObsConfig
 from repro.params import shrimp

@@ -30,6 +30,10 @@ DEFAULT_PAGE_SIZE = 4096
 #: Word size of the simulated CPU and the I/O bus, in bytes.
 WORD_SIZE = 4
 
+#: gap before a failed (device-busy) initiation is retried, by the
+#: sharded ring and by :class:`~repro.traffic.engine.TrafficEngine` alike
+RETRY_GAP_CYCLES = 512
+
 
 @dataclass(frozen=True)
 class CostModel:

@@ -47,7 +47,6 @@ from functools import partial
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.workloads import make_payload
 from repro.cluster import (
     build_node,
     export_receive_buffer,
@@ -59,12 +58,14 @@ from repro.errors import ConfigurationError, DmaError
 from repro.kernel.invariants import InvariantChecker
 from repro.kernel.process import Process
 from repro.machine import Machine
+from repro.mem.payload import make_payload
 from repro.net.interconnect import Interconnect
 from repro.net.nic import ShrimpNic
 from repro.net.packet import Packet
 from repro.net.pool import PacketPool
 from repro.obs import Observability, ObsConfig
-from repro.sharding.spec import RETRY_GAP_CYCLES, ClusterSpec, ShardSpec
+from repro.params import RETRY_GAP_CYCLES
+from repro.sharding.spec import ClusterSpec, ShardSpec
 from repro.sim.clock import Clock, ShardClock
 from repro.userlib.messaging import Sender
 

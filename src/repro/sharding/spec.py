@@ -33,11 +33,6 @@ from repro.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.params import CostModel, shrimp
 
-#: gap before a failed (device-busy) initiation is retried, by the
-#: sharded ring and by :class:`~repro.traffic.engine.TrafficEngine` alike
-RETRY_GAP_CYCLES = 512
-
-
 @dataclass(frozen=True)
 class ClusterSpec:
     """One reproducible sharded-cluster workload.

@@ -8,7 +8,7 @@ due network events), then perform exactly one non-blocking send
 its next destination from its seeded stream and re-arms ``gap_cycles``
 later; on a transient refusal (the node's UDMA engine is still draining
 the previous message) it retries the *same* destination after
-:data:`~repro.sharding.spec.RETRY_GAP_CYCLES`, the sharded ring's retry
+:data:`~repro.params.RETRY_GAP_CYCLES`, the sharded ring's retry
 delay, so single-clock and sharded workloads back off alike.
 
 CPU work never happens inside a clock-event callback.  A send charges
@@ -32,7 +32,7 @@ from typing import List
 
 from repro.cluster import ShrimpCluster
 from repro.errors import ConfigurationError
-from repro.sharding.spec import RETRY_GAP_CYCLES
+from repro.params import RETRY_GAP_CYCLES
 from repro.traffic.generators import TrafficPattern, Xorshift, _mix_seed, make_pattern
 from repro.traffic.tenants import TenantPlacement
 from repro.config import ClusterConfig

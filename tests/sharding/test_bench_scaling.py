@@ -1,4 +1,4 @@
-"""Bench integration: the cluster_mesh_64 scenario and the shards section."""
+"""Bench integration: the shards section's cluster_mesh_64 sweep."""
 
 import copy
 import dataclasses
@@ -20,7 +20,7 @@ from bench_host_throughput import (  # noqa: E402
     shard_counts,
     to_payload,
 )
-from run_bench import check  # noqa: E402
+from run_bench import check, gated_rows  # noqa: E402
 
 
 def _tiny_sweep(max_shards):
@@ -28,16 +28,18 @@ def _tiny_sweep(max_shards):
     tiny = dataclasses.replace(
         spec,
         quick={"messages": 2},
-        variants={str(n): {"engine": "worker", "shards": n}
-                  for n in shard_counts(max_shards)},
+        variants={str(n): {"shards": n} for n in shard_counts(max_shards)},
     )
     return to_payload(run([tiny], quick=True, repeats=1), quick=True)
 
 
 class TestClusterMeshScenario:
     def test_registered_with_quick_workload(self):
-        spec = SCENARIOS[("core", "cluster_mesh_64")]
+        spec = SCENARIOS[("shards", "cluster_mesh_64")]
         assert spec.quick["messages"] < spec.full["messages"]
+        # The in-process mesh is gated as e2ebench's ring, not twice.
+        assert ("core", "cluster_mesh_64") not in SCENARIOS
+        assert SCENARIOS[("core", "ring_64x2shard")].quick["workload"] == "ring_64x2shard"
 
     def test_counts_events_and_bytes(self):
         result = bench_cluster_mesh_64(messages=2)
@@ -48,7 +50,7 @@ class TestClusterMeshScenario:
         assert result.sim["sim_cycles"] > 0
 
     def test_worker_variant_times_execution_only(self):
-        result = bench_cluster_mesh_64(messages=2, shards=2, engine="worker")
+        result = bench_cluster_mesh_64(messages=2, shards=2)
         assert result.sim["events_fired"] > 0
         assert result.host_seconds > 0
 
@@ -66,7 +68,7 @@ class TestScalingSweep:
         # Identical workload at every point: every simulated field
         # matches, and the check holds the sweep to it.
         assert rows["1"]["sim"] == rows["2"]["sim"]
-        assert check(payload, None, 0.3) == ([], [])
+        assert check(payload, None) == ([], [])
 
     def test_table_reports_speedup_column(self):
         table = format_payload(_tiny_sweep(2))
@@ -79,4 +81,5 @@ class TestScalingSweep:
         rows = baseline["sections"]["shards"]["cluster_mesh_64"]["variants"]
         for row in rows.values():
             row["messages_per_s"] *= 1000
-        assert check(payload, baseline, 0.3)[0] == []
+        assert check(payload, baseline)[0] == []
+        assert gated_rows(payload) == []

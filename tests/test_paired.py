@@ -3,9 +3,14 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "benchmarks", "paired.py")
+if os.path.dirname(SCRIPT) not in sys.path:  # the bench package is not installed
+    sys.path.insert(0, os.path.dirname(SCRIPT))
+
+from paired import run_pairs  # noqa: E402
 
 
 def _run(*args):
@@ -47,3 +52,21 @@ def test_not_a_checkout_is_a_usage_error(tmp_path):
     proc = _run(str(tmp_path), ROOT, "pingpong_mix")
     assert proc.returncode == 2
     assert "not a checkout" in proc.stderr
+
+
+def test_every_pair_starts_fresh_workers():
+    request = {"workload": "pingpong_mix", "seed": 0, "scale": 0.002}
+    got = run_pairs(Path(ROOT), Path(ROOT), request, 2)
+    pids = [reading["pid"] for pair in got for reading in pair]
+    assert len(pids) == 4 and len(set(pids)) == 4
+    assert all(a["sim"] == b["sim"] for a, b in got)
+
+
+def test_a_table_row_runs_paired():
+    # The rows run_bench.py --parent gates: this checkout's bench code,
+    # each side's program.
+    request = {"row": ["core", "stepping_dma"], "variant": "default",
+               "quick": True}
+    (a, b), = run_pairs(Path(ROOT), Path(ROOT), request, 1)
+    assert a["sim"] == b["sim"] and a["sim"]["messages"] == 320
+    assert a["msgs_per_s"] > 0 and a["pid"] != b["pid"]

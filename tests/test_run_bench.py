@@ -1,4 +1,4 @@
-"""run_bench.py: the one check and the eight-option CLI."""
+"""run_bench.py: the one check, the paired rate gate and the eight-option CLI."""
 
 import copy
 import json
@@ -20,9 +20,17 @@ from bench_host_throughput import (  # noqa: E402
     Result,
     to_payload,
 )
-from run_bench import check, main  # noqa: E402
+from run_bench import (  # noqa: E402
+    RATE_BOUND,
+    check,
+    gated_rows,
+    main,
+    parent_check,
+    record_lines,
+    rerecorded,
+)
 
-OPTIONS = ["--json", "--check", "--quick", "--repeats", "--tolerance",
+OPTIONS = ["--json", "--check", "--quick", "--repeats", "--parent",
            "--profile", "--section", "--scenario"]
 
 
@@ -48,21 +56,21 @@ class TestCheck:
         baseline = copy.deepcopy(payload)
         baseline["sections"]["core"]["udma_send"]["variants"]["default"][
             "sim"]["sim_cycles"] += 1
-        failures, _ = check(payload, baseline, tolerance=0.3)
+        failures, _ = check(payload, baseline)
         assert len(failures) == 1
         assert "sim_cycles" in failures[0]
         assert "determinism break" in failures[0]
 
     def test_identical_core_run_passes(self):
         payload = _core_payload()
-        assert check(payload, copy.deepcopy(payload), 0.3) == ([], [])
+        assert check(payload, copy.deepcopy(payload)) == ([], [])
 
     def test_host_statistics_are_not_compared(self):
         payload = _core_payload()
         baseline = copy.deepcopy(payload)
         row = baseline["sections"]["core"]["udma_send"]["variants"]["default"]
         row["xlat_hits"], row["xlat_hit_rate"] = 0, 0.0
-        assert check(payload, baseline, 0.3) == ([], [])
+        assert check(payload, baseline) == ([], [])
 
     def test_obs_metrics_variant_gated_at_two_percent(self):
         spec = SCENARIOS[("obs", "udma_send")]
@@ -75,12 +83,12 @@ class TestCheck:
         slow = to_payload([(spec, {"baseline": at(1000.0),
                                    "metrics": at(970.0),
                                    "spans": at(500.0)})], quick=True)
-        failures, _ = check(slow, None, 0.3)
+        failures, _ = check(slow, None)
         assert len(failures) == 1 and "metrics variant" in failures[0]
         fine = to_payload([(spec, {"baseline": at(1000.0),
                                    "metrics": at(990.0),
                                    "spans": at(500.0)})], quick=True)
-        assert check(fine, None, 0.3) == ([], [])
+        assert check(fine, None) == ([], [])
 
     def test_reliability_variants_may_differ(self):
         spec = SCENARIOS[("reliability", "cluster_pingpong")]
@@ -91,7 +99,79 @@ class TestCheck:
                          host_seconds=1.0)
             for i, name in enumerate(spec.variants)
         }
-        assert check(to_payload([(spec, variants)], True), None, 0.3)[0] == []
+        assert check(to_payload([(spec, variants)], True), None)[0] == []
+
+    def test_rates_are_printed_next_to_the_record_not_gated(self):
+        payload = _core_payload(msg_s=500.0)
+        baseline = _core_payload(msg_s=1000.0)
+        assert check(payload, baseline) == ([], [])
+        assert record_lines(payload, baseline) == [
+            "core/udma_send [default]: 500 msgs/s, record 1000 (0.50x)"
+        ]
+
+
+def _reading(msg_s, sim=None):
+    return {"msgs_per_s": msg_s, "sim": sim or {"sim_cycles": 7}, "failed": 0}
+
+
+def _fake_pairs(ratio, sim=None):
+    """A fake pairing: the parent reads 1000 msgs/s, the change ``ratio``x."""
+    def pairs_of(section, name, variant):
+        return [(_reading(1000.0), _reading(1000.0 * ratio, sim))] * 3
+    return pairs_of
+
+
+ROWS = [("core", "udma_send", "default"), ("core", "stepping_dma", "default")]
+
+
+class TestParentCheck:
+    def test_ratio_below_the_bound_fails_naming_the_row(self):
+        failures, _ = parent_check(ROWS[:1], _fake_pairs(0.8), set())
+        assert len(failures) == 1
+        assert failures[0].startswith("core/udma_send [default]: median B/A 0.800")
+
+    def test_a_a_passes(self):
+        failures, lines = parent_check(ROWS, _fake_pairs(1.0), set())
+        assert failures == []
+        assert len(lines) == 2 and "median B/A 1.000 over 3 pairs" in lines[0]
+
+    def test_the_bound_is_at_most_fifteen_percent(self):
+        assert 0 < RATE_BOUND <= 0.15
+        assert parent_check(ROWS, _fake_pairs(1.0 - RATE_BOUND + 0.01), set())[0] == []
+        assert parent_check(ROWS, _fake_pairs(1.0 - RATE_BOUND - 0.01), set())[0]
+
+    def test_sim_differing_from_the_parent_is_a_determinism_break(self):
+        failures, _ = parent_check(ROWS[:1], _fake_pairs(1.0, {"sim_cycles": 8}),
+                                   set())
+        assert len(failures) == 1
+        assert "sim_cycles 8 != 7" in failures[0]
+        assert "determinism break" in failures[0]
+
+    def test_re_recorded_row_is_reported_not_gated(self):
+        failures, lines = parent_check(
+            ROWS[:1], _fake_pairs(0.5, {"sim_cycles": 8}), {("core", "udma_send")}
+        )
+        assert failures == []
+        assert "re-recorded" in lines[0] and "500 msgs/s reported" in lines[0]
+
+    def test_rerecorded_names_rows_whose_sim_or_kwargs_changed(self):
+        parent = _core_payload()
+        change = copy.deepcopy(parent)
+        assert rerecorded(change, parent) == set()
+        row = change["sections"]["core"]["udma_send"]["variants"]["default"]
+        row["messages_per_s"] *= 2  # a fresh rate alone is no re-record
+        assert rerecorded(change, parent) == set()
+        row["sim"]["sim_cycles"] += 1
+        assert rerecorded(change, parent) == {("core", "udma_send")}
+        del parent["sections"]["core"]["udma_send"]
+        change = _core_payload()
+        assert rerecorded(change, parent) == {("core", "udma_send")}
+
+    def test_only_rate_gated_rows_are_paired(self):
+        payload = _core_payload()
+        assert gated_rows(payload) == [("core", "udma_send", "default")]
+        payload["sections"]["core"]["udma_send"]["gate_rate"] = False
+        assert gated_rows(payload) == []
 
 
 class TestCli:
@@ -109,6 +189,17 @@ class TestCli:
     ])
     def test_removed_flags_exit_2(self, flag):
         assert _exit_code([flag]) == 2
+
+    def test_parent_without_check_exits_2(self, tmp_path, capsys):
+        assert _exit_code(["--quick", "--parent", str(tmp_path)]) == 2
+        assert "--parent needs --check" in capsys.readouterr().err
+
+    def test_parent_that_is_not_a_checkout_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(_core_payload()))
+        argv = ["--quick", "--check", str(path), "--parent", str(tmp_path)]
+        assert _exit_code(argv) == 2
+        assert "not a checkout" in capsys.readouterr().err
 
     def test_profile_with_json_exits_2(self, tmp_path):
         argv = ["--quick", "--profile", str(tmp_path / "p.txt"),
@@ -157,12 +248,11 @@ class TestCli:
         assert main(argv + ["--json", str(path)]) == 0
         baseline = json.loads(path.read_text())
         assert list(baseline["sections"]) == ["core"]
-        # Host speed varies between the two runs; the rate gate is not
-        # what this test is about.
-        assert main(argv + ["--check", str(path), "--tolerance", "1"]) == 0
+        # Without --parent, host rates are printed next to the record.
+        assert main(argv + ["--check", str(path)]) == 0
+        assert "core/udma_send [default]: " in capsys.readouterr().out
         row = baseline["sections"]["core"]["udma_send"]["variants"]["default"]
         row["sim"]["sim_cycles"] += 1
         path.write_text(json.dumps(baseline))
-        capsys.readouterr()
-        assert main(argv + ["--check", str(path), "--tolerance", "1"]) == 1
+        assert main(argv + ["--check", str(path)]) == 1
         assert "determinism break" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from bench_host_throughput import (  # noqa: E402
     run,
     to_payload,
 )
-from run_bench import check  # noqa: E402
+from run_bench import check, parent_check  # noqa: E402
 
 GATED = ("incast_64x1", "all_to_all_32x1")
 
@@ -52,17 +52,17 @@ class TestIdentity:
     def test_clean_results_pass(self):
         # The reference run has no translation cache: its hit rate
         # differs, and it is a host statistic, so it is not compared.
-        assert check(_payload(), None, 0.3) == ([], [])
+        assert check(_payload(), None) == ([], [])
 
     def test_sim_divergence_is_flagged(self):
         payload = _payload()
         _variant(payload, "reference")["sim"]["sim_cycles"] += 1
-        failures, _ = check(payload, None, 0.3)
+        failures, _ = check(payload, None)
         assert len(failures) == 1
         assert "sim_cycles" in failures[0]
 
     def test_missing_baseline_is_skipped(self):
-        assert check(_payload(reference=False), None, 0.3) == ([], [])
+        assert check(_payload(reference=False), None) == ([], [])
 
 
 class TestSpeedup:
@@ -80,26 +80,40 @@ class TestGate:
             baseline["cpu_count"] = cpu_count
         return baseline
 
+    @staticmethod
+    def _paired(payload, parent_msg_s):
+        """Pairs whose parent side reads ``parent_msg_s`` for every row."""
+        def pairs_of(section, name, variant):
+            row = payload["sections"][section][name]["variants"][variant]
+            parent = {"msgs_per_s": parent_msg_s, "sim": row["sim"]}
+            return [(parent, {"msgs_per_s": row["messages_per_s"],
+                              "sim": row["sim"]})] * 5
+        return pairs_of
+
+    def _rows(self, payload):
+        return [("scale", "s", v) for v in payload["sections"]["scale"]["s"]["variants"]]
+
     def test_same_machine_rate_drop_fails(self):
-        baseline = self._baseline(_payload(msg_s=1000.0))
-        failures, warnings = check(_payload(msg_s=500.0), baseline, 0.3)
-        assert failures and "msgs/s < floor" in failures[0]
-        assert not warnings
+        payload = _payload(msg_s=500.0, reference=False)
+        failures, _ = parent_check(self._rows(payload),
+                                   self._paired(payload, 1000.0), set())
+        assert failures and "median B/A 0.500" in failures[0]
+        assert failures[0].startswith("scale/s [default]")
 
     def test_rate_within_tolerance_passes(self):
-        baseline = self._baseline(_payload(msg_s=1000.0))
-        failures, _ = check(_payload(msg_s=900.0), baseline, 0.3)
+        payload = _payload(msg_s=950.0, reference=False)
+        failures, lines = parent_check(self._rows(payload),
+                                       self._paired(payload, 1000.0), set())
         assert failures == []
+        assert "median B/A 0.950" in lines[0]
 
-    def test_different_cpu_count_downgrades_to_warning(self):
-        # A different core count is reported, but no longer excuses a
-        # rate drop: the rate failure stands.
+    def test_record_rates_and_cpu_count_are_not_compared(self):
+        # The baseline's host rates are a record: a run at half of them on
+        # a host with another core count passes, with no warning.
         baseline = self._baseline(
             _payload(msg_s=1000.0), cpu_count=(os.cpu_count() or 1) + 7
         )
-        failures, warnings = check(_payload(msg_s=500.0), baseline, 0.3)
-        assert any("msgs/s < floor" in f for f in failures)
-        assert any("cpu_count" in w for w in warnings)
+        assert check(_payload(msg_s=500.0), baseline) == ([], [])
 
     def test_sim_divergence_fails_even_across_machines(self):
         baseline = self._baseline(
@@ -108,7 +122,7 @@ class TestGate:
         payload = _payload(msg_s=1000.0)
         for variant in ("default", "reference"):
             _variant(payload, variant)["sim"]["sim_cycles"] += 1
-        failures, _ = check(payload, baseline, 0.3)
+        failures, _ = check(payload, baseline)
         assert failures and "determinism break" in failures[0]
 
     def test_workload_size_mismatch_skips_sim_check(self):
@@ -117,13 +131,13 @@ class TestGate:
         payload["sections"]["scale"]["s"]["kwargs"]["messages"] = 20
         for variant in ("default", "reference"):
             _variant(payload, variant)["sim"]["sim_cycles"] = 1
-        failures, warnings = check(payload, baseline, 0.3)
+        failures, warnings = check(payload, baseline)
         assert failures == []
         assert any("re-record" in w for w in warnings)
 
     def test_new_scenario_is_not_gated(self):
         baseline = self._baseline(_payload(name="other"))
-        failures, _ = check(_payload(msg_s=1.0), baseline, 0.3)
+        failures, _ = check(_payload(msg_s=1.0), baseline)
         assert failures == []
 
     def test_json_payload_carries_cpu_count(self):
@@ -162,5 +176,5 @@ def test_tiny_scenario_end_to_end():
     payload = to_payload(run([tiny], quick=True, repeats=1), quick=True)
     entry = payload["sections"]["scale"]["all_to_all_32x1"]
     assert entry["variants"]["default"]["sim"]["delivered"] == 60
-    assert check(payload, None, 0.3) == ([], [])
+    assert check(payload, None) == ([], [])
     assert entry["variants"]["default"]["speedup"] > 0
