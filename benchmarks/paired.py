@@ -21,8 +21,10 @@ swaps from pair to pair, so host drift hits both sides alike.  Every
 pair asserts that A and B simulated identically (equal ``sim``), so a
 speedup is only ever reported for bit-identical simulations.
 
-Prints one line per pair (A and B readings, the B/A ratio), then each
-side's median and quartiles, the median ratio and how many pairs B won.
+Prints one line per pair (A and B readings, the B/A ratio to three
+decimals), then each side's median and quartiles, the median ratio and
+how many pairs B won, counted on the printed ratios: a pair that prints
+``1.000`` is a tie and counts for neither side.
 ``--metric`` picks the reading: ``msgs_per_s`` (the default; higher
 wins) is the timed window's host rate, ``setup_s`` (lower wins) is the
 world's construction plus its pre-window seconds, exactly what
@@ -163,6 +165,12 @@ METRICS = {
 }
 
 
+def _ratio(a: float, b: float) -> float:
+    """B/A as printed, to three decimals: wins are counted on this value,
+    so a pair that prints ``1.000`` is a tie and counts for neither side."""
+    return round(b / a, 3)
+
+
 def _quartiles(values: list, fmt: str) -> str:
     """First and third quartile, or the lone value of a one-pair run."""
     if len(values) < 2:
@@ -201,7 +209,7 @@ def main(argv=None) -> int:
     def show(k, order, a, b):
         print(f"pair {k:2d} ({order[0]} first): A {fmt.format(a[args.metric])}  "
               f"B {fmt.format(b[args.metric])} {unit}  "
-              f"B/A {b[args.metric] / a[args.metric]:.3f}", flush=True)
+              f"B/A {_ratio(a[args.metric], b[args.metric]):.3f}", flush=True)
 
     got = run_pairs(args.a_dir, args.b_dir, request, args.pairs, show)
     a, b = got[-1]
@@ -215,7 +223,7 @@ def main(argv=None) -> int:
         return 1
     readings = {"A": [a[args.metric] for a, _ in got],
                 "B": [b[args.metric] for _, b in got]}
-    ratios = [b / a for a, b in zip(readings["A"], readings["B"])]
+    ratios = [_ratio(a, b) for a, b in zip(readings["A"], readings["B"])]
     for side, values in readings.items():
         median = fmt.format(statistics.median(values)).strip()
         print(f"{side}: median {median} {unit} [{_quartiles(values, fmt)}]")

@@ -20,17 +20,12 @@ import math
 from typing import Dict, Optional, Set
 
 from repro.core.events import UdmaEvent
-from repro.core.state_machine import (
-    ProxyOperand,
-    SpaceKind,
-    UdmaState,
-    UdmaStateMachine,
-)
+from repro.core.state_machine import UdmaState, UdmaStateMachine
 
 from repro.devices.base import UDMADevice
 from repro.dma.engine import DeviceEndpoint, DmaEngine, Endpoint, MemoryEndpoint
 from repro.errors import AddressError, ConfigurationError
-from repro.mem.layout import DeviceWindow, Layout, Region
+from repro.mem.layout import DeviceWindow, Layout, ProxyOperand, Region, SpaceKind
 from repro.mem.physmem import PhysicalMemory
 from repro.protection import ProtectionBackend, ProxyBackend
 from repro.sim.clock import Clock

@@ -42,11 +42,10 @@ from typing import Deque, Dict, Optional, Set
 
 from repro.core.controller import UdmaController
 from repro.core.events import UdmaEvent, classify_store
-from repro.core.state_machine import ProxyOperand, SpaceKind
 from repro.core.status import UdmaStatus
 from repro.dma.engine import DmaEngine
 from repro.errors import ConfigurationError, QueueFull
-from repro.mem.layout import Layout
+from repro.mem.layout import Layout, ProxyOperand, SpaceKind
 from repro.mem.physmem import PhysicalMemory
 from repro.sim.clock import Clock
 

@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 from repro.core.events import UdmaEvent, classify_store
 from repro.core.status import UdmaStatus
+from repro.mem.layout import ProxyOperand, SpaceKind
 
 
 class UdmaState(enum.Enum):
@@ -42,26 +43,6 @@ class UdmaState(enum.Enum):
     IDLE = "Idle"
     DEST_LOADED = "DestLoaded"
     TRANSFERRING = "Transferring"
-
-
-class SpaceKind(enum.Enum):
-    """Which proxy region an operand came from (for BadLoad detection)."""
-
-    MEMORY = "memory"
-    DEVICE = "device"
-
-
-@dataclass(frozen=True)
-class ProxyOperand:
-    """A decoded proxy-space access as the state machine sees it.
-
-    Attributes:
-        proxy_addr: the physical proxy address the CPU referenced.
-        space: memory-proxy or device-proxy.
-    """
-
-    proxy_addr: int
-    space: SpaceKind
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,26 @@ class Region(enum.Enum):
         return self in (Region.MEMORY_PROXY, Region.DEVICE_PROXY)
 
 
+class SpaceKind(enum.Enum):
+    """Which proxy region an operand came from (for BadLoad detection)."""
+
+    MEMORY = "memory"
+    DEVICE = "device"
+
+
+@dataclass(frozen=True)
+class ProxyOperand:
+    """A decoded proxy-space access as the state machine sees it.
+
+    Attributes:
+        proxy_addr: the physical proxy address the CPU referenced.
+        space: memory-proxy or device-proxy.
+    """
+
+    proxy_addr: int
+    space: SpaceKind
+
+
 @dataclass(frozen=True)
 class DeviceWindow:
     """A device's slice of the device-proxy region."""

@@ -30,10 +30,9 @@ from functools import partial
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.state_machine import ProxyOperand, SpaceKind
 from repro.devices.base import ERR_ALIGNMENT, ERR_DEVICE_BASE, ERR_RANGE, ERR_READONLY
 from repro.errors import AddressError, ConfigurationError
-from repro.mem.layout import Region
+from repro.mem.layout import ProxyOperand, Region, SpaceKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import UdmaController

@@ -1,5 +1,5 @@
 """Layering: no ``repro`` subpackage imports another one's private names,
-and no import points up the layer order.
+and no runtime import points up the layer order.
 
 A ``_``-prefixed name is its package's own business; a second package
 that reaches for it grows a private copy of a path the owner already
@@ -9,9 +9,10 @@ file:line and name if a module imports a ``_``-prefixed name from
 another top-level ``repro`` subpackage.  A top-level module
 (``repro/cluster.py``) is a unit of its own.
 
-It also fails, naming the edge, on any import along :data:`UPWARD`: a
-lower unit importing a higher one (the traffic engine from the sharded
-engine, the sharded engine or the chaos world from the bench harness).
+It also fails, naming the edge, on any import of a unit above the
+importer in :data:`LAYERS`, wherever in the module the import sits.
+Imports under ``if TYPE_CHECKING:`` never run, so they may point
+anywhere.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ def _unit(module: str) -> str:
     return parts[1] if len(parts) > 1 else ""
 
 
+def _layer(module: str) -> str:
+    """The unit of ``module`` as :data:`LAYERS` names it."""
+    return _unit(module) or "repro"
+
+
 def _module_of(path: Path) -> "tuple[str, str]":
     """The dotted module name of ``path`` and the package it lives in."""
     parts = path.relative_to(SRC_ROOT.parent).with_suffix("").parts
@@ -37,22 +43,52 @@ def _module_of(path: Path) -> "tuple[str, str]":
     return ".".join(parts), ".".join(parts[:-1])
 
 
-#: (importer, imported) units: each edge points up the layer order
-UPWARD = [("traffic", "sharding"), ("sharding", "bench"), ("chaos", "bench")]
+#: every unit, lowest first: a unit imports only the units before it.
+#: ``repro`` is the package itself (``repro/__init__.py``), the front
+#: door the CLI imports; ``__main__`` runs the CLI.
+LAYERS = (
+    "errors", "snapshot", "obs", "sim", "params", "mem", "devices", "dma",
+    "net", "vm", "protection", "core", "cpu", "kernel", "config", "iommu",
+    "machine", "cluster", "userlib", "traffic", "sharding", "chaos", "bench",
+    "analysis", "repro", "cli", "__main__",
+)
 
 
-def _repro_imports(package: str, text: str):
-    """``(node, source)`` of every ``from X import ...`` in ``text``, its
-    relative source resolved against ``package``."""
-    for node in ast.walk(ast.parse(text)):
-        if not isinstance(node, ast.ImportFrom):
+def _type_checking_only(tree: ast.AST) -> set:
+    """Every node under an ``if TYPE_CHECKING:`` guard."""
+    return {
+        id(node)
+        for guard in ast.walk(tree)
+        if isinstance(guard, ast.If)
+        and getattr(guard.test, "id", getattr(guard.test, "attr", None))
+        == "TYPE_CHECKING"
+        for statement in guard.body
+        for node in ast.walk(statement)
+    }
+
+
+def _repro_imports(package: str, text: str, runtime_only: bool = False):
+    """``(node, source)`` of every ``repro`` import in ``text``, a relative
+    source resolved against ``package``; with ``runtime_only``, not those
+    under an ``if TYPE_CHECKING:`` guard."""
+    tree = ast.parse(text)
+    skip = _type_checking_only(tree) if runtime_only else set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
             continue
-        source = node.module or ""
-        if node.level:  # relative: resolve against the package
-            base = package.split(".")[: len(package.split(".")) - node.level + 1]
-            source = ".".join(base + ([source] if source else []))
-        if source.split(".")[0] == "repro":
-            yield node, source
+        if isinstance(node, ast.Import):
+            sources = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:  # relative: resolve against the package
+                base = package.split(".")[: len(package.split(".")) - node.level + 1]
+                source = ".".join(base + ([source] if source else []))
+            sources = [source]
+        else:
+            continue
+        for source in sources:
+            if source.split(".")[0] == "repro":
+                yield node, source
 
 
 def _private_imports(module: str, package: str, text: str) -> list:
@@ -61,18 +97,21 @@ def _private_imports(module: str, package: str, text: str) -> list:
     return [
         (node.lineno, source, alias.name)
         for node, source in _repro_imports(package, text)
-        if _unit(source) != _unit(module)
+        if isinstance(node, ast.ImportFrom) and _unit(source) != _unit(module)
         for alias in node.names
         if alias.name.startswith("_")
     ]
 
 
 def _upward_imports(module: str, package: str, text: str) -> list:
-    """``(line, edge)`` of every import of ``module`` along :data:`UPWARD`."""
+    """``(line, edge)`` of every runtime import of ``module`` that names a
+    unit above its own in :data:`LAYERS` (or a unit not in it)."""
+    importer = _layer(module)
+    below = LAYERS[: LAYERS.index(importer) + 1] if importer in LAYERS else ()
     return [
-        (node.lineno, f"{_unit(module)} -> {_unit(source)} ({source})")
-        for node, source in _repro_imports(package, text)
-        if (_unit(module), _unit(source)) in UPWARD
+        (node.lineno, f"{importer} -> {_layer(source)} ({source})")
+        for node, source in _repro_imports(package, text, runtime_only=True)
+        if _layer(source) not in below
     ]
 
 
@@ -107,20 +146,36 @@ def test_no_module_imports_another_packages_private_names():
 
 
 def test_the_walker_sees_an_upward_import():
+    # Found wherever they sit and however they are spelled; a downward,
+    # a same-unit and a TYPE_CHECKING import are not.
     planted = (
-        "from repro.sharding.spec import ClusterSpec\n"
-        "from repro.bench.workloads import make_payload\n"
-        "from repro.params import RETRY_GAP_CYCLES\n"
+        "from typing import TYPE_CHECKING\n"
+        "from repro.mem.layout import Region\n"
+        "from repro.core.controller import UdmaController\n"
+        "from .base import ProtectionBackend\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.machine import Machine\n"
+        "def late():\n"
+        "    import repro.cluster\n"
+        "    from ..sharding import spec\n"
+        "    from repro.nowhere import x\n"
     )
-    assert _upward_imports("repro.traffic.engine", "repro.traffic", planted) == [
-        (1, "traffic -> sharding (repro.sharding.spec)"),
+    assert _upward_imports("repro.protection.proxy", "repro.protection", planted) == [
+        (3, "protection -> core (repro.core.controller)"),
+        (8, "protection -> cluster (repro.cluster)"),
+        (9, "protection -> sharding (repro.sharding)"),
+        (10, "protection -> nowhere (repro.nowhere)"),
     ]
-    assert _upward_imports("repro.chaos.world", "repro.chaos", planted) == [
-        (2, "chaos -> bench (repro.bench.workloads)"),
+    # The CLI may import the package's front door; nothing below it may.
+    assert _upward_imports("repro.cli", "repro", "from repro import Machine\n") == []
+    assert _upward_imports("repro.cluster", "repro", "from repro import Machine\n") == [
+        (1, "cluster -> repro (repro)"),
     ]
-    assert _upward_imports("repro.sharding.shard", "repro.sharding", planted) == [
-        (2, "sharding -> bench (repro.bench.workloads)"),
-    ]
+
+
+def test_every_unit_has_a_layer():
+    units = {_layer(_module_of(path)[0]) for path in SRC_ROOT.rglob("*.py")}
+    assert units == set(LAYERS)
 
 
 def test_no_import_points_up_the_layer_order():

@@ -10,7 +10,7 @@ SCRIPT = os.path.join(ROOT, "benchmarks", "paired.py")
 if os.path.dirname(SCRIPT) not in sys.path:  # the bench package is not installed
     sys.path.insert(0, os.path.dirname(SCRIPT))
 
-from paired import run_pairs  # noqa: E402
+from paired import _ratio, run_pairs  # noqa: E402
 
 
 def _run(*args):
@@ -38,8 +38,10 @@ def test_setup_metric_reads_seconds_and_lower_wins():
     assert all(0 < r < 60 for r in readings)
     assert " s  B/A " in lines[0]
     assert "incast_64x1 seed 0 scale 0.002 setup_s: median B/A" in lines[-1]
+    # Wins are counted on the printed ratio; a pair printing 1.000 is a tie.
     wins = sum(float(line.split()[-1]) < 1.0 for line in lines[:2])
     assert lines[-1].endswith(f"B won {wins}/2 pairs")
+    assert _ratio(1.0, 0.9996) == 1.0 and _ratio(1.0, 0.9994) == 0.999
 
 
 def test_sharded_workload_runs_paired():

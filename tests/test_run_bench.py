@@ -72,24 +72,6 @@ class TestCheck:
         row["xlat_hits"], row["xlat_hit_rate"] = 0, 0.0
         assert check(payload, baseline) == ([], [])
 
-    def test_obs_metrics_variant_gated_at_two_percent(self):
-        spec = SCENARIOS[("obs", "udma_send")]
-
-        def at(msg_s):
-            return Result(sim={"sim_cycles": 1, "events_fired": 1,
-                               "messages": 100, "sim_bytes": 100},
-                          host_seconds=100 / msg_s)
-
-        slow = to_payload([(spec, {"baseline": at(1000.0),
-                                   "metrics": at(970.0),
-                                   "spans": at(500.0)})], quick=True)
-        failures, _ = check(slow, None)
-        assert len(failures) == 1 and "metrics variant" in failures[0]
-        fine = to_payload([(spec, {"baseline": at(1000.0),
-                                   "metrics": at(990.0),
-                                   "spans": at(500.0)})], quick=True)
-        assert check(fine, None) == ([], [])
-
     def test_reliability_variants_may_differ(self):
         spec = SCENARIOS[("reliability", "cluster_pingpong")]
         assert not spec.identical
@@ -239,6 +221,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "nope" in err
         assert "incast_64x1" in err and "hotspot_32x2" in err
+
+    def test_a_name_in_two_sections_exits_2_naming_the_rows(self, capsys):
+        argv = ["--section", "core", "--section", "obs", "--scenario", "udma_send"]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "udma_send" in err and "core/udma_send, obs/udma_send" in err
+
+    def test_section_slash_name_runs_that_row_only(self, capsys):
+        argv = ["--quick", "--repeats", "1", "--section", "core", "--section",
+                "obs", "--scenario", "obs/udma_send"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "obs/udma_send:" in captured.err
+        assert "core/udma_send" not in captured.err
 
     def test_recorded_run_checks_clean_then_catches_a_sim_change(
         self, tmp_path, capsys
