@@ -54,7 +54,7 @@ from bench_host_throughput import (  # noqa: E402
     to_payload,
     transfer_latency_profile,
 )
-from paired import run_pairs  # noqa: E402
+from paired import _ratio, run_pairs  # noqa: E402
 
 #: pairs of fresh workers per rate-gated row against the parent.  One
 #: pair's ratio swings by +-20% on a shared 2-vCPU host; the median of
@@ -196,11 +196,12 @@ def parent_check(rows: list, pairs_of, changed: set):
                 failures.append(f"{where}: simulated differently from the "
                                 f"parent ({diffs}) -- determinism break")
             continue
-        ratios = [b["msgs_per_s"] / a["msgs_per_s"] for a, b in got]
+        # Counted as printed: a pair that prints 1.000 is a tie.
+        ratios = [_ratio(a["msgs_per_s"], b["msgs_per_s"]) for a, b in got]
         median = statistics.median(ratios)
         line = (f"{where}: median B/A {median:.3f} over {len(got)} pairs vs "
                 f"parent, B won {sum(r > 1.0 for r in ratios)} ("
-                + " ".join(f"{r:.2f}" for r in ratios) + ")")
+                + " ".join(f"{r:.3f}" for r in ratios) + ")")
         lines.append(line)
         if median < 1.0 - RATE_BOUND:
             failures.append(f"{line} < {1.0 - RATE_BOUND:.2f}")

@@ -27,7 +27,6 @@ Either engine produces the same simulation: bounds only gate execution
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -59,8 +58,8 @@ class ShardRunResult:
 
     engine: str
     num_shards: int
-    #: per node, in node order: (node id, messages_total, step records,
-    #: summary line); :attr:`logs` formats them
+    #: per node, in node order: (node id, messages_total, packed step
+    #: log, summary line); :attr:`logs` formats them
     log_records: List[tuple] = field(default_factory=list, repr=False)
     counters: Dict[str, int] = field(default_factory=dict)
     digests: Dict[str, str] = field(default_factory=dict)
@@ -91,8 +90,8 @@ class ShardRunResult:
         """
         if self._logs is None:
             lines: List[str] = []
-            for node_id, total, records, summary in self.log_records:
-                lines += format_log(node_id, total, records)
+            for node_id, total, log, summary in self.log_records:
+                lines += format_log(node_id, total, log)
                 lines.append(summary)
             self._logs = lines
         return self._logs
@@ -306,6 +305,10 @@ class WorkerEngine:
         #: drained" -- the benchmark's timed window (construction and
         #: final-report pickling excluded)
         self.timed_seconds: Optional[float] = None
+        # Only this engine forks, so only it pays for multiprocessing
+        # (and the pickle and socket modules under it).
+        import multiprocessing as mp
+
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else methods[0])
 

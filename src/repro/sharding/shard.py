@@ -43,6 +43,7 @@ injector rewrote a packet, and sharded mode refuses injectors.
 from __future__ import annotations
 
 import hashlib
+import struct
 from functools import partial
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -73,6 +74,11 @@ from repro.userlib.messaging import Sender
 #: event (empty key) and every network arrival ((1, src, seq)) at the
 #: same cycle
 STEP_KEY: Tuple = (2,)
+
+#: one step's entry in :attr:`NodeRuntime.log`: its time as a native
+#: signed 64-bit integer, ``now`` for a send and ``~now`` (negative) for
+#: a busy device
+_pack_step = struct.Struct("q").pack
 
 #: "no bound" sentinel (an unreachable simulated time)
 INFINITY = float("inf")
@@ -148,26 +154,27 @@ class NodeRuntime:
     self_fed: bool = False
     sent: int = 0
     retries: int = 0
-    #: one ``(outcome, now)`` record per step; :func:`format_log` turns
-    #: them into the step log's lines
-    log: List[Tuple[str, int]] = field(default_factory=list)
+    #: the step log, packed: 8 bytes a step (see :data:`_pack_step`);
+    #: :func:`format_log` turns it into the step log's lines
+    log: bytearray = field(default_factory=bytearray)
 
 
-def format_log(
-    node_id: int, messages_total: int, records: List[Tuple[str, int]]
-) -> List[str]:
-    """The step log lines of one node, from its ``(outcome, now)`` records.
+def format_log(node_id: int, messages_total: int, log: bytes) -> List[str]:
+    """The step log lines of one node, from its packed step log.
 
-    A step either sends (``"sent"``) or finds the device busy
-    (``"busy"``), so the step number and the running sent and retry
-    counts follow from a record's position and the outcomes before it.
+    A step either sends (its time ``now``) or finds the device busy (its
+    time stored as ``~now``), so the step number and the running sent
+    and retry counts follow from an entry's position and sign and the
+    entries before it.
     """
     lines = []
     sent = retries = 0
-    for steps, (outcome, now) in enumerate(records, 1):
-        if outcome == "sent":
+    for steps, packed in enumerate(memoryview(log).cast("q"), 1):
+        if packed >= 0:
+            outcome, now = "sent", packed
             sent += 1
         else:
+            outcome, now = "busy", ~packed
             retries += 1
         lines.append(
             f"n{node_id:03d} {steps:04d} {outcome:<5} "
@@ -451,19 +458,18 @@ class Shard:
             raise DmaError(f"node {rt.node_id}: {exc}") from exc
         if started:
             rt.sent += 1
-            outcome = "sent"
             rt.next_step = (
                 step_t + spec.gap_cycles
                 if rt.sent < spec.messages_per_node
                 else None
             )
+            # Packed, not a line: lines are formatted only when a reader
+            # asks for ShardRunResult.logs.
+            rt.log += _pack_step(rt.clock.now)
         else:
             rt.retries += 1
-            outcome = "busy"
             rt.next_step = step_t + RETRY_GAP_CYCLES
-        # A record, not a line: lines are formatted only when a reader
-        # asks for ShardRunResult.logs.
-        rt.log.append((outcome, rt.clock.now))
+            rt.log += _pack_step(~rt.clock.now)
 
     # ------------------------------------------------------------- running
     def run_until_blocked(self) -> bool:
@@ -560,10 +566,10 @@ class Shard:
 
         Keys are per-node, so merging across shards is a plain union and
         the merged artefacts are bit-identical at any shard count.  A
-        node's log is ``(messages_total, step records, summary line)``;
-        the engine's result formats the records on first read.
+        node's log is ``(messages_total, packed step log, summary
+        line)``; the engine's result formats the step log on first read.
         """
-        logs: Dict[int, Tuple[int, List[Tuple[str, int]], str]] = {}
+        logs: Dict[int, Tuple[int, bytes, str]] = {}
         counters: Dict[str, int] = {}
         digests: Dict[str, str] = {}
         events = 0
@@ -575,7 +581,7 @@ class Shard:
                 f"n{node_id:03d} done  sent={rt.sent} retries={rt.retries} "
                 f"rx={rt.nic.packets_received} t={rt.clock.now}"
             )
-            logs[node_id] = (self.spec.messages_per_node, rt.log[:], summary)
+            logs[node_id] = (self.spec.messages_per_node, bytes(rt.log), summary)
             counters.update(self.node_counters(rt))
             h = hashlib.blake2b(digest_size=16)
             h.update(rt.machine.physmem.view(0, rt.machine.physmem.size))

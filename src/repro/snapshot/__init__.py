@@ -39,9 +39,29 @@ attribute path, both plain data, so ``restore`` is one unpickle and
 ``docs/SNAPSHOT.md`` for the format and the full capture matrix.
 """
 
-from repro.snapshot.api import fork, restore, snapshot
-from repro.snapshot.format import MAGIC
+import importlib
+
 from repro.snapshot.protocol import SnapshotMixin, Snapshottable
+
+#: the front door's names that live in ``api`` and ``format``.  Every
+#: component imports ``protocol`` through this package, so those two
+#: modules (and ``pickle`` under them) load only when a run first asks
+#: for a snapshot (PEP 562).
+_LAZY = {
+    "snapshot": "repro.snapshot.api",
+    "restore": "repro.snapshot.api",
+    "fork": "repro.snapshot.api",
+    "MAGIC": "repro.snapshot.format",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "snapshot",

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import re
+import struct
 
 from repro.net.packet import Packet
 from repro.sharding import ClusterSpec, InProcessEngine, WorkerEngine
 from repro.sharding.engine import build_shards
-from repro.sharding.shard import Shard
+from repro.sharding.shard import Shard, format_log
 from repro.userlib.messaging import Sender
 
 
@@ -90,11 +91,13 @@ def test_step_records_format_the_historical_lines():
             rf"n000 {k:04d} sent  m={k}/3 t=\d+ r=0", line
         ), line
     assert node0[-1].startswith("n000 done  sent=3 retries=0 rx=3 t=")
-    # Records are (outcome, now) pairs; the formatted list is an ordinary
-    # mutable list that keeps a reader's edit.
-    _node_id, total, records, _summary = result.log_records[0]
+    # The step log is packed, 8 bytes a step, a send stored as its time;
+    # the formatted list is an ordinary mutable list that keeps a
+    # reader's edit.
+    _node_id, total, log, _summary = result.log_records[0]
     assert total == 3
-    assert all(outcome == "sent" for outcome, _now in records)
+    assert len(log) == 3 * 8
+    assert all(now >= 0 for now in memoryview(log).cast("q"))
     result.logs[0] = "edited"
     assert result.logs[0] == "edited"
 
@@ -113,6 +116,30 @@ def test_busy_steps_count_as_retries():
             assert int(step) == int(sent) + int(retries)
             last[node] = int(retries)
     assert sum(last.values()) == result.retries
+
+
+def test_packed_log_round_trips_a_busy_step_at_time_zero():
+    # A busy step at cycle 0 is stored as ~0 (-1), so it stays apart from
+    # a send at cycle 0 (stored as 0).
+    log = struct.pack("4q", ~0, 0, ~7, 1 << 40)
+    assert format_log(5, 2, log) == [
+        "n005 0001 busy  m=0/2 t=0 r=1",
+        "n005 0002 sent  m=1/2 t=0 r=1",
+        "n005 0003 busy  m=1/2 t=7 r=2",
+        f"n005 0004 sent  m=2/2 t={1 << 40} r=2",
+    ]
+    assert format_log(5, 2, b"") == []
+
+
+def test_worker_logs_with_busy_steps_equal_in_process_logs():
+    # The packed logs cross the worker relay as bytes; busy entries
+    # (negative) and sends decode to the same lines under either engine.
+    spec = _spec(gap_cycles=10)
+    worker = WorkerEngine(spec, num_shards=2).run()
+    in_process = InProcessEngine(spec, num_shards=2).run()
+    assert in_process.retries > 0
+    assert worker.log_records == in_process.log_records
+    assert worker.logs == in_process.logs
 
 
 def test_each_ring_step_is_one_sender_try_send(monkeypatch):

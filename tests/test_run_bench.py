@@ -117,6 +117,13 @@ class TestParentCheck:
         assert failures == []
         assert len(lines) == 2 and "median B/A 1.000 over 3 pairs" in lines[0]
 
+    def test_a_pair_printed_one_is_a_tie_not_a_win(self):
+        # 1000.4 / 1000 prints 1.000, so it counts for neither side.
+        _, lines = parent_check(ROWS[:1], _fake_pairs(1.0004), set())
+        assert "B won 0 (1.000 1.000 1.000)" in lines[0]
+        _, lines = parent_check(ROWS[:1], _fake_pairs(1.0006), set())
+        assert "B won 3 (1.001 1.001 1.001)" in lines[0]
+
     def test_the_bound_is_at_most_fifteen_percent(self):
         assert 0 < RATE_BOUND <= 0.15
         assert parent_check(ROWS, _fake_pairs(1.0 - RATE_BOUND + 0.01), set())[0] == []
