@@ -38,6 +38,7 @@ from repro.chaos.shrinker import ShrinkResult, format_repro, shrink
 from repro.chaos.twins import (
     PAGING_FAULT_KINDS,
     PROTECTION_BACKENDS,
+    SETTINGS,
     SPEC_PROFILES,
     TWINS,
     Setup,
@@ -46,6 +47,7 @@ from repro.chaos.twins import (
     TwinRunner,
     Variant,
     audited_variant,
+    check_scope,
     get_twins,
     outcome_class,
     strip_paging_faults,
@@ -70,6 +72,7 @@ __all__ = [
     "Failure",
     "InvariantAuditor",
     "RunResult",
+    "SETTINGS",
     "ScheduleExplorer",
     "ShrinkResult",
     "TWINS",
@@ -185,7 +188,7 @@ def _replay_flags(settings: Dict[str, object]) -> str:
     """The CLI flags that rerun a campaign with these settings."""
     flags = []
     for key, value in settings.items():
-        flag = "--break" if key == "break_mode" else "--" + key.replace("_", "-")
+        flag = SETTINGS[key][0] if key in SETTINGS else "--" + key
         if value is True:
             flags.append(flag)
         elif value not in (None, False):
@@ -195,26 +198,26 @@ def _replay_flags(settings: Dict[str, object]) -> str:
 
 def run_chaos(
     seed: int = 0,
-    steps: int = 100,
+    steps: Optional[int] = None,
     nodes: Optional[int] = None,
     break_mode: Optional[str] = None,
     oracles: Sequence[str] = ("fast-paths",),
     actions: Optional[Sequence[Action]] = None,
-    max_shrink_evals: int = 200,
+    max_shrink_evals: Optional[int] = None,
     iommu: bool = False,
     profile: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
     backends: Optional[Sequence[str]] = None,
     shards: Optional[int] = None,
-    engine: str = "in-process",
-    audit: bool = True,
+    engine: Optional[str] = None,
+    audit: Optional[bool] = None,
     spec: Optional[ClusterSpec] = None,
 ) -> ChaosReport:
     """Run one chaos campaign: build the subject, judge every twin, shrink.
 
     Args:
         seed: subject seed (ignored when ``actions``/``spec`` is given).
-        steps: schedule length.
+        steps: schedule length (default 100).
         nodes: 1 builds a single node + sink device; >= 2 a cluster ring.
             Defaults to 16 for spec twins, 2 when a twin needs a cluster
             (or ``iommu`` is on), 1 otherwise.
@@ -224,7 +227,8 @@ def run_chaos(
         oracles: names from :data:`~repro.chaos.twins.TWINS`; all must
             take the same subject kind.  Empty: the audited run alone.
         actions: replay this explicit schedule instead of generating one.
-        max_shrink_evals: ddmin replay budget when a failure needs shrinking.
+        max_shrink_evals: ddmin replay budget when a failure needs
+            shrinking (default 200).
         iommu: enable the virtual-address RDMA tier in every variant (the
             ``iommu`` twin switches it on itself; the ``delivery`` twin
             likewise switches on the reliable transport).
@@ -240,15 +244,26 @@ def run_chaos(
             one variant per entry (default: every stock backend), every
             other twin runs on a single one (default ``proxy``).
         shards, engine, audit: spec twins' shard count (twin default when
-            None), sharded engine (``"both"`` checks both) and
-            per-operation invariant auditing.
+            None), sharded engine (``"both"`` checks both; default
+            ``"in-process"``) and per-operation invariant auditing
+            (default on; schedule runs are always audited).
         spec: replay this explicit cluster spec (spec twins).
+        A keyword that :data:`~repro.chaos.twins.SETTINGS` names is given
+        unless ``None``, and only twins of its subject kinds take it.
 
     Raises:
-        ValueError: the selection cannot run as asked (one-line reason);
+        ValueError: the selection cannot run as asked (one-line reason),
+            such as a given setting outside its twins' subject kind;
             raised before anything is simulated.
     """
+    # the scoped keywords the caller gave: first, while only arguments are local
+    given = [k for k, v in locals().items() if k in SETTINGS and v is not None]
     twins = get_twins(oracles) if oracles else []
+    check_scope(given, twins)
+    steps = 100 if steps is None else steps
+    max_shrink_evals = 200 if max_shrink_evals is None else max_shrink_evals
+    engine = "in-process" if engine is None else engine
+    audit = True if audit is None else audit
     needs = set().union(*(t.requires for t in twins))
     kinds = {t.subject for t in twins}
     if len(kinds) > 1:
@@ -295,8 +310,12 @@ def run_chaos(
     user_iommu, iommu = iommu, iommu or "iommu" in needs
     if nodes is None:
         nodes = 2 if iommu or "cluster" in needs else 1
-    problem = _schedule_problem(twins, nodes, iommu, break_mode, backends,
-                                checkpoint_every, multi)
+    setup = Setup(
+        nodes=nodes, break_mode=break_mode, iommu=iommu, backends=backends,
+        reliability="reliability" in needs,
+        checkpoint_every=checkpoint_every,
+    )
+    problem = _schedule_problem(twins, setup, multi)
     if problem:
         raise ValueError(problem)
     if profile is None:
@@ -305,11 +324,6 @@ def run_chaos(
     schedule = (
         list(actions) if actions is not None
         else generate_schedule(seed, steps, profile=profile)
-    )
-    setup = Setup(
-        nodes=nodes, break_mode=break_mode, iommu=iommu, backends=backends,
-        reliability="reliability" in needs,
-        checkpoint_every=checkpoint_every, audit=audit,
     )
     settings.update(nodes=nodes, break_mode=break_mode, iommu=user_iommu,
                     backend=",".join(backends) if backends != ("proxy",) else None)
@@ -341,33 +355,25 @@ def run_chaos(
     return report
 
 
-def _schedule_problem(
-    twins: List[Twin],
-    nodes: int,
-    iommu: bool,
-    break_mode: Optional[str],
-    backends: Sequence[str],
-    checkpoint_every: Optional[int],
-    multi: bool,
-) -> Optional[str]:
-    """Why a schedule campaign cannot run as asked, or None."""
-    if nodes < 2:
+def _schedule_problem(twins: List[Twin], s: Setup, multi: bool) -> Optional[str]:
+    """Why a schedule campaign cannot run in world ``s`` as asked, or None."""
+    if s.nodes < 2:
         for twin in twins:
             if "cluster" in twin.requires:
                 return f"the {twin.name} twin needs a cluster (--nodes 2 or more)"
-        if iommu:
+        if s.iommu:
             return "--iommu needs a cluster (--nodes 2 or more)"
-    if break_mode not in BREAK_MODES:
-        return (f"unknown --break mode {break_mode!r}; choose from "
+    if s.break_mode not in BREAK_MODES:
+        return (f"unknown --break mode {s.break_mode!r}; choose from "
                 f"{', '.join(m for m in BREAK_MODES if m)}")
-    if checkpoint_every is not None and checkpoint_every <= 0:
+    if s.checkpoint_every is not None and s.checkpoint_every <= 0:
         return "--checkpoint-every needs a positive action count"
-    if multi and len(backends) < 2:
+    if multi and len(s.backends) < 2:
         return "the backends twin needs at least two --backend entries"
-    if not multi and len(backends) > 1:
+    if not multi and len(s.backends) > 1:
         return "only the backends twin runs more than one --backend"
     try:
-        for name in backends:
+        for name in s.backends:
             make_backend(name)
     except ConfigurationError as exc:
         return f"bad --backend spec: {exc}"

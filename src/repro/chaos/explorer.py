@@ -88,28 +88,18 @@ class RunResult:
 
 
 class ScheduleExplorer:
-    """Runs schedules against fresh worlds, with always-on auditing."""
+    """Runs schedules against fresh worlds, with always-on auditing.
 
-    def __init__(
-        self,
-        nodes: int = 1,
-        break_mode: Optional[str] = None,
-        audit: bool = True,
-        reliability: bool = False,
-        protection: str = "proxy",
-        iommu: bool = False,
-        checkpoint_every: Optional[int] = None,
-    ) -> None:
+    ``world`` holds the :class:`ChaosWorld` keywords every run builds its
+    world with (``reference`` is chosen per run).
+    """
+
+    def __init__(self, checkpoint_every: Optional[int] = None, **world) -> None:
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
-        self.nodes = nodes
-        self.break_mode = break_mode
-        self.audit = audit
-        self.reliability = reliability
-        self.protection = protection
-        self.iommu = iommu
+        self.world = world
         self.checkpoint_every = checkpoint_every
         #: (reference, action prefix) -> capsule snapshot; insertion order
         #: doubles as the eviction order (oldest first)
@@ -129,25 +119,16 @@ class ScheduleExplorer:
             if resumed is not None:
                 world, auditor, start = resumed
         if world is None:
-            world = ChaosWorld(
-                nodes=self.nodes,
-                reference=reference,
-                break_mode=self.break_mode,
-                reliability=self.reliability,
-                protection=self.protection,
-                iommu=self.iommu,
-            )
+            world = ChaosWorld(reference=reference, **self.world)
             auditor = InvariantAuditor(world)
-        if self.audit:
-            auditor.install()
+        auditor.install()
         every = self.checkpoint_every
         try:
             for i in range(start, len(actions)):
                 action = actions[i]
                 try:
                     outcome = world.apply(action)
-                    if self.audit:
-                        auditor.check_boundary()
+                    auditor.check_boundary()
                 except InvariantViolation as exc:
                     result.failure = Failure(i, "invariant", str(exc))
                     break
@@ -163,8 +144,7 @@ class ScheduleExplorer:
             if result.failure is None:
                 try:
                     world.settle()
-                    if self.audit:
-                        auditor.check_boundary()
+                    auditor.check_boundary()
                 except InvariantViolation as exc:
                     result.failure = Failure(-1, "invariant", str(exc))
                 except Exception as exc:

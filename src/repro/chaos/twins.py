@@ -15,8 +15,10 @@ covers, and diff each projection against the first variant's.  A
   ``iommu``) or needs (``cluster``: two or more nodes).
 
 :data:`TWINS` is the registry ``python -m repro chaos --oracle NAME``
-selects from; :func:`repro.chaos.run_chaos` drives any selection, shrinks
-diverging schedules with ddmin and serialises one artifact schema.
+selects from, and :data:`SETTINGS` names the subject kinds that take each
+scoped campaign setting; :func:`repro.chaos.run_chaos` drives any
+selection, shrinks diverging schedules with ddmin and serialises one
+artifact schema.
 Variants that describe the same run are executed once per subject, and
 the invariant-audited run is always one of the twins' own runs (see
 :func:`audited_variant`).
@@ -250,7 +252,7 @@ class TwinRunner:
         each replica gets its own, checkpoints included."""
         s = self.setup
         world = dict(
-            nodes=s.nodes, break_mode=s.break_mode, audit=s.audit,
+            nodes=s.nodes, break_mode=s.break_mode,
             reliability=s.reliability, protection=s.backends[0],
             iommu=s.iommu, checkpoint_every=s.checkpoint_every,
         )
@@ -435,6 +437,38 @@ TWINS: Dict[str, Twin] = {
         ),
     )
 }
+
+
+_SCHEDULE, _SPEC = ("schedule",), ("spec",)
+
+#: campaign settings only some subject kinds take: ``run_chaos`` keyword
+#: (``dump_log``: the CLI's own) -> (flag, kinds).  Every selected twin
+#: must take a given one.  ROADMAP item 14 (schedules at K shards) lifts
+#: the schedule/spec split.
+SETTINGS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "steps": ("--steps", _SCHEDULE),
+    "break_mode": ("--break", _SCHEDULE),
+    "backends": ("--backend", _SCHEDULE),
+    "checkpoint_every": ("--checkpoint-every", _SCHEDULE),
+    "max_shrink_evals": ("--max-shrink-evals", _SCHEDULE),
+    "actions": ("--replay ACTIONS", _SCHEDULE),
+    "dump_log": ("--dump-log", _SCHEDULE),
+    "spec": ("--replay SPEC", _SPEC),
+    "shards": ("--shards", _SPEC),
+    "audit": ("--no-audit", _SPEC),
+    "engine": ("--engine", _SPEC),
+}
+
+
+def check_scope(given: Sequence[str], twins: Sequence[Twin]) -> None:
+    """Raise ``ValueError`` for the first given :data:`SETTINGS` key a
+    selected twin does not take (no twin: the audited schedule run)."""
+    takers = [(t.subject, f"the {t.name} twin") for t in twins]
+    for key in given:
+        flag, kinds = SETTINGS[key]
+        for kind, who in takers or [("schedule", "a run without twins")]:
+            if kind not in kinds:
+                raise ValueError(f"{flag} does not apply to {who}")
 
 
 def get_twins(names: Sequence[str]) -> List[Twin]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro import ClusterConfig, Machine, MachineConfig, ObsConfig, ShrimpCluster
 from repro.bench import (
@@ -162,25 +162,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: chaos flags that apply to some twins only: flag -> (dest, subject kind)
-_SCOPED_FLAGS = {
-    "--steps": ("steps", "schedule"),
-    "--break": ("break_mode", "schedule"),
-    "--backend": ("backend", "schedule"),
-    "--checkpoint-every": ("checkpoint_every", "schedule"),
-    "--max-shrink-evals": ("max_shrink_evals", "schedule"),
-    "--dump-log": ("dump_log", "schedule"),
-    "--shards": ("shards", "spec"),
-    "--no-audit": ("no_audit", "spec"),
-    "--engine": ("engine", "spec"),
-}
-
-
 def _chaos_epilog() -> str:
     """The twin table and flag scoping, as ``chaos --help`` prints them."""
     import textwrap
 
-    from repro.chaos import TWINS
+    from repro.chaos import SETTINGS, TWINS
 
     lines = ["twins (--oracle NAME[,NAME...]; diffed against the first variant):"]
     for twin in TWINS.values():
@@ -189,19 +175,13 @@ def _chaos_epilog() -> str:
         lines += textwrap.wrap(twin.doc, 76, initial_indent=" " * 15,
                                subsequent_indent=" " * 15)
     lines += ["", "scoped flags (every selected twin must accept them):"]
-    scopes: Dict[str, List[str]] = {}
-    for flag, (_, scope) in _SCOPED_FLAGS.items():
-        scopes.setdefault(scope, []).append(flag)
-    for scope, flags in scopes.items():
-        users = [t.name for t in TWINS.values() if t.subject == scope]
-        lines.append(f"  {' '.join(flags)}")
+    for kind in dict.fromkeys(t.subject for t in TWINS.values()):
+        flags = [flag for flag, kinds in SETTINGS.values() if kind in kinds]
+        lines += textwrap.wrap(", ".join(flags), 76, initial_indent="  ",
+                               subsequent_indent="  ", break_on_hyphens=False)
+        users = [t.name for t in TWINS.values() if t.subject == kind]
         lines.append(f"{' ' * 15}{', '.join(users)}")
     return "\n".join(lines)
-
-
-def _given(value: object) -> bool:
-    """Was a flag set on the command line (its default is None/False)?"""
-    return value is not None and value is not False
 
 
 def _load_replay(args: argparse.Namespace) -> dict:
@@ -217,7 +197,7 @@ def _load_replay(args: argparse.Namespace) -> dict:
     if isinstance(payload, list):
         return {"actions": actions_from_json(payload)}
     for key, value in payload.get("settings", {}).items():
-        if not _given(getattr(args, key, None)):
+        if getattr(args, key, None) in (None, False):
             setattr(args, key, value)
     if "spec" in payload:
         return {"spec": ClusterSpec.from_dict(payload["spec"])}
@@ -228,7 +208,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.chaos import PROTECTION_BACKENDS, run_chaos
-    from repro.chaos.twins import get_twins
+    from repro.chaos.twins import check_scope, get_twins
 
     def refuse(reason: str) -> int:
         print(f"bad flag combination: {reason}", file=sys.stderr)
@@ -240,14 +220,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return refuse(f"cannot replay {args.replay}: {exc!r}")
     names = (args.oracle or "fast-paths").split(",")
     try:
-        twins = get_twins(names)
+        check_scope(["dump_log"] if args.dump_log else [], get_twins(names))
     except ValueError as exc:
         return refuse(str(exc))
-    for flag, (dest, scope) in _SCOPED_FLAGS.items():
-        if _given(getattr(args, dest)):
-            for twin in twins:
-                if twin.subject != scope:
-                    return refuse(f"{flag} does not apply to the {twin.name} twin")
     if args.replay and args.schedules != 1:
         return refuse("--replay reruns one subject; drop --schedules")
     backends = None
@@ -261,18 +236,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         try:
             report = run_chaos(
                 seed=seed,
-                steps=args.steps or 100,
+                steps=args.steps,
                 nodes=args.nodes,
                 break_mode=args.break_mode,
                 oracles=names,
-                max_shrink_evals=args.max_shrink_evals or 200,
+                max_shrink_evals=args.max_shrink_evals,
                 iommu=args.iommu,
                 profile=args.profile,
                 checkpoint_every=args.checkpoint_every,
                 backends=backends,
                 shards=args.shards,
-                engine=args.engine or "in-process",
-                audit=not args.no_audit,
+                engine=args.engine,
+                audit=args.audit,
                 **subject,
             )
         except ValueError as exc:
@@ -383,7 +358,8 @@ examples
     chaos.add_argument("--engine", default=None,
                        choices=["in-process", "worker", "both"],
                        help="sharded engine(s) the shards twin checks")
-    chaos.add_argument("--no-audit", action="store_true",
+    chaos.add_argument("--no-audit", dest="audit", action="store_false",
+                       default=None,
                        help="skip per-operation invariant auditing of "
                             "sharded runs")
     chaos.add_argument("--replay", default=None, metavar="FILE",

@@ -86,10 +86,6 @@ class MemoryEndpoint:
         """Zero-copy burst-granular window (word-stepping mode)."""
         return self.physmem.view(self.paddr + offset, nbytes)
 
-    def read_slice(self, offset: int, nbytes: int) -> bytes:
-        """Burst-granular read (word-stepping mode)."""
-        return self.physmem.read(self.paddr + offset, nbytes)
-
     def write_slice(self, offset: int, data: Buffer) -> None:
         """Burst-granular write (word-stepping mode)."""
         self.physmem.write(self.paddr + offset, data)
@@ -128,16 +124,6 @@ class DeviceEndpoint:
 
     def write(self, data: Buffer) -> None:
         self.device.dma_write(self.offset, data)  # type: ignore[attr-defined]
-
-    def read_slice(self, offset: int, nbytes: int) -> bytes:
-        """Burst-granular device read (word-stepping mode)."""
-        return self.device.dma_read(self.offset + offset, nbytes)  # type: ignore[attr-defined]
-
-    def write_slice(self, offset: int, data: Buffer) -> None:  # pragma: no cover
-        raise DmaError(
-            "devices receive their payload in one delivery; incremental "
-            "writes are staged by the engine"
-        )
 
     def supports_incremental_write(self) -> bool:
         # Devices (a NIC packetizer, an audio ring) consume a transfer as

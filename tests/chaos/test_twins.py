@@ -3,21 +3,31 @@
 Each row of :data:`repro.chaos.TWINS` must run clean on a small
 subject, serialise to the one artifact schema, and replay through
 ``chaos --replay`` -- clean when nothing changed, exit 1 once a
-divergence is forged into its projection.  The CLI derives flag
-validity from the table, so flag combinations that cannot run as asked
-exit 2 with a one-line reason instead of silently running something
-else.
+divergence is forged into its projection.  Which twin takes which
+campaign setting is one table too, :data:`repro.chaos.twins.SETTINGS`:
+``run_chaos`` refuses a setting outside its twins' subject kind before
+it simulates anything, and ``chaos`` exits 2 with the same one-line
+reason, as it does for every flag combination that cannot run as asked.
 """
 
 import dataclasses
 import itertools
 import json
+import shlex
 
 import pytest
 
-from repro.chaos import PROTECTION_BACKENDS, TWINS, ScheduleExplorer, run_chaos
-from repro.chaos.twins import drain_before_writes
-from repro.cli import main
+from repro.chaos import (
+    PROTECTION_BACKENDS,
+    SETTINGS,
+    TWINS,
+    ScheduleExplorer,
+    _replay_flags,
+    run_chaos,
+)
+from repro.chaos import twins as twins_module
+from repro.chaos.twins import check_scope, drain_before_writes
+from repro.cli import build_parser, main
 from repro.net.faults import FAULT_OPS
 from repro.sharding import ClusterSpec
 
@@ -186,3 +196,86 @@ def test_schedule_flags_fail_loudly(argv, reason, capsys, tmp_path, monkeypatch)
     code, err = _refused(argv, capsys)
     assert code == 2
     assert reason in err
+
+
+# ------------------------------------------- one scope per campaign setting
+SPEC = SMALL["spec"]["spec"]
+
+#: per SETTINGS row: a run_chaos value (None: the CLI's own) and the
+#: chaos arguments that give it
+GIVEN = {
+    "steps": (10, ["--steps", "10"]),
+    "break_mode": ("no-inval", ["--break", "no-inval"]),
+    "backends": (("proxy", "captable"), ["--backend", "proxy,captable"]),
+    "checkpoint_every": (5, ["--checkpoint-every", "5"]),
+    "max_shrink_evals": (10, ["--max-shrink-evals", "10"]),
+    "actions": ([], ["--replay", "actions.json"]),
+    "dump_log": (None, ["--dump-log"]),
+    "spec": (SPEC, ["--replay", "spec.json"]),
+    "shards": (2, ["--shards", "2"]),
+    "audit": (False, ["--no-audit"]),
+    "engine": ("worker", ["--engine", "worker"]),
+}
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail any campaign that gets as far as running a subject."""
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("a refused campaign ran a subject")
+
+    monkeypatch.setattr(ScheduleExplorer, "run", simulated)
+    monkeypatch.setattr(twins_module, "run_sharded", simulated)
+
+
+def test_every_setting_row_has_a_given_value():
+    assert set(GIVEN) == set(SETTINGS)
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+@pytest.mark.parametrize("name", list(TWINS))
+def test_a_setting_outside_its_scope_is_refused_before_simulating(
+    key, name, no_simulation, tmp_path, monkeypatch, capsys
+):
+    """Every row against every twin: taken, or refused with the row's
+    one-line reason by run_chaos and, identically, by the CLI."""
+    (flag, kinds), twin = SETTINGS[key], TWINS[name]
+    if twin.subject in kinds:
+        check_scope([key], [twin])
+        return
+    reason = f"{flag} does not apply to the {name} twin"
+    value, argv = GIVEN[key]
+    if value is not None:
+        with pytest.raises(ValueError) as exc:
+            run_chaos(oracles=(name,), **{key: value})
+        assert str(exc.value) == reason
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "actions.json").write_text("[]")
+    (tmp_path / "spec.json").write_text(json.dumps({"spec": SPEC.as_dict()}))
+    assert main(["chaos", "--oracle", name, *argv]) == 2
+    assert capsys.readouterr().err == f"bad flag combination: {reason}\n"
+
+
+def test_a_run_without_twins_is_a_schedule_run(no_simulation):
+    with pytest.raises(ValueError) as exc:
+        run_chaos(oracles=(), shards=2)
+    assert str(exc.value) == "--shards does not apply to a run without twins"
+
+
+@pytest.mark.parametrize("kwargs, flags", [
+    (dict(oracles=("backends",), break_mode="no-inval", iommu=True, steps=10,
+          backends=("captable", "handler"), max_shrink_evals=5),
+     ["--break no-inval", "--backend captable,handler", "--iommu"]),
+    (dict(oracles=("shards",), shards=2, engine="worker", **SMALL["spec"]),
+     ["--shards 2", "--engine worker"]),
+], ids=["schedule", "spec"])
+def test_replay_flags_parse_back_into_the_recorded_settings(kwargs, flags):
+    """The reproducer's flag line, spelled from SETTINGS, parses back
+    into every setting the report recorded."""
+    settings = run_chaos(**kwargs).settings
+    line = _replay_flags(settings)
+    assert all(flag in line for flag in flags), line
+    args = build_parser().parse_args(["chaos", *shlex.split(line)])
+    for key, value in settings.items():
+        assert getattr(args, key) == value, (key, line)
